@@ -25,6 +25,7 @@ from .classify import Catalog, classify_catalog
 from .curvature import (
     NotAlphaEinsteinError,
     check_alpha_einstein,
+    levi_civita,
     ricci_scalar,
     transverse_ricci,
 )
@@ -46,6 +47,7 @@ from .structures import (
     check_hypo,
     check_r_contact_ccy,
     check_sasakian,
+    induced_metric,
 )
 
 EXIT_PASS = 0
@@ -233,18 +235,30 @@ def cmd_betti(args) -> int:
     return _emit(report)
 
 
+def _parse_metric(text: str) -> Metric:
+    """A --metric value: a JSON list of rows of exact rationals."""
+    rows = json.loads(text)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError("--metric must be a JSON list of rows")
+    try:
+        return Metric([[rat(x) for x in row] for row in rows])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"--metric entries must be exact rationals: {exc}") from exc
+
+
 def cmd_curvature(args) -> int:
     alg = parse_algebra(_file_value(args.algebra))
     report_inputs = {"algebra": args.algebra}
     report = Report("curvature", report_inputs)
+    if not (args.metric or (args.alpha and args.J)):
+        raise InputError("curvature needs --metric or (--alpha and --J)")
+    alpha = parse_form(_file_value(args.alpha), alg.dim) if args.alpha else None
     structure = None
     if args.metric:
         report_inputs["metric"] = args.metric
-        rows = json.loads(_file_value(args.metric))
-        g = Metric([[rat(x) for x in row] for row in rows])
-    elif args.alpha and args.J:
+        g = _parse_metric(_file_value(args.metric))
+    else:
         report_inputs.update({"alpha": args.alpha, "J": args.J})
-        alpha = parse_form(_file_value(args.alpha), alg.dim)
         J = parse_endo(_file_value(args.J), alg.dim)
         try:
             contact = check_contact(alg, alpha)
@@ -259,35 +273,24 @@ def cmd_curvature(args) -> int:
                     report.add("sasakian", False, failures=list(sasakian.failures))
                     print(report.to_json())
                     return EXIT_FAIL
-                cov = [alpha.coefficient((j,)) for j in range(1, alg.dim + 1)]
-                g = Metric(
-                    [
-                        [
-                            sasakian.g_j.matrix[i][j] + cov[i] * cov[j]
-                            for j in range(alg.dim)
-                        ]
-                        for i in range(alg.dim)
-                    ]
-                )
+                g = induced_metric(sasakian.g_j, alpha)
         except CheckError as exc:
             return _check_error(report, exc)
-    else:
-        raise InputError("curvature needs --metric or (--alpha and --J)")
-    curvature = ricci_scalar(alg, g)
+    conn = levi_civita(alg, g)
+    curvature = ricci_scalar(alg, g, conn)
     report.info(
         "curvature",
         ricci=[[str(x) for x in row] for row in curvature.ricci],
         scalar=str(curvature.scalar),
     )
-    if args.alpha:
-        alpha = parse_form(_file_value(args.alpha), alg.dim)
+    if alpha is not None:
         try:
             lam, nu = check_alpha_einstein(curvature, g, alpha)
             report.add("alpha_einstein", True, **{"lambda": str(lam), "nu": str(nu)})
         except NotAlphaEinsteinError as exc:
             report.add(exc.check, False, message=str(exc), witness=exc.witness)
     if structure is not None:
-        transverse = transverse_ricci(structure, g)
+        transverse = transverse_ricci(structure, g, conn, curvature)
         report.add(
             "transverse_ricci_zero",
             transverse.is_zero,

@@ -1,9 +1,17 @@
 """Left-invariant Riemannian geometry, all exact.
 
-Levi-Civita connection via the Koszul formula for left-invariant metrics,
-Riemann / Ricci / scalar curvature, the alpha-Einstein decomposition, and the
-transverse connection with its transverse Ricci tensor (computed both from
-the curvature definition and from the Ricci identity, as a cross-check).
+Every curvature quantity is a contraction of two tables, both held by the
+Connection, so each is built once per algebra and metric:
+
+    c[i][j][k]      X_k component of [X_i, X_j]        (structure constants)
+    gamma[i][j][k]  X_k component of nabla_{X_i} X_j   (Christoffel symbols)
+
+gamma comes from the Koszul formula; Ricci and scalar curvature are single
+contractions over it, and the transverse connection of a contact structure is
+tabulated the same way on the basis, so its Ricci tensor, parallelism flags and
+torsion are contractions too. The transverse Ricci tensor is computed both
+from the curvature definition and from the Ricci identity, as a cross-check.
+Tables are plain nested sequences of Fractions indexed from 0.
 
 Sign conventions, pinned so the curvature of the standard contact Calabi-Yau
 examples comes out with lambda = -2:
@@ -23,94 +31,110 @@ from .errors import CheckError, InputError
 from .exterior import KForm, Metric, Vector
 from .structures import induced_metric, xi_basis
 
+_ZERO = Fraction(0)
+
 
 class NotAlphaEinsteinError(CheckError):
     """Ric is not of the form lambda g + nu alpha (x) alpha."""
 
 
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
+
+
+def _matvec(matrix, v) -> list:
+    return [_dot(row, v) for row in matrix]
+
+
+def _axpy(out: list, c, v) -> None:
+    """out += c * v, in place."""
+    for k, x in enumerate(v):
+        if x:
+            out[k] += c * x
+
+
+def _apply(cells, v) -> list:
+    """sum_k v[k] cells[k]: a linear combination of the vectors in cells."""
+    out = [_ZERO] * len(cells[0])
+    for vk, cell in zip(v, cells):
+        if vk:
+            _axpy(out, vk, cell)
+    return out
+
+
+def _contract(table, u) -> list:
+    """The first slot of a table against u: cells[j] = sum_i u[i] table[i][j]."""
+    return [_apply(column, u) for column in zip(*table)]
+
+
+def _bilinear(table, u, v) -> list:
+    """sum_ij u[i] v[j] table[i][j]."""
+    return _apply(_contract(table, u), v)
+
+
 @dataclass(frozen=True)
 class Connection:
-    """Christoffel table for invariant fields: gamma[i][j] = nabla_{X_{i+1}} X_{j+1}."""
+    """Levi-Civita connection as one Christoffel table (see the module doc),
+    with the structure constants and the inverse metric it was raised by."""
 
     alg: LieAlgebra
     metric: Metric
     gamma: tuple
+    brackets: tuple
+    ginv: tuple
 
     def nabla_basis(self, i: int, j: int) -> Vector:
-        return self.gamma[i - 1][j - 1]
-
-    def nabla(self, u: Vector, w: Vector) -> Vector:
-        """nabla_u w for invariant fields, bilinear over constants."""
-        n = self.alg.dim
-        out = Vector.zero(n)
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                c = u[i] * w[j]
-                if c:
-                    out = out + c * self.gamma[i][j]
-        return out
+        """nabla_{X_i} X_j for 1-based basis indices."""
+        return Vector(self.gamma[i - 1][j - 1])
 
 
 def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
     """Koszul formula: 2 g(nabla_X Y, Z) = g([X,Y],Z) - g([Y,Z],X) + g([Z,X],Y).
 
-    The result is verified to be torsion-free and metric-compatible before it
-    is returned (an internal consistency guard, not a user-facing check).
+    The lowered symbols are raised by the inverse metric. The raised table is
+    verified to be torsion-free and metric-compatible before it is returned
+    (an internal consistency guard, not a user-facing check).
     """
     n = alg.dim
     if g.dim != n:
         raise InputError("metric dimension mismatch")
     if not g.is_positive_definite():
         raise InputError("levi_civita: metric is not positive definite")
+    basis = range(1, n + 1)
+    c = tuple(tuple(alg.bracket_basis(i, j).coeffs for j in basis) for i in basis)
+    gm = g.matrix
     ginv = g.inverse_matrix()
-    basis = [Vector.basis(n, i) for i in range(1, n + 1)]
-    bk = [[alg.bracket_basis(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    # gc[i][j][k] = g([X_i, X_j], X_k)
+    gc = [[_matvec(gm, cell) if any(cell) else cell for cell in row] for row in c]
     gamma = []
     for i in range(n):
         row = []
         for j in range(n):
-            rhs = []
+            low = []
             for k in range(n):
-                val = (
-                    g.bilinear(bk[i][j], basis[k])
-                    - g.bilinear(bk[j][k], basis[i])
-                    + g.bilinear(bk[k][i], basis[j])
-                )
-                rhs.append(val / 2)
-            row.append(
-                Vector(
-                    [
-                        sum((ginv[p][k] * rhs[k] for k in range(n)), Fraction(0))
-                        for p in range(n)
-                    ]
-                )
-            )
+                a, b, d = gc[i][j][k], gc[j][k][i], gc[k][i][j]
+                low.append((a - b + d) / 2 if a or b or d else _ZERO)
+            row.append(tuple(_matvec(ginv, low)))
         gamma.append(tuple(row))
-    conn = Connection(alg=alg, metric=g, gamma=tuple(gamma))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            torsion = conn.nabla_basis(i, j) - conn.nabla_basis(j, i) - bk[i - 1][j - 1]
-            if not torsion.is_zero:
-                raise ArithmeticError(f"Koszul connection has torsion at ({i},{j})")
-            for k in range(1, n + 1):
-                compat = g.bilinear(conn.nabla_basis(i, j), basis[k - 1]) + g.bilinear(
-                    basis[j - 1], conn.nabla_basis(i, k)
-                )
-                if compat != 0:
-                    raise ArithmeticError(f"connection not metric at ({i},{j},{k})")
-    return conn
+    for i in range(n):
+        for j in range(n):
+            if any(gamma[i][j][k] - gamma[j][i][k] != c[i][j][k] for k in range(n)):
+                raise ArithmeticError(f"Koszul connection has torsion at ({i + 1},{j + 1})")
+        lowered = [_matvec(gm, cell) for cell in gamma[i]]
+        for j in range(n):
+            for k in range(j, n):
+                if lowered[j][k] + lowered[k][j] != 0:
+                    raise ArithmeticError(f"connection not metric at ({i + 1},{j + 1},{k + 1})")
+    return Connection(alg, g, tuple(gamma), c, tuple(tuple(r) for r in ginv))
 
 
 def riemann(conn: Connection, x: Vector, y: Vector, z: Vector) -> Vector:
     """R(X, Y)Z for invariant fields."""
-    alg = conn.alg
-    return (
-        conn.nabla(x, conn.nabla(y, z))
-        - conn.nabla(y, conn.nabla(x, z))
-        - conn.nabla(alg.bracket(x, y), z)
-    )
+    gamma, x, y, z = conn.gamma, x.coeffs, y.coeffs, z.coeffs
+    first = _bilinear(gamma, x, _bilinear(gamma, y, z))
+    second = _bilinear(gamma, y, _bilinear(gamma, x, z))
+    third = _bilinear(gamma, _bilinear(conn.brackets, x, y), z)
+    return Vector([a - b - d for a, b, d in zip(first, second, third)])
 
 
 @dataclass(frozen=True)
@@ -120,49 +144,30 @@ class CurvatureReport:
     lam: Fraction | None = None
     nu: Fraction | None = None
 
-    def ricci_entry(self, i: int, j: int) -> Fraction:
-        return self.ricci[i - 1][j - 1]
 
+def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> CurvatureReport:
+    """Ricci tensor and scalar curvature as one contraction of the Christoffel table.
 
-def ricci_scalar(alg: LieAlgebra, g: Metric) -> CurvatureReport:
-    """Ricci tensor and scalar curvature by exact contraction."""
-    conn = levi_civita(alg, g)
+    Ric_ij = sum_m gamma_ij^m t_m - sum_km gamma_im^k gamma_kj^m
+             - sum_km c_ki^m gamma_mj^k,   t_m = sum_k gamma_km^k,
+
+    the three terms of trace(Z -> R(Z, X_i) X_j). Pass `conn` to reuse the
+    connection of (alg, g) instead of building it again.
+    """
+    if conn is None:
+        conn = levi_civita(alg, g)
     n = alg.dim
-    gamma = conn.gamma
-
-    def nabla_dir(k: int, w: Vector) -> Vector:
-        out = Vector.zero(n)
-        for m in range(n):
-            if w[m]:
-                out = out + w[m] * gamma[k][m]
-        return out
-
-    def nabla_bracket(k: int, i: int, j: int) -> Vector:
-        br = alg.bracket_basis(k + 1, i + 1)
-        out = Vector.zero(n)
-        for m in range(n):
-            if br[m]:
-                out = out + br[m] * gamma[m][j]
-        return out
-
-    ric = [[Fraction(0)] * n for _ in range(n)]
+    gamma, c, ginv = conn.gamma, conn.brackets, conn.ginv
+    trace = [sum((gamma[k][m][k] for k in range(n)), _ZERO) for m in range(n)]
+    ric = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            total = Fraction(0)
-            for k in range(n):
-                # component k of R(X_k, X_i) X_j
-                curv = (
-                    nabla_dir(k, gamma[i][j])
-                    - nabla_dir(i, gamma[k][j])
-                    - nabla_bracket(k, i, j)
-                )
-                total += curv[k]
-            ric[i][j] = total
-            ric[j][i] = total
-    ginv = g.inverse_matrix()
-    scalar = sum(
-        (ginv[i][j] * ric[i][j] for i in range(n) for j in range(n)), Fraction(0)
-    )
+            # the quadratic terms gamma_im^k gamma_kj^m and c_ki^m gamma_mj^k
+            pairs = [(gamma[i][m][k], gamma[k][j][m]) for m in range(n) for k in range(n)]
+            pairs += [(c[k][i][m], gamma[m][j][k]) for k in range(n) for m in range(n)]
+            quadratic = sum((a * b for a, b in pairs if a and b), _ZERO)
+            ric[i][j] = ric[j][i] = _dot(gamma[i][j], trace) - quadratic
+    scalar = sum((_dot(ginv[i], ric[i]) for i in range(n)), _ZERO)
     return CurvatureReport(ricci=tuple(tuple(r) for r in ric), scalar=scalar)
 
 
@@ -182,14 +187,12 @@ def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):
     sol = linalg.solve(rows, rhs)
     if sol is not None:
         lam, nu = sol
-        for i in range(n):
-            for j in range(n):
-                residual = report.ricci[i][j] - lam * g.matrix[i][j] - nu * cov[i] * cov[j]
-                if residual:
-                    sol = None
-                    break
-            if sol is None:
-                break
+        if any(
+            report.ricci[i][j] != lam * g.matrix[i][j] + nu * cov[i] * cov[j]
+            for i in range(n)
+            for j in range(n)
+        ):
+            sol = None
     if sol is None:
         witness = {
             "ricci": str([[str(x) for x in row] for row in report.ricci]),
@@ -223,7 +226,54 @@ class TransverseReport:
         return all(not x for row in self.ric_t for x in row)
 
 
-def transverse_ricci(structure, g: Metric | None = None) -> TransverseReport:
+def _project(v: list, cov, reeb) -> list:
+    """v - alpha(v) R in place: the projection onto the contact distribution."""
+    _axpy(v, -_dot(cov, v), reeb)
+    return v
+
+
+def _transverse_table(conn: Connection, cov, reeb) -> list:
+    """T[a][b] = nabla^T(X_a, X_b) for the contact form with coefficients cov.
+
+    The case split of the transverse connection, extended linearly: the part of
+    X_a tangent to the distribution acts through the projected Levi-Civita
+    derivative, the Reeb part alpha(X_a) R through the bracket [R, X_b].
+    """
+    along_reeb = _contract(conn.gamma, reeb)  # nabla_R X_b
+    bracket_reeb = _contract(conn.brackets, reeb)  # [R, X_b]
+    table = []
+    for a, row in enumerate(conn.gamma):
+        table.append([])
+        for b, cell in enumerate(row):
+            v = list(cell)
+            if cov[a]:
+                _axpy(v, -cov[a], along_reeb[b])
+            _project(v, cov, reeb)
+            if cov[a]:
+                _axpy(v, cov[a], bracket_reeb[b])
+            table[a].append(v)
+    return table
+
+
+def _preserves(matrix, frame, moved) -> bool:
+    """B(D x, y) + B(x, D y) == 0 for x, y in the frame and every D, where
+    B(u, v) = u^T matrix v and moved[p][a] = D_p frame[a]."""
+    right = [_matvec(matrix, f) for f in frame]
+    left = [_matvec(list(zip(*matrix)), f) for f in frame]
+    return all(
+        _dot(dx, my) + _dot(mx, dy) == 0
+        for d in moved
+        for dx, mx in zip(d, left)
+        for dy, my in zip(d, right)
+    )
+
+
+def transverse_ricci(
+    structure,
+    g: Metric | None = None,
+    conn: Connection | None = None,
+    full: CurvatureReport | None = None,
+) -> TransverseReport:
     """Transverse connection and transverse Ricci tensor of a verified structure.
 
     Accepts anything carrying a verified contact structure, J and g_J (a
@@ -232,7 +282,8 @@ def transverse_ricci(structure, g: Metric | None = None) -> TransverseReport:
     arbitrary exact frame of the contact distribution, which avoids irrational
     Gram-Schmidt factors. Also verifies the parallelism identities of the
     transverse connection and the Ricci identity Ric^T = Ric + 2g on the
-    distribution.
+    distribution. `conn` and `full`, when given, must be levi_civita(alg, g)
+    and its ricci_scalar report; they are reused instead of rebuilt.
     """
     contact = structure.contact
     alg = contact.alg
@@ -240,123 +291,63 @@ def transverse_ricci(structure, g: Metric | None = None) -> TransverseReport:
         g = getattr(structure, "metric", None)
         if g is None:
             g = induced_metric(structure.g_j, contact.alpha)
-    conn = levi_civita(alg, g)
-    alpha, reeb, J = contact.alpha, contact.reeb, structure.J
-    n = alg.dim
-    frame = xi_basis(alg, [alpha])
-    m = len(frame)
+    if conn is None:
+        conn = levi_civita(alg, g)
+    if full is None:
+        full = ricci_scalar(alg, g, conn)
+    n, c, J = alg.dim, conn.brackets, structure.J
+    cov = [contact.alpha.coefficient((j,)) for j in range(1, n + 1)]
+    reeb = contact.reeb.coeffs
+    frame = xi_basis(alg, [contact.alpha])
+    fs = [f.coeffs for f in frame]
+    T = _transverse_table(conn, cov, reeb)
+    along = [_contract(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k)
 
-    def alpha_of(v: Vector) -> Fraction:
-        return sum(
-            (alpha.coefficient((j,)) * v[j - 1] for j in range(1, n + 1)), Fraction(0)
-        )
-
-    def project(v: Vector) -> Vector:
-        return v - alpha_of(v) * reeb
-
-    def nabla_xi(z: Vector, y: Vector) -> Vector:
-        # case split of the transverse connection, extended linearly:
-        # tangential part acts through the projected Levi-Civita derivative,
-        # the Reeb part through the bracket.
-        zt = project(z)
-        out = project(conn.nabla(zt, y))
-        a = alpha_of(z)
-        if a:
-            out = out + a * alg.bracket(reeb, y)
-        return out
-
-    basis = [Vector.basis(n, i) for i in range(1, n + 1)]
-
-    # curvature-definition path, orthonormal sum as inverse-metric contraction
-    gram = [[g.bilinear(u, v) for v in frame] for u in frame]
-    gram_inv = linalg.inverse(gram)
-    ric_t = [[Fraction(0)] * m for _ in range(m)]
-    for xi_i, x in enumerate(frame):
-        for yi, y in enumerate(frame):
-            total = Fraction(0)
-            for a in range(m):
-                for b in range(m):
-                    w = gram_inv[a][b]
-                    if not w:
-                        continue
-                    fa, fb = frame[a], frame[b]
-                    term = (
-                        nabla_xi(x, nabla_xi(fa, fb))
-                        - nabla_xi(fa, nabla_xi(x, fb))
-                        - nabla_xi(alg.bracket(x, fa), fb)
-                    )
-                    total += w * g.bilinear(term, y)
-            ric_t[xi_i][yi] = total
-
-    full = ricci_scalar(alg, g)
+    # curvature-definition path: sum_ab w_ab R^T(x, f_a) f_b, w the inverse
+    # Gram matrix of the frame; wf[a] = sum_b w_ab f_b
+    wf = [_apply(fs, wa) for wa in linalg.inverse(g.restrict(frame))]
+    tau = [_ZERO] * n  # sum_ab w_ab nabla^T(f_a, f_b)
+    for ta, v in zip(along, wf):
+        _axpy(tau, 1, _apply(ta, v))
+    gframe = [_matvec(g.matrix, f) for f in fs]
+    ric_t = []
+    for x, tx in zip(fs, along):
+        cx = _contract(c, x)
+        q = _apply(tx, tau)
+        for f, ta, v in zip(fs, along, wf):
+            _axpy(q, -1, _apply(ta, _apply(tx, v)))
+            _axpy(q, -1, _bilinear(T, _apply(cx, f), v))
+        ric_t.append([_dot(q, gy) for gy in gframe])
+    ric_frame = [_matvec(full.ricci, y) for y in fs]
     ric_t_id = [
-        [
-            sum(
-                (
-                    full.ricci[p][q] * x[p] * y[q]
-                    for p in range(n)
-                    for q in range(n)
-                ),
-                Fraction(0),
-            )
-            + 2 * g.bilinear(x, y)
-            for y in frame
-        ]
-        for x in frame
+        [_dot(x, ry) + 2 * _dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs
     ]
     if ric_t != ric_t_id:
         raise ArithmeticError(
             "transverse Ricci computations disagree: "
             f"definition {ric_t} vs identity {ric_t_id}"
         )
+    columns = [list(row) for row in zip(*fs)]
+    coords = [linalg.solve(columns, list(J.apply(x).coeffs)) for x in frame]
+    if None in coords:
+        raise InputError("vector does not lie in the span of the frame")
+    rho_t = [[_dot(cj, col) for col in zip(*ric_t)] for cj in coords]
 
-    rho_t = [
-        [
-            sum(
-                (
-                    ric_t[a][yi] * c
-                    for a, c in enumerate(_coords_in_frame(J.apply(x), frame))
-                ),
-                Fraction(0),
-            )
-            for yi in range(m)
-        ]
-        for x in frame
-    ]
-
+    moved = [[_apply(T[p], f) for f in fs] for p in range(n)]  # nabla^T(X_p, f_a)
+    jframe = [_matvec(J.matrix, f) for f in fs]
     parallel_j = all(
-        (nabla_xi(z, J.apply(y)) - J.apply(nabla_xi(z, y))).is_zero
-        for z in basis
-        for y in frame
+        _apply(T[p], jf) == _matvec(J.matrix, d)
+        for p in range(n)
+        for jf, d in zip(jframe, moved[p])
     )
-    g_j = structure.g_j
-    parallel_g_j = all(
-        g_j.bilinear(nabla_xi(z, x), y) + g_j.bilinear(x, nabla_xi(z, y)) == 0
-        for z in basis
-        for x in frame
-        for y in frame
-    )
-    dalpha = alg.d(alpha)
-
-    def dalpha_eval(u: Vector, v: Vector) -> Fraction:
-        return sum(
-            (
-                c * (u[p - 1] * v[q - 1] - u[q - 1] * v[p - 1])
-                for (p, q), c in dalpha.terms.items()
-            ),
-            Fraction(0),
-        )
-
-    parallel_d_alpha = all(
-        dalpha_eval(nabla_xi(z, x), y) + dalpha_eval(x, nabla_xi(z, y)) == 0
-        for z in basis
-        for x in frame
-        for y in frame
-    )
+    dalpha = [[_ZERO] * n for _ in range(n)]
+    for (p, q), coef in alg.d(contact.alpha).terms.items():
+        dalpha[p - 1][q - 1], dalpha[q - 1][p - 1] = coef, -coef
     torsion_ok = all(
-        (nabla_xi(x, y) - nabla_xi(y, x) - project(alg.bracket(x, y))).is_zero
-        for x in frame
-        for y in frame
+        _apply(tx, y)
+        == [a + b for a, b in zip(_apply(ty, x), _project(_bilinear(c, x, y), cov, reeb))]
+        for x, tx in zip(fs, along)
+        for y, ty in zip(fs, along)
     )
     return TransverseReport(
         frame=tuple(frame),
@@ -364,16 +355,7 @@ def transverse_ricci(structure, g: Metric | None = None) -> TransverseReport:
         ric_t_identity=tuple(tuple(r) for r in ric_t_id),
         rho_t=tuple(tuple(r) for r in rho_t),
         parallel_j=parallel_j,
-        parallel_g_j=parallel_g_j,
-        parallel_d_alpha=parallel_d_alpha,
+        parallel_g_j=_preserves(structure.g_j.matrix, fs, moved),
+        parallel_d_alpha=_preserves(dalpha, fs, moved),
         torsion_matches_bracket=torsion_ok,
     )
-
-
-def _coords_in_frame(v: Vector, frame) -> list[Fraction]:
-    """Coordinates of v in the span of the frame (exact solve)."""
-    cols = [[f[i] for f in frame] for i in range(v.dim)]
-    sol = linalg.solve(cols, list(v.coeffs))
-    if sol is None:
-        raise InputError("vector does not lie in the span of the frame")
-    return sol

@@ -266,3 +266,21 @@ def test_seed_env_var(capsys, monkeypatch):
     assert code == 0
     names = {c["name"]: c for c in report["checks"]}
     assert names["comass_bound"]["maximum"]["seed"] == 17
+
+
+def test_curvature_metric_scalar_is_input_error(capsys):
+    code, report = run(capsys, "curvature", "--algebra", "(0,0,12)", "--metric", "5")
+    assert code == 2
+    assert report["status"] == "error"
+
+
+def test_curvature_metric_flat_list_is_input_error(capsys):
+    code, report = run(capsys, "curvature", "--algebra", "(0,0,12)", "--metric", "[1,2,3]")
+    assert code == 2
+    assert report["status"] == "error"
+
+
+def test_curvature_metric_non_rational_entry_is_input_error(capsys):
+    code, report = run(capsys, "curvature", "--algebra", "(0,0,12)", "--metric", '[["a"]]')
+    assert code == 2
+    assert report["status"] == "error"

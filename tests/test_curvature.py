@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from nilgeo.algdsl import parse_algebra, parse_form
 from nilgeo.cealg import LieAlgebra
+from nilgeo.classify import Catalog
 from nilgeo.curvature import (
     NotAlphaEinsteinError,
     check_alpha_einstein,
@@ -134,3 +136,67 @@ def test_transverse_consistency_identity_value():
             full.ricci[i][j] * v[i] * v[j] for i in range(3) for j in range(3)
         )
         assert ric_vv + 2 * structure.metric.bilinear(v, v) == 0
+
+
+def milnor_ricci(alg, g):
+    """Ricci tensor of a nilpotent metric Lie algebra from its structure
+    constants alone (Milnor 1976), with inverse-metric contractions in place of
+    an orthonormal basis:
+
+    Ric(X, Y) = -1/2 sum g^ka g^lb g([X,e_k],e_l) g([Y,e_a],e_b)
+                + 1/4 sum g^ka g^lb g([e_k,e_l],X) g([e_a,e_b],Y)
+    """
+    n = alg.dim
+    ginv = g.inverse_matrix()
+    basis = [Vector.basis(n, i) for i in range(1, n + 1)]
+    bracket = [[alg.bracket_basis(k, l) for l in range(1, n + 1)] for k in range(1, n + 1)]
+    # ad[i][k][l] = g([X_i, e_k], e_l), dual[i][k][l] = g([e_k, e_l], X_i)
+    ad = [[[g.bilinear(bracket[i][k], basis[l]) for l in range(n)] for k in range(n)] for i in range(n)]
+    dual = [[[g.bilinear(bracket[k][l], basis[i]) for l in range(n)] for k in range(n)] for i in range(n)]
+
+    def pair(p, q):
+        return sum(
+            (
+                ginv[k][a] * ginv[l][b] * p[k][l] * q[a][b]
+                for k in range(n)
+                for a in range(n)
+                if ginv[k][a]
+                for l in range(n)
+                if p[k][l]
+                for b in range(n)
+                if ginv[l][b] and q[a][b]
+            ),
+            Q(0),
+        )
+
+    return tuple(
+        tuple(-pair(ad[i], ad[j]) / 2 + pair(dual[i], dual[j]) / 4 for j in range(n))
+        for i in range(n)
+    )
+
+
+def random_rational_metric(rng, n):
+    """L D L^T with L unit lower triangular and D positive, both rational."""
+    low = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            low[i][j] = Q(rng.randint(-3, 3), rng.randint(1, 3))
+    diag = [Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n)]
+    return Metric(
+        [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    )
+
+
+MILNOR_CATALOG = [entry.algebra() for entry in Catalog.default()] + [
+    parse_algebra(spec)
+    for spec in ("(0,0,12)", "(0,0,12,0)", "(0,0,12,13)", "(0,0,12,13,14,15)", "(0,0,12,0,0,45)")
+]
+
+
+def test_ricci_matches_milnor_oracle_on_nilpotent_catalog():
+    rng = random.Random(1976)
+    for alg in MILNOR_CATALOG:
+        assert alg.dim <= 6 and alg.is_nilpotent()
+        for _ in range(8):
+            g = random_rational_metric(rng, alg.dim)
+            assert ricci_scalar(alg, g).ricci == milnor_ricci(alg, g)
