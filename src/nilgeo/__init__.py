@@ -14,7 +14,6 @@ from .cealg import (
     BettiTable,
     LieAlgebra,
     betti_numbers,
-    ce_differential,
     change_of_basis,
     is_exact,
     lie_derivative,

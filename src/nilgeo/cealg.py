@@ -30,11 +30,13 @@ class LieAlgebra:
     """Lie algebra given by the images of degree-1 generators under d.
 
     `d1[k]` is the degree-2 form d(e^{k+1}). The derived brackets satisfy
-    [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k. Construction verifies d on each
-    generator squares to zero unless check=False.
+    [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k; `structure_constants[i][j][k]`
+    is the X_{k+1} component of [X_{i+1}, X_{j+1}] (0-based, antisymmetric in
+    i and j), the one bracket table every contraction reads. Construction
+    verifies d on each generator squares to zero unless check=False.
     """
 
-    __slots__ = ("dim", "d1", "_brackets")
+    __slots__ = ("dim", "d1", "structure_constants")
 
     def __init__(self, d1, check: bool = True):
         d1 = list(d1)
@@ -44,11 +46,17 @@ class LieAlgebra:
                 raise InputError(f"d(e{k}) must be a degree-2 form on dimension {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "d1", tuple(d1))
-        table = {}
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                table[(i, j)] = Vector([-form.coefficient((i, j)) for form in d1])
-        object.__setattr__(self, "_brackets", table)
+        # commuting pairs share one zero cell, so the table costs O(dim^2)
+        # plus dim per bracketing pair
+        zero = Fraction(0)
+        cells: dict[tuple[int, int], list[Fraction]] = {}
+        for k, form in enumerate(d1):
+            for (i, j), c in form.terms.items():
+                cells.setdefault((i - 1, j - 1), [zero] * dim)[k] = -c
+        table = [[(zero,) * dim] * dim for _ in range(dim)]
+        for (i, j), cell in cells.items():
+            table[i][j], table[j][i] = tuple(cell), tuple(-x for x in cell)
+        object.__setattr__(self, "structure_constants", tuple(map(tuple, table)))
         if check:
             for k, form in enumerate(d1, start=1):
                 dd = self.d(form)
@@ -62,27 +70,12 @@ class LieAlgebra:
     def abelian(cls, dim: int) -> LieAlgebra:
         return cls([KForm.zero(dim, 2) for _ in range(dim)], check=False)
 
-    def basis_vector(self, index: int) -> Vector:
-        return Vector.basis(self.dim, index)
-
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[X_i, X_j] for 1-based basis indices."""
-        if i == j:
-            return Vector.zero(self.dim)
-        if i < j:
-            return self._brackets[(i, j)]
-        return -self._brackets[(j, i)]
+        return Vector(self.structure_constants[i - 1][j - 1])
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        out = Vector.zero(self.dim)
-        for i in range(1, self.dim + 1):
-            if not u[i - 1]:
-                continue
-            for j in range(1, self.dim + 1):
-                c = u[i - 1] * v[j - 1]
-                if c:
-                    out = out + c * self.bracket_basis(i, j)
-        return out
+        return Vector(linalg.bilinear(self.structure_constants, u.coeffs, v.coeffs))
 
     def d(self, form):
         """Chevalley-Eilenberg differential, extended as a graded derivation."""
@@ -123,10 +116,6 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, d={[str(f) for f in self.d1]})"
-
-
-def ce_differential(form, alg: LieAlgebra):
-    return alg.d(form)
 
 
 def basis_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:

@@ -24,7 +24,7 @@ from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
 from .cealg import LieAlgebra, basis_tuples, d_matrix
 from .errors import CheckError, InputError
-from .exterior import ComplexKForm, KForm, merge_indices
+from .exterior import KForm, merge_indices
 from .structures import check_ccy, check_contact
 
 
@@ -468,8 +468,6 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
             alpha = parse_form(ansatz["alpha"], alg.dim)
             J = parse_endo(ansatz["J"], alg.dim)
             epsilon = parse_form(ansatz["epsilon"], alg.dim)
-            if not isinstance(epsilon, ComplexKForm):
-                epsilon = ComplexKForm.from_real(epsilon)
             structure = check_ccy(check_contact(alg, alpha), J, epsilon)
             ccy_verified = structure is not None
             # soundness guard: the filter must not contradict a verified structure
@@ -493,22 +491,7 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
     )
 
 
-def classify_catalog(
-    catalog: Catalog, seed: int = 0, random_samples: int = 3, jobs: int = 1
-) -> ClassifyReport:
-    """Run the full classification pipeline over a catalog.
-
-    Per-entry work is independent; jobs > 1 runs entries in a thread pool
-    (results are deterministic and identical for any job count).
-    """
-    entries = list(catalog)
-    if jobs > 1 and len(entries) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(
-                pool.map(lambda e: classify_entry(e, seed, random_samples), entries)
-            )
-    else:
-        reports = [classify_entry(e, seed, random_samples) for e in entries]
+def classify_catalog(catalog: Catalog, seed: int = 0, random_samples: int = 3) -> ClassifyReport:
+    """Run the full classification pipeline over a catalog; deterministic per seed."""
+    reports = [classify_entry(e, seed, random_samples) for e in catalog]
     return ClassifyReport(entries=tuple(reports), seed=seed)

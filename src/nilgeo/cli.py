@@ -31,7 +31,7 @@ from .curvature import (
 )
 from .deform import CircleGrid, assemble_operator, kernel_dimension, kernel_is_reeb_line
 from .errors import CheckError, InputError, NilgeoError
-from .exterior import ComplexKForm, Metric, rat
+from .exterior import Metric, rat
 from .legendrian import (
     FamilySpec,
     Subalgebra,
@@ -103,11 +103,6 @@ def _default_seed() -> int:
         raise InputError(f"NILGEO_SEED must be an integer, got {raw!r}") from exc
 
 
-def _complex_form(text: str, dim: int) -> ComplexKForm:
-    form = parse_form(text, dim)
-    return form if isinstance(form, ComplexKForm) else ComplexKForm.from_real(form)
-
-
 def _emit(report: Report) -> int:
     print(report.to_json())
     return EXIT_PASS if report.status == "pass" else EXIT_FAIL
@@ -154,9 +149,6 @@ def cmd_check_sasakian(args) -> int:
 
 def cmd_check_ccy(args) -> int:
     alg = parse_algebra(_file_value(args.algebra))
-    alpha = parse_form(_file_value(args.alpha), alg.dim)
-    J = parse_endo(_file_value(args.J), alg.dim)
-    epsilon = _complex_form(_file_value(args.epsilon), alg.dim)
     report = Report(
         "check-ccy",
         {
@@ -168,8 +160,7 @@ def cmd_check_ccy(args) -> int:
         },
     )
     try:
-        contact = check_contact(alg, alpha)
-        structure = check_ccy(contact, J, epsilon, strict_def31=args.strict_def31)
+        structure = _build_ccy(args, alg, strict_def31=args.strict_def31)
     except CheckError as exc:
         return _check_error(report, exc)
     report.add(
@@ -205,7 +196,7 @@ def cmd_check_rccy(args) -> int:
     alg = parse_algebra(_file_value(args.algebra))
     alphas = [parse_form(part, alg.dim) for part in _file_value(args.alphas).split(";") if part.strip()]
     J = parse_endo(_file_value(args.J), alg.dim)
-    epsilon = _complex_form(_file_value(args.epsilon), alg.dim)
+    epsilon = parse_form(_file_value(args.epsilon), alg.dim)
     report = Report(
         "check-rccy",
         {
@@ -264,7 +255,7 @@ def cmd_curvature(args) -> int:
             contact = check_contact(alg, alpha)
             if args.epsilon:
                 report_inputs["epsilon"] = args.epsilon
-                epsilon = _complex_form(_file_value(args.epsilon), alg.dim)
+                epsilon = parse_form(_file_value(args.epsilon), alg.dim)
                 structure = check_ccy(contact, J, epsilon)
                 g = structure.metric
             else:
@@ -303,11 +294,11 @@ def cmd_curvature(args) -> int:
     return _emit(report)
 
 
-def _build_ccy(args, alg):
+def _build_ccy(args, alg, strict_def31: bool = False):
     alpha = parse_form(_file_value(args.alpha), alg.dim)
     J = parse_endo(_file_value(args.J), alg.dim)
-    epsilon = _complex_form(_file_value(args.epsilon), alg.dim)
-    return check_ccy(check_contact(alg, alpha), J, epsilon)
+    epsilon = parse_form(_file_value(args.epsilon), alg.dim)
+    return check_ccy(check_contact(alg, alpha), J, epsilon, strict_def31)
 
 
 def cmd_legendrian(args) -> int:
@@ -365,7 +356,10 @@ def cmd_obstruction(args) -> int:
                 ]
             else:
                 for chunk in spec.split(";"):
-                    t, c, s = (Fraction(x) for x in chunk.split(","))
+                    try:
+                        t, c, s = (Fraction(x) for x in chunk.split(","))
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise InputError(f"--rotations entry {chunk!r} is not t,cos,sin") from exc
                     rotations.append((t, c, s))
             family = FamilySpec.rotation(ccy, rotations)
         sub = Subalgebra(alg, parse_vectors(_file_value(args.span), alg.dim))
@@ -391,6 +385,8 @@ def cmd_moduli_kernel(args) -> int:
 
 
 def cmd_comass(args) -> int:
+    if args.samples < 0 or not (args.samples or args.probe):
+        raise InputError("comass needs --samples > 0 or a --probe frame")
     alg = parse_algebra(_file_value(args.algebra))
     seed = args.seed if args.seed is not None else _default_seed()
     report = Report(
@@ -413,7 +409,7 @@ def cmd_comass(args) -> int:
         value = comass_probe(ccy, frame)
         report.add("comass_probe", abs(value) <= 1, value=str(value))
     if args.samples > 0:
-        best = comass_sample(ccy, args.samples, seed=seed, jobs=args.jobs)
+        best = comass_sample(ccy, args.samples, seed=seed)
         report.add(
             "comass_bound",
             best <= 1 + 1e-9,
@@ -423,6 +419,8 @@ def cmd_comass(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.samples < 0:
+        raise InputError("--samples must be nonnegative")
     seed = args.seed if args.seed is not None else _default_seed()
     if args.catalog:
         catalog = Catalog.from_json(_file_value(args.catalog))
@@ -432,7 +430,7 @@ def cmd_classify(args) -> int:
         "classify",
         {"catalog": args.catalog or "default", "seed": seed, "samples": args.samples},
     )
-    result = classify_catalog(catalog, seed=seed, random_samples=args.samples, jobs=args.jobs)
+    result = classify_catalog(catalog, seed=seed, random_samples=args.samples)
     report.info("classification", **result.to_dict())
     return _emit(report)
 
@@ -514,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_structure_flags(p)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p.add_argument("--probe", help="exact g-orthonormal frame, e.g. X1;X3")
     p.set_defaults(func=cmd_comass)
 
@@ -522,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="catalog JSON or @file; default is the shipped catalog")
     p.add_argument("--samples", type=int, default=3, help="random contact forms per algebra")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p.set_defaults(func=cmd_classify)
 
     return parser

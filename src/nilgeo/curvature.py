@@ -1,7 +1,8 @@
 """Left-invariant Riemannian geometry, all exact.
 
-Every curvature quantity is a contraction of two tables, both held by the
-Connection, so each is built once per algebra and metric:
+Every curvature quantity is a contraction of two tables, the algebra's
+`structure_constants` and the Connection's `gamma`, each built once per
+algebra and metric:
 
     c[i][j][k]      X_k component of [X_i, X_j]        (structure constants)
     gamma[i][j][k]  X_k component of nabla_{X_i} X_j   (Christoffel symbols)
@@ -28,7 +29,8 @@ from fractions import Fraction
 from . import linalg
 from .cealg import LieAlgebra
 from .errors import CheckError, InputError
-from .exterior import KForm, Metric, Vector
+from .exterior import KForm, Metric, Vector, covector, two_form_matrix
+from .linalg import axpy, bilinear, contract_first, dot, lincomb, matvec
 from .structures import induced_metric, xi_basis
 
 _ZERO = Fraction(0)
@@ -38,49 +40,14 @@ class NotAlphaEinsteinError(CheckError):
     """Ric is not of the form lambda g + nu alpha (x) alpha."""
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
-
-
-def _matvec(matrix, v) -> list:
-    return [_dot(row, v) for row in matrix]
-
-
-def _axpy(out: list, c, v) -> None:
-    """out += c * v, in place."""
-    for k, x in enumerate(v):
-        if x:
-            out[k] += c * x
-
-
-def _apply(cells, v) -> list:
-    """sum_k v[k] cells[k]: a linear combination of the vectors in cells."""
-    out = [_ZERO] * len(cells[0])
-    for vk, cell in zip(v, cells):
-        if vk:
-            _axpy(out, vk, cell)
-    return out
-
-
-def _contract(table, u) -> list:
-    """The first slot of a table against u: cells[j] = sum_i u[i] table[i][j]."""
-    return [_apply(column, u) for column in zip(*table)]
-
-
-def _bilinear(table, u, v) -> list:
-    """sum_ij u[i] v[j] table[i][j]."""
-    return _apply(_contract(table, u), v)
-
-
 @dataclass(frozen=True)
 class Connection:
     """Levi-Civita connection as one Christoffel table (see the module doc),
-    with the structure constants and the inverse metric it was raised by."""
+    with the inverse metric it was raised by."""
 
     alg: LieAlgebra
     metric: Metric
     gamma: tuple
-    brackets: tuple
     ginv: tuple
 
     def nabla_basis(self, i: int, j: int) -> Vector:
@@ -100,12 +67,11 @@ def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
         raise InputError("metric dimension mismatch")
     if not g.is_positive_definite():
         raise InputError("levi_civita: metric is not positive definite")
-    basis = range(1, n + 1)
-    c = tuple(tuple(alg.bracket_basis(i, j).coeffs for j in basis) for i in basis)
+    c = alg.structure_constants
     gm = g.matrix
     ginv = g.inverse_matrix()
     # gc[i][j][k] = g([X_i, X_j], X_k)
-    gc = [[_matvec(gm, cell) if any(cell) else cell for cell in row] for row in c]
+    gc = [[matvec(gm, cell) if any(cell) else cell for cell in row] for row in c]
     gamma = []
     for i in range(n):
         row = []
@@ -114,26 +80,26 @@ def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
             for k in range(n):
                 a, b, d = gc[i][j][k], gc[j][k][i], gc[k][i][j]
                 low.append((a - b + d) / 2 if a or b or d else _ZERO)
-            row.append(tuple(_matvec(ginv, low)))
+            row.append(tuple(matvec(ginv, low)))
         gamma.append(tuple(row))
     for i in range(n):
         for j in range(n):
             if any(gamma[i][j][k] - gamma[j][i][k] != c[i][j][k] for k in range(n)):
                 raise ArithmeticError(f"Koszul connection has torsion at ({i + 1},{j + 1})")
-        lowered = [_matvec(gm, cell) for cell in gamma[i]]
+        lowered = [matvec(gm, cell) for cell in gamma[i]]
         for j in range(n):
             for k in range(j, n):
                 if lowered[j][k] + lowered[k][j] != 0:
                     raise ArithmeticError(f"connection not metric at ({i + 1},{j + 1},{k + 1})")
-    return Connection(alg, g, tuple(gamma), c, tuple(tuple(r) for r in ginv))
+    return Connection(alg, g, tuple(gamma), tuple(tuple(r) for r in ginv))
 
 
 def riemann(conn: Connection, x: Vector, y: Vector, z: Vector) -> Vector:
     """R(X, Y)Z for invariant fields."""
     gamma, x, y, z = conn.gamma, x.coeffs, y.coeffs, z.coeffs
-    first = _bilinear(gamma, x, _bilinear(gamma, y, z))
-    second = _bilinear(gamma, y, _bilinear(gamma, x, z))
-    third = _bilinear(gamma, _bilinear(conn.brackets, x, y), z)
+    first = bilinear(gamma, x, bilinear(gamma, y, z))
+    second = bilinear(gamma, y, bilinear(gamma, x, z))
+    third = bilinear(gamma, bilinear(conn.alg.structure_constants, x, y), z)
     return Vector([a - b - d for a, b, d in zip(first, second, third)])
 
 
@@ -157,7 +123,7 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
     if conn is None:
         conn = levi_civita(alg, g)
     n = alg.dim
-    gamma, c, ginv = conn.gamma, conn.brackets, conn.ginv
+    gamma, c, ginv = conn.gamma, alg.structure_constants, conn.ginv
     trace = [sum((gamma[k][m][k] for k in range(n)), _ZERO) for m in range(n)]
     ric = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -166,8 +132,8 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
             pairs = [(gamma[i][m][k], gamma[k][j][m]) for m in range(n) for k in range(n)]
             pairs += [(c[k][i][m], gamma[m][j][k]) for k in range(n) for m in range(n)]
             quadratic = sum((a * b for a, b in pairs if a and b), _ZERO)
-            ric[i][j] = ric[j][i] = _dot(gamma[i][j], trace) - quadratic
-    scalar = sum((_dot(ginv[i], ric[i]) for i in range(n)), _ZERO)
+            ric[i][j] = ric[j][i] = dot(gamma[i][j], trace) - quadratic
+    scalar = sum((dot(ginv[i], ric[i]) for i in range(n)), _ZERO)
     return CurvatureReport(ricci=tuple(tuple(r) for r in ric), scalar=scalar)
 
 
@@ -178,7 +144,7 @@ def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):
     residual entry when no constants satisfy the identity.
     """
     n = g.dim
-    cov = [alpha.coefficient((j,)) for j in range(1, n + 1)]
+    cov = covector(alpha)
     rows, rhs = [], []
     for i in range(n):
         for j in range(i, n):
@@ -228,7 +194,7 @@ class TransverseReport:
 
 def _project(v: list, cov, reeb) -> list:
     """v - alpha(v) R in place: the projection onto the contact distribution."""
-    _axpy(v, -_dot(cov, v), reeb)
+    axpy(v, -dot(cov, v), reeb)
     return v
 
 
@@ -239,18 +205,18 @@ def _transverse_table(conn: Connection, cov, reeb) -> list:
     X_a tangent to the distribution acts through the projected Levi-Civita
     derivative, the Reeb part alpha(X_a) R through the bracket [R, X_b].
     """
-    along_reeb = _contract(conn.gamma, reeb)  # nabla_R X_b
-    bracket_reeb = _contract(conn.brackets, reeb)  # [R, X_b]
+    along_reeb = contract_first(conn.gamma, reeb)  # nabla_R X_b
+    bracket_reeb = contract_first(conn.alg.structure_constants, reeb)  # [R, X_b]
     table = []
     for a, row in enumerate(conn.gamma):
         table.append([])
         for b, cell in enumerate(row):
             v = list(cell)
             if cov[a]:
-                _axpy(v, -cov[a], along_reeb[b])
+                axpy(v, -cov[a], along_reeb[b])
             _project(v, cov, reeb)
             if cov[a]:
-                _axpy(v, cov[a], bracket_reeb[b])
+                axpy(v, cov[a], bracket_reeb[b])
             table[a].append(v)
     return table
 
@@ -258,10 +224,10 @@ def _transverse_table(conn: Connection, cov, reeb) -> list:
 def _preserves(matrix, frame, moved) -> bool:
     """B(D x, y) + B(x, D y) == 0 for x, y in the frame and every D, where
     B(u, v) = u^T matrix v and moved[p][a] = D_p frame[a]."""
-    right = [_matvec(matrix, f) for f in frame]
-    left = [_matvec(list(zip(*matrix)), f) for f in frame]
+    right = [matvec(matrix, f) for f in frame]
+    left = [matvec(list(zip(*matrix)), f) for f in frame]
     return all(
-        _dot(dx, my) + _dot(mx, dy) == 0
+        dot(dx, my) + dot(mx, dy) == 0
         for d in moved
         for dx, mx in zip(d, left)
         for dy, my in zip(d, right)
@@ -295,32 +261,32 @@ def transverse_ricci(
         conn = levi_civita(alg, g)
     if full is None:
         full = ricci_scalar(alg, g, conn)
-    n, c, J = alg.dim, conn.brackets, structure.J
-    cov = [contact.alpha.coefficient((j,)) for j in range(1, n + 1)]
+    n, c, J = alg.dim, alg.structure_constants, structure.J
+    cov = covector(contact.alpha)
     reeb = contact.reeb.coeffs
     frame = xi_basis(alg, [contact.alpha])
     fs = [f.coeffs for f in frame]
     T = _transverse_table(conn, cov, reeb)
-    along = [_contract(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k)
+    along = [contract_first(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k)
 
     # curvature-definition path: sum_ab w_ab R^T(x, f_a) f_b, w the inverse
     # Gram matrix of the frame; wf[a] = sum_b w_ab f_b
-    wf = [_apply(fs, wa) for wa in linalg.inverse(g.restrict(frame))]
+    wf = [lincomb(fs, wa) for wa in linalg.inverse(g.restrict(frame))]
     tau = [_ZERO] * n  # sum_ab w_ab nabla^T(f_a, f_b)
     for ta, v in zip(along, wf):
-        _axpy(tau, 1, _apply(ta, v))
-    gframe = [_matvec(g.matrix, f) for f in fs]
+        axpy(tau, 1, lincomb(ta, v))
+    gframe = [matvec(g.matrix, f) for f in fs]
     ric_t = []
     for x, tx in zip(fs, along):
-        cx = _contract(c, x)
-        q = _apply(tx, tau)
+        cx = contract_first(c, x)
+        q = lincomb(tx, tau)
         for f, ta, v in zip(fs, along, wf):
-            _axpy(q, -1, _apply(ta, _apply(tx, v)))
-            _axpy(q, -1, _bilinear(T, _apply(cx, f), v))
-        ric_t.append([_dot(q, gy) for gy in gframe])
-    ric_frame = [_matvec(full.ricci, y) for y in fs]
+            axpy(q, -1, lincomb(ta, lincomb(tx, v)))
+            axpy(q, -1, bilinear(T, lincomb(cx, f), v))
+        ric_t.append([dot(q, gy) for gy in gframe])
+    ric_frame = [matvec(full.ricci, y) for y in fs]
     ric_t_id = [
-        [_dot(x, ry) + 2 * _dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs
+        [dot(x, ry) + 2 * dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs
     ]
     if ric_t != ric_t_id:
         raise ArithmeticError(
@@ -331,21 +297,19 @@ def transverse_ricci(
     coords = [linalg.solve(columns, list(J.apply(x).coeffs)) for x in frame]
     if None in coords:
         raise InputError("vector does not lie in the span of the frame")
-    rho_t = [[_dot(cj, col) for col in zip(*ric_t)] for cj in coords]
+    rho_t = [[dot(cj, col) for col in zip(*ric_t)] for cj in coords]
 
-    moved = [[_apply(T[p], f) for f in fs] for p in range(n)]  # nabla^T(X_p, f_a)
-    jframe = [_matvec(J.matrix, f) for f in fs]
+    moved = [[lincomb(T[p], f) for f in fs] for p in range(n)]  # nabla^T(X_p, f_a)
+    jframe = [matvec(J.matrix, f) for f in fs]
     parallel_j = all(
-        _apply(T[p], jf) == _matvec(J.matrix, d)
+        lincomb(T[p], jf) == matvec(J.matrix, d)
         for p in range(n)
         for jf, d in zip(jframe, moved[p])
     )
-    dalpha = [[_ZERO] * n for _ in range(n)]
-    for (p, q), coef in alg.d(contact.alpha).terms.items():
-        dalpha[p - 1][q - 1], dalpha[q - 1][p - 1] = coef, -coef
+    dalpha = two_form_matrix(alg.d(contact.alpha))
     torsion_ok = all(
-        _apply(tx, y)
-        == [a + b for a, b in zip(_apply(ty, x), _project(_bilinear(c, x, y), cov, reeb))]
+        lincomb(tx, y)
+        == [a + b for a, b in zip(lincomb(ty, x), _project(bilinear(c, x, y), cov, reeb))]
         for x, tx in zip(fs, along)
         for y, ty in zip(fs, along)
     )

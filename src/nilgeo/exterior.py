@@ -139,9 +139,6 @@ class KForm:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> KForm:
-        return self * (Fraction(1) / rat(scalar))
-
     def wedge(self, other: KForm) -> KForm:
         if isinstance(other, ComplexKForm):
             return ComplexKForm.from_real(self).wedge(other)
@@ -294,10 +291,6 @@ class Vector:
             raise InputError(f"basis index {index} out of range 1..{dim}")
         return cls([Fraction(int(i == index - 1)) for i in range(dim)])
 
-    @classmethod
-    def zero(cls, dim: int) -> Vector:
-        return cls([Fraction(0)] * dim)
-
     @property
     def dim(self) -> int:
         return len(self.coeffs)
@@ -371,10 +364,6 @@ class Endo:
         return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
 
     @classmethod
-    def zero(cls, dim: int) -> Endo:
-        return cls([[0] * dim for _ in range(dim)])
-
-    @classmethod
     def from_pairs(cls, dim: int, pairs) -> Endo:
         """Build J from index pairs: (a, b) means J X_a = X_b, J X_b = -X_a; J = 0 elsewhere."""
         m = [[Fraction(0)] * dim for _ in range(dim)]
@@ -388,12 +377,6 @@ class Endo:
             m[b - 1][a - 1] = Fraction(1)
             m[a - 1][b - 1] = Fraction(-1)
         return cls(m)
-
-    @classmethod
-    def rank_one(cls, covector, vector: Vector) -> Endo:
-        """The endomorphism v -> covector(v) * vector, i.e. alpha (x) X."""
-        cov = [rat(c) for c in covector]
-        return cls([[vector[i] * cov[j] for j in range(len(cov))] for i in range(vector.dim)])
 
     @property
     def dim(self) -> int:
@@ -415,22 +398,6 @@ class Endo:
                     for j in range(n)
                 ]
                 for i in range(n)
-            ]
-        )
-
-    def __add__(self, other: Endo) -> Endo:
-        return Endo(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.matrix, other.matrix, strict=True)
-            ]
-        )
-
-    def __sub__(self, other: Endo) -> Endo:
-        return Endo(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.matrix, other.matrix, strict=True)
             ]
         )
 
@@ -528,6 +495,21 @@ def wedge(a, b):
         ca = a if isinstance(a, ComplexKForm) else ComplexKForm.from_real(a)
         return ca.wedge(b)
     return a.wedge(b)
+
+
+def covector(a: KForm) -> list[Fraction]:
+    """The values a(X_1), ..., a(X_n) of a real 1-form."""
+    if not isinstance(a, KForm) or a.degree != 1:
+        raise InputError(f"expected a real 1-form, got {a}")
+    return [a.coefficient((j,)) for j in range(1, a.dim + 1)]
+
+
+def two_form_matrix(a: KForm) -> list[list[Fraction]]:
+    """The antisymmetric matrix M[i][j] = a(X_{i+1}, X_{j+1}) of a 2-form."""
+    m = [[Fraction(0)] * a.dim for _ in range(a.dim)]
+    for (p, q), c in a.terms.items():
+        m[p - 1][q - 1], m[q - 1][p - 1] = c, -c
+    return m
 
 
 def contract(v: Vector, a):

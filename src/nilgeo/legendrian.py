@@ -19,7 +19,7 @@ from . import linalg
 from .algdsl import parse_endo, parse_form
 from .cealg import LieAlgebra, is_exact
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, evaluate, pullback
+from .exterior import KForm, evaluate, pullback
 from .structures import CCYStructure, check_ccy, check_contact
 
 
@@ -177,13 +177,13 @@ def comass_probe(ccy: CCYStructure, frame) -> Fraction:
 _CHUNK = 4096
 
 
-def comass_sample(ccy: CCYStructure, samples: int, seed: int = 0, jobs: int = 1) -> float:
+def comass_sample(ccy: CCYStructure, samples: int, seed: int = 0) -> float:
     """Monte Carlo comass estimate of the real volume part.
 
     Draws random n-frames, orthonormalizes them against the induced metric in
     floating point, and returns the maximum absolute value of Re(epsilon) on
-    the frames. Deterministic given the seed, independent of the job count
-    (work is split into fixed-size chunks with spawned generators).
+    the frames. Deterministic given the seed (work is split into fixed-size
+    chunks with spawned generators).
     """
     if samples <= 0:
         return 0.0
@@ -268,8 +268,6 @@ class FamilySpec:
                 alpha = parse_form(entry["alpha"], alg.dim)
                 J = parse_endo(entry["J"], alg.dim)
                 epsilon = parse_form(entry["epsilon"], alg.dim)
-                if not isinstance(epsilon, ComplexKForm):
-                    epsilon = ComplexKForm.from_real(epsilon)
                 contact = check_contact(alg, alpha)
                 samples.append(FamilySample(t, check_ccy(contact, J, epsilon)))
         except (TypeError, ValueError, KeyError) as exc:

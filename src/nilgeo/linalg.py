@@ -2,8 +2,10 @@
 
 Dense fraction-free (Bareiss) rank for the small matrices that show up in
 cohomology computations, a sparse rational elimination for large structured
-operators, and plain Gauss-Jordan helpers (det, inverse, solve, nullspace).
-Everything works on `fractions.Fraction`; nothing is ever rounded.
+operators, plain Gauss-Jordan helpers (det, inverse, solve, nullspace), and
+the zero-skipping vector and table contractions that the structure checks and
+the curvature layer are written in. Everything works on `fractions.Fraction`;
+nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 Matrix = list[list[Fraction]]
+_ZERO = Fraction(0)
 
 
 def _as_fraction_rows(matrix) -> Matrix:
@@ -204,3 +207,37 @@ def nullspace(matrix, ncols: int | None = None) -> list[list[Fraction]]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
+
+
+def matvec(matrix, v) -> list[Fraction]:
+    return [dot(row, v) for row in matrix]
+
+
+def axpy(out: list, c, v) -> None:
+    """out += c * v, in place."""
+    for k, x in enumerate(v):
+        if x:
+            out[k] += c * x
+
+
+def lincomb(cells, v) -> list[Fraction]:
+    """sum_k v[k] cells[k]: a linear combination of the vectors in cells."""
+    out = [_ZERO] * len(cells[0])
+    for vk, cell in zip(v, cells):
+        if vk:
+            axpy(out, vk, cell)
+    return out
+
+
+def contract_first(table, u) -> list[list[Fraction]]:
+    """The first slot of a table against u: cells[j] = sum_i u[i] table[i][j]."""
+    return [lincomb(column, u) for column in zip(*table)]
+
+
+def bilinear(table, u, v) -> list[Fraction]:
+    """sum_ij u[i] v[j] table[i][j]."""
+    return lincomb(contract_first(table, u), v)

@@ -18,7 +18,16 @@ from math import factorial
 from . import linalg
 from .cealg import LieAlgebra, lie_derivative
 from .errors import CheckError, InputError
-from .exterior import ComplexKForm, Endo, KForm, Metric, Vector, contract
+from .exterior import (
+    ComplexKForm,
+    Endo,
+    KForm,
+    Metric,
+    Vector,
+    contract,
+    covector,
+    two_form_matrix,
+)
 
 
 class NotContactError(CheckError):
@@ -65,59 +74,60 @@ class ContactStructure:
         return self.alg.dim
 
 
+def _volume(alphas, dalpha: KForm, n: int) -> KForm:
+    """alpha_1 ^ ... ^ alpha_r ^ (d alpha)^n, the r-contact volume (r = 1: contact)."""
+    volume = alphas[0]
+    for a in alphas[1:]:
+        volume = volume.wedge(a)
+    return volume.wedge(dalpha.power(n))
+
+
+def _solve_reeb(alphas, dalpha: KForm) -> list[Vector]:
+    """The Reeb fields: alpha_i(R_j) = delta_ij and iota_{R_j} d alpha = 0.
+
+    One elimination of the system with all r right-hand sides appended; the
+    rows iota_R d alpha = 0 are the rows of the 2-form matrix of d alpha.
+    Raises NotContactError when the solution is not unique.
+    """
+    dim, r = dalpha.dim, len(alphas)
+    rows = [covector(a) + [Fraction(int(i == j)) for j in range(r)] for i, a in enumerate(alphas)]
+    rows += [row + [Fraction(0)] * r for row in two_form_matrix(dalpha)]
+    reduced, pivots = linalg.rref(rows)
+    witness = {"alpha": str(alphas[0])}
+    if pivots[:dim] != list(range(dim)):
+        raise NotContactError("contact.reeb", "Reeb system is rank deficient", witness)
+    if len(pivots) > dim:
+        raise NotContactError("contact.reeb", "Reeb system inconsistent", witness)
+    return [Vector([reduced[i][dim + j] for i in range(dim)]) for j in range(r)]
+
+
 def check_contact(alg: LieAlgebra, alpha: KForm) -> ContactStructure:
     """Verify the volume condition exactly and solve for the Reeb field."""
     dim = alg.dim
     if dim % 2 == 0:
         raise InputError(f"contact structures need odd dimension, got {dim}")
-    if alpha.dim != dim or alpha.degree != 1:
+    if not isinstance(alpha, KForm) or alpha.dim != dim or alpha.degree != 1:
         raise InputError("alpha must be a degree-1 form on the algebra")
     n = (dim - 1) // 2
     dalpha = alg.d(alpha)
-    volume = alpha.wedge(dalpha.power(n))
-    if volume.is_zero:
+    if _volume([alpha], dalpha, n).is_zero:
         raise NotContactError(
             "contact.volume",
             f"alpha ^ (d alpha)^{n} = 0",
             {"alpha": str(alpha), "d_alpha": str(dalpha)},
         )
-    # Reeb field: alpha(R) = 1 and iota_R d(alpha) = 0, a full-rank linear system.
-    rows = [[alpha.coefficient((j,)) for j in range(1, dim + 1)]]
-    rhs = [Fraction(1)]
-    for k in range(1, dim + 1):
-        row = []
-        for j in range(1, dim + 1):
-            if j == k:
-                row.append(Fraction(0))
-            elif j < k:
-                row.append(dalpha.coefficient((j, k)))
-            else:
-                row.append(-dalpha.coefficient((k, j)))
-        # row j: coefficient of R_j in (iota_R d alpha)(X_k) = d alpha(R, X_k)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    if linalg.rank(rows) != dim:
-        raise NotContactError(
-            "contact.reeb",
-            "Reeb system is rank deficient",
-            {"alpha": str(alpha)},
-        )
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise NotContactError("contact.reeb", "Reeb system inconsistent", {"alpha": str(alpha)})
-    reeb = Vector(sol)
-    kappa = dalpha * Fraction(1, 2)
-    return ContactStructure(alg=alg, alpha=alpha, reeb=reeb, kappa=kappa)
+    (reeb,) = _solve_reeb([alpha], dalpha)
+    return ContactStructure(alg=alg, alpha=alpha, reeb=reeb, kappa=dalpha * Fraction(1, 2))
 
 
 def xi_basis(alg: LieAlgebra, alphas) -> list[Vector]:
     """Exact basis of the intersection of the kernels of the given 1-forms."""
-    rows = [[a.coefficient((j,)) for j in range(1, alg.dim + 1)] for a in alphas]
-    return [Vector(v) for v in linalg.nullspace(rows, alg.dim)]
+    return [Vector(v) for v in linalg.nullspace([covector(a) for a in alphas], alg.dim)]
 
 
 def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
-    """Shared calibration verification for contact (r=1) and r-contact cases."""
+    """The calibration axioms as matrix identities, shared by the contact
+    (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the algebra."""
     dim = alg.dim
     for idx, reeb in enumerate(reebs, start=1):
         jr = J.apply(reeb)
@@ -127,42 +137,25 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
                 f"J(R_{idx}) != 0",
                 {"reeb": str(reeb), "J_reeb": str(jr)},
             )
-    expected = -Endo.identity(dim)
-    for alpha, reeb in zip(alphas, reebs):
-        cov = [alpha.coefficient((j,)) for j in range(1, dim + 1)]
-        expected = expected + Endo.rank_one(cov, reeb)
-    j2 = J.compose(J)
-    if j2 != expected:
-        bad = next(
-            (i, j)
-            for i in range(dim)
-            for j in range(dim)
-            if j2.matrix[i][j] != expected.matrix[i][j]
-        )
-        raise NotCalibratedError(
-            "calibrated.J_square",
-            "J^2 != -I + sum alpha_i (x) R_i",
-            {
-                "entry": f"({bad[0] + 1},{bad[1] + 1})",
-                "J^2": str(j2.matrix[bad[0]][bad[1]]),
-                "expected": str(expected.matrix[bad[0]][bad[1]]),
-            },
-        )
-    # g_J(X, Y) = kappa(X, JY) as a degenerate bilinear form on the whole algebra
-    basis = [Vector.basis(dim, i) for i in range(1, dim + 1)]
-    g_rows = [
-        [
-            sum(
-                (
-                    kappa.coefficient((p, q)) * (u[p - 1] * jv[q - 1] - u[q - 1] * jv[p - 1])
-                    for (p, q) in kappa.terms
-                ),
-                Fraction(0),
-            )
-            for jv in (J.apply(v) for v in basis)
-        ]
-        for u in basis
-    ]
+    jcols = list(zip(*J.matrix))  # jcols[j] = J X_{j+1}
+    j2cols = [linalg.matvec(J.matrix, col) for col in jcols]
+    covs = [covector(a) for a in alphas]
+    for i in range(dim):
+        for j in range(dim):
+            expected = sum((r[i] * cov[j] for cov, r in zip(covs, reebs)), -Fraction(int(i == j)))
+            if j2cols[j][i] != expected:
+                raise NotCalibratedError(
+                    "calibrated.J_square",
+                    "J^2 != -I + sum alpha_i (x) R_i",
+                    {
+                        "entry": f"({i + 1},{j + 1})",
+                        "J^2": str(j2cols[j][i]),
+                        "expected": str(expected),
+                    },
+                )
+    # g_J(X_i, X_j) = kappa(X_i, J X_j): the matrix product K J
+    kappa_matrix = two_form_matrix(kappa)
+    g_rows = [list(row) for row in zip(*(linalg.matvec(kappa_matrix, col) for col in jcols))]
     for i in range(dim):
         for j in range(i):
             if g_rows[i][j] != g_rows[j][i]:
@@ -175,34 +168,36 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
                         "g(Xj,Xi)": str(g_rows[j][i]),
                     },
                 )
-    g_j = Metric(g_rows)
     xi = xi_basis(alg, alphas)
-    gram = g_j.restrict(xi)
+    frame = [v.coeffs for v in xi]
+    gframe = [linalg.matvec(g_rows, v) for v in frame]
+    gram = [[linalg.dot(u, gv) for gv in gframe] for u in frame]
     for k in range(1, len(xi) + 1):
-        minor = [row[:k] for row in gram[:k]]
-        if linalg.det(minor) <= 0:
-            witness = xi[k - 1]
+        minor = linalg.det([row[:k] for row in gram[:k]])
+        if minor <= 0:
             raise NotCalibratedError(
                 "calibrated.positive",
                 "g_J is not positive definite on the contact distribution",
                 {
-                    "witness_vector": str(witness),
-                    "leading_minor": str(linalg.det(minor)),
-                    "g(v,v)": str(g_j.bilinear(witness, witness)),
+                    "witness_vector": str(xi[k - 1]),
+                    "leading_minor": str(minor),
+                    "g(v,v)": str(gram[k - 1][k - 1]),
                 },
             )
-    # J-invariance on xi: g_J(J u, J v) = g_J(u, v)
-    for u in xi:
-        for v in xi:
-            lhs = g_j.bilinear(J.apply(u), J.apply(v))
-            rhs = g_j.bilinear(u, v)
-            if lhs != rhs:
+    # J-invariance on xi: (J u)^T G (J v) = u^T G v. The two identities above
+    # already imply it (g_J(Ju, Jv) = kappa(Ju, J^2 v) = g_J(v, u) on xi).
+    jframe = [linalg.matvec(J.matrix, v) for v in frame]
+    gjframe = [linalg.matvec(g_rows, v) for v in jframe]
+    for a, ju in enumerate(jframe):
+        for b, gjv in enumerate(gjframe):
+            lhs = linalg.dot(ju, gjv)
+            if lhs != gram[a][b]:
                 raise NotCalibratedError(
                     "calibrated.J_invariant",
                     "g_J(J., J.) != g_J(., .) on the contact distribution",
-                    {"u": str(u), "v": str(v), "lhs": str(lhs), "rhs": str(rhs)},
+                    {"u": str(xi[a]), "v": str(xi[b]), "lhs": str(lhs), "rhs": str(gram[a][b])},
                 )
-    return g_j
+    return Metric(g_rows)
 
 
 def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
@@ -217,38 +212,39 @@ def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
 
 
 class NijenhuisTensor:
-    """Exact Nijenhuis tensor of J; evaluated on basis pairs at construction."""
+    """Exact Nijenhuis tensor N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2[X, Y].
+
+    `table[(i, j)]` is N(X_i, X_j) for 1-based i < j, contracted from the
+    algebra's bracket table at construction.
+    """
 
     def __init__(self, J: Endo, alg: LieAlgebra):
+        if J.dim != alg.dim:
+            raise InputError("endomorphism/algebra dimension mismatch")
         self.J = J
         self.alg = alg
         self.dim = alg.dim
+        c, jm = alg.structure_constants, J.matrix
+        jcols = list(zip(*jm))
+        ad_j = [linalg.contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j]
         table = {}
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                table[(i, j)] = self._compute(Vector.basis(self.dim, i), Vector.basis(self.dim, j))
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                # [JX, Y] + [X, JY] - J[X, Y], then N = [JX, JY] - J(...)
+                inner = [a - b for a, b in zip(ad_j[i][j], ad_j[j][i])]
+                linalg.axpy(inner, -1, linalg.matvec(jm, c[i][j]))
+                out = linalg.lincomb(ad_j[i], jcols[j])
+                linalg.axpy(out, -1, linalg.matvec(jm, inner))
+                table[(i + 1, j + 1)] = Vector(out)
         self.table = table
 
-    def _compute(self, x: Vector, y: Vector) -> Vector:
-        J, br = self.J, self.alg.bracket
-        jx, jy = J.apply(x), J.apply(y)
-        return (
-            br(jx, jy)
-            - J.apply(br(x, jy))
-            - J.apply(br(y, jx))
-            + J.apply(J.apply(br(x, y)))
-        )
-
     def __call__(self, x: Vector, y: Vector) -> Vector:
-        out = Vector.zero(self.dim)
-        for i in range(1, self.dim + 1):
-            for j in range(1, self.dim + 1):
-                c = x[i - 1] * y[j - 1]
-                if not c or i == j:
-                    continue
-                base = self.table[(i, j)] if i < j else -1 * self.table[(j, i)]
-                out = out + c * base
-        return out
+        out = [Fraction(0)] * self.dim
+        for (i, j), value in self.table.items():
+            c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+            if c:
+                linalg.axpy(out, c, value.coeffs)
+        return Vector(out)
 
 
 def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> NijenhuisTensor:
@@ -274,22 +270,18 @@ def check_sasakian(contact: ContactStructure, J: Endo) -> SasakianCheck:
     NotCalibratedError before any Nijenhuis evaluation.
     """
     g_j = check_calibrated_complex(contact, J)
-    nij = nijenhuis_tensor(J, contact.alg)
     dalpha = contact.alg.d(contact.alpha)
     failures = []
-    for i in range(1, contact.dim + 1):
-        for j in range(i + 1, contact.dim + 1):
-            lhs = nij.table[(i, j)]
-            scale = dalpha.coefficient((i, j))
-            rhs = -scale * contact.reeb
-            if lhs != rhs:
-                failures.append(
-                    {
-                        "pair": f"(X{i},X{j})",
-                        "nijenhuis": str(lhs),
-                        "required": str(rhs),
-                    }
-                )
+    for (i, j), lhs in nijenhuis_tensor(J, contact.alg).table.items():
+        rhs = -dalpha.coefficient((i, j)) * contact.reeb
+        if lhs != rhs:
+            failures.append(
+                {
+                    "pair": f"(X{i},X{j})",
+                    "nijenhuis": str(lhs),
+                    "required": str(rhs),
+                }
+            )
     return SasakianCheck(
         ok=not failures, contact=contact, J=J, g_j=g_j, failures=tuple(failures)
     )
@@ -331,7 +323,7 @@ class CCYStructure:
 def induced_metric(g_j: Metric, alpha: KForm) -> Metric:
     """The Riemannian metric g_J + alpha (x) alpha of a calibrated structure."""
     dim = g_j.dim
-    cov = [alpha.coefficient((j,)) for j in range(1, dim + 1)]
+    cov = covector(alpha)
     rows = [
         [g_j.matrix[i][j] + cov[i] * cov[j] for j in range(dim)] for i in range(dim)
     ]
@@ -358,9 +350,12 @@ def _proportionality(lhs: ComplexKForm, rhs: ComplexKForm) -> Fraction | None:
 
 
 def _check_epsilon_clauses(
-    alg, kappa, alphas, reebs, J, epsilon, n, strict_def31, check_lie=True
-) -> None:
-    """Basic / type-(n,0) / closedness / normalization clauses for epsilon."""
+    alg, kappa, reebs, J, epsilon, n, strict_def31, check_lie=True
+) -> ComplexKForm:
+    """Basic / type-(n,0) / closedness / normalization clauses for epsilon.
+
+    A real epsilon is taken as a complex form; the checked form is returned.
+    """
     if not isinstance(epsilon, ComplexKForm):
         epsilon = ComplexKForm.from_real(epsilon)
     if epsilon.dim != alg.dim or epsilon.degree != n:
@@ -384,10 +379,9 @@ def _check_epsilon_clauses(
                 )
     # (b) type (n,0): iota_{Jv} epsilon = i iota_v epsilon for every basis v,
     # plus kappa-orthogonality epsilon ^ kappa = 0.
-    for i in range(1, alg.dim + 1):
-        v = Vector.basis(alg.dim, i)
-        lhs = contract(J.apply(v), epsilon)
-        rhs = contract(v, epsilon).scale(0, 1)
+    for i, jv in enumerate(zip(*J.matrix), start=1):
+        lhs = contract(Vector(jv), epsilon)
+        rhs = contract(Vector.basis(alg.dim, i), epsilon).scale(0, 1)
         if lhs != rhs:
             raise CCYError(
                 "ccy.type",
@@ -420,6 +414,7 @@ def _check_epsilon_clauses(
         if ratio is not None:
             witness["ratio_rhs_over_lhs"] = str(ratio)
         raise CCYError("ccy.normalization", "volume normalization fails", witness)
+    return epsilon
 
 
 def check_ccy(
@@ -444,21 +439,13 @@ def check_ccy(
             "N_J != -d(alpha) (x) R",
             sasakian.first_failure() or {},
         )
-    _check_epsilon_clauses(
-        contact.alg,
-        contact.kappa,
-        [contact.alpha],
-        [contact.reeb],
-        J,
-        epsilon,
-        contact.n,
-        strict_def31,
+    epsilon = _check_epsilon_clauses(
+        contact.alg, contact.kappa, [contact.reeb], J, epsilon, contact.n, strict_def31
     )
-    eps = epsilon if isinstance(epsilon, ComplexKForm) else ComplexKForm.from_real(epsilon)
     return CCYStructure(
         contact=contact,
         J=J,
-        epsilon=eps,
+        epsilon=epsilon,
         g_j=sasakian.g_j,
         metric=induced_metric(sasakian.g_j, contact.alpha),
     )
@@ -495,6 +482,9 @@ def check_hypo(alpha, omega1, omega2, omega3, alg: LieAlgebra) -> HypoCheck:
     if alg.dim != 5:
         raise InputError("Hypo structures are 5-dimensional")
     omegas = [omega1, omega2, omega3]
+    degrees = [(alpha, 1)] + [(w, 2) for w in omegas]
+    if not all(isinstance(f, KForm) and f.degree == k for f, k in degrees):
+        raise InputError("Hypo structures need a real 1-form alpha and three real 2-forms")
     clauses = []
     ok_products = True
     detail: dict = {}
@@ -568,32 +558,6 @@ class RContactCheck:
         return [c for c in self.clauses if not c.ok]
 
 
-def _solve_reeb_family(alg, alphas, dalpha) -> list[Vector] | None:
-    dim = alg.dim
-    reebs = []
-    for j in range(len(alphas)):
-        rows = [[a.coefficient((q,)) for q in range(1, dim + 1)] for a in alphas]
-        rhs = [Fraction(int(i == j)) for i in range(len(alphas))]
-        for k in range(1, dim + 1):
-            row = []
-            for q in range(1, dim + 1):
-                if q == k:
-                    row.append(Fraction(0))
-                elif q < k:
-                    row.append(dalpha.coefficient((q, k)))
-                else:
-                    row.append(-dalpha.coefficient((k, q)))
-            rows.append(row)
-            rhs.append(Fraction(0))
-        if linalg.rank(rows) != dim:
-            return None
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            return None
-        reebs.append(Vector(sol))
-    return reebs
-
-
 def check_r_contact_ccy(
     alg: LieAlgebra, alphas, J: Endo, epsilon, strict_def31: bool = False
 ) -> RContactCheck:
@@ -608,6 +572,8 @@ def check_r_contact_ccy(
         raise InputError("need at least one 1-form")
     if (alg.dim - r) % 2 or alg.dim - r <= 0:
         raise InputError(f"dimension {alg.dim} is not 2n + {r}")
+    if not all(isinstance(a, KForm) and a.dim == alg.dim and a.degree == 1 for a in alphas):
+        raise InputError("alpha must be a degree-1 form on the algebra")
     n = (alg.dim - r) // 2
     if r == 1:
         try:
@@ -645,16 +611,14 @@ def check_r_contact_ccy(
             )
     clauses.append(Clause("rccy.equal_differentials", True, {}))
 
-    volume = alphas[0]
-    for a in alphas[1:]:
-        volume = volume.wedge(a)
-    volume = volume.wedge(dalpha.power(n))
+    volume = _volume(alphas, dalpha, n)
     if volume.is_zero:
         return fail("rccy.volume", {"alpha1^...^alphar^(dalpha)^n": "0"})
     clauses.append(Clause("rccy.volume", True, {"volume_form": str(volume)}))
 
-    reebs = _solve_reeb_family(alg, alphas, dalpha)
-    if reebs is None:
+    try:
+        reebs = _solve_reeb(alphas, dalpha)
+    except NotContactError:
         return fail("rccy.reeb_family", {"note": "no unique Reeb family"})
     clauses.append(
         Clause("rccy.reeb_family", True, {f"R{i + 1}": str(v) for i, v in enumerate(reebs)})
@@ -668,20 +632,19 @@ def check_r_contact_ccy(
     clauses.append(Clause("rccy.calibrated", True, {}))
 
     try:
-        _check_epsilon_clauses(
-            alg, kappa, alphas, reebs, J, epsilon, n, strict_def31, check_lie=False
+        epsilon = _check_epsilon_clauses(
+            alg, kappa, reebs, J, epsilon, n, strict_def31, check_lie=False
         )
     except CCYError as exc:
         return fail(exc.check, exc.witness)
     clauses.append(Clause("rccy.epsilon", True, {}))
 
-    eps = epsilon if isinstance(epsilon, ComplexKForm) else ComplexKForm.from_real(epsilon)
     structure = RContactStructure(
         alg=alg,
         alphas=tuple(alphas),
         reebs=tuple(reebs),
         kappa=kappa,
         J=J,
-        epsilon=eps,
+        epsilon=epsilon,
     )
     return RContactCheck(ok=True, clauses=tuple(clauses), structure=structure)

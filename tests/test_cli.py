@@ -284,3 +284,58 @@ def test_curvature_metric_non_rational_entry_is_input_error(capsys):
     code, report = run(capsys, "curvature", "--algebra", "(0,0,12)", "--metric", '[["a"]]')
     assert code == 2
     assert report["status"] == "error"
+
+
+H3_CCY = ("--algebra", "(0,0,12)", "--alpha", "2*e3", "--J", "pairs:(1,2)", "--epsilon", "e1 + i*e2")
+
+
+def test_obstruction_malformed_rotation_is_input_error(capsys):
+    code, report = run(capsys, "obstruction", *H3_CCY, "--span", "X1", "--rotations", "0,1")
+    assert code == 2
+    assert report["status"] == "error"
+
+
+def test_comass_without_samples_or_probe_is_input_error(capsys):
+    for samples in ("-5", "0"):
+        code, report = run(capsys, "comass", *H3_CCY, "--samples", samples)
+        assert code == 2
+        assert report["status"] == "error"
+    code, report = run(capsys, "comass", *H3_CCY, "--samples", "0", "--probe", "X1")
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == ["comass_probe"]
+
+
+def test_classify_negative_samples_is_input_error(capsys):
+    code, report = run(capsys, "classify", "--samples", "-1")
+    assert code == 2
+    assert report["status"] == "error"
+
+
+def test_check_hypo_wrong_degrees_are_input_errors(capsys):
+    flags = {
+        "--algebra": "(0,0,0,0,12+34)",
+        "--alpha": "2*e5",
+        "--omega1": "e1^e2 + e3^e4",
+        "--omega2": "e1^e3 - e2^e4",
+        "--omega3": "e1^e4 + e2^e3",
+    }
+    for flag, value in (("--omega2", "e1"), ("--omega3", "e1^e2^e3"), ("--alpha", "e12")):
+        argv = [x for kv in dict(flags, **{flag: value}).items() for x in kv]
+        code, report = run(capsys, "check-hypo", *argv)
+        assert code == 2
+        assert report["status"] == "error"
+
+
+def test_complex_or_wrong_degree_alphas_are_input_errors(capsys):
+    argvs = (
+        ("check-contact", "--algebra", "(0,0,12)", "--alpha", "2*i*e3"),
+        ("curvature", "--algebra", "(0,0,12)", "--metric", "[[1,0,0],[0,1,0],[0,0,4]]", "--alpha", "e1^e2"),
+        ("curvature", "--algebra", "(0,0,12)", "--metric", "[[1,0,0],[0,1,0],[0,0,4]]", "--alpha", "i*e3"),
+    ) + tuple(
+        ("check-rccy", "--algebra", "(0,0,12,0)", "--alphas", alphas, "--J", "pairs:(1,2)", "--epsilon", "e1 + i*e2")
+        for alphas in ("2*e3; e1^e2", "2*e3; 2*e3 + 2*i*e4")
+    )
+    for argv in argvs:
+        code, report = run(capsys, *argv)
+        assert code == 2, argv
+        assert report["status"] == "error"

@@ -200,3 +200,22 @@ def test_ricci_matches_milnor_oracle_on_nilpotent_catalog():
         for _ in range(8):
             g = random_rational_metric(rng, alg.dim)
             assert ricci_scalar(alg, g).ricci == milnor_ricci(alg, g)
+
+
+@pytest.mark.parametrize("spec, sign", [("(23,-13,12)", 1), ("(-23,13,12)", -1)])
+def test_transverse_ricci_on_su2_and_sl2(spec, sign):
+    # alpha = e3 and J = pairs:(1,2) are Sasakian on su(2) and on sl(2,R) with
+    # an elliptic Reeb field; g = diag(1/2, 1/2, 1), and on the frame X1, X2
+    # of the contact distribution ric_t = 2 sign g, by both computations
+    from nilgeo.algdsl import parse_endo
+    from nilgeo.structures import check_contact, check_sasakian, induced_metric
+
+    alg = parse_algebra(spec)
+    sasakian = check_sasakian(check_contact(alg, parse_form("e3", 3)), parse_endo("pairs:(1,2)", 3))
+    assert sasakian.ok
+    report = transverse_ricci(sasakian)
+    assert report.frame == (Vector.basis(3, 1), Vector.basis(3, 2))
+    g = induced_metric(sasakian.g_j, sasakian.contact.alpha)
+    expected = tuple(tuple(2 * sign * x for x in row) for row in g.restrict(report.frame))
+    assert report.ric_t == report.ric_t_identity == expected
+    assert report.parallel_j and report.parallel_g_j and report.torsion_matches_bracket

@@ -160,15 +160,24 @@ def test_koszul_torsion_and_metric_identities():
 
 
 def test_ricci_symmetry():
+    # ricci_scalar fills only i <= j, so each entry and its mirror are compared
+    # with Ric(X_i, X_j) = trace(Z -> R(Z, X_i) X_j) taken from riemann, also
+    # on non-nilpotent algebras (su(2), sl(2,R), a non-unimodular solvable one)
     rng = random.Random(107)
-    for _ in range(TRIALS):
-        alg = rng.choice([a for a in CATALOG if a.dim <= 4])
+    algebras = [a for a in CATALOG if a.dim <= 4] + [
+        parse_algebra(s) for s in ("(23,-13,12)", "(-23,13,12)", "(0,12,13)")
+    ]
+    for _ in range(TRIALS // 5):
+        alg = rng.choice(algebras)
         g = rand_posdef_metric(rng, alg.dim)
-        report = ricci_scalar(alg, g)
+        conn = levi_civita(alg, g)
+        report = ricci_scalar(alg, g, conn)
         n = alg.dim
+        basis = [Vector.basis(n, i) for i in range(1, n + 1)]
         for i in range(n):
-            for j in range(n):
-                assert report.ricci[i][j] == report.ricci[j][i]
+            for j in range(i, n):
+                trace = sum(riemann(conn, basis[k], basis[i], basis[j])[k] for k in range(n))
+                assert report.ricci[i][j] == report.ricci[j][i] == trace
 
 
 def test_first_bianchi_identity():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -20,6 +21,8 @@ from nilgeo.structures import (
     nijenhuis_tensor,
     volume_constant,
 )
+
+from .test_properties import rand_algebra, rand_vector
 
 H3 = parse_algebra("(0,0,12)")
 A5 = parse_algebra("(0,0,0,0,12+34)")
@@ -102,6 +105,11 @@ def test_nijenhuis_values():
     assert nij.table[(1, 2)] == -Vector.basis(3, 3)
     assert nij.table[(1, 3)].is_zero
     assert nij(Vector.basis(3, 2), Vector.basis(3, 1)) == Vector.basis(3, 3)
+
+
+def test_nijenhuis_rejects_mismatched_dimension():
+    with pytest.raises(InputError):
+        nijenhuis_tensor(J3, A5)
 
 
 def test_nijenhuis_vanishes_on_abelian():
@@ -298,3 +306,38 @@ def test_sasakian_basis_independence():
     )
     contact = check_contact(conjugated, alpha_new)
     assert check_sasakian(contact, j_new).ok
+
+
+# su(2), sl(2,R) with an elliptic Reeb field, and sl(2,R) with a hyperbolic
+# one (ad_X3 has eigenvalues +-1, so X3 is not Killing): the J[JX, Y] term of
+# the Nijenhuis tensor decides all three, and it vanishes on Heisenberg algebras.
+@pytest.mark.parametrize(
+    "spec, sasakian",
+    [("(23,-13,12)", True), ("(-23,13,12)", True), ("(-23,-13,12)", False)],
+)
+def test_sasakian_verdicts_on_three_dimensional_simple_algebras(spec, sasakian):
+    alg = parse_algebra(spec)
+    result = check_sasakian(check_contact(alg, parse_form("e3", 3)), J3)
+    assert result.ok is sasakian
+
+
+def _nijenhuis_by_definition(J, alg, x, y):
+    """[JX, JY] - J[JX, Y] - J[X, JY] + J^2[X, Y] from brackets of vectors."""
+    br, jx, jy = alg.bracket, J.apply(x), J.apply(y)
+    return br(jx, jy) - J.apply(br(jx, y)) - J.apply(br(x, jy)) + J.apply(J.apply(br(x, y)))
+
+
+def test_nijenhuis_antisymmetric_and_matches_definition_on_random_algebras():
+    rng = random.Random(114)
+    non_nilpotent = [parse_algebra(s) for s in ("(23,-13,12)", "(-23,13,12)", "(0,12,13)")]
+    for _ in range(100):
+        alg = rand_algebra(rng) if rng.random() < 0.7 else rng.choice(non_nilpotent)
+        n = alg.dim
+        J = Endo([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        nij = nijenhuis_tensor(J, alg)
+        basis = [Vector.basis(n, i) for i in range(1, n + 1)]
+        for (i, j), value in nij.table.items():
+            assert value == -_nijenhuis_by_definition(J, alg, basis[j - 1], basis[i - 1])
+        x, y = rand_vector(rng, n), rand_vector(rng, n)
+        assert nij(x, y) == _nijenhuis_by_definition(J, alg, x, y)
+        assert nij(x, y) == -nij(y, x)
