@@ -16,10 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, Vector, contract, pullback
+from .exterior import ComplexKForm, KForm, Vector, contract, merge_indices, pullback
+
+# Largest algebra dimension betti_numbers accepts: Lambda^5 and Lambda^6 of
+# dimension 11 have 462 monomials each, and the whole complex 2^11.
+MAX_BETTI_DIM = 11
+_ZERO = Fraction(0)
 
 
 class JacobiError(InputError):
@@ -123,17 +129,31 @@ def basis_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, dim + 1), degree))
 
 
+def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, Fraction]]:
+    """Sparse rows of d: Lambda^degree -> Lambda^{degree+1}: row r maps each
+    domain column to the coefficient of the r-th codomain monomial. The 2-form
+    d(e^{I_p}) commutes past e^{I<p}, so term c e^ij of it adds (-1)^p c
+    e^ij ^ e^{I - I_p} to d(e^I), signed by merge_indices.
+    """
+    cod_pos = {idx: r for r, idx in enumerate(basis_tuples(alg.dim, degree + 1))}
+    rows: list[dict[int, Fraction]] = [{} for _ in cod_pos]
+    d1 = [tuple(form.terms.items()) for form in alg.d1]
+    for col, idx in enumerate(basis_tuples(alg.dim, degree)):
+        for pos, k in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1 :]
+            parity = -1 if pos % 2 else 1
+            for pair, c in d1[k - 1]:
+                sign, merged = merge_indices(pair, rest)
+                if sign:
+                    row = rows[cod_pos[merged]]
+                    row[col] = row.get(col, _ZERO) + parity * sign * c
+    return [{c: v for c, v in row.items() if v} for row in rows]
+
+
 def d_matrix(alg: LieAlgebra, degree: int) -> list[list[Fraction]]:
-    """Matrix of d: Lambda^degree -> Lambda^{degree+1} in the lexicographic bases."""
-    dom = basis_tuples(alg.dim, degree)
-    cod = basis_tuples(alg.dim, degree + 1)
-    cod_pos = {idx: r for r, idx in enumerate(cod)}
-    rows = [[Fraction(0)] * len(dom) for _ in cod]
-    for c, idx in enumerate(dom):
-        image = alg.d(KForm.monomial(alg.dim, idx, 1))
-        for jdx, val in image.terms.items():
-            rows[cod_pos[jdx]][c] = val
-    return rows
+    """Matrix of d: Lambda^degree -> Lambda^{degree+1}, the dense d_rows."""
+    columns = range(comb(alg.dim, degree))
+    return [[row.get(c, _ZERO) for c in columns] for row in d_rows(alg, degree)]
 
 
 @dataclass(frozen=True)
@@ -159,14 +179,19 @@ class BettiTable:
 
 
 def betti_numbers(alg: LieAlgebra) -> BettiTable:
-    """b_k = dim ker(d on Lambda^k) - rank(d on Lambda^{k-1}), all ranks exact."""
+    """b_k = dim ker(d on Lambda^k) - rank(d on Lambda^{k-1}), all ranks exact.
+
+    Algebras above MAX_BETTI_DIM are an input error, raised before any basis
+    of the exterior algebra is built.
+    """
     n = alg.dim
+    if n > MAX_BETTI_DIM:
+        raise InputError(f"betti supports algebras of dimension <= {MAX_BETTI_DIM}, got {n}")
     numbers = []
     rank_prev = 0
     for k in range(n + 1):
-        dim_k = len(basis_tuples(n, k))
-        rank_k = linalg.rank(d_matrix(alg, k)) if k < n else 0
-        numbers.append(dim_k - rank_k - rank_prev)
+        rank_k = linalg.rank_sparse(d_rows(alg, k)) if k < n else 0
+        numbers.append(comb(n, k) - rank_k - rank_prev)
         rank_prev = rank_k
     return BettiTable(tuple(numbers))
 

@@ -12,6 +12,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -378,7 +379,7 @@ def cmd_moduli_kernel(args) -> int:
         "kernel_dimension",
         dim == 1,
         kernelDim=dim,
-        kernel_is_reeb_line=kernel_is_reeb_line(op),
+        kernel_is_reeb_line=kernel_is_reeb_line(op, dim),
         coupling=str(op.coupling),
     )
     return _emit(report)
@@ -526,10 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on first use, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -32,7 +32,8 @@ With this pairing the kernel is exactly the constant Reeb direction for every
 grid size. A node-centered width-2h stencil would instead carry a spurious
 checkerboard kernel on one parity class of N; the staggered stencil has none.
 Grid sizes are restricted to even N so refinement by doubling stays inside
-the supported family.
+the supported family, and bounded by MAX_GRID_N so that one request cannot
+ask for an unbounded exact elimination.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .exterior import Vector, contract, pullback
 from .models import heisenberg_ccy
 from .structures import CCYStructure
 
+# Largest grid size N accepted; the operator is 2N x 2N.
+MAX_GRID_N = 4096
+
 
 @dataclass(frozen=True)
 class CircleGrid:
@@ -58,6 +62,8 @@ class CircleGrid:
             raise InputError("grid needs at least 4 cells")
         if self.n % 2:
             raise InputError("odd grid sizes are rejected; use an even N")
+        if self.n > MAX_GRID_N:
+            raise InputError(f"grid size N must be at most {MAX_GRID_N}, got {self.n}")
 
     @property
     def spacing(self) -> Fraction:
@@ -151,7 +157,7 @@ def assemble_operator(grid: CircleGrid, ccy: CCYStructure | None = None) -> Line
 
 def kernel_dimension(op: LinearizedOperator) -> int:
     """Exact kernel dimension: 2N minus the exact rank."""
-    return op.size - linalg.rank_sparse(op.rows, op.size)
+    return op.size - linalg.rank_sparse(op.rows)
 
 
 def reeb_constant_vector(op: LinearizedOperator) -> list[Fraction]:
@@ -159,9 +165,10 @@ def reeb_constant_vector(op: LinearizedOperator) -> list[Fraction]:
     return [Fraction(1)] * op.n + [Fraction(0)] * op.n
 
 
-def kernel_is_reeb_line(op: LinearizedOperator) -> bool:
-    """True when the kernel is exactly the span of the constant Reeb direction."""
-    if kernel_dimension(op) != 1:
+def kernel_is_reeb_line(op: LinearizedOperator, kernel_dim: int | None = None) -> bool:
+    """True when the kernel is exactly the span of the constant Reeb direction.
+    A caller holding kernel_dimension(op) passes it to skip a second rank."""
+    if (kernel_dimension(op) if kernel_dim is None else kernel_dim) != 1:
         return False
     image = op.apply(reeb_constant_vector(op))
     return not any(image)

@@ -1,17 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense fraction-free (Bareiss) rank for the small matrices that show up in
-cohomology computations, a sparse rational elimination for large structured
-operators, plain Gauss-Jordan helpers (det, inverse, solve, nullspace), and
-the zero-skipping vector and table contractions that the structure checks and
-the curvature layer are written in. Everything works on `fractions.Fraction`;
-nothing is ever rounded.
+One exact rank, a sparse rational elimination that dense matrices reach
+through a thin wrapper; plain Gauss-Jordan helpers (det, inverse, solve,
+nullspace, rref); and the zero-skipping vector and table contractions that the
+structure checks and the curvature layer are written in. Everything works on
+`fractions.Fraction`; nothing is ever rounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 Matrix = list[list[Fraction]]
 _ZERO = Fraction(0)
@@ -21,52 +19,20 @@ def _as_fraction_rows(matrix) -> Matrix:
     return [[Fraction(x) for x in row] for row in matrix]
 
 
-def _integerize(row: list[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    return [int(x * den) for x in row]
-
-
 def rank(matrix) -> int:
-    """Rank by fraction-free Gaussian elimination (Bareiss).
-
-    Rows are scaled to integers first (rank-invariant), so the elimination
-    stays in exact integer arithmetic with single-step exact divisions.
-    """
-    rows = [_integerize(r) for r in _as_fraction_rows(matrix)]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        p = rows[rk][col]
-        for i in range(rk + 1, len(rows)):
-            fi = rows[i][col]
-            ri, rp = rows[i], rows[rk]
-            for j in range(col, ncols):
-                q, rem = divmod(p * ri[j] - fi * rp[j], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                ri[j] = q
-        prev = p
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+    """Exact rank of a dense matrix: its nonzero entries handed to rank_sparse."""
+    return rank_sparse(
+        [{c: v for c, x in enumerate(row) if (v := Fraction(x))} for row in matrix]
+    )
 
 
-def rank_sparse(rows, ncols: int | None = None) -> int:
+def rank_sparse(rows) -> int:
     """Exact rank of a matrix given as sparse rows (dict column -> Fraction).
 
-    Rational elimination with sparsity-aware pivoting; intended for large
-    structured matrices (banded circulants) where dense Bareiss is wasteful.
+    Rational elimination with sparsity-aware pivoting: the rows are bucketed
+    by leading column and the shortest row of a bucket is the pivot, so sparse
+    matrices (the Chevalley-Eilenberg differential, banded circulants) keep
+    little fill-in. The one rank elimination of the package.
     """
     pending: dict[int, list[dict[int, Fraction]]] = {}
 

@@ -70,10 +70,47 @@ def test_moduli_kernel(capsys):
     assert report["checks"][0]["kernel_is_reeb_line"] is True
 
 
+def test_moduli_kernel_ranks_its_operator_once(capsys, monkeypatch):
+    from nilgeo import linalg
+
+    sizes = []
+    rank_sparse = linalg.rank_sparse
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return rank_sparse(rows)
+
+    monkeypatch.setattr(linalg, "rank_sparse", counting)
+    code, report = run(capsys, "moduli-kernel", "--N", "64")
+    assert code == 0 and report["checks"][0]["kernel_is_reeb_line"] is True
+    assert sizes.count(128) == 1
+
+
 def test_moduli_kernel_odd_rejected(capsys):
     code, report = run(capsys, "moduli-kernel", "--N", "9")
     assert code == 2
     assert report["status"] == "error"
+
+
+def test_moduli_kernel_grid_bound_is_input_error(capsys, monkeypatch):
+    from nilgeo import cli
+    from nilgeo.deform import MAX_GRID_N
+
+    monkeypatch.setattr(cli, "assemble_operator", None)  # never reached
+    for n in (MAX_GRID_N + 2, 10**30):
+        code, report = run(capsys, "moduli-kernel", "--N", str(n))
+        assert code == 2
+        assert report["status"] == "error" and str(MAX_GRID_N) in report["error"]
+
+
+def test_betti_dimension_bound_is_input_error(capsys, monkeypatch):
+    from nilgeo import cealg
+
+    monkeypatch.setattr(cealg, "basis_tuples", None)  # never reached
+    for dim in (cealg.MAX_BETTI_DIM + 1, 40):
+        code, report = run(capsys, "betti", "--algebra", json.dumps({"dim": dim}))
+        assert code == 2
+        assert report["status"] == "error" and str(cealg.MAX_BETTI_DIM) in report["error"]
 
 
 def test_betti(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from nilgeo.deform import (
+    MAX_GRID_N,
     CircleGrid,
     LinearizedOperator,
     assemble_operator,
@@ -44,6 +45,9 @@ def test_grid_validation():
         CircleGrid(7)
     with pytest.raises(InputError):
         CircleGrid(2)
+    assert CircleGrid(MAX_GRID_N).n == MAX_GRID_N
+    with pytest.raises(InputError, match=f"at most {MAX_GRID_N}"):
+        CircleGrid(MAX_GRID_N + 2)
 
 
 def test_coupling_constant_derived_exactly():

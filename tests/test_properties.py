@@ -10,7 +10,7 @@ from itertools import combinations
 
 from nilgeo import linalg
 from nilgeo.algdsl import parse_algebra, serialize_algebra
-from nilgeo.cealg import LieAlgebra, change_of_basis, is_exact
+from nilgeo.cealg import LieAlgebra, basis_tuples, change_of_basis, d_matrix, d_rows, is_exact
 from nilgeo.curvature import levi_civita, ricci_scalar, riemann
 from nilgeo.errors import InputError
 from nilgeo.exterior import (
@@ -283,7 +283,33 @@ def test_betti_duality_and_euler_on_catalog():
             assert table.euler_characteristic() == 0
 
 
-def test_sparse_and_bareiss_ranks_agree():
+def sympy_rank(matrix):
+    import sympy
+
+    if not matrix or not matrix[0]:
+        return 0
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]).rank()
+
+
+def rand_rational_frame(rng, dim):
+    """Columns of an invertible matrix with small rational entries."""
+    while True:
+        m = [[rand_fraction(rng, 2) for _ in range(dim)] for _ in range(dim)]
+        if linalg.det(m):
+            return [[m[i][j] for i in range(dim)] for j in range(dim)]
+
+
+NILPOTENT_SPECS = CATALOG_SPECS + ("(0,0,12,13,14,15)", "(0,0,12,0,0,45)", "(0,0,0,0,0,12,13)")
+
+
+def rand_nilpotent_algebra(rng):
+    """A nilpotent algebra in a random rational frame: its structure constants
+    are rational, not integral, as soon as the frame has denominators."""
+    alg = parse_algebra(rng.choice(NILPOTENT_SPECS))
+    return change_of_basis(alg, rand_rational_frame(rng, alg.dim))
+
+
+def test_rank_agrees_with_sympy():
     rng = random.Random(114)
     for _ in range(300):
         nrows = rng.randint(1, 8)
@@ -292,10 +318,36 @@ def test_sparse_and_bareiss_ranks_agree():
             [rand_fraction(rng) if rng.random() < 0.4 else Q(0) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        sparse = [
-            {c: v for c, v in enumerate(row) if v} for row in dense
-        ]
-        assert linalg.rank(dense) == linalg.rank_sparse(sparse, ncols)
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
+        expected = sympy_rank(dense)
+        assert linalg.rank(dense) == expected
+        assert linalg.rank_sparse(sparse) == expected
+    for _ in range(12):
+        alg = rand_nilpotent_algebra(rng)
+        for k in range(alg.dim):
+            dense = d_matrix(alg, k)
+            expected = sympy_rank(dense)
+            assert linalg.rank_sparse(d_rows(alg, k)) == expected
+            assert linalg.rank(dense) == expected
+
+
+def test_sparse_d_rows_match_the_differential_of_each_monomial():
+    rng = random.Random(115)
+    algebras = [parse_algebra(s) for s in NILPOTENT_SPECS]
+    algebras += [rand_nilpotent_algebra(rng) for _ in range(8)]
+    algebras += [parse_algebra("(23,-13,12)"), parse_algebra("(0,12)")]
+    for alg in algebras:
+        for k in range(alg.dim + 1):
+            rows = d_rows(alg, k)
+            cod = basis_tuples(alg.dim, k + 1)
+            assert len(rows) == len(cod)
+            for col, idx in enumerate(basis_tuples(alg.dim, k)):
+                image = alg.d(KForm.monomial(alg.dim, idx))
+                column = {cod[r]: row[col] for r, row in enumerate(rows) if col in row}
+                assert column == image.terms
+            dense = d_matrix(alg, k)
+            assert all(v for row in rows for v in row.values())
+            assert [{c: v for c, v in enumerate(row) if v} for row in dense] == rows
 
 
 def test_induced_algebra_of_full_subspace_is_original():
