@@ -89,15 +89,11 @@ class LieAlgebra:
             return ComplexKForm(self.d(form.re), self.d(form.im))
         if form.dim != self.dim:
             raise InputError("ce differential: dimension mismatch")
-        out = KForm.zero(self.dim, form.degree + 1)
+        terms: dict[tuple[int, ...], Fraction] = {}
         for idx, c in form.terms.items():
-            for pos, k in enumerate(idx):
-                piece = KForm.monomial(self.dim, idx[:pos], 1)
-                piece = piece.wedge(self.d1[k - 1])
-                piece = piece.wedge(KForm.monomial(self.dim, idx[pos + 1 :], 1))
-                sign = -1 if pos % 2 else 1
-                out = out + (sign * c) * piece
-        return out
+            for merged, v in _d_monomial(self.d1, idx):
+                terms[merged] = terms.get(merged, _ZERO) + c * v
+        return KForm(self.dim, form.degree + 1, terms)
 
     def is_nilpotent(self) -> bool:
         """Lower central series terminates at zero."""
@@ -129,24 +125,30 @@ def basis_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, dim + 1), degree))
 
 
+def _d_monomial(d1, idx: tuple[int, ...]):
+    """The terms (codomain monomial, coefficient) of d(e^I), I = idx, one per
+    term of each generator differential; a monomial may repeat. The 2-form
+    d(e^{I_p}) commutes past e^{I<p}, so term c e^ij of it adds (-1)^p c
+    e^ij ^ e^{I - I_p}, signed by merge_indices.
+    """
+    for pos, k in enumerate(idx):
+        rest = idx[:pos] + idx[pos + 1 :]
+        parity = -1 if pos % 2 else 1
+        for pair, c in d1[k - 1].terms.items():
+            sign, merged = merge_indices(pair, rest)
+            if sign:
+                yield merged, parity * sign * c
+
+
 def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, Fraction]]:
     """Sparse rows of d: Lambda^degree -> Lambda^{degree+1}: row r maps each
-    domain column to the coefficient of the r-th codomain monomial. The 2-form
-    d(e^{I_p}) commutes past e^{I<p}, so term c e^ij of it adds (-1)^p c
-    e^ij ^ e^{I - I_p} to d(e^I), signed by merge_indices.
-    """
+    domain column to the coefficient of the r-th codomain monomial."""
     cod_pos = {idx: r for r, idx in enumerate(basis_tuples(alg.dim, degree + 1))}
     rows: list[dict[int, Fraction]] = [{} for _ in cod_pos]
-    d1 = [tuple(form.terms.items()) for form in alg.d1]
     for col, idx in enumerate(basis_tuples(alg.dim, degree)):
-        for pos, k in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            parity = -1 if pos % 2 else 1
-            for pair, c in d1[k - 1]:
-                sign, merged = merge_indices(pair, rest)
-                if sign:
-                    row = rows[cod_pos[merged]]
-                    row[col] = row.get(col, _ZERO) + parity * sign * c
+        for merged, v in _d_monomial(alg.d1, idx):
+            row = rows[cod_pos[merged]]
+            row[col] = row.get(col, _ZERO) + v
     return [{c: v for c, v in row.items() if v} for row in rows]
 
 

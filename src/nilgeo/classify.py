@@ -18,14 +18,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
 from .cealg import LieAlgebra, basis_tuples, d_matrix
 from .errors import CheckError, InputError
-from .exterior import KForm, merge_indices
-from .structures import check_ccy, check_contact
+from .exterior import KForm
+from .structures import NotContactError, check_ccy, check_contact
 
 
 class MultiPoly:
@@ -49,51 +49,12 @@ class MultiPoly:
         self.nvars = nvars
         self.terms = clean
 
-    @classmethod
-    def zero(cls, nvars: int) -> MultiPoly:
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> MultiPoly:
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> MultiPoly:
-        """The variable a_index, 1-based."""
-        exps = tuple(int(i == index - 1) for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> MultiPoly:
-        if isinstance(other, MultiPoly):
-            terms: dict[tuple, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-            return MultiPoly(self.nvars, terms)
-        c = Fraction(other)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def evaluate(self, point) -> Fraction:
         point = [Fraction(x) for x in point]
@@ -146,80 +107,32 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-class _SymbolicForm:
-    """Exterior form whose coefficients are MultiPoly values (internal)."""
-
-    def __init__(self, dim: int, degree: int, nvars: int, terms=None):
-        self.dim = dim
-        self.degree = degree
-        self.nvars = nvars
-        self.terms = {
-            idx: p for idx, p in (terms or {}).items() if not p.is_zero
-        }
-
-    def wedge(self, other: _SymbolicForm) -> _SymbolicForm:
-        terms: dict[tuple, MultiPoly] = {}
-        for ia, pa in self.terms.items():
-            for ib, pb in other.terms.items():
-                sign, merged = merge_indices(ia, ib)
-                if not sign:
-                    continue
-                add = pa * pb * sign
-                terms[merged] = terms.get(merged, MultiPoly.zero(self.nvars)) + add
-        return _SymbolicForm(self.dim, self.degree + other.degree, self.nvars, terms)
-
-    @classmethod
-    def from_kform(cls, form: KForm, nvars: int) -> _SymbolicForm:
-        return cls(
-            form.dim,
-            form.degree,
-            nvars,
-            {idx: MultiPoly.constant(nvars, c) for idx, c in form.terms.items()},
-        )
-
-    def scaled(self, poly: MultiPoly) -> _SymbolicForm:
-        return _SymbolicForm(
-            self.dim,
-            self.degree,
-            self.nvars,
-            {idx: p * poly for idx, p in self.terms.items()},
-        )
-
-    def coefficient(self, idx) -> MultiPoly:
-        return self.terms.get(tuple(idx), MultiPoly.zero(self.nvars))
-
-
 def contact_existence_polynomial(alg: LieAlgebra) -> MultiPoly:
     """Volume coefficient of alpha ^ (d alpha)^n for a generic 1-form alpha.
 
     alpha = sum a_i e^i with symbolic coefficients; the result is a polynomial
     in a_1..a_n that is nonzero exactly when an invariant contact form exists
     (a generic point avoids the zero set). Exact full expansion, never
-    probabilistic.
+    probabilistic: alpha ^ (d alpha)^k is kept as a map from the exponent
+    tuple of each a-monomial to its form coefficient, and d alpha = sum a_i
+    d(e^i) multiplies in one nonzero d(e^i) at a time.
     """
     dim = alg.dim
     if dim % 2 == 0:
         raise InputError("contact existence needs odd dimension")
-    n = (dim - 1) // 2
-    nvars = dim
-    alpha = _SymbolicForm(
-        dim,
-        1,
-        nvars,
-        {(i,): MultiPoly.variable(nvars, i) for i in range(1, dim + 1)},
-    )
-    dalpha = _SymbolicForm(dim, 2, nvars, {})
-    for i in range(1, dim + 1):
-        piece = _SymbolicForm.from_kform(alg.d1[i - 1], nvars).scaled(
-            MultiPoly.variable(nvars, i)
-        )
-        for idx, p in piece.terms.items():
-            dalpha.terms[idx] = dalpha.terms.get(idx, MultiPoly.zero(nvars)) + p
-        dalpha.terms = {k: v for k, v in dalpha.terms.items() if not v.is_zero}
-    out = alpha
-    for _ in range(n):
-        out = out.wedge(dalpha)
-    return out.coefficient(tuple(range(1, dim + 1)))
+    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    expansion = {unit[i]: KForm.monomial(dim, (i + 1,)) for i in range(dim)}
+    d_terms = [(i, form) for i, form in enumerate(alg.d1) if not form.is_zero]
+    for _ in range((dim - 1) // 2):
+        grown: dict[tuple[int, ...], KForm] = {}
+        for exps, form in expansion.items():
+            for i, d_ei in d_terms:
+                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+                piece = form.wedge(d_ei)
+                grown[key] = grown[key] + piece if key in grown else piece
+        expansion = grown
+    top = tuple(range(1, dim + 1))
+    return MultiPoly(dim, {exps: form.coefficient(top) for exps, form in expansion.items()})
 
 
 @dataclass(frozen=True)
@@ -254,12 +167,10 @@ def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm) -> ObstructionVerdict:
     on W, no such structure exists for this alpha (Obstructed). Otherwise a
     small-height witness with q != 0 is returned (Inconclusive).
     """
-    contact = check_contact(alg, alpha)  # raises NotContactError if not contact
+    check_contact(alg, alpha)  # raises NotContactError if not contact
     dim = alg.dim
-    n = contact.n
     dalpha = alg.d(alpha)
     two_forms = basis_tuples(dim, 2)
-    rows = [list(r) for r in d_matrix(alg, 2)]
     wedge_targets = basis_tuples(dim, 2 * 2)
     target_pos = {idx: i for i, idx in enumerate(wedge_targets)}
     wedge_rows = [[Fraction(0)] * len(two_forms) for _ in wedge_targets]
@@ -267,7 +178,7 @@ def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm) -> ObstructionVerdict:
         prod = KForm.monomial(dim, idx).wedge(dalpha)
         for jdx, val in prod.terms.items():
             wedge_rows[target_pos[jdx]][c] = val
-    basis_w = linalg.nullspace(rows + wedge_rows, len(two_forms))
+    basis_w = linalg.nullspace(d_matrix(alg, 2) + wedge_rows, len(two_forms))
     gammas = [
         KForm(dim, 2, {idx: v[i] for i, idx in enumerate(two_forms)}) for v in basis_w
     ]
@@ -276,13 +187,13 @@ def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm) -> ObstructionVerdict:
         return ObstructionVerdict(
             obstructed=True, space_dimension=0, polynomial="0", witness=None
         )
-    sym_gamma = _SymbolicForm(dim, 2, m, {})
-    for i, gamma in enumerate(gammas, start=1):
-        piece = _SymbolicForm.from_kform(gamma, m).scaled(MultiPoly.variable(m, i))
-        for idx, p in piece.terms.items():
-            sym_gamma.terms[idx] = sym_gamma.terms.get(idx, MultiPoly.zero(m)) + p
-    sym_alpha = _SymbolicForm.from_kform(alpha, m)
-    q = sym_gamma.wedge(sym_gamma).wedge(sym_alpha).coefficient(tuple(range(1, dim + 1)))
+    # 2-forms commute: q(c) = sum_{i<=j} (2 - delta_ij) c_i c_j vol(gamma_i ^ gamma_j ^ alpha)
+    top = tuple(range(1, dim + 1))
+    q_terms = {}
+    for i, j in combinations_with_replacement(range(m), 2):
+        vol = gammas[i].wedge(gammas[j]).wedge(alpha).coefficient(top)
+        q_terms[tuple((k == i) + (k == j) for k in range(m))] = vol if i == j else 2 * vol
+    q = MultiPoly(m, q_terms)
     if q.is_zero:
         return ObstructionVerdict(
             obstructed=True, space_dimension=m, polynomial="0", witness=None
@@ -377,7 +288,8 @@ ANSATZ_TABLE = {
 
 
 def _sample_alphas(alg: LieAlgebra, seed: int, random_samples: int) -> list[KForm]:
-    """Deterministic small-height contact forms plus seeded random ones."""
+    """Deterministic small-height candidate 1-forms plus seeded random ones;
+    the filter rejects the ones that are not contact."""
     dim = alg.dim
     fixed = [
         KForm.monomial(dim, (dim,), 2),
@@ -395,14 +307,7 @@ def _sample_alphas(alg: LieAlgebra, seed: int, random_samples: int) -> list[KFor
             if num:
                 coeffs[(i,)] = Fraction(num, den)
         randoms.append(KForm(dim, 1, coeffs))
-    out = []
-    for candidate in fixed + randoms:
-        try:
-            check_contact(alg, candidate)
-        except (CheckError, InputError):
-            continue
-        out.append(candidate)
-    return out
+    return fixed + randoms
 
 
 @dataclass(frozen=True)
@@ -457,7 +362,10 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
         )
     samples = []
     for alpha in _sample_alphas(alg, seed, random_samples):
-        verdict = ccy_obstruction_filter(alg, alpha)
+        try:
+            verdict = ccy_obstruction_filter(alg, alpha)
+        except NotContactError:
+            continue
         samples.append((str(alpha), verdict.to_dict()))
     ccy_verified = False
     ccy_error: str | None = None

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-One exact rank, a sparse rational elimination that dense matrices reach
-through a thin wrapper; plain Gauss-Jordan helpers (det, inverse, solve,
-nullspace, rref); and the zero-skipping vector and table contractions that the
-structure checks and the curvature layer are written in. Everything works on
+One elimination: a sparse forward elimination over Q that buckets the rows
+by leading column and takes the shortest row of a bucket as pivot. rank and
+rank_sparse count its pivots; det multiplies them; rref, solve, nullspace and
+inverse read the reduced row echelon form after one sparse back-reduction.
+Then the zero-skipping vector and table contractions that the structure
+checks and the curvature layer are written in. Everything works on
 `fractions.Fraction`; nothing is ever rounded.
 """
 
@@ -15,162 +17,145 @@ Matrix = list[list[Fraction]]
 _ZERO = Fraction(0)
 
 
-def _as_fraction_rows(matrix) -> Matrix:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _sparse(matrix) -> list[dict[int, Fraction]]:
+    return [{c: v for c, x in enumerate(row) if (v := Fraction(x))} for row in matrix]
+
+
+def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
+    """Sparse forward elimination of rows (dict column -> Fraction).
+
+    Returns the pivots in column order as (column, input row, echelon row):
+    each echelon row is its input row minus multiples of earlier pivot rows.
+    The shortest row of a leading-column bucket is the pivot, so sparse
+    matrices (the Chevalley-Eilenberg differential, banded circulants) keep
+    little fill-in.
+    """
+    pending: dict[int, list[tuple[dict[int, Fraction], int]]] = {}
+
+    def push(row: dict[int, Fraction], source: int) -> None:
+        row = {c: v for c, v in row.items() if v}  # a copy: the caller's rows stay intact
+        if row:
+            pending.setdefault(min(row), []).append((row, source))
+
+    for source, r in enumerate(rows):
+        push(r, source)
+    pivots = []
+    while pending:
+        col = min(pending)
+        bucket = pending.pop(col)
+        bucket.sort(key=lambda entry: len(entry[0]))
+        pivot, source = bucket[0]
+        pivots.append((col, source, pivot))
+        pv = pivot[col]
+        for row, s in bucket[1:]:
+            f = row[col] / pv
+            for c, v in pivot.items():
+                row[c] = row.get(c, _ZERO) - f * v
+            del row[col]
+            push(row, s)
+    return pivots
+
+
+def _rref_sparse(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The nonzero rows of the reduced row echelon form and their pivot columns."""
+    pivots = _eliminate(rows)
+    reduced: list[dict[int, Fraction]] = [{}] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        col, _, row = pivots[k]
+        pv = row[col]
+        row = {c: v / pv for c, v in row.items()}
+        # the rows below are final and zero in every other pivot column
+        for (later_col, _, _), later in zip(pivots[k + 1 :], reduced[k + 1 :]):
+            f = row.get(later_col)
+            if f:
+                for c, v in later.items():
+                    row[c] = row.get(c, _ZERO) - f * v
+        reduced[k] = {c: v for c, v in row.items() if v}
+    return reduced, [col for col, _, _ in pivots]
+
+
+def _require_square(matrix, what: str) -> int:
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ValueError(f"{what} needs a square matrix")
+    return n
 
 
 def rank(matrix) -> int:
     """Exact rank of a dense matrix: its nonzero entries handed to rank_sparse."""
-    return rank_sparse(
-        [{c: v for c, x in enumerate(row) if (v := Fraction(x))} for row in matrix]
-    )
+    return rank_sparse(_sparse(matrix))
 
 
 def rank_sparse(rows) -> int:
-    """Exact rank of a matrix given as sparse rows (dict column -> Fraction).
-
-    Rational elimination with sparsity-aware pivoting: the rows are bucketed
-    by leading column and the shortest row of a bucket is the pivot, so sparse
-    matrices (the Chevalley-Eilenberg differential, banded circulants) keep
-    little fill-in. The one rank elimination of the package.
-    """
-    pending: dict[int, list[dict[int, Fraction]]] = {}
-
-    def push(row: dict[int, Fraction]) -> None:
-        row = {c: v for c, v in row.items() if v}
-        if row:
-            pending.setdefault(min(row), []).append(row)
-
-    for r in rows:
-        push(dict(r))
-    rk = 0
-    while pending:
-        col = min(pending)
-        bucket = pending.pop(col)
-        bucket.sort(key=len)
-        pivot = bucket[0]
-        pv = pivot[col]
-        rk += 1
-        for row in bucket[1:]:
-            f = row[col] / pv
-            for c, v in pivot.items():
-                row[c] = row.get(c, Fraction(0)) - f * v
-            del row[col]
-            push(row)
-    return rk
+    """Exact rank of a matrix given as sparse rows (dict column -> Fraction)."""
+    return len(_eliminate(rows))
 
 
 def det(matrix) -> Fraction:
-    """Exact determinant by rational Gaussian elimination."""
-    rows = _as_fraction_rows(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        for i in range(col + 1, n):
-            f = rows[i][col] / p
-            if f:
-                for j in range(col, n):
-                    rows[i][j] -= f * rows[col][j]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= rows[i][i]
+    """Exact determinant: the product of the pivots, signed by the row permutation."""
+    n = _require_square(matrix, "determinant")
+    pivots = _eliminate(_sparse(matrix))
+    if len(pivots) < n:
+        return Fraction(0)
+    sources = [source for _, source, _ in pivots]
+    inversions = sum(a > b for i, a in enumerate(sources) for b in sources[i + 1 :])
+    out = Fraction(-1 if inversions % 2 else 1)
+    for col, _, row in pivots:
+        out *= row[col]
     return out
 
 
 def inverse(matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises ValueError on a singular matrix."""
-    rows = _as_fraction_rows(matrix)
-    n = len(rows)
-    aug = [rows[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    """Exact inverse, read off the RREF of [A | I]; raises ValueError on a singular matrix."""
+    n = _require_square(matrix, "inverse")
+    rows = [{**row, n + i: Fraction(1)} for i, row in enumerate(_sparse(matrix))]
+    reduced, pivots = _rref_sparse(rows)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[row.get(n + j, _ZERO) for j in range(n)] for row in reduced]
 
 
 def rref(matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    rows = _as_fraction_rows(matrix)
-    if not rows:
+    if not matrix:
         return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    ncols = len(matrix[0])
+    reduced, pivots = _rref_sparse(_sparse(matrix))
+    dense = [[row.get(c, _ZERO) for c in range(ncols)] for row in reduced]
+    return dense + [[_ZERO] * ncols for _ in range(len(matrix) - len(reduced))], pivots
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
     """One exact solution of A x = b (free variables set to zero), or None."""
-    rows = _as_fraction_rows(matrix)
-    b = [Fraction(x) for x in rhs]
-    if len(rows) != len(b):
+    if len(matrix) != len(rhs):
         raise ValueError("matrix/vector size mismatch")
-    if not rows:
+    if not matrix:
         return []
-    ncols = len(rows[0])
-    aug = [rows[i] + [b[i]] for i in range(len(rows))]
-    red, pivots = rref(aug)
-    for row in red:
-        if not any(row[:ncols]) and row[ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        if col == ncols:
-            return None
-        x[col] = red[r][ncols] - sum(
-            (red[r][j] * x[j] for j in range(col + 1, ncols)), Fraction(0)
-        )
+    ncols = len(matrix[0])
+    rows = [{**row, ncols: Fraction(b)} for row, b in zip(_sparse(matrix), rhs)]
+    reduced, pivots = _rref_sparse(rows)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [_ZERO] * ncols
+    for col, row in zip(pivots, reduced):
+        x[col] = row.get(ncols, _ZERO)
     return x
 
 
 def nullspace(matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the exact kernel of A (as row-major matrix)."""
-    rows = _as_fraction_rows(matrix)
-    if not rows:
-        if ncols is None:
-            return []
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the exact kernel of A (as row-major matrix); one vector per free
+    column, 1 there and 0 in the other free columns."""
+    if matrix:
+        ncols = len(matrix[0])
+    elif ncols is None:
+        return []
+    reduced, pivots = _rref_sparse(_sparse(matrix))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [_ZERO] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in zip(pivots, reduced):
+            v[pc] = -row.get(fc, _ZERO)
         basis.append(v)
     return basis
 

@@ -184,19 +184,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
                     "g(v,v)": str(gram[k - 1][k - 1]),
                 },
             )
-    # J-invariance on xi: (J u)^T G (J v) = u^T G v. The two identities above
-    # already imply it (g_J(Ju, Jv) = kappa(Ju, J^2 v) = g_J(v, u) on xi).
-    jframe = [linalg.matvec(J.matrix, v) for v in frame]
-    gjframe = [linalg.matvec(g_rows, v) for v in jframe]
-    for a, ju in enumerate(jframe):
-        for b, gjv in enumerate(gjframe):
-            lhs = linalg.dot(ju, gjv)
-            if lhs != gram[a][b]:
-                raise NotCalibratedError(
-                    "calibrated.J_invariant",
-                    "g_J(J., J.) != g_J(., .) on the contact distribution",
-                    {"u": str(xi[a]), "v": str(xi[b]), "lhs": str(lhs), "rhs": str(gram[a][b])},
-                )
+    # J-invariance on xi follows: g_J(Ju, Jv) = kappa(Ju, J^2 v) = -kappa(Ju, v) = g_J(v, u)
     return Metric(g_rows)
 
 
@@ -377,8 +365,7 @@ def _check_epsilon_clauses(
                     f"Lie derivative of epsilon along R{idx} != 0",
                     {"lie_derivative": str(lie)},
                 )
-    # (b) type (n,0): iota_{Jv} epsilon = i iota_v epsilon for every basis v,
-    # plus kappa-orthogonality epsilon ^ kappa = 0.
+    # (b) type (n,0): iota_{Jv} epsilon = i iota_v epsilon for every basis v.
     for i, jv in enumerate(zip(*J.matrix), start=1):
         lhs = contract(Vector(jv), epsilon)
         rhs = contract(Vector.basis(alg.dim, i), epsilon).scale(0, 1)
@@ -388,11 +375,7 @@ def _check_epsilon_clauses(
                 f"iota_(J X{i}) epsilon != i * iota_(X{i}) epsilon",
                 {"lhs": str(lhs), "rhs": str(rhs)},
             )
-    eps_kappa = epsilon.wedge(kappa)
-    if not eps_kappa.is_zero:
-        raise CCYError(
-            "ccy.type", "epsilon ^ kappa != 0", {"product": str(eps_kappa)}
-        )
+    # epsilon ^ kappa = 0 follows: J preserves xi, so it is a horizontal (n+1,1)-form
     # (c) closedness
     deps = alg.d(epsilon)
     if not deps.is_zero:

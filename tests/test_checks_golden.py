@@ -1,4 +1,4 @@
-"""Golden digests of the check-command reports.
+"""Golden digests of the check-command and classify reports.
 
 Each entry is an argv, its exit code and the sha256 of its stdout, recorded
 from the structure-check code that the bracket-table rewrite replaced, with
@@ -17,9 +17,19 @@ entries differ from the uncorrected code: su(2) (it failed
 sasakian.nijenhuis there) and the Sasakian failure list on
 `(0,0,0,13,12+34)`, whose Nijenhuis values carried the wrong sign.
 
-calibrated.J_invariant has no entry: for u, v in the contact distribution,
-g_J(Ju, Jv) = kappa(Ju, J^2 v) = -kappa(Ju, v) = g_J(v, u), so the
-clause holds whenever calibrated.J_square and calibrated.symmetric do.
+Two implied conditions have no clause, so no entry: J-invariance of g_J on
+the contact distribution xi (for u, v in xi, g_J(Ju, Jv) = kappa(Ju, J^2 v)
+= -kappa(Ju, v) = g_J(v, u) once calibrated.J_square and
+calibrated.symmetric hold), and epsilon ^ kappa = 0 in ccy.type (J preserves
+xi, so once the iota_(J X) test passes epsilon ^ kappa is a horizontal
+(n+1,1)-form, which is zero).
+
+The classify entries were recorded from the code that still expanded the
+contact-existence polynomial and the filter's quadratic with a separate
+polynomial-coefficient exterior algebra. They cover the default catalog at
+several seeds and sample counts, `--samples 0`, and a JSON catalog of 3-,
+5- and 7-dimensional algebras, some in a sheared basis, that reaches
+Obstructed and Inconclusive filter verdicts and a non-contact algebra.
 """
 
 import hashlib
@@ -27,6 +37,21 @@ import hashlib
 import pytest
 
 from nilgeo.cli import main
+
+# Dimension 3: Heisenberg, su(2), abelian. Dimension 5: (0,0,0,12,13+24) and
+# (0,0,0,0,12+34) in the frame I + E_12 - E_35 + 2 E_24 (columns). Dimension 7: Heisenberg,
+# once as is and once in the frame I + E_12 - E_35 + 2 E_67, and the filiform
+# (0,0,12,13,14+23,15+24,16+25) in that frame.
+CATALOG_3_5_7 = (
+    '[{"name":"h3","spec":"(0,0,12)","notes":"Heisenberg, dimension 3"},'
+    '{"name":"su2","spec":"(23,-13,12)"},'
+    '{"name":"abelian3","spec":"(0,0,0)","notes":"no invariant contact form"},'
+    '{"name":"n5_step3_sheared","spec":"(2*12+4*14+4*24,-2*12-4*14-4*24,13-15+23+24-25,12+2*14+2*24,13-15+23+24-25)"},'
+    '{"name":"n5_heis_sheared","spec":"(0,0,12+2*14+2*24+34+45,0,12+2*14+2*24+34+45)"},'
+    '{"name":"h7","spec":"(0,0,0,0,0,0,12+34+56)"},'
+    '{"name":"h7_sheared","spec":"(0,0,0,0,0,-2*12-2*34-2*45-2*56-4*57,12+34+45+56+2*57)","notes":"h7 in a sheared basis"},'
+    '{"name":"f7_sheared","spec":"(0,0,12+14+23+24-25,13-15+23-25,14+23+24-25,15-2*16-4*17+24-25-2*26-4*27,16+2*17+25+26+2*27)"}]'
+)
 
 GOLDEN = (
     # check-contact: pass
@@ -125,6 +150,18 @@ GOLDEN = (
     (['obstruction', '--algebra', '(0,0,0,0,12+34)', '--alpha', '2*e5', '--J', 'pairs:(1,2),(3,4)', '--epsilon', '(e1+i*e2)^(e3+i*e4)', '--span', 'X1;X3', '--rotations', '0,1,0;1,3/5,4/5'], 0, 'b864f9422272787aab5a9e95d15f481cd141a7b675ab8c2b2ca47ec148a56a30'),
     # obstruction: calibrated.positive
     (['obstruction', '--algebra', '(0,0,12)', '--alpha', '2*e3', '--J', 'pairs:(2,1)', '--epsilon', 'e1 + i*e2', '--span', 'X1'], 1, 'f728a0791252a153f70f975ca6ebe7d4ce27f369473a39d7d88a24c4dc22f7e8'),
+    # classify: default catalog
+    (['classify', '--seed', '0'], 0, 'b61f0f2dd40b8483029099b7b3c1341f9fcdadd0ad1e57e8889bd340e9d5a09a'),
+    # classify: default catalog
+    (['classify', '--seed', '1', '--samples', '5'], 0, 'b5e366c8bf3e856b4422d4f2c4ecbf8f7e6c679eea72d3374f29960c1ef86b1e'),
+    # classify: default catalog
+    (['classify', '--seed', '7', '--samples', '12'], 0, 'ec9505ec8862e5726b94260c3957038d46c0bcb095eccfc99a52fe82f8b29d92'),
+    # classify: default catalog, fixed samples only
+    (['classify', '--seed', '3', '--samples', '0'], 0, '8c96c5f7a03c22b65929a95efe065e833d058c7957e754a04d2fdb26a7b412fa'),
+    # classify: dimension 3, 5 and 7 catalog
+    (['classify', '--seed', '0', '--catalog', CATALOG_3_5_7], 0, 'cf02d116a997efa465935f79c356e146aec073e31eba811ad83eb89ba7b7205a'),
+    # classify: dimension 3, 5 and 7 catalog
+    (['classify', '--seed', '2', '--samples', '4', '--catalog', CATALOG_3_5_7], 0, '84cf6917eda078f513dc8879b40329dd416f588682184a298ef7fe379ed4d455'),
 )
 
 

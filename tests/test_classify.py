@@ -18,13 +18,22 @@ from nilgeo.structures import NotContactError
 
 
 def test_multipoly_arithmetic():
-    a5 = MultiPoly.variable(5, 5)
-    two = MultiPoly.constant(5, 2)
-    cube = a5 * a5 * a5 * two
+    # polynomials are built from term maps; zero coefficients are dropped
+    cube = MultiPoly(5, {(0, 0, 0, 0, 3): 2, (1, 0, 0, 0, 0): 0})
     assert str(cube) == "2*a5^3"
     assert cube.evaluate([0, 0, 0, 0, Q(1, 2)]) == Q(1, 4)
-    assert (cube - cube).is_zero
     assert cube.degree() == 3
+    assert not cube.is_zero and MultiPoly(5, {(0, 0, 0, 0, 3): 0}).is_zero
+    # terms print by total degree, then by exponent tuple
+    mixed = MultiPoly(2, {(0, 2): -1, (1, 1): Q(1, 2), (0, 0): 3, (1, 0): -1})
+    assert str(mixed) == "3 - a1 - a2^2 + 1/2*a1*a2"
+    assert mixed.evaluate([2, 1]) == 1
+    assert mixed.degree() == 2 and MultiPoly(2).degree() == 0
+    assert str(MultiPoly(2)) == "0"
+    with pytest.raises(InputError):
+        MultiPoly(2, {(1,): 1})
+    with pytest.raises(InputError):
+        mixed.evaluate([1])
 
 
 def test_contact_polynomial_admissible_algebras():

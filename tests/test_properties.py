@@ -8,6 +8,8 @@ import random
 from fractions import Fraction as Q
 from itertools import combinations
 
+import pytest
+
 from nilgeo import linalg
 from nilgeo.algdsl import parse_algebra, serialize_algebra
 from nilgeo.cealg import LieAlgebra, basis_tuples, change_of_basis, d_matrix, d_rows, is_exact
@@ -283,12 +285,46 @@ def test_betti_duality_and_euler_on_catalog():
             assert table.euler_characteristic() == 0
 
 
-def sympy_rank(matrix):
+def to_sympy(matrix):
     import sympy
 
-    if not matrix or not matrix[0]:
-        return 0
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]).rank()
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix])
+
+
+def from_sympy(values):
+    return [Q(int(x.p), int(x.q)) for x in values]
+
+
+def assert_linalg_matches_sympy(rng, dense):
+    """rank, rref, nullspace, solve, det and inverse of a dense matrix against
+    sympy; det and inverse on its leading square block. Returns the rank."""
+    nrows, ncols = len(dense), len(dense[0])
+    m = to_sympy(dense)
+    reduced, pivots = m.rref()
+    rank = len(pivots)
+    assert linalg.rank(dense) == rank
+    assert linalg.rref(dense) == ([from_sympy(reduced.row(i)) for i in range(nrows)], list(pivots))
+    assert linalg.nullspace(dense) == [from_sympy(v) for v in m.nullspace()]
+    if rng.random() < 0.5:
+        rhs = linalg.matvec(dense, [rand_fraction(rng) for _ in range(ncols)])
+    else:
+        rhs = [rand_fraction(rng) for _ in range(nrows)]
+    solution = linalg.solve(dense, rhs)
+    augmented_rank = len(m.row_join(to_sympy([[b] for b in rhs])).rref()[1])
+    assert (solution is None) == (augmented_rank > rank)
+    if solution is not None:
+        assert linalg.matvec(dense, solution) == rhs
+    k = min(nrows, ncols)
+    block, sympy_block = [row[:k] for row in dense[:k]], m[:k, :k]
+    det = sympy_block.det(method="domain-ge")
+    assert linalg.det(block) == from_sympy([det])[0]
+    if det:
+        inverse = sympy_block.inv()
+        assert linalg.inverse(block) == [from_sympy(inverse.row(i)) for i in range(k)]
+    else:
+        with pytest.raises(ValueError):
+            linalg.inverse(block)
+    return rank
 
 
 def rand_rational_frame(rng, dim):
@@ -310,6 +346,7 @@ def rand_nilpotent_algebra(rng):
 
 
 def test_rank_agrees_with_sympy():
+    # every linalg entry point against sympy, on random matrices and d-matrices
     rng = random.Random(114)
     for _ in range(300):
         nrows = rng.randint(1, 8)
@@ -319,16 +356,14 @@ def test_rank_agrees_with_sympy():
             for _ in range(nrows)
         ]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
-        expected = sympy_rank(dense)
-        assert linalg.rank(dense) == expected
+        expected = assert_linalg_matches_sympy(rng, dense)
         assert linalg.rank_sparse(sparse) == expected
     for _ in range(12):
         alg = rand_nilpotent_algebra(rng)
         for k in range(alg.dim):
             dense = d_matrix(alg, k)
-            expected = sympy_rank(dense)
+            expected = assert_linalg_matches_sympy(rng, dense)
             assert linalg.rank_sparse(d_rows(alg, k)) == expected
-            assert linalg.rank(dense) == expected
 
 
 def test_sparse_d_rows_match_the_differential_of_each_monomial():
