@@ -68,6 +68,8 @@ from .structures import (
     ContactStructure,
     HypoStructure,
     RContactStructure,
+    SasakianStructure,
+    Verdict,
     check_calibrated_complex,
     check_ccy,
     check_contact,

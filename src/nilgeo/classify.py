@@ -9,7 +9,8 @@ both with constructive verification from a shipped ansatz table.
 The filter is a necessary condition only: Obstructed means no invariant
 structure can exist for that contact form; Inconclusive carries an exact
 witness and decides nothing. Full nonexistence across all contact forms is
-not claimed by this module.
+not claimed by this module. The filter is defined in dimension 5 only;
+catalog entries of other dimensions get no filter samples.
 """
 
 from __future__ import annotations
@@ -166,9 +167,14 @@ def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm) -> ObstructionVerdict:
     q(c) = volume coefficient of gamma(c)^gamma(c)^alpha vanishes identically
     on W, no such structure exists for this alpha (Obstructed). Otherwise a
     small-height witness with q != 0 is returned (Inconclusive).
+
+    Only dimension 5 is accepted: gamma ^ gamma ^ alpha is a 5-form, so in
+    any other dimension q is identically zero and Obstructed would be wrong.
     """
-    check_contact(alg, alpha)  # raises NotContactError if not contact
     dim = alg.dim
+    if dim != 5:
+        raise InputError(f"the obstruction filter is defined in dimension 5 only, got {dim}")
+    check_contact(alg, alpha)  # raises NotContactError if not contact
     dalpha = alg.d(alpha)
     two_forms = basis_tuples(dim, 2)
     wedge_targets = basis_tuples(dim, 2 * 2)
@@ -361,12 +367,13 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
             summary="no invariant contact form",
         )
     samples = []
-    for alpha in _sample_alphas(alg, seed, random_samples):
-        try:
-            verdict = ccy_obstruction_filter(alg, alpha)
-        except NotContactError:
-            continue
-        samples.append((str(alpha), verdict.to_dict()))
+    if alg.dim == 5:  # the filter is defined in dimension 5 only
+        for alpha in _sample_alphas(alg, seed, random_samples):
+            try:
+                verdict = ccy_obstruction_filter(alg, alpha)
+            except NotContactError:
+                continue
+            samples.append((str(alpha), verdict.to_dict()))
     ccy_verified = False
     ccy_error: str | None = None
     key = serialize_algebra(alg)

@@ -43,6 +43,8 @@ from .legendrian import (
 )
 from .models import PYTHAGOREAN_ROTATIONS
 from .structures import (
+    NotSasakianError,
+    Verdict,
     check_ccy,
     check_contact,
     check_hypo,
@@ -111,8 +113,18 @@ def _emit(report: Report) -> int:
 
 def _check_error(report: Report, exc: CheckError) -> int:
     report.add(exc.check, False, message=str(exc), witness=exc.witness)
-    print(report.to_json())
-    return EXIT_FAIL
+    return _emit(report)
+
+
+def _not_sasakian(report: Report, exc: NotSasakianError) -> int:
+    report.add("sasakian", False, failures=list(exc.failures))
+    return _emit(report)
+
+
+def _emit_clauses(report: Report, verdict: Verdict) -> int:
+    for clause in verdict.clauses:
+        report.add(clause.name, clause.ok, **clause.detail)
+    return _emit(report)
 
 
 def cmd_check_contact(args) -> int:
@@ -140,11 +152,12 @@ def cmd_check_sasakian(args) -> int:
         "check-sasakian", {"algebra": args.algebra, "alpha": args.alpha, "J": args.J}
     )
     try:
-        contact = check_contact(alg, alpha)
-        result = check_sasakian(contact, J)
+        check_sasakian(check_contact(alg, alpha), J)
+    except NotSasakianError as exc:
+        return _not_sasakian(report, exc)
     except CheckError as exc:
         return _check_error(report, exc)
-    report.add("sasakian", result.ok, failures=list(result.failures))
+    report.add("sasakian", True, failures=[])
     return _emit(report)
 
 
@@ -187,10 +200,7 @@ def cmd_check_hypo(args) -> int:
             "omega3": args.omega3,
         },
     )
-    result = check_hypo(alpha, *omegas, alg)
-    for clause in result.clauses:
-        report.add(clause.name, clause.ok, **clause.detail)
-    return _emit(report)
+    return _emit_clauses(report, check_hypo(alpha, *omegas, alg))
 
 
 def cmd_check_rccy(args) -> int:
@@ -208,10 +218,9 @@ def cmd_check_rccy(args) -> int:
             "strict_def31": args.strict_def31,
         },
     )
-    result = check_r_contact_ccy(alg, alphas, J, epsilon, strict_def31=args.strict_def31)
-    for clause in result.clauses:
-        report.add(clause.name, clause.ok, **clause.detail)
-    return _emit(report)
+    return _emit_clauses(
+        report, check_r_contact_ccy(alg, alphas, J, epsilon, strict_def31=args.strict_def31)
+    )
 
 
 def cmd_betti(args) -> int:
@@ -260,11 +269,10 @@ def cmd_curvature(args) -> int:
                 structure = check_ccy(contact, J, epsilon)
                 g = structure.metric
             else:
-                sasakian = check_sasakian(contact, J)
-                if not sasakian.ok:
-                    report.add("sasakian", False, failures=list(sasakian.failures))
-                    print(report.to_json())
-                    return EXIT_FAIL
+                try:
+                    sasakian = check_sasakian(contact, J)
+                except NotSasakianError as exc:
+                    return _not_sasakian(report, exc)
                 g = induced_metric(sasakian.g_j, alpha)
         except CheckError as exc:
             return _check_error(report, exc)
@@ -513,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_structure_flags(p)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p.add_argument("--probe", help="exact g-orthonormal frame, e.g. X1;X3")
     p.set_defaults(func=cmd_comass)
 
@@ -521,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="catalog JSON or @file; default is the shipped catalog")
     p.add_argument("--samples", type=int, default=3, help="random contact forms per algebra")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p.set_defaults(func=cmd_classify)
 
     return parser

@@ -243,7 +243,7 @@ def transverse_ricci(
     """Transverse connection and transverse Ricci tensor of a verified structure.
 
     Accepts anything carrying a verified contact structure, J and g_J (a
-    CCYStructure or a passing SasakianCheck). The orthonormal-frame sum in the
+    CCYStructure or a SasakianStructure). The orthonormal-frame sum in the
     defining formula is replaced by an inverse-metric contraction over an
     arbitrary exact frame of the contact distribution, which avoids irrational
     Gram-Schmidt factors. Also verifies the parallelism identities of the

@@ -1,11 +1,12 @@
 """Verification of invariant contact, Sasakian, contact Calabi-Yau, Hypo and
 r-contact structures on a Lie algebra.
 
-Constructive checks (check_contact, check_calibrated_complex, check_ccy)
-return the verified structure and raise a CheckError subclass with an exact
-witness on failure. Verdict-style checks (check_sasakian, check_hypo,
-check_r_contact_ccy) return a result object whose clauses record every
-verified condition with exact witnesses for failures.
+Results come in two shapes. Single-verdict checks (check_contact,
+check_calibrated_complex, check_sasakian, check_ccy) return the verified
+structure and raise the CheckError subclass of the first failing clause,
+with an exact witness. Multi-clause checks (check_hypo, check_r_contact_ccy)
+return a Verdict: the ordered clauses, each with its witness, and the
+structure when every clause passes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ class NotCalibratedError(CheckError):
 
 
 class NotSasakianError(CheckError):
-    """The Nijenhuis condition for a Sasakian structure fails."""
+    """The Nijenhuis condition for a Sasakian structure fails.
+
+    The witness is the first failing basis pair; `failures` lists them all.
+    """
+
+    def __init__(self, failures: list[dict]):
+        super().__init__("sasakian.nijenhuis", "N_J != -d(alpha) (x) R", failures[0])
+        self.failures = tuple(failures)
 
 
 class CCYError(CheckError):
@@ -54,8 +62,21 @@ class Clause:
     ok: bool
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": dict(self.detail)}
+
+@dataclass(frozen=True)
+class Verdict:
+    """The ordered clauses of a multi-clause check; `structure` is set when
+    every clause passes."""
+
+    clauses: tuple
+    structure: object = None
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.clauses)
+
+    def failing(self) -> list[Clause]:
+        return [c for c in self.clauses if not c.ok]
 
 
 @dataclass(frozen=True)
@@ -82,41 +103,44 @@ def _volume(alphas, dalpha: KForm, n: int) -> KForm:
     return volume.wedge(dalpha.power(n))
 
 
-def _solve_reeb(alphas, dalpha: KForm) -> list[Vector]:
+def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
     """The Reeb fields: alpha_i(R_j) = delta_ij and iota_{R_j} d alpha = 0.
 
     One elimination of the system with all r right-hand sides appended; the
     rows iota_R d alpha = 0 are the rows of the 2-form matrix of d alpha.
-    Raises NotContactError when the solution is not unique.
+    Returns None when the solution is not unique or does not exist.
     """
     dim, r = dalpha.dim, len(alphas)
     rows = [covector(a) + [Fraction(int(i == j)) for j in range(r)] for i, a in enumerate(alphas)]
     rows += [row + [Fraction(0)] * r for row in two_form_matrix(dalpha)]
     reduced, pivots = linalg.rref(rows)
-    witness = {"alpha": str(alphas[0])}
-    if pivots[:dim] != list(range(dim)):
-        raise NotContactError("contact.reeb", "Reeb system is rank deficient", witness)
-    if len(pivots) > dim:
-        raise NotContactError("contact.reeb", "Reeb system inconsistent", witness)
+    if pivots != list(range(dim)):
+        return None
     return [Vector([reduced[i][dim + j] for i in range(dim)]) for j in range(r)]
 
 
 def check_contact(alg: LieAlgebra, alpha: KForm) -> ContactStructure:
-    """Verify the volume condition exactly and solve for the Reeb field."""
+    """Verify the volume condition exactly and solve for the Reeb field.
+
+    alpha ^ (d alpha)^n != 0 iff no nonzero v has alpha(v) = 0 and
+    iota_v d alpha = 0 (in odd dimension the kernel of d alpha is then a
+    line on which alpha is nonzero), i.e. iff the Reeb system has full rank;
+    the Reeb elimination decides both, with no wedge power.
+    """
     dim = alg.dim
     if dim % 2 == 0:
         raise InputError(f"contact structures need odd dimension, got {dim}")
     if not isinstance(alpha, KForm) or alpha.dim != dim or alpha.degree != 1:
         raise InputError("alpha must be a degree-1 form on the algebra")
-    n = (dim - 1) // 2
     dalpha = alg.d(alpha)
-    if _volume([alpha], dalpha, n).is_zero:
+    reebs = _solve_reeb([alpha], dalpha)
+    if reebs is None:
         raise NotContactError(
             "contact.volume",
-            f"alpha ^ (d alpha)^{n} = 0",
+            f"alpha ^ (d alpha)^{(dim - 1) // 2} = 0",
             {"alpha": str(alpha), "d_alpha": str(dalpha)},
         )
-    (reeb,) = _solve_reeb([alpha], dalpha)
+    (reeb,) = reebs
     return ContactStructure(alg=alg, alpha=alpha, reeb=reeb, kappa=dalpha * Fraction(1, 2))
 
 
@@ -239,40 +263,35 @@ def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> NijenhuisTensor:
     return NijenhuisTensor(J, alg)
 
 
+def _nijenhuis_failures(alg: LieAlgebra, J: Endo, dalpha: KForm, reeb: Vector) -> list[dict]:
+    """The basis pairs where N_J != -d(alpha) (x) R, with both sides."""
+    failures = []
+    for (i, j), lhs in nijenhuis_tensor(J, alg).table.items():
+        rhs = -dalpha.coefficient((i, j)) * reeb
+        if lhs != rhs:
+            failures.append({"pair": f"(X{i},X{j})", "nijenhuis": str(lhs), "required": str(rhs)})
+    return failures
+
+
 @dataclass(frozen=True)
-class SasakianCheck:
-    ok: bool
+class SasakianStructure:
     contact: ContactStructure
     J: Endo
     g_j: Metric
-    failures: tuple = ()
-
-    def first_failure(self) -> dict | None:
-        return self.failures[0] if self.failures else None
 
 
-def check_sasakian(contact: ContactStructure, J: Endo) -> SasakianCheck:
+def check_sasakian(contact: ContactStructure, J: Endo) -> SasakianStructure:
     """Verify N_J = -d(alpha) (x) R on all basis pairs, exactly.
 
     Requires the calibration axioms; a calibration failure raises
-    NotCalibratedError before any Nijenhuis evaluation.
+    NotCalibratedError before any Nijenhuis evaluation. A Nijenhuis failure
+    raises NotSasakianError carrying every failing pair.
     """
     g_j = check_calibrated_complex(contact, J)
-    dalpha = contact.alg.d(contact.alpha)
-    failures = []
-    for (i, j), lhs in nijenhuis_tensor(J, contact.alg).table.items():
-        rhs = -dalpha.coefficient((i, j)) * contact.reeb
-        if lhs != rhs:
-            failures.append(
-                {
-                    "pair": f"(X{i},X{j})",
-                    "nijenhuis": str(lhs),
-                    "required": str(rhs),
-                }
-            )
-    return SasakianCheck(
-        ok=not failures, contact=contact, J=J, g_j=g_j, failures=tuple(failures)
-    )
+    failures = _nijenhuis_failures(contact.alg, J, contact.alg.d(contact.alpha), contact.reeb)
+    if failures:
+        raise NotSasakianError(failures)
+    return SasakianStructure(contact=contact, J=J, g_j=g_j)
 
 
 def volume_constant(n: int) -> tuple[Fraction, Fraction]:
@@ -337,9 +356,7 @@ def _proportionality(lhs: ComplexKForm, rhs: ComplexKForm) -> Fraction | None:
     return ratio
 
 
-def _check_epsilon_clauses(
-    alg, kappa, reebs, J, epsilon, n, strict_def31, check_lie=True
-) -> ComplexKForm:
+def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> ComplexKForm:
     """Basic / type-(n,0) / closedness / normalization clauses for epsilon.
 
     A real epsilon is taken as a complex form; the checked form is returned.
@@ -357,14 +374,13 @@ def _check_epsilon_clauses(
                 f"iota_R{idx} epsilon != 0",
                 {"contraction": str(cont)},
             )
-        if check_lie:
-            lie = lie_derivative(reeb, epsilon, alg)
-            if not lie.is_zero:
-                raise CCYError(
-                    "ccy.basic",
-                    f"Lie derivative of epsilon along R{idx} != 0",
-                    {"lie_derivative": str(lie)},
-                )
+        lie = lie_derivative(reeb, epsilon, alg)
+        if not lie.is_zero:
+            raise CCYError(
+                "ccy.basic",
+                f"Lie derivative of epsilon along R{idx} != 0",
+                {"lie_derivative": str(lie)},
+            )
     # (b) type (n,0): iota_{Jv} epsilon = i iota_v epsilon for every basis v.
     for i, jv in enumerate(zip(*J.matrix), start=1):
         lhs = contract(Vector(jv), epsilon)
@@ -416,12 +432,6 @@ def check_ccy(
     own errors.
     """
     sasakian = check_sasakian(contact, J)
-    if not sasakian.ok:
-        raise NotSasakianError(
-            "sasakian.nijenhuis",
-            "N_J != -d(alpha) (x) R",
-            sasakian.first_failure() or {},
-        )
     epsilon = _check_epsilon_clauses(
         contact.alg, contact.kappa, [contact.reeb], J, epsilon, contact.n, strict_def31
     )
@@ -442,17 +452,7 @@ class HypoStructure:
     omega3: KForm
 
 
-@dataclass(frozen=True)
-class HypoCheck:
-    ok: bool
-    clauses: tuple
-    structure: HypoStructure | None = None
-
-    def failing(self) -> list[Clause]:
-        return [c for c in self.clauses if not c.ok]
-
-
-def check_hypo(alpha, omega1, omega2, omega3, alg: LieAlgebra) -> HypoCheck:
+def check_hypo(alpha, omega1, omega2, omega3, alg: LieAlgebra) -> Verdict:
     """Hypo conditions on a 5-dimensional algebra.
 
     Condition 1 and the closedness condition 3 are verified exactly. The
@@ -468,49 +468,34 @@ def check_hypo(alpha, omega1, omega2, omega3, alg: LieAlgebra) -> HypoCheck:
     degrees = [(alpha, 1)] + [(w, 2) for w in omegas]
     if not all(isinstance(f, KForm) and f.degree == k for f, k in degrees):
         raise InputError("Hypo structures need a real 1-form alpha and three real 2-forms")
-    clauses = []
-    ok_products = True
-    detail: dict = {}
+    # each clause fails exactly when its witness is nonempty
+    products: dict = {}
     for (a, wa), (b, wb) in combinations(enumerate(omegas, start=1), 2):
         prod = wa.wedge(wb)
         if not prod.is_zero:
-            ok_products = False
-            detail[f"omega{a}^omega{b}"] = str(prod)
+            products[f"omega{a}^omega{b}"] = str(prod)
     squares = [w.wedge(w) for w in omegas]
     v = squares[0]
     if squares[1] != v or squares[2] != v:
-        ok_products = False
-        detail["squares"] = ", ".join(str(s) for s in squares)
+        products["squares"] = ", ".join(str(s) for s in squares)
     if v.is_zero:
-        ok_products = False
-        detail["v"] = "0"
-    v_alpha = v.wedge(alpha)
-    if v_alpha.is_zero:
-        ok_products = False
-        detail["v^alpha"] = "0"
-    clauses.append(Clause("hypo.1.products", ok_products, detail))
-    clauses.append(
-        Clause(
-            "hypo.2.compatibility",
-            ok_products,
-            {"note": "verified in weakened exact form (wedge orthogonality and equal squares)"},
-        )
+        products["v"] = "0"
+    if v.wedge(alpha).is_zero:
+        products["v^alpha"] = "0"
+    closed: dict = {}
+    for name, form in (("omega1", omega1), ("omega2^alpha", omega2.wedge(alpha)),
+                       ("omega3^alpha", omega3.wedge(alpha))):
+        dform = alg.d(form)
+        if not dform.is_zero:
+            closed[f"d({name})"] = str(dform)
+    note = {"note": "verified in weakened exact form (wedge orthogonality and equal squares)"}
+    clauses = (
+        Clause("hypo.1.products", not products, products),
+        Clause("hypo.2.compatibility", not products, note),
+        Clause("hypo.3.closedness", not closed, closed),
     )
-    closed_detail: dict = {}
-    ok_closed = True
-    d_omega1 = alg.d(omega1)
-    if not d_omega1.is_zero:
-        ok_closed = False
-        closed_detail["d(omega1)"] = str(d_omega1)
-    for name, w in (("omega2", omega2), ("omega3", omega3)):
-        dw = alg.d(w.wedge(alpha))
-        if not dw.is_zero:
-            ok_closed = False
-            closed_detail[f"d({name}^alpha)"] = str(dw)
-    clauses.append(Clause("hypo.3.closedness", ok_closed, closed_detail))
-    ok = ok_products and ok_closed
-    structure = HypoStructure(alpha, omega1, omega2, omega3) if ok else None
-    return HypoCheck(ok=ok, clauses=tuple(clauses), structure=structure)
+    ok = not (products or closed)
+    return Verdict(clauses, HypoStructure(alpha, omega1, omega2, omega3) if ok else None)
 
 
 @dataclass(frozen=True)
@@ -531,23 +516,14 @@ class RContactStructure:
         return (self.alg.dim - self.r) // 2
 
 
-@dataclass(frozen=True)
-class RContactCheck:
-    ok: bool
-    clauses: tuple
-    structure: RContactStructure | None = None
-
-    def failing(self) -> list[Clause]:
-        return [c for c in self.clauses if not c.ok]
-
-
 def check_r_contact_ccy(
     alg: LieAlgebra, alphas, J: Endo, epsilon, strict_def31: bool = False
-) -> RContactCheck:
+) -> Verdict:
     """Verify an r-contact Calabi-Yau structure clause by clause.
 
-    For r = 1 this delegates to the full contact Calabi-Yau chain so both
-    paths always give the same verdict.
+    One chain for every r, stopping at the first failing clause: equal
+    differentials, volume, Reeb family, calibration, for r = 1 the Sasakian
+    (Nijenhuis) condition, then the epsilon clauses of check_ccy.
     """
     alphas = list(alphas)
     r = len(alphas)
@@ -558,76 +534,38 @@ def check_r_contact_ccy(
     if not all(isinstance(a, KForm) and a.dim == alg.dim and a.degree == 1 for a in alphas):
         raise InputError("alpha must be a degree-1 form on the algebra")
     n = (alg.dim - r) // 2
-    if r == 1:
-        try:
-            contact = check_contact(alg, alphas[0])
-            ccy = check_ccy(contact, J, epsilon, strict_def31)
-        except CheckError as exc:
-            return RContactCheck(
-                ok=False, clauses=(Clause(exc.check, False, exc.witness),)
-            )
-        structure = RContactStructure(
-            alg=alg,
-            alphas=(contact.alpha,),
-            reebs=(contact.reeb,),
-            kappa=contact.kappa,
-            J=J,
-            epsilon=ccy.epsilon,
-        )
-        return RContactCheck(
-            ok=True, clauses=(Clause("ccy.delegated", True, {}),), structure=structure
-        )
-
     clauses = []
-
-    def fail(name: str, detail: dict) -> RContactCheck:
-        clauses.append(Clause(name, False, detail))
-        return RContactCheck(ok=False, clauses=tuple(clauses))
-
-    dalpha = alg.d(alphas[0])
-    for idx, a in enumerate(alphas[1:], start=2):
-        da = alg.d(a)
-        if da != dalpha:
-            return fail(
-                "rccy.equal_differentials",
-                {"d(alpha1)": str(dalpha), f"d(alpha{idx})": str(da)},
-            )
-    clauses.append(Clause("rccy.equal_differentials", True, {}))
-
-    volume = _volume(alphas, dalpha, n)
-    if volume.is_zero:
-        return fail("rccy.volume", {"alpha1^...^alphar^(dalpha)^n": "0"})
-    clauses.append(Clause("rccy.volume", True, {"volume_form": str(volume)}))
-
     try:
+        dalpha = alg.d(alphas[0])
+        for idx, a in enumerate(alphas[1:], start=2):
+            da = alg.d(a)
+            if da != dalpha:
+                witness = {"d(alpha1)": str(dalpha), f"d(alpha{idx})": str(da)}
+                raise CheckError("rccy.equal_differentials", "d(alpha_i) differ", witness)
+        clauses.append(Clause("rccy.equal_differentials", True))
+        volume = _volume(alphas, dalpha, n)
+        if volume.is_zero:
+            witness = {"alpha1^...^alphar^(dalpha)^n": "0"}
+            raise CheckError("rccy.volume", "the volume form is zero", witness)
+        clauses.append(Clause("rccy.volume", True, {"volume_form": str(volume)}))
         reebs = _solve_reeb(alphas, dalpha)
-    except NotContactError:
-        return fail("rccy.reeb_family", {"note": "no unique Reeb family"})
-    clauses.append(
-        Clause("rccy.reeb_family", True, {f"R{i + 1}": str(v) for i, v in enumerate(reebs)})
-    )
-
-    kappa = dalpha * Fraction(1, 2)
-    try:
+        if reebs is None:
+            note = {"note": "no unique Reeb family"}
+            raise CheckError("rccy.reeb_family", "no unique Reeb family", note)
+        reeb_detail = {f"R{i + 1}": str(v) for i, v in enumerate(reebs)}
+        clauses.append(Clause("rccy.reeb_family", True, reeb_detail))
+        kappa = dalpha * Fraction(1, 2)
         _check_calibration(alg, kappa, alphas, reebs, J)
-    except NotCalibratedError as exc:
-        return fail(exc.check, exc.witness)
-    clauses.append(Clause("rccy.calibrated", True, {}))
-
-    try:
-        epsilon = _check_epsilon_clauses(
-            alg, kappa, reebs, J, epsilon, n, strict_def31, check_lie=False
-        )
-    except CCYError as exc:
-        return fail(exc.check, exc.witness)
-    clauses.append(Clause("rccy.epsilon", True, {}))
-
-    structure = RContactStructure(
-        alg=alg,
-        alphas=tuple(alphas),
-        reebs=tuple(reebs),
-        kappa=kappa,
-        J=J,
-        epsilon=epsilon,
-    )
-    return RContactCheck(ok=True, clauses=tuple(clauses), structure=structure)
+        clauses.append(Clause("rccy.calibrated", True))
+        if r == 1:
+            failures = _nijenhuis_failures(alg, J, dalpha, reebs[0])
+            if failures:
+                raise NotSasakianError(failures)
+            clauses.append(Clause("rccy.sasakian", True))
+        epsilon = _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31)
+        clauses.append(Clause("rccy.epsilon", True))
+    except CheckError as exc:
+        clauses.append(Clause(exc.check, False, exc.witness))
+        return Verdict(tuple(clauses))
+    structure = RContactStructure(alg, tuple(alphas), tuple(reebs), kappa, J, epsilon)
+    return Verdict(tuple(clauses), structure)

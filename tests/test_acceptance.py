@@ -195,7 +195,7 @@ def test_criterion_11_r_contact_ccy():
     with criterion(11, "r-contact structure passes; r = 1 reduction agrees"):
         alg, alphas, J, epsilon = kodaira_thurston_data()
         assert check_r_contact_ccy(alg, alphas, J, epsilon).ok
-        # r = 1 delegation agrees with the direct chain, on success and failure
+        # the r = 1 chain agrees with check_ccy, on success and failure
         alg1, alpha1, J1, eps1 = heisenberg_ccy_data(1)
         assert check_r_contact_ccy(alg1, [alpha1], J1, eps1).ok
         assert check_ccy(check_contact(alg1, alpha1), J1, eps1) is not None

@@ -89,6 +89,18 @@ def test_obstruction_filter_requires_contact():
         ccy_obstruction_filter(parse_algebra("(0,0,0,0,12)"), parse_form("2*e5", 5))
 
 
+def test_obstruction_filter_is_refused_outside_dimension_5():
+    # q is the top coefficient of a 5-form: it would vanish identically on
+    # h3 and h7, which carry contact Calabi-Yau structures
+    for spec, alpha in (("(0,0,12)", "2*e3"), ("(0,0,0,0,0,0,12+34+56)", "2*e7")):
+        alg = parse_algebra(spec)
+        with pytest.raises(InputError):
+            ccy_obstruction_filter(alg, parse_form(alpha, alg.dim))
+    catalog = Catalog.from_json('[{"name":"h3","spec":"(0,0,12)"}]')
+    (entry,) = classify_catalog(catalog, seed=0).entries
+    assert entry.admits_contact and entry.filter_samples == ()
+
+
 def test_obstruction_filter_runs_on_other_contact_algebras():
     for spec in ("(0,0,12,13,14+23)", "(0,0,0,12,13+24)"):
         verdict = ccy_obstruction_filter(parse_algebra(spec), parse_form("2*e5", 5))

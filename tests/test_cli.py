@@ -376,3 +376,91 @@ def test_complex_or_wrong_degree_alphas_are_input_errors(capsys):
         code, report = run(capsys, *argv)
         assert code == 2, argv
         assert report["status"] == "error"
+
+
+# -- exit-code contract of the check commands (hypothesis) -------------------
+
+import contextlib
+import io
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+CONTACT_ALGEBRAS = (
+    "(0,0,12)",
+    "(23,-13,12)",
+    "(0,0,0)",
+    "(0,0,0,0,12+34)",
+    "(0,0,12,13,14+23)",
+    "(0,0,0,13,12+34)",
+)
+HYPO_OMEGAS = ("e1^e2 + e3^e4", "e1^e3 - e2^e4", "e1^e4 + e2^e3", "e1^e2", "e3^e5")
+SCALARS = ("1", "2", "-1", "i", "3/5+4/5*i")
+
+
+def run_contract(argv):
+    """Run a valid argv and check the report against its exit code.
+
+    Values are passed as --flag=value: a separate value starting with "-",
+    such as -3*e5, is an argparse usage error.
+    """
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    assert code in (0, 1), argv
+    report = json.loads(buf.getvalue())  # exactly one JSON document
+    assert report["status"] == ("pass" if code == 0 else "fail"), argv
+    if code == 1:
+        assert any(c.get("verdict") == "fail" for c in report["checks"]), argv
+    return code
+
+
+@st.composite
+def one_forms(draw, dim):
+    if draw(st.booleans()):  # a multiple of e_dim, as in the shipped structures
+        return f"{draw(st.sampled_from(('1', '2', '1/2', '-3')))}*e{dim}"
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
+    return " + ".join(f"({c})*e{i}" for i, c in enumerate(coeffs, start=1) if c)
+
+
+@st.composite
+def structures(draw):
+    spec = draw(st.sampled_from(CONTACT_ALGEBRAS))
+    dim = spec.count(",") + 1
+    n = (dim - 1) // 2
+    order = list(range(1, dim + 1)) if draw(st.booleans()) else draw(st.permutations(range(1, dim + 1)))
+    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(n)]
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    factors = "^".join(f"(e{a}{s}i*e{b})" for (a, b), s in zip(pairs, signs))
+    J = "pairs:" + ",".join(f"({a},{b})" for a, b in pairs)
+    epsilon = f"({draw(st.sampled_from(SCALARS))})*{factors}"
+    return spec, draw(one_forms(dim)), J, epsilon, draw(st.booleans())
+
+
+@given(structures())
+@example(("(0,0,12)", "2*e3", "pairs:(1,2)", "e1 + i*e2", False))
+@example(("(0,0,0,0,12+34)", "2*e5", "pairs:(1,2),(3,4)", "(e1+i*e2)^(e3+i*e4)", False))
+@settings(max_examples=100, deadline=None)
+def test_check_commands_keep_the_exit_code_contract(structure):
+    spec, alpha, J, epsilon, strict = structure
+    flags = [f"--algebra={spec}", f"--J={J}", f"--epsilon={epsilon}"] + ["--strict-def31"] * strict
+    run_contract(["check-contact", f"--algebra={spec}", f"--alpha={alpha}"])
+    run_contract(["check-sasakian", f"--algebra={spec}", f"--alpha={alpha}", f"--J={J}"])
+    ccy = run_contract(["check-ccy", f"--alpha={alpha}", *flags])
+    assert run_contract(["check-rccy", f"--alphas={alpha}", *flags]) == ccy
+
+
+@given(
+    st.sampled_from(CONTACT_ALGEBRAS[3:]),
+    one_forms(5),
+    st.lists(st.sampled_from(HYPO_OMEGAS), min_size=3, max_size=3),
+    one_forms(4),
+    st.sampled_from(("e1 + i*e2", "e1 - i*e2", "2*e1 + 2*i*e2", "e1 + i*e4")),
+)
+@example("(0,0,0,0,12+34)", "2*e5", list(HYPO_OMEGAS[:3]), "2*e3 + 2*e4", "e1 + i*e2")
+@settings(max_examples=60, deadline=None)
+def test_hypo_and_two_alpha_rccy_keep_the_exit_code_contract(spec, alpha, omegas, alpha2, epsilon):
+    omega_flags = [f"--omega{k}={w}" for k, w in enumerate(omegas, start=1)]
+    run_contract(["check-hypo", f"--algebra={spec}", f"--alpha={alpha}", *omega_flags])
+    run_contract(["check-rccy", "--algebra=(0,0,12,0)", f"--alphas=2*e3; {alpha2}",
+                  "--J=pairs:(1,2)", f"--epsilon={epsilon}"])

@@ -411,3 +411,46 @@ def test_reeb_solution_unique_and_exact():
         contact = check_contact(alg, alpha)
         assert evaluate(alpha, [contact.reeb]) == 1
         assert iota(contact.reeb, alg.d(alpha)).is_zero
+
+
+# odd-dimensional algebras, nilpotent and not, with and without contact forms;
+# on the non-unimodular (12,0,0) and (12,0,34,0,0), d alpha can have maximal
+# rank while alpha vanishes on its kernel (alpha = e1, e1 + e3), the one
+# non-contact case where the Reeb system is short of full rank by one
+CONTACT_SPECS = (
+    "(0,0,12)",
+    "(23,-13,12)",
+    "(0,0,0)",
+    "(12,0,0)",
+    "(12,0,34,0,0)",
+    "(0,0,0,0,12+34)",
+    "(0,0,12,13,14+23)",
+    "(0,0,0,12,13+24)",
+    "(0,0,0,0,12)",
+    "(0,0,0,0,0,0,12+34+56)",
+    "(0,0,12,13,14+23,15+24,16+25)",
+)
+
+
+def test_contact_verdict_matches_volume_oracle():
+    # check_contact decides alpha ^ (d alpha)^n != 0 by the rank of the Reeb
+    # system; the oracle expands the wedge power
+    from nilgeo.structures import NotContactError, _volume, check_contact
+
+    rng = random.Random(1958)
+    verdicts = []
+    for spec in CONTACT_SPECS:
+        alg = parse_algebra(spec)
+        n = (alg.dim - 1) // 2
+        for _ in range(150):
+            alpha = rand_form(rng, alg.dim, 1, sparsity=rng.randint(1, alg.dim))
+            expected = not _volume([alpha], alg.d(alpha), n).is_zero
+            try:
+                check_contact(alg, alpha)
+                verdict = True
+            except NotContactError as exc:
+                assert exc.check == "contact.volume"
+                verdict = False
+            assert verdict == expected, (spec, str(alpha))
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -5,13 +5,14 @@ import pytest
 
 from nilgeo.algdsl import parse_algebra, parse_endo, parse_form
 from nilgeo.cealg import LieAlgebra
-from nilgeo.errors import InputError
+from nilgeo.errors import CheckError, InputError
 from nilgeo.exterior import ComplexKForm, Endo, KForm, Vector
 from nilgeo.models import heisenberg_ccy_data, kodaira_thurston_data
 from nilgeo.structures import (
     CCYError,
     NotCalibratedError,
     NotContactError,
+    NotSasakianError,
     check_calibrated_complex,
     check_ccy,
     check_contact,
@@ -119,8 +120,11 @@ def test_nijenhuis_vanishes_on_abelian():
 
 
 def test_sasakian_examples():
-    assert check_sasakian(check_contact(H3, ALPHA3), J3).ok
-    assert check_sasakian(check_contact(A5, ALPHA5), J5).ok
+    for alg, alpha, J in ((H3, ALPHA3, J3), (A5, ALPHA5, J5)):
+        contact = check_contact(alg, alpha)
+        sasakian = check_sasakian(contact, J)
+        assert sasakian.contact is contact and sasakian.J is J
+        assert sasakian.g_j == check_calibrated_complex(contact, J)
 
 
 def test_sasakian_fails_at_calibration_stage_for_bad_j():
@@ -134,10 +138,12 @@ def test_sasakian_failure_reports_pair():
     # [X1, X3] = -X4 breaks the Nijenhuis condition at (X1, X3)
     alg = parse_algebra("(0,0,0,13,12+34)")
     contact = check_contact(alg, ALPHA5)
-    result = check_sasakian(contact, parse_endo("pairs:(1,2),(3,4)", 5))
-    assert not result.ok
-    assert result.first_failure()["pair"] == "(X1,X3)"
-    assert result.first_failure()["nijenhuis"] == "X4"
+    with pytest.raises(NotSasakianError) as err:
+        check_sasakian(contact, parse_endo("pairs:(1,2),(3,4)", 5))
+    assert err.value.check == "sasakian.nijenhuis"
+    assert err.value.witness["pair"] == "(X1,X3)"
+    assert err.value.witness["nijenhuis"] == "X4"
+    assert err.value.failures[0] == err.value.witness
 
 
 def test_volume_constant_values():
@@ -255,13 +261,17 @@ def test_rccy_kodaira_thurston():
 def test_rccy_r1_reduction_matches_ccy():
     result = check_r_contact_ccy(H3, [ALPHA3], J3, EPS3)
     assert result.ok
-    # a failing input gives the same clause on both paths
-    bad = EPS3.scale(2)
-    reduced = check_r_contact_ccy(H3, [ALPHA3], J3, bad)
-    assert not reduced.ok
-    with pytest.raises(CCYError) as err:
-        check_ccy(check_contact(H3, ALPHA3), J3, bad)
-    assert reduced.failing()[0].name == err.value.check
+    assert [c.name for c in result.clauses] == [
+        "rccy.equal_differentials", "rccy.volume", "rccy.reeb_family",
+        "rccy.calibrated", "rccy.sasakian", "rccy.epsilon"]
+    # a failing input gives the same clause and witness on both paths: a
+    # wrong normalization, and a calibrated J that is not normal
+    not_normal = parse_algebra("(0,0,0,13,12+34)")
+    for alg, alpha, J, eps in ((H3, ALPHA3, J3, EPS3.scale(2)), (not_normal, ALPHA5, J5, EPS5)):
+        (failed,) = check_r_contact_ccy(alg, [alpha], J, eps).failing()
+        with pytest.raises(CheckError) as err:
+            check_ccy(check_contact(alg, alpha), J, eps)
+        assert (failed.name, failed.detail) == (err.value.check, err.value.witness)
 
 
 def test_rccy_duplicate_alpha_fails_volume():
@@ -269,6 +279,19 @@ def test_rccy_duplicate_alpha_fails_volume():
     result = check_r_contact_ccy(alg, [alphas[0], alphas[0]], J, eps)
     assert not result.ok
     assert result.failing()[0].name == "rccy.volume"
+
+
+def test_rccy_basic_needs_a_vanishing_lie_derivative_for_every_r():
+    # de1 = e14, de2 = -e24: iota_R (e1 + i e2) = 0 for both Reeb fields, but
+    # L_R2 epsilon = iota_R2 d epsilon != 0 with R2 = 1/2 X4
+    alg = parse_algebra("(14,-24,12,0)")
+    alphas = [parse_form("2*e3", 4), parse_form("2*e3 + 2*e4", 4)]
+    result = check_r_contact_ccy(alg, alphas, parse_endo("pairs:(1,2)", 4),
+                                 parse_form("e1 + i*e2", 4))
+    assert [c.name for c in result.clauses][:-1] == [
+        "rccy.equal_differentials", "rccy.volume", "rccy.reeb_family", "rccy.calibrated"]
+    (failed,) = result.failing()
+    assert failed.name == "ccy.basic" and "lie_derivative" in failed.detail
 
 
 def test_rccy_unequal_differentials_detected():
@@ -305,7 +328,7 @@ def test_sasakian_basis_independence():
         ]
     )
     contact = check_contact(conjugated, alpha_new)
-    assert check_sasakian(contact, j_new).ok
+    check_sasakian(contact, j_new)  # raises unless Sasakian
 
 
 # su(2), sl(2,R) with an elliptic Reeb field, and sl(2,R) with a hyperbolic
@@ -316,9 +339,12 @@ def test_sasakian_basis_independence():
     [("(23,-13,12)", True), ("(-23,13,12)", True), ("(-23,-13,12)", False)],
 )
 def test_sasakian_verdicts_on_three_dimensional_simple_algebras(spec, sasakian):
-    alg = parse_algebra(spec)
-    result = check_sasakian(check_contact(alg, parse_form("e3", 3)), J3)
-    assert result.ok is sasakian
+    contact = check_contact(parse_algebra(spec), parse_form("e3", 3))
+    if sasakian:
+        check_sasakian(contact, J3)
+    else:
+        with pytest.raises(NotSasakianError):
+            check_sasakian(contact, J3)
 
 
 def _nijenhuis_by_definition(J, alg, x, y):
