@@ -42,7 +42,7 @@ from .exterior import ComplexKForm, Endo, KForm, Vector, rat
 # algebra notation
 # ---------------------------------------------------------------------------
 
-_PAIR_TERM = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?(\d)(\d)$")
+_PAIR_TERM = re.compile(r"^(?:(\d+(?:/\d*[1-9]\d*)?)\*)?(\d)(\d)$")
 
 
 def _parse_entry(entry: str, k: int, dim: int) -> KForm:
@@ -263,7 +263,7 @@ class _FormParser:
             if self.peek() == "/":
                 self.take()
                 den = self.take()
-                if not den.isdigit():
+                if not den.isdigit() or not int(den):
                     raise InputError(f"bad rational denominator {den!r}")
                 return Rat(Fraction(int(tok), int(den)))
             return Rat(Fraction(int(tok)))
@@ -384,7 +384,7 @@ def parse_endo(text: str, dim: int) -> Endo:
     raise InputError("endomorphism must be pairs:(a,b),... or matrix:[[...]]")
 
 
-_VEC_TERM = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?X(\d+)$")
+_VEC_TERM = re.compile(r"^(?:(\d+(?:/\d*[1-9]\d*)?)\*)?X(\d+)$")
 
 
 def parse_vector(text: str, dim: int) -> Vector:

@@ -2,7 +2,8 @@
 
 Every subcommand parses its inputs, dispatches to the library, and prints a
 machine-readable JSON report. Exit codes: 0 all checks pass, 1 a geometric
-check failed (the report says which clause), 2 input or parse error.
+check failed (the report says which clause), 2 input, parse or usage error,
+3 an internal guard (ArithmeticError) fired, named in the error document.
 
 Any structured flag value may be given as "@path" to read the value from a
 file. The environment variable NILGEO_SEED provides the default sampling
@@ -16,6 +17,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,6 +58,7 @@ from .structures import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -444,8 +447,15 @@ def cmd_classify(args) -> int:
     return _emit(report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError: one JSON error document, exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilgeo",
         description="Exact verification of invariant contact Calabi-Yau geometry on Lie algebras",
     )
@@ -536,33 +546,34 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # built on first use, not at import
 
 
+def _error(exc: Exception, status: str = "error", **fields) -> None:
+    print(json.dumps({"tool": "nilgeo", "error": str(exc), **fields, "status": status}, indent=2))
+
+
+def _raised_in(exc: BaseException) -> str:
+    """module.function of the innermost nilgeo frame that raised exc."""
+    where = "nilgeo"
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        if frame.f_globals.get("__name__", "").startswith("nilgeo."):
+            where = f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+    return where
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
-    except (InputError, json.JSONDecodeError) as exc:
-        print(json.dumps({"tool": "nilgeo", "error": str(exc), "status": "error"}, indent=2))
-        return EXIT_INPUT
+    except SystemExit as exc:  # --help and --version print their text
+        return EXIT_INPUT if exc.code else EXIT_PASS
     except CheckError as exc:
-        print(
-            json.dumps(
-                {
-                    "tool": "nilgeo",
-                    "error": str(exc),
-                    "check": exc.check,
-                    "witness": exc.witness,
-                    "status": "fail",
-                },
-                indent=2,
-            )
-        )
+        _error(exc, check=exc.check, witness=exc.witness, status="fail")
         return EXIT_FAIL
-    except NilgeoError as exc:
-        print(json.dumps({"tool": "nilgeo", "error": str(exc), "status": "error"}, indent=2))
+    except (NilgeoError, json.JSONDecodeError) as exc:
+        _error(exc)
         return EXIT_INPUT
+    except ArithmeticError as exc:
+        _error(exc, guard=_raised_in(exc))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

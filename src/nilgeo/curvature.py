@@ -1,8 +1,8 @@
 """Left-invariant Riemannian geometry, all exact.
 
 Every curvature quantity is a contraction of two tables, the algebra's
-`structure_constants` and the Connection's `gamma`, each built once per
-algebra and metric:
+`structure_constants` and the Connection's Christoffel table, each built once
+per algebra and metric:
 
     c[i][j][k]      X_k component of [X_i, X_j]        (structure constants)
     gamma[i][j][k]  X_k component of nabla_{X_i} X_j   (Christoffel symbols)
@@ -12,7 +12,11 @@ contractions over it, and the transverse connection of a contact structure is
 tabulated the same way on the basis, so its Ricci tensor, parallelism flags and
 torsion are contractions too. The transverse Ricci tensor is computed both
 from the curvature definition and from the Ricci identity, as a cross-check.
-Tables are plain nested sequences of Fractions indexed from 0.
+
+The kernels are fraction-free: each rational input table is carried as int
+numerators over one common denominator (`linalg.scaled`), the contractions
+multiply and add ints, and each reported entry becomes a Fraction exactly
+once. Tables are nested sequences indexed from 0.
 
 Sign conventions, pinned so the curvature of the standard contact Calabi-Yau
 examples comes out with lambda = -2:
@@ -25,15 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .cealg import LieAlgebra
 from .errors import CheckError, InputError
 from .exterior import KForm, Metric, Vector, covector, two_form_matrix
-from .linalg import axpy, bilinear, contract_first, dot, lincomb, matvec
+from .linalg import axpy, bilinear, contract_first, dot, lincomb, matvec, scaled
 from .structures import induced_metric, xi_basis
-
-_ZERO = Fraction(0)
 
 
 class NotAlphaEinsteinError(CheckError):
@@ -43,12 +46,22 @@ class NotAlphaEinsteinError(CheckError):
 @dataclass(frozen=True)
 class Connection:
     """Levi-Civita connection as one Christoffel table (see the module doc),
-    with the inverse metric it was raised by."""
+    gamma = num / den in ints, with the inverse metric it was raised by and the
+    structure constants c = c_num / c_den; `gamma` is the table as Fractions."""
 
     alg: LieAlgebra
     metric: Metric
-    gamma: tuple
     ginv: tuple
+    num: list
+    den: int
+    c_num: list
+    c_den: int
+
+    @cached_property
+    def gamma(self) -> tuple:
+        return tuple(
+            tuple(tuple(Fraction(x, self.den) for x in cell) for cell in row) for row in self.num
+        )
 
     def nabla_basis(self, i: int, j: int) -> Vector:
         """nabla_{X_i} X_j for 1-based basis indices."""
@@ -61,37 +74,42 @@ def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
     The lowered symbols are raised by the inverse metric. The raised table is
     verified to be torsion-free and metric-compatible before it is returned
     (an internal consistency guard, not a user-facing check).
+
+    With g = G / D, g^-1 = M / E and c = C / Cd in ints, twice the lowered
+    symbols lie over Cd D, so gamma = M.(twice lowered) / (2 E Cd D).
     """
     n = alg.dim
     if g.dim != n:
         raise InputError("metric dimension mismatch")
     if not g.is_positive_definite():
         raise InputError("levi_civita: metric is not positive definite")
-    c = alg.structure_constants
-    gm = g.matrix
+    c, cd = scaled(alg.structure_constants)
+    gm, d = scaled(g.matrix)
     ginv = g.inverse_matrix()
-    # gc[i][j][k] = g([X_i, X_j], X_k)
-    gc = [[matvec(gm, cell) if any(cell) else cell for cell in row] for row in c]
-    gamma = []
+    m, e = scaled(ginv)
+    # twice the lowered symbols, low_ijk = gc_ijk - gc_jki + gc_kij over cd d, for
+    # gc_ijk = g([X_i, X_j], X_k): each nonzero gc entry lands in three places
+    low = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(c):
+        for j, cell in enumerate(row):
+            if any(cell):
+                for k, v in enumerate(matvec(gm, cell)):
+                    if v:
+                        low[i][j][k] += v
+                        low[k][i][j] -= v
+                        low[j][k][i] += v
+    num = [[matvec(m, cell) if any(cell) else cell for cell in row] for row in low]
+    torsion = 2 * e * d  # gamma_ij - gamma_ji = c_ij reads num_ij - num_ji = torsion C_ij
     for i in range(n):
-        row = []
         for j in range(n):
-            low = []
-            for k in range(n):
-                a, b, d = gc[i][j][k], gc[j][k][i], gc[k][i][j]
-                low.append((a - b + d) / 2 if a or b or d else _ZERO)
-            row.append(tuple(matvec(ginv, low)))
-        gamma.append(tuple(row))
-    for i in range(n):
-        for j in range(n):
-            if any(gamma[i][j][k] - gamma[j][i][k] != c[i][j][k] for k in range(n)):
+            if any(a - b != torsion * x for a, b, x in zip(num[i][j], num[j][i], c[i][j])):
                 raise ArithmeticError(f"Koszul connection has torsion at ({i + 1},{j + 1})")
-        lowered = [matvec(gm, cell) for cell in gamma[i]]
+        lowered = [matvec(gm, cell) if any(cell) else cell for cell in num[i]]
         for j in range(n):
             for k in range(j, n):
                 if lowered[j][k] + lowered[k][j] != 0:
                     raise ArithmeticError(f"connection not metric at ({i + 1},{j + 1},{k + 1})")
-    return Connection(alg, g, tuple(gamma), tuple(tuple(r) for r in ginv))
+    return Connection(alg, g, tuple(tuple(r) for r in ginv), num, torsion * cd, c, cd)
 
 
 def riemann(conn: Connection, x: Vector, y: Vector, z: Vector) -> Vector:
@@ -117,24 +135,29 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
     Ric_ij = sum_m gamma_ij^m t_m - sum_km gamma_im^k gamma_kj^m
              - sum_km c_ki^m gamma_mj^k,   t_m = sum_k gamma_km^k,
 
-    the three terms of trace(Z -> R(Z, X_i) X_j). Pass `conn` to reuse the
-    connection of (alg, g) instead of building it again.
+    the three terms of trace(Z -> R(Z, X_i) X_j). Over the connection's ints,
+    gamma = Gamma / Delta and c = C / Cd, the numerator of Ric_ij is
+    Cd (Gamma_ij.t - sum Gamma Gamma) - Delta sum C Gamma, over Cd Delta^2.
+    Pass `conn` to reuse the connection of (alg, g) instead of building it again.
     """
-    if conn is None:
-        conn = levi_civita(alg, g)
+    conn = conn or levi_civita(alg, g)
     n = alg.dim
-    gamma, c, ginv = conn.gamma, alg.structure_constants, conn.ginv
-    trace = [sum((gamma[k][m][k] for k in range(n)), _ZERO) for m in range(n)]
-    ric = [[_ZERO] * n for _ in range(n)]
+    gamma, delta, c, cd = conn.num, conn.den, conn.c_num, conn.c_den
+    trace = [sum(gamma[k][m][k] for k in range(n)) for m in range(n)]
+    # the nonzero factors gamma_im^k and c_ki^m of the quadratic terms, by i
+    gam_nz = [[(m, k, x) for m in range(n) for k, x in enumerate(g_i[m]) if x] for g_i in gamma]
+    c_nz = [[(k, m, x) for k in range(n) for m, x in enumerate(c[k][i]) if x] for i in range(n)]
+    num = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            # the quadratic terms gamma_im^k gamma_kj^m and c_ki^m gamma_mj^k
-            pairs = [(gamma[i][m][k], gamma[k][j][m]) for m in range(n) for k in range(n)]
-            pairs += [(c[k][i][m], gamma[m][j][k]) for k in range(n) for m in range(n)]
-            quadratic = sum((a * b for a, b in pairs if a and b), _ZERO)
-            ric[i][j] = ric[j][i] = dot(gamma[i][j], trace) - quadratic
-    scalar = sum((dot(ginv[i], ric[i]) for i in range(n)), _ZERO)
-    return CurvatureReport(ricci=tuple(tuple(r) for r in ric), scalar=scalar)
+            quadratic = sum(x * gamma[k][j][m] for m, k, x in gam_nz[i])
+            bracket = sum(x * gamma[m][j][k] for k, m, x in c_nz[i])
+            num[i][j] = num[j][i] = cd * (dot(gamma[i][j], trace) - quadratic) - delta * bracket
+    den = cd * delta * delta
+    ric = tuple(tuple(Fraction(x, den) for x in row) for row in num)
+    m, e = scaled(conn.ginv)
+    scalar = Fraction(sum(dot(mi, ri) for mi, ri in zip(m, num)), e * den)
+    return CurvatureReport(ricci=ric, scalar=scalar)
 
 
 def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):
@@ -192,45 +215,51 @@ class TransverseReport:
         return all(not x for row in self.ric_t for x in row)
 
 
-def _project(v: list, cov, reeb) -> list:
-    """v - alpha(v) R in place: the projection onto the contact distribution."""
-    axpy(v, -dot(cov, v), reeb)
-    return v
+def _project(v: list, cov, reeb, s: int) -> list:
+    """s (v - alpha(v) R), alpha = cov / a, R = reeb / r, s = a r: the projection
+    onto the contact distribution, times s to stay integral."""
+    out = [s * x for x in v]
+    axpy(out, -dot(cov, v), reeb)
+    return out
 
 
-def _transverse_table(conn: Connection, cov, reeb) -> list:
-    """T[a][b] = nabla^T(X_a, X_b) for the contact form with coefficients cov.
+def _transverse_table(conn: Connection, cov, reeb, s: int) -> tuple[list, int]:
+    """T[a][b] = nabla^T(X_a, X_b) for the contact form alpha = cov / a with
+    Reeb field R = reeb / r, s = a r; returns (numerators, den).
 
     The case split of the transverse connection, extended linearly: the part of
     X_a tangent to the distribution acts through the projected Levi-Civita
     derivative, the Reeb part alpha(X_a) R through the bracket [R, X_b].
     """
-    along_reeb = contract_first(conn.gamma, reeb)  # nabla_R X_b
-    bracket_reeb = contract_first(conn.alg.structure_constants, reeb)  # [R, X_b]
+    gamma, delta, c, cd = conn.num, conn.den, conn.c_num, conn.c_den
+    along_reeb = contract_first(gamma, reeb)  # nabla_R X_b, over r delta
+    bracket_reeb = contract_first(c, reeb)  # [R, X_b], over r cd
     table = []
-    for a, row in enumerate(conn.gamma):
+    for a, row in enumerate(gamma):
         table.append([])
         for b, cell in enumerate(row):
-            v = list(cell)
+            v = [s * x for x in cell]  # nabla_{X_a} X_b - alpha_a nabla_R X_b, over s delta
             if cov[a]:
                 axpy(v, -cov[a], along_reeb[b])
-            _project(v, cov, reeb)
+            v = [cd * x for x in _project(v, cov, reeb, s)]  # over s^2 delta cd
             if cov[a]:
-                axpy(v, cov[a], bracket_reeb[b])
+                axpy(v, s * delta * cov[a], bracket_reeb[b])
             table[a].append(v)
-    return table
+    return table, s * s * delta * cd
 
 
 def _preserves(matrix, frame, moved) -> bool:
     """B(D x, y) + B(x, D y) == 0 for x, y in the frame and every D, where
-    B(u, v) = u^T matrix v and moved[p][a] = D_p frame[a]."""
+    B(u, v) = u^T matrix v and moved[p][a] = D_p frame[a]. B is symmetric or
+    antisymmetric, so the condition is too, and x <= y suffices."""
+    matrix, _ = scaled(matrix)
     right = [matvec(matrix, f) for f in frame]
     left = [matvec(list(zip(*matrix)), f) for f in frame]
     return all(
-        dot(dx, my) + dot(mx, dy) == 0
+        dot(d[x], right[y]) + dot(left[x], d[y]) == 0
         for d in moved
-        for dx, mx in zip(d, left)
-        for dy, my in zip(d, right)
+        for x in range(len(frame))
+        for y in range(x, len(frame))
     )
 
 
@@ -250,74 +279,88 @@ def transverse_ricci(
     transverse connection and the Ricci identity Ric^T = Ric + 2g on the
     distribution. `conn` and `full`, when given, must be levi_civita(alg, g)
     and its ricci_scalar report; they are reused instead of rebuilt.
+
+    Every table is contracted over ints; the comments give its denominator.
+    ric_t and rho_t are reported in the frame itself, not in its numerators.
     """
     contact = structure.contact
     alg = contact.alg
-    if g is None:
-        g = getattr(structure, "metric", None)
-        if g is None:
-            g = induced_metric(structure.g_j, contact.alpha)
-    if conn is None:
-        conn = levi_civita(alg, g)
-    if full is None:
-        full = ricci_scalar(alg, g, conn)
-    n, c, J = alg.dim, alg.structure_constants, structure.J
-    cov = covector(contact.alpha)
-    reeb = contact.reeb.coeffs
+    g = g or getattr(structure, "metric", None) or induced_metric(structure.g_j, contact.alpha)
+    conn = conn or levi_civita(alg, g)
+    full = full or ricci_scalar(alg, g, conn)
+    n, c, cd, J = alg.dim, conn.c_num, conn.c_den, structure.J
+    cov, a = scaled(covector(contact.alpha))
+    reeb, r = scaled(contact.reeb.coeffs)
+    s = a * r
     frame = xi_basis(alg, [contact.alpha])
-    fs = [f.coeffs for f in frame]
-    T = _transverse_table(conn, cov, reeb)
-    along = [contract_first(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k)
+    fs, fd = scaled([f.coeffs for f in frame])  # f_a = fs[a] / fd
+    T, td = _transverse_table(conn, cov, reeb, s)
+    along = [contract_first(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k), over fd td
 
     # curvature-definition path: sum_ab w_ab R^T(x, f_a) f_b, w the inverse
-    # Gram matrix of the frame; wf[a] = sum_b w_ab f_b
-    wf = [lincomb(fs, wa) for wa in linalg.inverse(g.restrict(frame))]
-    tau = [_ZERO] * n  # sum_ab w_ab nabla^T(f_a, f_b)
+    # Gram matrix of the frame, inverted from its ints g(f_a, f_b) d fd^2
+    gm, d = scaled(g.matrix)
+    gframe = [matvec(gm, f) for f in fs]  # g f_a, over d fd
+    w, wd = scaled(linalg.inverse([[dot(x, gy) for gy in gframe] for x in fs]))
+    w = [[d * fd * fd * x for x in row] for row in w]  # over wd
+    wf = [lincomb(fs, wa) for wa in w]  # sum_b w_ab f_b, over wd fd
+    tau = [0] * n  # sum_ab w_ab nabla^T(f_a, f_b), over wd fd^2 td
     for ta, v in zip(along, wf):
         axpy(tau, 1, lincomb(ta, v))
-    gframe = [matvec(g.matrix, f) for f in fs]
-    ric_t = []
+    along_wf = [[lincomb(tp, v) for tp in T] for v in wf]  # nabla^T(X_p, wf_a), over wd fd td
+    ric_num = []
     for x, tx in zip(fs, along):
-        cx = contract_first(c, x)
-        q = lincomb(tx, tau)
-        for f, ta, v in zip(fs, along, wf):
+        cx = contract_first(c, x)  # [f_x, X_j], over cd fd
+        q = lincomb(tx, tau)  # over wd fd^3 td^2
+        bracket = [0] * n  # over cd wd fd^3 td
+        for f, ta, v, tv in zip(fs, along, wf, along_wf):
             axpy(q, -1, lincomb(ta, lincomb(tx, v)))
-            axpy(q, -1, bilinear(T, lincomb(cx, f), v))
-        ric_t.append([dot(q, gy) for gy in gframe])
-    ric_frame = [matvec(full.ricci, y) for y in fs]
-    ric_t_id = [
-        [dot(x, ry) + 2 * dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs
+            axpy(bracket, 1, lincomb(tv, lincomb(cx, f)))
+        q = [cd * p - td * b for p, b in zip(q, bracket)]  # over cd wd fd^3 td^2
+        ric_num.append([dot(q, gy) for gy in gframe])
+    ric_den = cd * wd * fd**4 * td**2 * d
+    ric, rd = scaled(full.ricci)
+    ric_frame = [matvec(ric, y) for y in fs]
+    id_num = [  # over rd d fd^2
+        [d * dot(x, ry) + 2 * rd * dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs
     ]
-    if ric_t != ric_t_id:
+    id_den = rd * d * fd**2
+    if any(p * id_den != q * ric_den for rp, rq in zip(ric_num, id_num) for p, q in zip(rp, rq)):
+        definition = [[Fraction(p, ric_den) for p in row] for row in ric_num]
+        identity = [[Fraction(q, id_den) for q in row] for row in id_num]
         raise ArithmeticError(
             "transverse Ricci computations disagree: "
-            f"definition {ric_t} vs identity {ric_t_id}"
+            f"definition {definition} vs identity {identity}"
         )
-    columns = [list(row) for row in zip(*fs)]
-    coords = [linalg.solve(columns, list(J.apply(x).coeffs)) for x in frame]
-    if None in coords:
+    jm, jd = scaled(J.matrix)
+    jframe = [matvec(jm, f) for f in fs]  # J f_a, over jd fd
+    if any(dot(cov, jf) for jf in jframe):
         raise InputError("vector does not lie in the span of the frame")
-    rho_t = [[dot(cj, col) for col in zip(*ric_t)] for cj in coords]
+    # J f_a = sum_b coords[a][b] f_b: coords[a] = w (g(f_c, J f_a))_c, over wd d jd fd^2
+    coords = [matvec(w, [dot(gy, jf) for gy in gframe]) for jf in jframe]
+    rho_num = [[dot(cj, col) for col in zip(*ric_num)] for cj in coords]
+    rho_den = wd * d * jd * fd**2 * ric_den
 
-    moved = [[lincomb(T[p], f) for f in fs] for p in range(n)]  # nabla^T(X_p, f_a)
-    jframe = [matvec(J.matrix, f) for f in fs]
+    moved = [[lincomb(T[p], f) for f in fs] for p in range(n)]  # nabla^T(X_p, f_a), over fd td
     parallel_j = all(
-        lincomb(T[p], jf) == matvec(J.matrix, d)
+        lincomb(T[p], jf) == matvec(jm, mf)
         for p in range(n)
-        for jf, d in zip(jframe, moved[p])
+        for jf, mf in zip(jframe, moved[p])
     )
     dalpha = two_form_matrix(alg.d(contact.alpha))
+    # T(f_x, f_y) - T(f_y, f_x) over fd^2 td; the projected bracket over s cd fd^2
     torsion_ok = all(
-        lincomb(tx, y)
-        == [a + b for a, b in zip(lincomb(ty, x), _project(bilinear(c, x, y), cov, reeb))]
+        [s * cd * (p - q) for p, q in zip(lincomb(tx, y), lincomb(ty, x))]
+        == [td * b for b in _project(bilinear(c, x, y), cov, reeb, s)]
         for x, tx in zip(fs, along)
         for y, ty in zip(fs, along)
     )
+    ric_t = tuple(tuple(Fraction(p, ric_den) for p in row) for row in ric_num)
     return TransverseReport(
         frame=tuple(frame),
-        ric_t=tuple(tuple(r) for r in ric_t),
-        ric_t_identity=tuple(tuple(r) for r in ric_t_id),
-        rho_t=tuple(tuple(r) for r in rho_t),
+        ric_t=ric_t,
+        ric_t_identity=ric_t,
+        rho_t=tuple(tuple(Fraction(p, rho_den) for p in row) for row in rho_num),
         parallel_j=parallel_j,
         parallel_g_j=_preserves(structure.g_j.matrix, fs, moved),
         parallel_d_alpha=_preserves(dalpha, fs, moved),

@@ -4,13 +4,14 @@ One elimination: a sparse forward elimination over Q that buckets the rows
 by leading column and takes the shortest row of a bucket as pivot. rank and
 rank_sparse count its pivots; det multiplies them; rref, solve, nullspace and
 inverse read the reduced row echelon form after one sparse back-reduction.
-Then the zero-skipping vector and table contractions that the structure
-checks and the curvature layer are written in. Everything works on
-`fractions.Fraction`; nothing is ever rounded.
+Then `scaled` (a table as ints over one denominator) and the zero-skipping
+contractions that the structure checks and the curvature layer are written
+in, over Fractions or ints alike; nothing is ever rounded.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
@@ -160,11 +161,26 @@ def nullspace(matrix, ncols: int | None = None) -> list[list[Fraction]]:
     return basis
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
+def scaled(table) -> tuple[list, int]:
+    """(numerators, den): a rectangular nested table of rationals as Python
+    ints of the same nesting over den, the lcm of its denominators."""
+    flat, shape = table, []
+    while flat and isinstance(flat[0], (list, tuple)):
+        shape.append(len(flat[0]))
+        flat = [x for row in flat for x in row]
+    ratios = [x.as_integer_ratio() for x in flat]
+    den = math.lcm(*(q for _, q in ratios))
+    out = [p * (den // q) for p, q in ratios]
+    for size in reversed(shape):
+        out = [out[k : k + size] for k in range(0, len(out), size)]
+    return out, den
 
 
-def matvec(matrix, v) -> list[Fraction]:
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v) if a and b)
+
+
+def matvec(matrix, v) -> list:
     return [dot(row, v) for row in matrix]
 
 
@@ -175,20 +191,20 @@ def axpy(out: list, c, v) -> None:
             out[k] += c * x
 
 
-def lincomb(cells, v) -> list[Fraction]:
+def lincomb(cells, v) -> list:
     """sum_k v[k] cells[k]: a linear combination of the vectors in cells."""
-    out = [_ZERO] * len(cells[0])
+    out = [0] * len(cells[0])
     for vk, cell in zip(v, cells):
         if vk:
             axpy(out, vk, cell)
     return out
 
 
-def contract_first(table, u) -> list[list[Fraction]]:
+def contract_first(table, u) -> list[list]:
     """The first slot of a table against u: cells[j] = sum_i u[i] table[i][j]."""
     return [lincomb(column, u) for column in zip(*table)]
 
 
-def bilinear(table, u, v) -> list[Fraction]:
+def bilinear(table, u, v) -> list:
     """sum_ij u[i] v[j] table[i][j]."""
     return lincomb(contract_first(table, u), v)

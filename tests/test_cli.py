@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nilgeo.cli import main
 
 
@@ -464,3 +466,60 @@ def test_hypo_and_two_alpha_rccy_keep_the_exit_code_contract(spec, alpha, omegas
     run_contract(["check-hypo", f"--algebra={spec}", f"--alpha={alpha}", *omega_flags])
     run_contract(["check-rccy", "--algebra=(0,0,12,0)", f"--alphas=2*e3; {alpha2}",
                   "--J=pairs:(1,2)", f"--epsilon={epsilon}"])
+
+
+# -- usage errors and internal guards ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["check-contact", "--algebra", "(0,0,12)"], "required: --alpha"),
+        (["check-contact", "--algebra", "(0,0,0,0,12+34)", "--alpha", "-3*e5"], "--alpha: expected one argument"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "required: command"),
+        (["moduli-kernel", "--N", "x"], "invalid int value"),
+    ],
+)
+def test_usage_errors_print_one_error_document(capsys, argv, says):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert report["status"] == "error" and set(report) == {"tool", "error", "status"}
+    assert says in report["error"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["curvature", "--help"]])
+def test_help_and_version_keep_exit_zero_and_their_text(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: nilgeo") or out.startswith("nilgeo ")
+
+
+def test_zero_denominator_coefficient_is_an_input_error(capsys):
+    structure = ("--alpha", "2*e3", "--J", "pairs:(1,2)", "--epsilon", "e1 + i*e2")
+    for argv in (
+        ("check-contact", "--algebra", "(0,0,12)", "--alpha", "1/0*e3"),
+        ("check-contact", "--algebra", "(0,0,12)", "--alpha", "e3 + 1/00*e1"),
+        ("check-contact", "--algebra", "(0,0,1/0*12)", "--alpha", "e3"),
+        ("legendrian", "--algebra", "(0,0,12)", *structure, "--span", "1/0*X1"),
+    ):
+        code, report = run(capsys, *argv)
+        assert code == 2 and report["status"] == "error", argv
+
+
+def test_internal_guard_exits_3_with_one_document(capsys, monkeypatch):
+    from nilgeo.exterior import Metric
+
+    inverse = Metric.inverse_matrix
+    monkeypatch.setattr(Metric, "inverse_matrix", lambda g: [[2 * x for x in row] for row in inverse(g)])
+    code = main(["curvature", "--algebra", "(0,0,12)", "--metric", "[[1,0,0],[0,1,0],[0,0,4]]"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert report["guard"] == "nilgeo.curvature.levi_civita"
+    assert "torsion" in report["error"]

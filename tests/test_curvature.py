@@ -175,13 +175,14 @@ def milnor_ricci(alg, g):
     )
 
 
-def random_rational_metric(rng, n):
-    """L D L^T with L unit lower triangular and D positive, both rational."""
+def random_rational_metric(rng, n, den=3):
+    """L D L^T with L unit lower triangular and D positive, both rational
+    with denominators up to den."""
     low = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
-            low[i][j] = Q(rng.randint(-3, 3), rng.randint(1, 3))
-    diag = [Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n)]
+            low[i][j] = Q(rng.randint(-3, 3), rng.randint(1, den))
+    diag = [Q(rng.randint(1, 4), rng.randint(1, den)) for _ in range(n)]
     return Metric(
         [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
     )
@@ -218,3 +219,105 @@ def test_transverse_ricci_on_su2_and_sl2(spec, sign):
     expected = tuple(tuple(2 * sign * x for x in row) for row in g.restrict(report.frame))
     assert report.ric_t == report.ric_t_identity == expected
     assert report.parallel_j and report.parallel_g_j and report.torsion_matches_bracket
+
+
+# -- fraction-free kernels against the per-entry Fraction reference ----------
+
+from nilgeo import linalg
+from nilgeo.algdsl import parse_endo
+from nilgeo.cealg import change_of_basis
+from nilgeo.curvature import _preserves
+from nilgeo.exterior import Endo, pullback
+from nilgeo.models import heisenberg_ccy_data
+from nilgeo.structures import check_ccy, check_contact, check_sasakian
+
+from . import fraction_curvature as reference
+from .test_properties import rand_rational_frame
+
+
+def transport(rng, alg, alpha, J, epsilon=None):
+    """A structure rewritten in a random rational frame: alpha, J (and
+    epsilon) become rational, not integral. Verified as CCY with epsilon,
+    else as Sasakian."""
+    cols = rand_rational_frame(rng, alg.dim)
+    frame = [Vector(col) for col in cols]
+    p = [list(row) for row in zip(*cols)]
+    jp = Endo(linalg.inverse(p)).matrix
+    j_new = [[sum(jp[i][k] * J.matrix[k][l] * p[l][j] for k in range(alg.dim) for l in range(alg.dim))
+              for j in range(alg.dim)] for i in range(alg.dim)]
+    contact = check_contact(change_of_basis(alg, cols), pullback(alpha, frame))
+    if epsilon is None:
+        return check_sasakian(contact, Endo(j_new))
+    return check_ccy(contact, Endo(j_new), pullback(epsilon, frame))
+
+
+SU2_SL2 = [parse_algebra("(23,-13,12)"), parse_algebra("(-23,13,12)")]
+
+
+def test_connection_and_ricci_match_the_fraction_reference():
+    rng = random.Random(7)
+    algebras = [entry.algebra() for entry in Catalog.default()] + SU2_SL2
+    algebras += [change_of_basis(parse_algebra(spec), rand_rational_frame(rng, spec.count(",") + 1))
+                 for spec in ("(0,0,12)", "(0,0,0,0,12+34)", "(0,0,12,13,14+23)", "(23,-13,12)")]
+    for alg in algebras:
+        for _ in range(3):
+            g = random_rational_metric(rng, alg.dim, den=6)
+            assert levi_civita(alg, g).gamma == reference.gamma_table(alg, g)
+            assert ricci_scalar(alg, g) == reference.ricci_report(alg, g)
+
+
+def test_transverse_ricci_matches_the_fraction_reference():
+    # R is central on the Heisenberg structures and ric_t = 0 there; su(2) and
+    # sl(2,R) give a non-central R and ric_t != 0, with alpha = c e3 so that
+    # alpha and R have denominators, and in rational frames so that the frame
+    # of the contact distribution has denominators too
+    rng = random.Random(11)
+    sasakian = [
+        (alg, parse_form(alpha, 3), parse_endo("pairs:(1,2)", 3))
+        for alg in SU2_SL2
+        for alpha in ("e3", "2*e3", "1/2*e3")
+    ]
+    transported = [transport(rng, *heisenberg_ccy_data(n)) for n in (1, 1, 2)]
+    transported += [transport(rng, *data) for data in sasakian[::2]]
+    frames = [transverse_ricci(s).frame for s in transported[3:]]
+    assert any(x.denominator > 1 for frame in frames for f in frame for x in f.coeffs)
+    structures = [heisenberg_ccy(n) for n in (1, 2, 3, 4)] + transported
+    structures += [check_sasakian(check_contact(alg, alpha), J) for alg, alpha, J in sasakian]
+    for structure in structures:
+        assert transverse_ricci(structure) == reference.transverse_report(structure)
+
+
+def test_preservation_check_matches_the_reference_on_every_pair():
+    # symmetric and antisymmetric B; the diagonal pairs x == y count too
+    rng = random.Random(3)
+    for sign in (1, -1) * 20:
+        n, k = rng.randint(2, 4), rng.randint(1, 3)
+        upper = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        matrix = [[upper[min(i, j)][max(i, j)] * (sign if i > j else 1) for j in range(n)] for i in range(n)]
+        if sign < 0:
+            matrix = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+        frame = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
+        moved = [[[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(k)] for _ in range(2)]
+        assert _preserves(matrix, frame, moved) == reference._preserves(matrix, frame, moved)
+    assert not _preserves([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[[1, 0], [0, 0]]])
+
+
+def test_wrong_inverse_metric_trips_the_torsion_guard(monkeypatch):
+    inverse = Metric.inverse_matrix
+    monkeypatch.setattr(Metric, "inverse_matrix", lambda g: [[2 * x for x in row] for row in inverse(g)])
+    with pytest.raises(ArithmeticError, match="torsion"):
+        levi_civita(H3, G_CCY)
+
+
+def test_inverse_metric_wrong_off_the_brackets_trips_the_metric_guard(monkeypatch):
+    # right on X3, which spans the brackets of H3, so the torsion guard passes
+    monkeypatch.setattr(Metric, "inverse_matrix", lambda g: [[2, 0, 0], [0, 1, 0], [0, 0, Q(1, 4)]])
+    with pytest.raises(ArithmeticError, match="not metric"):
+        levi_civita(H3, G_CCY)
+
+
+def test_wrong_ricci_report_trips_the_transverse_guard():
+    structure = heisenberg_ccy(1)
+    wrong = ricci_scalar(structure.alg, Metric.identity(3))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        transverse_ricci(structure, full=wrong)
