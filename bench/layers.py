@@ -1,7 +1,8 @@
-"""Layer timings of the curvature kernels, paired with end-to-end benchmark runs.
+"""Layer timings of the curvature kernels and the structure checks, paired with
+end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --out BENCH_7.json
+        --pairs 10 --seconds 30 --out BENCH_8.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -10,7 +11,12 @@ levi_civita, ricci_scalar and transverse_ricci:
 - on the shipped contact Calabi-Yau structures of the Heisenberg algebras,
   n = 1..5 (dim 3..11), all three kernels;
 - on the filiform algebras F4..F9 ([X1, X_i] = X_{i+1}) with seeded rational
-  L D L^T metrics, levi_civita and ricci_scalar (no contact structure).
+  L D L^T metrics, levi_civita and ricci_scalar (no contact structure), and
+  the metric's own eliminations: a fresh Metric of those entries, then
+  is_positive_definite and inverse_matrix;
+- and check_contact + check_ccy on the Heisenberg structure data,
+  n = 1..10 (dim 3..21; compact notation stops at dim 9, so the data come
+  from models.heisenberg_ccy_data).
 
 A point is the median of REPEATS timed loops, each long enough to take at
 least MIN_LOOP_S; a slope is the least-squares fit of log(time) against
@@ -43,6 +49,7 @@ from pathlib import Path
 from time import perf_counter
 
 HEISENBERG = (1, 2, 3, 4, 5)
+STRUCTURE_N = tuple(range(1, 11))
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 REPEATS = 7
@@ -99,7 +106,8 @@ def measure(tree: Path) -> dict:
     from nilgeo.algdsl import parse_algebra
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.exterior import Metric
-    from nilgeo.models import heisenberg_ccy
+    from nilgeo.models import heisenberg_ccy, heisenberg_ccy_data
+    from nilgeo.structures import check_ccy, check_contact
 
     rows = []
     for n in HEISENBERG:
@@ -119,19 +127,36 @@ def measure(tree: Path) -> dict:
         )
     rng = random.Random(METRIC_SEED)
     for m in FILIFORM:
-        alg, g = parse_algebra(filiform_spec(m)), Metric(ldl_metric(rng, m))
+        entries = ldl_metric(rng, m)
+        alg, g = parse_algebra(filiform_spec(m)), Metric(entries)
         conn = levi_civita(alg, g)
+
+        def eliminate():
+            fresh = Metric(entries)
+            return fresh.is_positive_definite() and fresh.inverse_matrix()
+
         rows.append(
             {
                 "family": "filiform",
                 "dim": m,
                 "levi_civita_ms": timed_ms(lambda: levi_civita(alg, g)),
                 "ricci_scalar_ms": timed_ms(lambda: ricci_scalar(alg, g, conn)),
+                "metric_elimination_ms": timed_ms(eliminate),
+            }
+        )
+    for n in STRUCTURE_N:
+        alg, alpha, J, epsilon = heisenberg_ccy_data(n)
+        rows.append(
+            {
+                "family": "structure",
+                "n": n,
+                "dim": alg.dim,
+                "check_ccy_ms": timed_ms(lambda: check_ccy(check_contact(alg, alpha), J, epsilon)),
             }
         )
     slopes = {}
-    for family in ("heisenberg", "filiform"):
-        for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci"):
+    for family in ("heisenberg", "filiform", "structure"):
+        for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -220,6 +245,7 @@ def main() -> None:
         },
         "layers": {
             "heisenberg_n": list(HEISENBERG),
+            "structure_n": list(STRUCTURE_N),
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
             "repeats": REPEATS,

@@ -19,7 +19,8 @@ degree-0 factors, so scalar multiplication needs no special case. A
 generator e<digits> is a single index when the value is within the declared
 dimension; for dimension at most 9 a larger multi-digit generator with
 strictly increasing digits is the compact monomial (e12 = e1^e2), so
-rendered forms parse back to themselves.
+rendered forms parse back to themselves. A product whose two sides have more
+than MAX_WEDGE_PAIRS pairs of terms is refused before it is expanded.
 
 Algebras of dimension at most 9 use the compact pair notation; larger ones
 use the JSON format {"dim": n, "d": {"k": [[coef, i, j], ...]}} with
@@ -279,6 +280,13 @@ def parse_form_expr(text: str):
     return tree, parser.saw_imag
 
 
+# The largest |a| * |b| (term counts) of one wedge. Goldens and benchmark
+# inputs reach 16, the Heisenberg form (e1+i*e2)^...^(e19+i*e20) 1024; generic
+# 1-forms on dimension 30 exceed it at the fourth factor (1832 * 30), where a
+# 2-CPU x86-64 host spends 0.6 s (9 s on a fifth factor, 142506 terms).
+MAX_WEDGE_PAIRS = 2**14
+
+
 def _elaborate(node, dim: int) -> ComplexKForm:
     if isinstance(node, Gen):
         if 1 <= node.index <= dim:
@@ -300,7 +308,12 @@ def _elaborate(node, dim: int) -> ComplexKForm:
     if isinstance(node, Wedge):
         out = _elaborate(node.factors[0], dim)
         for factor in node.factors[1:]:
-            out = out.wedge(_elaborate(factor, dim))
+            value = _elaborate(factor, dim)
+            left, right = (len(f.re.terms) + len(f.im.terms) for f in (out, value))
+            if left * right > MAX_WEDGE_PAIRS:
+                too_large = f"a wedge of {left} by {right} terms exceeds {MAX_WEDGE_PAIRS} term pairs"
+                raise InputError(f"expression too large: {too_large}")
+            out = out.wedge(value)
         return out
     if isinstance(node, Sum):
         total: ComplexKForm | None = None

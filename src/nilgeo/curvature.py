@@ -10,8 +10,8 @@ per algebra and metric:
 gamma comes from the Koszul formula; Ricci and scalar curvature are single
 contractions over it, and the transverse connection of a contact structure is
 tabulated the same way on the basis, so its Ricci tensor, parallelism flags and
-torsion are contractions too. The transverse Ricci tensor is computed both
-from the curvature definition and from the Ricci identity, as a cross-check.
+torsion are contractions too. The transverse Ricci tensor is computed from the
+curvature definition and checked against the Ricci identity.
 
 The kernels are fraction-free: each rational input table is carried as int
 numerators over one common denominator (`linalg.scaled`), the contractions
@@ -196,14 +196,13 @@ class TransverseReport:
     """Transverse Ricci data on the contact distribution.
 
     ric_t is computed from the curvature-definition formula of the transverse
-    connection; ric_t_identity from Ric + 2g. Both are matrices over the
-    supplied frame of the distribution, and agree exactly for a verified
-    structure (a mismatch raises ArithmeticError, signalling a convention bug).
+    connection, as a matrix over the supplied frame of the distribution; it
+    equals Ric + 2g there for a verified structure (transverse_ricci raises
+    ArithmeticError on a mismatch, signalling a convention bug).
     """
 
     frame: tuple
     ric_t: tuple
-    ric_t_identity: tuple
     rho_t: tuple
     parallel_j: bool
     parallel_g_j: bool
@@ -301,7 +300,7 @@ def transverse_ricci(
     # Gram matrix of the frame, inverted from its ints g(f_a, f_b) d fd^2
     gm, d = scaled(g.matrix)
     gframe = [matvec(gm, f) for f in fs]  # g f_a, over d fd
-    w, wd = scaled(linalg.inverse([[dot(x, gy) for gy in gframe] for x in fs]))
+    w, wd = scaled(linalg.sylvester([[dot(x, gy) for gy in gframe] for x in fs])[1])
     w = [[d * fd * fd * x for x in row] for row in w]  # over wd
     wf = [lincomb(fs, wa) for wa in w]  # sum_b w_ab f_b, over wd fd
     tau = [0] * n  # sum_ab w_ab nabla^T(f_a, f_b), over wd fd^2 td
@@ -355,11 +354,9 @@ def transverse_ricci(
         for x, tx in zip(fs, along)
         for y, ty in zip(fs, along)
     )
-    ric_t = tuple(tuple(Fraction(p, ric_den) for p in row) for row in ric_num)
     return TransverseReport(
         frame=tuple(frame),
-        ric_t=ric_t,
-        ric_t_identity=ric_t,
+        ric_t=tuple(tuple(Fraction(p, ric_den) for p in row) for row in ric_num),
         rho_t=tuple(tuple(Fraction(p, rho_den) for p in row) for row in rho_num),
         parallel_j=parallel_j,
         parallel_g_j=_preserves(structure.g_j.matrix, fs, moved),

@@ -418,10 +418,11 @@ class Metric:
 
     Symmetry is enforced at construction; positive definiteness is checked on
     demand via leading principal minors, so degenerate forms (like g_J on the
-    full algebra) are representable.
+    full algebra) are representable. The minors and the inverse come from one
+    fraction-free elimination (`linalg.sylvester`), run on first use and kept.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_elimination")
 
     def __init__(self, matrix):
         rows = tuple(tuple(rat(x) for x in row) for row in matrix)
@@ -465,16 +466,22 @@ class Metric:
     def det(self) -> Fraction:
         return linalg.det(self.matrix)
 
+    def _sylvester(self) -> tuple:
+        """(leading minors up to the first one <= 0, inverse or None), computed once."""
+        if getattr(self, "_elimination", None) is None:
+            object.__setattr__(self, "_elimination", linalg.sylvester(self.matrix))
+        return self._elimination
+
     def inverse_matrix(self) -> list[list[Fraction]]:
-        return linalg.inverse(self.matrix)
+        """The inverse of a positive definite metric; raises ValueError otherwise."""
+        inverse = self._sylvester()[1]
+        if inverse is None:
+            raise ValueError("metric is not positive definite")
+        return [list(row) for row in inverse]
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion with exact leading principal minors."""
-        for k in range(1, self.dim + 1):
-            minor = [row[:k] for row in self.matrix[:k]]
-            if linalg.det(minor) <= 0:
-                return False
-        return True
+        return self._sylvester()[1] is not None
 
     def restrict(self, vectors) -> list[list[Fraction]]:
         """Gram matrix of the given vectors."""

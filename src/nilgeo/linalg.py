@@ -7,6 +7,13 @@ inverse read the reduced row echelon form after one sparse back-reduction.
 Then `scaled` (a table as ints over one denominator) and the zero-skipping
 contractions that the structure checks and the curvature layer are written
 in, over Fractions or ints alike; nothing is ever rounded.
+
+Beside the sparse one, two dense fraction-free eliminations run on those
+ints. `sylvester` is the Gram-matrix elimination (Bareiss 1968), giving the
+leading minors and the inverse of a metric. It takes no row exchanges, so
+pivot k is a leading minor: a positive definite matrix never needs one, and
+any other stops at the first minor <= 0, Sylvester's witness. `pfaffian` is
+the skew elimination of Wimmer 2012 with the same exact division.
 """
 
 from __future__ import annotations
@@ -174,6 +181,65 @@ def scaled(table) -> tuple[list, int]:
     for size in reversed(shape):
         out = [out[k : k + size] for k in range(0, len(out), size)]
     return out, den
+
+
+def sylvester(matrix) -> tuple[list[Fraction], Matrix | None]:
+    """(leading principal minors up to the first one <= 0, inverse or None).
+
+    One fraction-free Gauss-Jordan elimination of [G | I], for the matrix
+    G / D with G in ints: each step divides every row exactly by the previous
+    pivot, so pivot k is D^(k+1) times the (k+1)-th leading minor and the
+    right block ends as the adjugate of G. The inverse is returned when every
+    minor is positive.
+    """
+    n = _require_square(matrix, "sylvester")
+    a, den = scaled(matrix)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    minors, prev = [], 1
+    for k in range(n):
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        minors.append(Fraction(p, den ** (k + 1)))
+        if p <= 0:
+            return minors, None
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return minors, [[Fraction(den * x, prev) for x in row[n:]] for row in rows]
+
+
+def pfaffian(matrix) -> Fraction:
+    """Exact Pfaffian of a skew-symmetric A = S / D (0 in odd size, 1 in size 0).
+
+    Step k pivots on (2k, 2k+1), after exchanging index 2k+1 with the first
+    later index where row 2k is nonzero (the sign flips; a zero row gives 0).
+    Entry (i, j) then becomes the Pfaffian of S on the pivot indices and
+    {i, j}, divided exactly by the previous pivot; the last pivot is +-Pf(S).
+    """
+    n = _require_square(matrix, "pfaffian")
+    if n % 2:
+        return Fraction(0)
+    a, den = scaled(matrix)
+    sign, prev = 1, 1
+    for k in range(0, n, 2):
+        p = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k + 1:
+            a[p], a[k + 1] = a[k + 1], a[p]
+            for row in a:
+                row[p], row[k + 1] = row[k + 1], row[p]
+            sign = -sign
+        u, v = a[k], a[k + 1]
+        pivot = u[k + 1]
+        for i in range(k + 2, n):
+            row = a[i]
+            for j in range(k + 2, n):
+                row[j] = (pivot * row[j] - u[i] * v[j] + u[j] * v[i]) // prev
+        prev = pivot
+    return Fraction(sign * prev, den ** (n // 2))
 
 
 def dot(u, v):

@@ -7,6 +7,11 @@ structure and raise the CheckError subclass of the first failing clause,
 with an exact witness. Multi-clause checks (check_hypo, check_r_contact_ccy)
 return a Verdict: the ordered clauses, each with its witness, and the
 structure when every clause passes.
+
+The clauses are checked over ints, one common denominator per table
+(`linalg.scaled`); Fractions are built only for witnesses. Positivity is one
+Gram-matrix elimination (`linalg.sylvester`). No wedge power is expanded:
+kappa^n = n! sum_I Pf(K_II) e^I, so a coefficient is one `linalg.pfaffian`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .exterior import (
     Vector,
     contract,
     covector,
+    merge_indices,
     two_form_matrix,
 )
 
@@ -95,12 +101,22 @@ class ContactStructure:
         return self.alg.dim
 
 
-def _volume(alphas, dalpha: KForm, n: int) -> KForm:
-    """alpha_1 ^ ... ^ alpha_r ^ (d alpha)^n, the r-contact volume (r = 1: contact)."""
-    volume = alphas[0]
-    for a in alphas[1:]:
-        volume = volume.wedge(a)
-    return volume.wedge(dalpha.power(n))
+def _pfaffian_minor(kmatrix, indices) -> Fraction:
+    """Pf(K_II), the e^I coefficient of kappa^n / n! for K the matrix of kappa."""
+    return linalg.pfaffian([[kmatrix[p - 1][q - 1] for q in indices] for p in indices])
+
+
+def _volume_coefficient(alphas, dalpha: KForm, n: int) -> Fraction:
+    """The coefficient of alpha_1 ^ ... ^ alpha_r ^ (d alpha)^n, the r-contact
+    volume: n! (-1)^(r(r-1)/2) Pf([[D, A], [-A^T, 0]]) for D the matrix of
+    d alpha and A[i][k] = alpha_k(X_i), as that Pfaffian is the top coefficient
+    of exp(d alpha + sum_k alpha_k ^ f_k) in r extra generators f_k."""
+    r = len(alphas)
+    covs = [covector(a) for a in alphas]
+    bordered = [row + [cov[i] for cov in covs] for i, row in enumerate(two_form_matrix(dalpha))]
+    bordered += [[-x for x in cov] + [0] * r for cov in covs]
+    sign = -1 if r * (r - 1) // 2 % 2 else 1
+    return sign * factorial(n) * linalg.pfaffian(bordered)
 
 
 def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
@@ -151,65 +167,57 @@ def xi_basis(alg: LieAlgebra, alphas) -> list[Vector]:
 
 def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
     """The calibration axioms as matrix identities, shared by the contact
-    (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the algebra."""
+    (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the algebra.
+    Over ints: J = jm / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad."""
     dim = alg.dim
-    for idx, reeb in enumerate(reebs, start=1):
-        jr = J.apply(reeb)
-        if not jr.is_zero:
+    jm, jd = linalg.scaled(J.matrix)
+    rs, rd = linalg.scaled([reeb.coeffs for reeb in reebs])
+    for idx, (reeb, r) in enumerate(zip(reebs, rs), start=1):
+        if any(linalg.matvec(jm, r)):
             raise NotCalibratedError(
                 "calibrated.J_reeb",
                 f"J(R_{idx}) != 0",
-                {"reeb": str(reeb), "J_reeb": str(jr)},
+                {"reeb": str(reeb), "J_reeb": str(J.apply(reeb))},
             )
-    jcols = list(zip(*J.matrix))  # jcols[j] = J X_{j+1}
-    j2cols = [linalg.matvec(J.matrix, col) for col in jcols]
-    covs = [covector(a) for a in alphas]
+    jcols = list(zip(*jm))  # jcols[j] = J X_{j+1}, over jd
+    j2cols = [linalg.matvec(jm, col) for col in jcols]  # over jd^2
+    covs, ad = linalg.scaled([covector(a) for a in alphas])
+    s = ad * rd
     for i in range(dim):
         for j in range(dim):
-            expected = sum((r[i] * cov[j] for cov, r in zip(covs, reebs)), -Fraction(int(i == j)))
-            if j2cols[j][i] != expected:
-                raise NotCalibratedError(
-                    "calibrated.J_square",
-                    "J^2 != -I + sum alpha_i (x) R_i",
-                    {
-                        "entry": f"({i + 1},{j + 1})",
-                        "J^2": str(j2cols[j][i]),
-                        "expected": str(expected),
-                    },
-                )
-    # g_J(X_i, X_j) = kappa(X_i, J X_j): the matrix product K J
-    kappa_matrix = two_form_matrix(kappa)
-    g_rows = [list(row) for row in zip(*(linalg.matvec(kappa_matrix, col) for col in jcols))]
+            expected = sum(r[i] * cov[j] for cov, r in zip(covs, rs)) - s * (i == j)  # over s
+            if j2cols[j][i] * s != expected * jd * jd:
+                value, expected = Fraction(j2cols[j][i], jd * jd), Fraction(expected, s)
+                witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(value), "expected": str(expected)}
+                raise NotCalibratedError("calibrated.J_square", "J^2 != -I + sum alpha_i (x) R_i", witness)
+    # g_J(X_i, X_j) = kappa(X_i, J X_j): the matrix product K J, over gd
+    km, kd = linalg.scaled(two_form_matrix(kappa))
+    g_rows = [list(row) for row in zip(*(linalg.matvec(km, col) for col in jcols))]
+    gd = kd * jd
     for i in range(dim):
         for j in range(i):
             if g_rows[i][j] != g_rows[j][i]:
-                raise NotCalibratedError(
-                    "calibrated.symmetric",
-                    "kappa(., J.) is not symmetric",
-                    {
-                        "pair": f"(X{j + 1},X{i + 1})",
-                        "g(Xi,Xj)": str(g_rows[i][j]),
-                        "g(Xj,Xi)": str(g_rows[j][i]),
-                    },
-                )
+                gij, gji = Fraction(g_rows[i][j], gd), Fraction(g_rows[j][i], gd)
+                witness = {"pair": f"(X{j + 1},X{i + 1})", "g(Xi,Xj)": str(gij), "g(Xj,Xi)": str(gji)}
+                raise NotCalibratedError("calibrated.symmetric", "kappa(., J.) is not symmetric", witness)
     xi = xi_basis(alg, alphas)
-    frame = [v.coeffs for v in xi]
+    frame, fd = linalg.scaled([v.coeffs for v in xi])
     gframe = [linalg.matvec(g_rows, v) for v in frame]
-    gram = [[linalg.dot(u, gv) for gv in gframe] for u in frame]
-    for k in range(1, len(xi) + 1):
-        minor = linalg.det([row[:k] for row in gram[:k]])
-        if minor <= 0:
-            raise NotCalibratedError(
-                "calibrated.positive",
-                "g_J is not positive definite on the contact distribution",
-                {
-                    "witness_vector": str(xi[k - 1]),
-                    "leading_minor": str(minor),
-                    "g(v,v)": str(gram[k - 1][k - 1]),
-                },
-            )
+    gram = [[linalg.dot(u, gv) for gv in gframe] for u in frame]  # over gd fd^2
+    minors, inverse = linalg.sylvester(gram)
+    if inverse is None:
+        k, den = len(minors), gd * fd * fd
+        raise NotCalibratedError(
+            "calibrated.positive",
+            "g_J is not positive definite on the contact distribution",
+            {
+                "witness_vector": str(xi[k - 1]),
+                "leading_minor": str(minors[-1] / den**k),
+                "g(v,v)": str(Fraction(gram[k - 1][k - 1], den)),
+            },
+        )
     # J-invariance on xi follows: g_J(Ju, Jv) = kappa(Ju, J^2 v) = -kappa(Ju, v) = g_J(v, u)
-    return Metric(g_rows)
+    return Metric([[Fraction(x, gd) for x in row] for row in g_rows])
 
 
 def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
@@ -221,6 +229,25 @@ def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
     return _check_calibration(
         contact.alg, contact.kappa, [contact.alpha], [contact.reeb], J
     )
+
+
+def _nijenhuis_table(J: Endo, alg: LieAlgebra) -> tuple[dict, int]:
+    """(table, den): table[(i, j)] is N(X_i, X_j) for 1-based i < j, as ints
+    over den = jd^2 Cd, for J = jm / jd and the bracket table c = C / Cd."""
+    c, cd = linalg.scaled(alg.structure_constants)
+    jm, jd = linalg.scaled(J.matrix)
+    jcols = list(zip(*jm))
+    ad_j = [linalg.contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j], over jd cd
+    table = {}
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            # [JX, Y] + [X, JY] - J[X, Y], then N = [JX, JY] - J(...), over jd^2 cd
+            inner = [a - b for a, b in zip(ad_j[i][j], ad_j[j][i])]
+            linalg.axpy(inner, -1, linalg.matvec(jm, c[i][j]))
+            out = linalg.lincomb(ad_j[i], jcols[j])
+            linalg.axpy(out, -1, linalg.matvec(jm, inner))
+            table[(i + 1, j + 1)] = out
+    return table, jd * jd * cd
 
 
 class NijenhuisTensor:
@@ -236,19 +263,8 @@ class NijenhuisTensor:
         self.J = J
         self.alg = alg
         self.dim = alg.dim
-        c, jm = alg.structure_constants, J.matrix
-        jcols = list(zip(*jm))
-        ad_j = [linalg.contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j]
-        table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                # [JX, Y] + [X, JY] - J[X, Y], then N = [JX, JY] - J(...)
-                inner = [a - b for a, b in zip(ad_j[i][j], ad_j[j][i])]
-                linalg.axpy(inner, -1, linalg.matvec(jm, c[i][j]))
-                out = linalg.lincomb(ad_j[i], jcols[j])
-                linalg.axpy(out, -1, linalg.matvec(jm, inner))
-                table[(i + 1, j + 1)] = Vector(out)
-        self.table = table
+        table, den = _nijenhuis_table(J, alg)
+        self.table = {key: Vector([Fraction(x, den) for x in v]) for key, v in table.items()}
 
     def __call__(self, x: Vector, y: Vector) -> Vector:
         out = [Fraction(0)] * self.dim
@@ -264,11 +280,15 @@ def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> NijenhuisTensor:
 
 
 def _nijenhuis_failures(alg: LieAlgebra, J: Endo, dalpha: KForm, reeb: Vector) -> list[dict]:
-    """The basis pairs where N_J != -d(alpha) (x) R, with both sides."""
+    """The basis pairs where N_J != -d(alpha) (x) R, with both sides; for
+    N = num / den, R = rs / rd and d alpha(X_i, X_j) = p / q, num q rd = -p rs den."""
+    table, den = _nijenhuis_table(J, alg)
+    rs, rd = linalg.scaled(reeb.coeffs)
     failures = []
-    for (i, j), lhs in nijenhuis_tensor(J, alg).table.items():
-        rhs = -dalpha.coefficient((i, j)) * reeb
-        if lhs != rhs:
+    for (i, j), num in table.items():
+        p, q = dalpha.coefficient((i, j)).as_integer_ratio()
+        if any(x * q * rd != -p * y * den for x, y in zip(num, rs)):
+            lhs, rhs = Vector([Fraction(x, den) for x in num]), -Fraction(p, q) * reeb
             failures.append({"pair": f"(X{i},X{j})", "nijenhuis": str(lhs), "required": str(rhs)})
     return failures
 
@@ -337,23 +357,31 @@ def induced_metric(g_j: Metric, alpha: KForm) -> Metric:
     return Metric(rows)
 
 
-def _proportionality(lhs: ComplexKForm, rhs: ComplexKForm) -> Fraction | None:
-    """If rhs = t * lhs for a single rational t on every coefficient, return t."""
-    ratio: Fraction | None = None
-    for part_l, part_r in ((lhs.re, rhs.re), (lhs.im, rhs.im)):
-        keys = set(part_l.terms) | set(part_r.terms)
-        for key in keys:
-            a, b = part_l.coefficient(key), part_r.coefficient(key)
-            if not a:
-                if b:
-                    return None
-                continue
-            t = b / a
-            if ratio is None:
-                ratio = t
-            elif ratio != t:
-                return None
-    return ratio
+def _proportionality(lhs, rhs) -> Fraction | None:
+    """The one rational t with rhs = t * lhs in both parts (re, im), if any.
+    On a line of forms one coefficient of each part decides."""
+    ratios = {b / a for a, b in zip(lhs, rhs) if a}
+    if len(ratios) == 1 and all(a or not b for a, b in zip(lhs, rhs)):
+        return ratios.pop()
+    return None
+
+
+def _wedge_conjugate_at(epsilon: ComplexKForm, index) -> tuple[Fraction, Fraction]:
+    """The e^index coefficient of epsilon ^ conj(epsilon) as (re, im), one
+    lookup per term: (a + ib)_J (a - ib)_K summed over J + K = index."""
+    keys = list(set(epsilon.re.terms) | set(epsilon.im.terms))
+    cells, den = linalg.scaled([[epsilon.re.coefficient(k), epsilon.im.coefficient(k)] for k in keys])
+    coeffs = dict(zip(keys, cells))
+    members = set(index)
+    re = im = 0
+    for key, (a, b) in coeffs.items():
+        if members.issuperset(key):
+            rest = tuple(k for k in index if k not in key)
+            sign, _ = merge_indices(key, rest)
+            c, d = coeffs.get(rest, (0, 0))
+            re += sign * (a * c + b * d)
+            im += sign * (b * c - a * d)
+    return Fraction(re, den * den), Fraction(im, den * den)
 
 
 def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> ComplexKForm:
@@ -396,20 +424,27 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
     deps = alg.d(epsilon)
     if not deps.is_zero:
         raise CCYError("ccy.closed", "d epsilon != 0", {"d_epsilon": str(deps)})
-    # (d) normalization
+    # (d) normalization. epsilon ^ conj(epsilon) and kappa^n are horizontal
+    # 2n-forms (every iota_R kills both), a line, so one coefficient decides:
+    # e^I, I the complement of the pivot coordinates of the Reeb fields.
     c_re, c_im = volume_constant(n)
-    top = kappa.power(n)
-    if not strict_def31:
-        top = top * Fraction(1, factorial(n))
-    rhs_form = ComplexKForm(c_re * top, c_im * top)
-    lhs_form = epsilon.wedge(epsilon.conjugate())
-    if lhs_form != rhs_form:
+    scale = factorial(n) if strict_def31 else 1  # kappa^n = n! sum_I Pf(K_II) e^I
+    kmatrix = two_form_matrix(kappa)
+    _, pivots = linalg.rref([reeb.coeffs for reeb in reebs])
+    index = tuple(k for k in range(1, alg.dim + 1) if k - 1 not in pivots)
+    top = scale * _pfaffian_minor(kmatrix, index)
+    lhs, rhs = _wedge_conjugate_at(epsilon, index), (c_re * top, c_im * top)
+    if lhs != rhs:
+        indices = combinations(range(1, alg.dim + 1), 2 * n)
+        top = KForm(alg.dim, 2 * n, {I: scale * _pfaffian_minor(kmatrix, I) for I in indices})
+        rhs_form = ComplexKForm(c_re * top, c_im * top)
+        lhs_form = epsilon.wedge(epsilon.conjugate())
         witness = {
             "lhs (epsilon ^ conj)": str(lhs_form),
             "rhs (required)": str(rhs_form),
             "mode": "strict Def" if strict_def31 else "with 1/n!",
         }
-        ratio = _proportionality(lhs_form, rhs_form)
+        ratio = _proportionality(lhs, rhs)
         if ratio is not None:
             witness["ratio_rhs_over_lhs"] = str(ratio)
         raise CCYError("ccy.normalization", "volume normalization fails", witness)
@@ -543,10 +578,11 @@ def check_r_contact_ccy(
                 witness = {"d(alpha1)": str(dalpha), f"d(alpha{idx})": str(da)}
                 raise CheckError("rccy.equal_differentials", "d(alpha_i) differ", witness)
         clauses.append(Clause("rccy.equal_differentials", True))
-        volume = _volume(alphas, dalpha, n)
-        if volume.is_zero:
+        top = _volume_coefficient(alphas, dalpha, n)
+        if not top:
             witness = {"alpha1^...^alphar^(dalpha)^n": "0"}
             raise CheckError("rccy.volume", "the volume form is zero", witness)
+        volume = KForm.monomial(alg.dim, range(1, alg.dim + 1), top)
         clauses.append(Clause("rccy.volume", True, {"volume_form": str(volume)}))
         reebs = _solve_reeb(alphas, dalpha)
         if reebs is None:

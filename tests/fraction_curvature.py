@@ -89,7 +89,7 @@ def transverse_report(structure) -> TransverseReport:
     contact = structure.contact
     alg = contact.alg
     g = getattr(structure, "metric", None) or induced_metric(structure.g_j, contact.alpha)
-    gamma, full = gamma_table(alg, g), ricci_report(alg, g)
+    gamma = gamma_table(alg, g)
     n, c, J = alg.dim, alg.structure_constants, structure.J
     cov = covector(contact.alpha)
     reeb = contact.reeb.coeffs
@@ -110,8 +110,6 @@ def transverse_report(structure) -> TransverseReport:
             axpy(q, -1, lincomb(ta, lincomb(tx, v)))
             axpy(q, -1, bilinear(T, lincomb(cx, f), v))
         ric_t.append([dot(q, gy) for gy in gframe])
-    ric_frame = [matvec(full.ricci, y) for y in fs]
-    ric_t_id = [[dot(x, ry) + 2 * dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs]
     columns = [list(row) for row in zip(*fs)]
     coords = [linalg.solve(columns, list(J.apply(x).coeffs)) for x in frame]
     rho_t = [[dot(cj, col) for col in zip(*ric_t)] for cj in coords]
@@ -130,10 +128,21 @@ def transverse_report(structure) -> TransverseReport:
     return TransverseReport(
         frame=tuple(frame),
         ric_t=tuple(tuple(r) for r in ric_t),
-        ric_t_identity=tuple(tuple(r) for r in ric_t_id),
         rho_t=tuple(tuple(r) for r in rho_t),
         parallel_j=parallel_j,
         parallel_g_j=_preserves(structure.g_j.matrix, fs, moved),
         parallel_d_alpha=_preserves(dalpha, fs, moved),
         torsion_matches_bracket=torsion_ok,
+    )
+
+
+def ricci_identity(structure) -> tuple:
+    """Ric + 2g on the frame of the contact distribution that transverse_ricci
+    uses: the transverse Ricci tensor by the Ricci identity Ric^T = Ric + 2g."""
+    contact = structure.contact
+    g = getattr(structure, "metric", None) or induced_metric(structure.g_j, contact.alpha)
+    ric = ricci_report(contact.alg, g).ricci
+    fs = [f.coeffs for f in xi_basis(contact.alg, [contact.alpha])]
+    return tuple(
+        tuple(dot(x, matvec(ric, y)) + 2 * dot(x, matvec(g.matrix, y)) for y in fs) for x in fs
     )

@@ -1,0 +1,149 @@
+"""Reference structure computations in per-entry Fraction arithmetic.
+
+These are the wedge power, the r-contact volume as a wedge product, Sylvester's
+criterion by one determinant per leading minor, the Pfaffian by expansion
+along the first row, the calibration and Nijenhuis clauses over Fractions,
+and the volume normalization as an equality of full forms with its ratio read
+off every coefficient, as they were computed before the structure checks
+went fraction-free and polynomial. The tests compare the integer and
+Pfaffian paths against them.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from nilgeo import linalg
+from nilgeo.exterior import ComplexKForm, KForm, Vector, covector, two_form_matrix
+from nilgeo.structures import volume_constant, xi_basis
+
+
+def wedge_power(form: KForm, k: int) -> KForm:
+    """k-fold wedge power; wedge_power(form, 0) is the scalar 1."""
+    out = KForm.scalar(form.dim, 1)
+    for _ in range(k):
+        out = out.wedge(form)
+    return out
+
+
+def volume(alphas, dalpha: KForm, n: int) -> KForm:
+    """alpha_1 ^ ... ^ alpha_r ^ (d alpha)^n, expanded."""
+    out = alphas[0]
+    for a in alphas[1:]:
+        out = out.wedge(a)
+    return out.wedge(wedge_power(dalpha, n))
+
+
+def leading_minors(matrix) -> list[Fraction]:
+    """The leading principal minors up to the first one <= 0, one det each."""
+    minors = []
+    for k in range(1, len(matrix) + 1):
+        minors.append(linalg.det([row[:k] for row in matrix[:k]]))
+        if minors[-1] <= 0:
+            break
+    return minors
+
+
+def pfaffian(matrix) -> Fraction:
+    """Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows and columns 0, j)."""
+    n = len(matrix)
+    if n % 2:
+        return Fraction(0)
+    if not n:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(1, n):
+        if matrix[0][j]:
+            keep = [k for k in range(1, n) if k != j]
+            minor = [[matrix[p][q] for q in keep] for p in keep]
+            total += (-1) ** (j + 1) * matrix[0][j] * pfaffian(minor)
+    return total
+
+
+def calibration_error(alg, kappa, alphas, reebs, J) -> tuple | None:
+    """(check, witness) of the first failing calibration clause, or None."""
+    dim = J.dim
+    for idx, reeb in enumerate(reebs, start=1):
+        jr = J.apply(reeb)
+        if not jr.is_zero:
+            return "calibrated.J_reeb", {"reeb": str(reeb), "J_reeb": str(jr)}
+    jcols = list(zip(*J.matrix))
+    j2cols = [linalg.matvec(J.matrix, col) for col in jcols]
+    covs = [covector(a) for a in alphas]
+    for i in range(dim):
+        for j in range(dim):
+            expected = sum((r[i] * cov[j] for cov, r in zip(covs, reebs)), -Fraction(int(i == j)))
+            if j2cols[j][i] != expected:
+                witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(j2cols[j][i]), "expected": str(expected)}
+                return "calibrated.J_square", witness
+    g = [list(row) for row in zip(*(linalg.matvec(two_form_matrix(kappa), col) for col in jcols))]
+    for i in range(dim):
+        for j in range(i):
+            if g[i][j] != g[j][i]:
+                witness = {"pair": f"(X{j + 1},X{i + 1})", "g(Xi,Xj)": str(g[i][j]), "g(Xj,Xi)": str(g[j][i])}
+                return "calibrated.symmetric", witness
+    xi = xi_basis(alg, alphas)
+    gram = [[linalg.dot(u.coeffs, linalg.matvec(g, v.coeffs)) for v in xi] for u in xi]
+    minors = leading_minors(gram)
+    if minors and minors[-1] <= 0:
+        k = len(minors)
+        witness = {
+            "witness_vector": str(xi[k - 1]),
+            "leading_minor": str(minors[-1]),
+            "g(v,v)": str(gram[k - 1][k - 1]),
+        }
+        return "calibrated.positive", witness
+    return None
+
+
+def nijenhuis_failures(alg, J, dalpha, reeb) -> list[dict]:
+    """N_J(X_i, X_j) by its definition, against -d alpha(X_i, X_j) R."""
+    failures = []
+    for i in range(1, alg.dim + 1):
+        for j in range(i + 1, alg.dim + 1):
+            x, y = Vector.basis(alg.dim, i), Vector.basis(alg.dim, j)
+            jx, jy = J.apply(x), J.apply(y)
+            lhs = (alg.bracket(jx, jy) - J.apply(alg.bracket(jx, y)) - J.apply(alg.bracket(x, jy))
+                   + J.apply(J.apply(alg.bracket(x, y))))
+            rhs = -dalpha.coefficient((i, j)) * reeb
+            if lhs != rhs:
+                failures.append({"pair": f"(X{i},X{j})", "nijenhuis": str(lhs), "required": str(rhs)})
+    return failures
+
+
+def proportionality(lhs: ComplexKForm, rhs: ComplexKForm) -> Fraction | None:
+    """If rhs = t * lhs for a single rational t on every coefficient, return t."""
+    ratio = None
+    for part_l, part_r in ((lhs.re, rhs.re), (lhs.im, rhs.im)):
+        for key in set(part_l.terms) | set(part_r.terms):
+            a, b = part_l.coefficient(key), part_r.coefficient(key)
+            if not a:
+                if b:
+                    return None
+                continue
+            if ratio is None:
+                ratio = b / a
+            elif ratio != b / a:
+                return None
+    return ratio
+
+
+def normalization_witness(kappa, epsilon, n: int, strict_def31: bool) -> dict | None:
+    """None when epsilon ^ conj(epsilon) is the required multiple of kappa^n as
+    full forms, else the ccy.normalization witness."""
+    c_re, c_im = volume_constant(n)
+    top = wedge_power(kappa, n)
+    if not strict_def31:
+        top = top * Fraction(1, factorial(n))
+    rhs = ComplexKForm(c_re * top, c_im * top)
+    lhs = epsilon.wedge(epsilon.conjugate())
+    if lhs == rhs:
+        return None
+    witness = {
+        "lhs (epsilon ^ conj)": str(lhs),
+        "rhs (required)": str(rhs),
+        "mode": "strict Def" if strict_def31 else "with 1/n!",
+    }
+    ratio = proportionality(lhs, rhs)
+    if ratio is not None:
+        witness["ratio_rhs_over_lhs"] = str(ratio)
+    return witness

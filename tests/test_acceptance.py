@@ -22,7 +22,7 @@ from nilgeo.classify import (
 )
 from nilgeo.curvature import check_alpha_einstein, ricci_scalar, transverse_ricci
 from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension, kernel_is_reeb_line
-from nilgeo.exterior import ComplexKForm, KForm, Vector
+from nilgeo.exterior import ComplexKForm, KForm, Metric, Vector
 from nilgeo.legendrian import (
     FamilySpec,
     LegendrianVerdict,
@@ -40,6 +40,8 @@ from nilgeo.structures import (
     check_hypo,
     check_r_contact_ccy,
 )
+
+from .fraction_structures import wedge_power
 
 
 @contextmanager
@@ -75,7 +77,7 @@ def test_criterion_02_normalization_ledger():
         # the two readings differ by exactly n! on the nose
         lhs = epsilon.wedge(epsilon.conjugate())
         kappa = contact.kappa
-        assert ComplexKForm(4 * kappa.power(2), KForm.zero(5, 4)) == ComplexKForm(
+        assert ComplexKForm(4 * wedge_power(kappa, 2), KForm.zero(5, 4)) == ComplexKForm(
             2 * lhs.re, 2 * lhs.im
         )
 
@@ -90,7 +92,11 @@ def test_criterion_03_curvature_constants():
             assert report.scalar == -2 * n
             transverse = transverse_ricci(structure)
             assert transverse.is_zero
-            assert transverse.ric_t == transverse.ric_t_identity
+            # the Ricci identity Ric^T = Ric + 2g on the contact distribution
+            frame = transverse.frame
+            ric, g = Metric(report.ricci).restrict(frame), structure.metric.restrict(frame)
+            identity = tuple(tuple(a + 2 * b for a, b in zip(ra, rb)) for ra, rb in zip(ric, g))
+            assert transverse.ric_t == identity
 
 
 def test_criterion_04_betti_obstructions():

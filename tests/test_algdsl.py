@@ -250,3 +250,31 @@ def test_algebra_serialize_roundtrip_conjugated(spec, ops):
     cols = [[p[i][j] for i in range(n)] for j in range(n)]
     conjugated = change_of_basis(alg, cols)
     assert parse_algebra(serialize_algebra(conjugated)) == conjugated
+
+
+def _generic_one_form(dim: int, seed: int) -> str:
+    return "(" + "+".join(f"{(k * seed) % 7 + 1}*e{k}" for k in range(1, dim + 1)) + ")"
+
+
+def test_wedge_size_bound_refuses_a_large_product_before_expanding_it(capsys):
+    import json
+    import time
+
+    from nilgeo.cli import main
+
+    # five generic 1-forms on dimension 30 expand to about 10^5 terms
+    text = "^".join(_generic_one_form(30, seed) for seed in range(1, 6))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="expression too large"):
+        parse_form(text, 30)
+    argv = ["check-ccy", "--algebra", '{"dim": 31, "d": {}}', "--alpha", "e31",
+            "--J", "pairs:(1,2)", f"--epsilon={text}"]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error" and "expression too large" in json.dumps(report)
+    # three factors stay within the bound, and so does the Heisenberg volume
+    # form at n = 10 (its last wedge is 512 by 2 terms)
+    assert len(parse_form("^".join(_generic_one_form(30, s) for s in (1, 2, 3)), 30).terms) > 1000
+    heisenberg = "^".join(f"(e{2 * k - 1}+i*e{2 * k})" for k in range(1, 11))
+    assert parse_form(heisenberg, 21).degree == 10

@@ -18,6 +18,8 @@ from nilgeo.errors import InputError
 from nilgeo.exterior import Metric, Vector
 from nilgeo.models import heisenberg_ccy
 
+from . import fraction_curvature as reference
+
 H3 = parse_algebra("(0,0,12)")
 G_CCY = Metric.diagonal([1, 1, 4])
 
@@ -103,7 +105,7 @@ def test_transverse_ricci_vanishes_on_ccy():
         structure = heisenberg_ccy(n)
         report = transverse_ricci(structure)
         assert report.is_zero
-        assert report.ric_t == report.ric_t_identity
+        assert report.ric_t == reference.ricci_identity(structure)
         assert all(not x for row in report.rho_t for x in row)
 
 
@@ -217,7 +219,7 @@ def test_transverse_ricci_on_su2_and_sl2(spec, sign):
     assert report.frame == (Vector.basis(3, 1), Vector.basis(3, 2))
     g = induced_metric(sasakian.g_j, sasakian.contact.alpha)
     expected = tuple(tuple(2 * sign * x for x in row) for row in g.restrict(report.frame))
-    assert report.ric_t == report.ric_t_identity == expected
+    assert report.ric_t == reference.ricci_identity(sasakian) == expected
     assert report.parallel_j and report.parallel_g_j and report.torsion_matches_bracket
 
 
@@ -231,24 +233,27 @@ from nilgeo.exterior import Endo, pullback
 from nilgeo.models import heisenberg_ccy_data
 from nilgeo.structures import check_ccy, check_contact, check_sasakian
 
-from . import fraction_curvature as reference
 from .test_properties import rand_rational_frame
 
 
-def transport(rng, alg, alpha, J, epsilon=None):
-    """A structure rewritten in a random rational frame: alpha, J (and
-    epsilon) become rational, not integral. Verified as CCY with epsilon,
-    else as Sasakian."""
+def transported_data(rng, alg, alpha, J, epsilon=None):
+    """Structure data rewritten in a random rational frame: alpha, J (and
+    epsilon) become rational, not integral."""
     cols = rand_rational_frame(rng, alg.dim)
     frame = [Vector(col) for col in cols]
     p = [list(row) for row in zip(*cols)]
     jp = Endo(linalg.inverse(p)).matrix
     j_new = [[sum(jp[i][k] * J.matrix[k][l] * p[l][j] for k in range(alg.dim) for l in range(alg.dim))
               for j in range(alg.dim)] for i in range(alg.dim)]
-    contact = check_contact(change_of_basis(alg, cols), pullback(alpha, frame))
-    if epsilon is None:
-        return check_sasakian(contact, Endo(j_new))
-    return check_ccy(contact, Endo(j_new), pullback(epsilon, frame))
+    epsilon = None if epsilon is None else pullback(epsilon, frame)
+    return change_of_basis(alg, cols), pullback(alpha, frame), Endo(j_new), epsilon
+
+
+def transport(rng, alg, alpha, J, epsilon=None):
+    """transported_data verified as CCY with epsilon, else as Sasakian."""
+    alg, alpha, J, epsilon = transported_data(rng, alg, alpha, J, epsilon)
+    contact = check_contact(alg, alpha)
+    return check_sasakian(contact, J) if epsilon is None else check_ccy(contact, J, epsilon)
 
 
 SU2_SL2 = [parse_algebra("(23,-13,12)"), parse_algebra("(-23,13,12)")]
