@@ -1,8 +1,8 @@
-"""Layer timings of the curvature kernels and the structure checks, paired with
-end-to-end benchmark runs.
+"""Layer timings of the curvature kernels, the structure checks and the
+classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --out BENCH_8.json
+        --pairs 10 --seconds 30 --out BENCH_9.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -14,9 +14,14 @@ levi_civita, ricci_scalar and transverse_ricci:
   L D L^T metrics, levi_civita and ricci_scalar (no contact structure), and
   the metric's own eliminations: a fresh Metric of those entries, then
   is_positive_definite and inverse_matrix;
-- and check_contact + check_ccy on the Heisenberg structure data,
-  n = 1..10 (dim 3..21; compact notation stops at dim 9, so the data come
-  from models.heisenberg_ccy_data).
+- check_contact + check_ccy on the Heisenberg structure data, n = 1..10
+  (dim 3..21; compact notation stops at dim 9, so the data come from
+  models.heisenberg_ccy_data), and the epsilon clauses of check_ccy alone
+  on the same data;
+- and the dimension-5 obstruction filter, in ms per call over the contact
+  forms among the default catalog's samples (CLASSIFY_SEED with
+  RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
+  with the whole default `classify` run.
 
 A point is the median of REPEATS timed loops, each long enough to take at
 least MIN_LOOP_S; a slope is the least-squares fit of log(time) against
@@ -52,6 +57,8 @@ HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
+CLASSIFY_SEED = 0
+RANDOM_SAMPLES = 3
 REPEATS = 7
 MIN_LOOP_S = 0.02
 WORKLOADS = ("curvature-sweep", "ccy-mix", "rank-sweep")
@@ -104,10 +111,11 @@ def measure(tree: Path) -> dict:
     """Time the kernels of the nilgeo under tree/src (run in a fresh process)."""
     sys.path.insert(0, str(tree / "src"))
     from nilgeo.algdsl import parse_algebra
+    from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.exterior import Metric
     from nilgeo.models import heisenberg_ccy, heisenberg_ccy_data
-    from nilgeo.structures import check_ccy, check_contact
+    from nilgeo.structures import NotContactError, _check_epsilon_clauses, check_ccy, check_contact
 
     rows = []
     for n in HEISENBERG:
@@ -146,17 +154,45 @@ def measure(tree: Path) -> dict:
         )
     for n in STRUCTURE_N:
         alg, alpha, J, epsilon = heisenberg_ccy_data(n)
+        contact = check_contact(alg, alpha)
         rows.append(
             {
                 "family": "structure",
                 "n": n,
                 "dim": alg.dim,
                 "check_ccy_ms": timed_ms(lambda: check_ccy(check_contact(alg, alpha), J, epsilon)),
+                "epsilon_clauses_ms": timed_ms(
+                    lambda: _check_epsilon_clauses(alg, contact.kappa, [contact.reeb], J, epsilon, n, False)
+                ),
             }
         )
+    calls = []
+    for entry in Catalog.default():
+        alg = entry.algebra()
+        if alg.dim == 5:
+            for alpha in _sample_alphas(alg, CLASSIFY_SEED, RANDOM_SAMPLES):
+                try:
+                    ccy_obstruction_filter(alg, alpha)
+                except NotContactError:
+                    continue
+                calls.append((alg, alpha))
+
+    def run_filter():
+        for alg, alpha in calls:
+            ccy_obstruction_filter(alg, alpha)
+
+    rows.append(
+        {
+            "family": "filter",
+            "calls": len(calls),
+            "filter_ms_per_call": timed_ms(run_filter) / len(calls),
+            "classify_default_ms": timed_ms(lambda: classify_catalog(Catalog.default(), CLASSIFY_SEED)),
+        }
+    )
     slopes = {}
     for family in ("heisenberg", "filiform", "structure"):
-        for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy"):
+        for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
+                       "epsilon_clauses"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -248,6 +284,8 @@ def main() -> None:
             "structure_n": list(STRUCTURE_N),
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
+            "classify_seed": CLASSIFY_SEED,
+            "random_samples": RANDOM_SAMPLES,
             "repeats": REPEATS,
             "statistic": "median ms per call",
         },

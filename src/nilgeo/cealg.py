@@ -89,11 +89,7 @@ class LieAlgebra:
             return ComplexKForm(self.d(form.re), self.d(form.im))
         if form.dim != self.dim:
             raise InputError("ce differential: dimension mismatch")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for idx, c in form.terms.items():
-            for merged, v in _d_monomial(self.d1, idx):
-                terms[merged] = terms.get(merged, _ZERO) + c * v
-        return KForm(self.dim, form.degree + 1, terms)
+        return KForm(self.dim, form.degree + 1, d_terms([f.terms for f in self.d1], form.terms))
 
     def is_nilpotent(self) -> bool:
         """Lower central series terminates at zero."""
@@ -127,17 +123,29 @@ def basis_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
 
 def _d_monomial(d1, idx: tuple[int, ...]):
     """The terms (codomain monomial, coefficient) of d(e^I), I = idx, one per
-    term of each generator differential; a monomial may repeat. The 2-form
-    d(e^{I_p}) commutes past e^{I<p}, so term c e^ij of it adds (-1)^p c
-    e^ij ^ e^{I - I_p}, signed by merge_indices.
+    term of each generator differential, d1[k] a term map pair -> coefficient;
+    a monomial may repeat. The 2-form d(e^{I_p}) commutes past e^{I<p}, so
+    term c e^ij of it adds (-1)^p c e^ij ^ e^{I - I_p}, signed by
+    merge_indices.
     """
     for pos, k in enumerate(idx):
         rest = idx[:pos] + idx[pos + 1 :]
         parity = -1 if pos % 2 else 1
-        for pair, c in d1[k - 1].terms.items():
+        for pair, c in d1[k - 1].items():
             sign, merged = merge_indices(pair, rest)
             if sign:
                 yield merged, parity * sign * c
+
+
+def d_terms(d1, terms) -> dict:
+    """d of the form with the given terms (index tuple -> coefficient), for
+    generator differentials d1 given as term maps; the coefficients may be
+    Fractions or the ints of a scaled table. Zero terms are dropped."""
+    out: dict[tuple[int, ...], object] = {}
+    for idx, c in terms.items():
+        for merged, v in _d_monomial(d1, idx):
+            out[merged] = out.get(merged, 0) + c * v
+    return {idx: c for idx, c in out.items() if c}
 
 
 def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, Fraction]]:
@@ -145,8 +153,9 @@ def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, Fraction]]:
     domain column to the coefficient of the r-th codomain monomial."""
     cod_pos = {idx: r for r, idx in enumerate(basis_tuples(alg.dim, degree + 1))}
     rows: list[dict[int, Fraction]] = [{} for _ in cod_pos]
+    d1 = [f.terms for f in alg.d1]
     for col, idx in enumerate(basis_tuples(alg.dim, degree)):
-        for merged, v in _d_monomial(alg.d1, idx):
+        for merged, v in _d_monomial(d1, idx):
             row = rows[cod_pos[merged]]
             row[col] = row.get(col, _ZERO) + v
     return [{c: v for c, v in row.items() if v} for row in rows]

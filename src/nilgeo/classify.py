@@ -11,6 +11,10 @@ structure can exist for that contact form; Inconclusive carries an exact
 witness and decides nothing. Full nonexistence across all contact forms is
 not claimed by this module. The filter is defined in dimension 5 only;
 catalog entries of other dimensions get no filter samples.
+
+The filter runs over Python ints: the closed 2-forms are computed once per
+catalog entry, the wedges with d alpha and the quadratic form come from one
+sign table, and only the reported polynomial and witness become Fractions.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
 from .cealg import LieAlgebra, basis_tuples, d_matrix
 from .errors import CheckError, InputError
-from .exterior import KForm
-from .structures import NotContactError, check_ccy, check_contact
+from .exterior import KForm, covector, merge_indices
+from .structures import NotContactError, check_ccy, check_contact, require_contact
 
 
 class MultiPoly:
@@ -158,7 +163,29 @@ class ObstructionVerdict:
         }
 
 
-def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm) -> ObstructionVerdict:
+@cache
+def _wedge_table() -> tuple:
+    """(a, b, t, wedge_sign, top_sign) for the pairs of disjoint 2-form basis
+    monomials of dimension 5, a and b their basis positions: e^a ^ e^b is
+    wedge_sign e^T for the 4-form T missing the index t + 1, and
+    e^a ^ e^b ^ e^(t+1) is top_sign e^12345."""
+    table = []
+    for (a, ia), (b, ib) in product(enumerate(basis_tuples(5, 2)), repeat=2):
+        sign, merged = merge_indices(ia, ib)
+        if sign:
+            (t,) = set(range(5)) - {k - 1 for k in merged}
+            table.append((a, b, t, sign, sign * (-1) ** (4 - t)))
+    return tuple(table)
+
+
+def closed_two_forms(alg: LieAlgebra) -> tuple[list[list[int]], int]:
+    """(basis, den): the `nullspace` basis of d on 2-forms, as ints over den.
+    It depends only on the algebra; `ccy_obstruction_filter` cuts W out of it."""
+    rows, _ = linalg.scaled(d_matrix(alg, 2))
+    return linalg.kernel(rows, len(basis_tuples(alg.dim, 2)))
+
+
+def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm, closed=None) -> ObstructionVerdict:
     """Necessary-condition filter for an invariant structure at a fixed alpha.
 
     W is the exact space of closed 2-forms gamma with gamma ^ d(alpha) = 0.
@@ -170,55 +197,63 @@ def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm) -> ObstructionVerdict:
 
     Only dimension 5 is accepted: gamma ^ gamma ^ alpha is a 5-form, so in
     any other dimension q is identically zero and Obstructed would be wrong.
+
+    Over ints, from one sign table: the closed 2-forms Z (`closed`, computed
+    when not given) have the identity on their free coordinates, so the
+    kernel of gamma -> gamma ^ d alpha on Z, in that form, is the reduced
+    nullspace basis of W. q is the integer bilinear form
+    vol(gamma_i ^ gamma_j ^ alpha); its coefficients and the witness become
+    Fractions once.
     """
     dim = alg.dim
     if dim != 5:
         raise InputError(f"the obstruction filter is defined in dimension 5 only, got {dim}")
-    check_contact(alg, alpha)  # raises NotContactError if not contact
-    dalpha = alg.d(alpha)
+    dalpha = require_contact(alg, alpha)  # raises NotContactError if not contact
+    z, zd = closed if closed is not None else closed_two_forms(alg)
     two_forms = basis_tuples(dim, 2)
-    wedge_targets = basis_tuples(dim, 2 * 2)
-    target_pos = {idx: i for i, idx in enumerate(wedge_targets)}
-    wedge_rows = [[Fraction(0)] * len(two_forms) for _ in wedge_targets]
-    for c, idx in enumerate(two_forms):
-        prod = KForm.monomial(dim, idx).wedge(dalpha)
-        for jdx, val in prod.terms.items():
-            wedge_rows[target_pos[jdx]][c] = val
-    basis_w = linalg.nullspace(d_matrix(alg, 2) + wedge_rows, len(two_forms))
-    gammas = [
-        KForm(dim, 2, {idx: v[i] for i, idx in enumerate(two_forms)}) for v in basis_w
-    ]
+    da, _ = linalg.scaled([dalpha.coefficient(idx) for idx in two_forms])
+    cov, ad = linalg.scaled(covector(alpha))
+    table = _wedge_table()
+    rows = [[0] * len(z) for _ in range(dim)]  # rows[t][j]: the e^T coefficient of z_j ^ d alpha
+    for j, v in enumerate(z):
+        for x, y, t, sign, _ in table:
+            if v[x] and da[y]:
+                rows[t][j] += sign * v[x] * da[y]
+    coords, cd = linalg.kernel(rows, len(z))
+    gammas = [linalg.lincomb(z, c) for c in coords]  # over zd cd
     m = len(gammas)
     if m == 0:
-        return ObstructionVerdict(
-            obstructed=True, space_dimension=0, polynomial="0", witness=None
-        )
+        return ObstructionVerdict(obstructed=True, space_dimension=0, polynomial="0", witness=None)
     # 2-forms commute: q(c) = sum_{i<=j} (2 - delta_ij) c_i c_j vol(gamma_i ^ gamma_j ^ alpha)
-    top = tuple(range(1, dim + 1))
-    q_terms = {}
+    formed = [[0] * len(two_forms) for _ in gammas]  # the bilinear form applied to each gamma
+    for x, y, t, _, sign in table:
+        if cov[t]:
+            for out, gamma in zip(formed, gammas):
+                if gamma[y]:
+                    out[x] += sign * cov[t] * gamma[y]
+    den = zd * zd * cd * cd * ad
+    q_num = {}
     for i, j in combinations_with_replacement(range(m), 2):
-        vol = gammas[i].wedge(gammas[j]).wedge(alpha).coefficient(top)
-        q_terms[tuple((k == i) + (k == j) for k in range(m))] = vol if i == j else 2 * vol
-    q = MultiPoly(m, q_terms)
-    if q.is_zero:
-        return ObstructionVerdict(
-            obstructed=True, space_dimension=m, polynomial="0", witness=None
-        )
+        vol = linalg.dot(gammas[i], formed[j])
+        if vol:
+            q_num[(i, j)] = vol if i == j else 2 * vol
+    if not q_num:
+        return ObstructionVerdict(obstructed=True, space_dimension=m, polynomial="0", witness=None)
+    q = MultiPoly(
+        m, {tuple((k == i) + (k == j) for k in range(m)): Fraction(c, den) for (i, j), c in q_num.items()}
+    )
     # witness search: q has degree <= 2 in each coordinate, so it cannot vanish
     # on all of {0,1,2}^m unless identically zero
     for point in product((0, 1, 2), repeat=m):
-        value = q.evaluate(point)
+        value = sum(c * point[i] * point[j] for (i, j), c in q_num.items())
         if value:
-            witness = KForm.zero(dim, 2)
-            for coord, gamma in zip(point, gammas):
-                if coord:
-                    witness = witness + coord * gamma
+            witness = linalg.lincomb(gammas, point)
             return ObstructionVerdict(
                 obstructed=False,
                 space_dimension=m,
                 polynomial=str(q),
-                witness=witness,
-                witness_value=value,
+                witness=KForm(dim, 2, {idx: Fraction(x, zd * cd) for idx, x in zip(two_forms, witness)}),
+                witness_value=Fraction(value, den),
             )
     raise ArithmeticError("nonzero quadratic vanished on the full grid")
 
@@ -368,12 +403,12 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
         )
     samples = []
     if alg.dim == 5:  # the filter is defined in dimension 5 only
+        closed = closed_two_forms(alg)
         for alpha in _sample_alphas(alg, seed, random_samples):
             try:
-                verdict = ccy_obstruction_filter(alg, alpha)
+                samples.append((alpha, ccy_obstruction_filter(alg, alpha, closed)))
             except NotContactError:
                 continue
-            samples.append((str(alpha), verdict.to_dict()))
     ccy_verified = False
     ccy_error: str | None = None
     key = serialize_algebra(alg)
@@ -385,8 +420,11 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
             epsilon = parse_form(ansatz["epsilon"], alg.dim)
             structure = check_ccy(check_contact(alg, alpha), J, epsilon)
             ccy_verified = structure is not None
-            # soundness guard: the filter must not contradict a verified structure
-            guard = ccy_obstruction_filter(alg, alpha)
+            # soundness guard: the filter must not contradict a verified
+            # structure; a sample at the same alpha already holds its verdict
+            guard = next((v for a, v in samples if a == alpha), None)
+            if guard is None:
+                guard = ccy_obstruction_filter(alg, alpha)
             if guard.obstructed:
                 raise ArithmeticError(
                     f"filter returned Obstructed on {entry.name} where a structure verifies"
@@ -400,7 +438,7 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
         contact_polynomial=str(poly),
         admits_contact=True,
         summary=summary,
-        filter_samples=tuple(samples),
+        filter_samples=tuple((str(a), verdict.to_dict()) for a, verdict in samples),
         ccy_verified=ccy_verified,
         ccy_error=ccy_error,
     )

@@ -163,32 +163,38 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
 def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):
     """Solve Ric = lambda g + nu alpha (x) alpha exactly.
 
-    Returns (lambda, nu); raises NotAlphaEinsteinError with the first nonzero
-    residual entry when no constants satisfy the identity.
+    Returns (lambda, nu); raises NotAlphaEinsteinError when no constants
+    satisfy the identity. Over ints, Ric = R / rd, g = G / gd, alpha = a / ad:
+    the entries ask R_ij = l G_ij + m a_i a_j with l = lambda rd / gd and
+    m = nu rd / ad^2. Two entries with independent (G_ij, a_i a_j) fix l and m
+    by Cramer's rule (when there are none, as in dimension 1, m = 0), and
+    every entry is then checked.
     """
     n = g.dim
-    cov = covector(alpha)
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(i, n):
-            rows.append([g.matrix[i][j], cov[i] * cov[j]])
-            rhs.append(report.ricci[i][j])
-    sol = linalg.solve(rows, rhs)
-    if sol is not None:
-        lam, nu = sol
-        if any(
-            report.ricci[i][j] != lam * g.matrix[i][j] + nu * cov[i] * cov[j]
-            for i in range(n)
-            for j in range(n)
-        ):
-            sol = None
-    if sol is None:
+    ric, rd = scaled(report.ricci)
+    gm, gd = scaled(g.matrix)
+    cov, ad = scaled(covector(alpha))
+    entries = [(ric[i][j], gm[i][j], cov[i] * cov[j]) for i in range(n) for j in range(i, n)]
+    det, l, m = 1, 0, 0  # free unknowns are 0, as in linalg.solve
+    first = next((e for e in entries if e[1] or e[2]), None)
+    if first is not None:
+        r1, g1, p1 = first
+        second = next((e for e in entries if g1 * e[2] != e[1] * p1), None)
+        if second is not None:
+            r2, g2, p2 = second
+            det = g1 * p2 - g2 * p1
+            l, m = r1 * p2 - r2 * p1, g1 * r2 - g2 * r1  # over det
+        elif g1:
+            det, l = g1, r1
+        else:
+            det, m = p1, r1
+    if not all(r * det == l * gij + m * p for r, gij, p in entries):
         witness = {
             "ricci": str([[str(x) for x in row] for row in report.ricci]),
             "note": "no constants (lambda, nu) reproduce Ric exactly",
         }
         raise NotAlphaEinsteinError("alpha_einstein", "structure is not alpha-Einstein", witness)
-    return sol[0], sol[1]
+    return Fraction(l * gd, det * rd), Fraction(m * ad * ad, det * rd)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,14 @@ Then `scaled` (a table as ints over one denominator) and the zero-skipping
 contractions that the structure checks and the curvature layer are written
 in, over Fractions or ints alike; nothing is ever rounded.
 
-Beside the sparse one, two dense fraction-free eliminations run on those
+Beside the sparse one, three dense fraction-free eliminations run on those
 ints. `sylvester` is the Gram-matrix elimination (Bareiss 1968), giving the
 leading minors and the inverse of a metric. It takes no row exchanges, so
 pivot k is a leading minor: a positive definite matrix never needs one, and
-any other stops at the first minor <= 0, Sylvester's witness. `pfaffian` is
-the skew elimination of Wimmer 2012 with the same exact division.
+any other stops at the first minor <= 0, Sylvester's witness. `kernel` is
+Gauss-Jordan with row exchanges and the same exact division, for the
+nullspace of a small int matrix. `pfaffian` is the skew elimination of
+Wimmer 2012.
 """
 
 from __future__ import annotations
@@ -181,6 +183,51 @@ def scaled(table) -> tuple[list, int]:
     for size in reversed(shape):
         out = [out[k : k + size] for k in range(0, len(out), size)]
     return out, den
+
+
+def scaled_maps(maps) -> tuple[list[dict], int]:
+    """(int maps, den): term maps (key -> rational) as ints over den, the lcm of
+    the denominators of all of them."""
+    keys = [(m, key) for m, terms in enumerate(maps) for key in terms]
+    values, den = scaled([maps[m][key] for m, key in keys])
+    out: list[dict] = [{} for _ in maps]
+    for (m, key), v in zip(keys, values):
+        out[m][key] = v
+    return out, den
+
+
+def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """(basis, den): the `nullspace` basis of an int matrix, as ints over den.
+
+    One fraction-free Gauss-Jordan elimination with row exchanges: each step
+    divides every other row exactly by the previous pivot, so the rows end as
+    D times the reduced row echelon form, D the last pivot (Bareiss 1968).
+    The vector of free column f is D at f and -row[f] at each pivot column.
+    """
+    rows = [list(row) for row in rows if any(row)]
+    pivots, prev = [], 1
+    for col in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pv = pivot_row[col]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[col]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pv
+        pivots.append(col)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = prev
+        for pc, row in zip(pivots, rows):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis, prev
 
 
 def sylvester(matrix) -> tuple[list[Fraction], Matrix | None]:

@@ -12,6 +12,8 @@ The clauses are checked over ints, one common denominator per table
 (`linalg.scaled`); Fractions are built only for witnesses. Positivity is one
 Gram-matrix elimination (`linalg.sylvester`). No wedge power is expanded:
 kappa^n = n! sum_I Pf(K_II) e^I, so a coefficient is one `linalg.pfaffian`.
+The epsilon clauses read one int table of the contractions iota_{X_k}
+epsilon and one d(epsilon), which serves both ccy.basic and ccy.closed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 from math import factorial
 
 from . import linalg
-from .cealg import LieAlgebra, lie_derivative
+from .cealg import LieAlgebra, d_terms
 from .errors import CheckError, InputError
 from .exterior import (
     ComplexKForm,
@@ -30,7 +32,6 @@ from .exterior import (
     KForm,
     Metric,
     Vector,
-    contract,
     covector,
     merge_indices,
     two_form_matrix,
@@ -135,6 +136,24 @@ def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
     return [Vector([reduced[i][dim + j] for i in range(dim)]) for j in range(r)]
 
 
+def _contact_differential(alg: LieAlgebra, alpha: KForm) -> KForm:
+    """d alpha, after the input checks that every contact test shares."""
+    dim = alg.dim
+    if dim % 2 == 0:
+        raise InputError(f"contact structures need odd dimension, got {dim}")
+    if not isinstance(alpha, KForm) or alpha.dim != dim or alpha.degree != 1:
+        raise InputError("alpha must be a degree-1 form on the algebra")
+    return alg.d(alpha)
+
+
+def _not_contact(alpha: KForm, dalpha: KForm) -> NotContactError:
+    return NotContactError(
+        "contact.volume",
+        f"alpha ^ (d alpha)^{(alpha.dim - 1) // 2} = 0",
+        {"alpha": str(alpha), "d_alpha": str(dalpha)},
+    )
+
+
 def check_contact(alg: LieAlgebra, alpha: KForm) -> ContactStructure:
     """Verify the volume condition exactly and solve for the Reeb field.
 
@@ -143,21 +162,23 @@ def check_contact(alg: LieAlgebra, alpha: KForm) -> ContactStructure:
     line on which alpha is nonzero), i.e. iff the Reeb system has full rank;
     the Reeb elimination decides both, with no wedge power.
     """
-    dim = alg.dim
-    if dim % 2 == 0:
-        raise InputError(f"contact structures need odd dimension, got {dim}")
-    if not isinstance(alpha, KForm) or alpha.dim != dim or alpha.degree != 1:
-        raise InputError("alpha must be a degree-1 form on the algebra")
-    dalpha = alg.d(alpha)
+    dalpha = _contact_differential(alg, alpha)
     reebs = _solve_reeb([alpha], dalpha)
     if reebs is None:
-        raise NotContactError(
-            "contact.volume",
-            f"alpha ^ (d alpha)^{(dim - 1) // 2} = 0",
-            {"alpha": str(alpha), "d_alpha": str(dalpha)},
-        )
+        raise _not_contact(alpha, dalpha)
     (reeb,) = reebs
     return ContactStructure(alg=alg, alpha=alpha, reeb=reeb, kappa=dalpha * Fraction(1, 2))
+
+
+def require_contact(alg: LieAlgebra, alpha: KForm) -> KForm:
+    """The volume condition of check_contact without the Reeb field: returns
+    d alpha, or raises the same errors. It reads the one volume coefficient,
+    a dense Pfaffian of size dim + 1, so it suits small algebras; the sparse
+    Reeb elimination of check_contact suits any size."""
+    dalpha = _contact_differential(alg, alpha)
+    if not _volume_coefficient([alpha], dalpha, (alg.dim - 1) // 2):
+        raise _not_contact(alpha, dalpha)
+    return dalpha
 
 
 def xi_basis(alg: LieAlgebra, alphas) -> list[Vector]:
@@ -366,64 +387,105 @@ def _proportionality(lhs, rhs) -> Fraction | None:
     return None
 
 
-def _wedge_conjugate_at(epsilon: ComplexKForm, index) -> tuple[Fraction, Fraction]:
-    """The e^index coefficient of epsilon ^ conj(epsilon) as (re, im), one
-    lookup per term: (a + ib)_J (a - ib)_K summed over J + K = index."""
-    keys = list(set(epsilon.re.terms) | set(epsilon.im.terms))
-    cells, den = linalg.scaled([[epsilon.re.coefficient(k), epsilon.im.coefficient(k)] for k in keys])
-    coeffs = dict(zip(keys, cells))
+def _wedge_conjugate_at(parts, den: int, index) -> tuple[Fraction, Fraction]:
+    """The e^index coefficient of epsilon ^ conj(epsilon) as (re, im), for
+    epsilon = (re + i im) / den in int term maps, one lookup per term:
+    (a + ib)_J (a - ib)_K summed over J + K = index."""
+    re_terms, im_terms = parts
     members = set(index)
     re = im = 0
-    for key, (a, b) in coeffs.items():
+    for key in set(re_terms) | set(im_terms):
         if members.issuperset(key):
+            a, b = re_terms.get(key, 0), im_terms.get(key, 0)
             rest = tuple(k for k in index if k not in key)
             sign, _ = merge_indices(key, rest)
-            c, d = coeffs.get(rest, (0, 0))
+            c, d = re_terms.get(rest, 0), im_terms.get(rest, 0)
             re += sign * (a * c + b * d)
             im += sign * (b * c - a * d)
     return Fraction(re, den * den), Fraction(im, den * den)
+
+
+def _contractions(terms: dict, dim: int) -> list[dict]:
+    """cells[k] = the terms of iota_{X_(k+1)} of the form with these terms."""
+    cells: list[dict] = [{} for _ in range(dim)]
+    for idx, c in terms.items():
+        for pos, k in enumerate(idx):
+            cells[k - 1][idx[:pos] + idx[pos + 1 :]] = -c if pos % 2 else c
+    return cells
+
+
+def _combine(cells, v) -> dict:
+    """sum_k v[k] cells[k] over term maps, zeros dropped."""
+    out: dict = {}
+    for vk, cell in zip(v, cells):
+        if vk:
+            for key, c in cell.items():
+                out[key] = out.get(key, 0) + vk * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _complex_form(parts, dim: int, degree: int, den: int) -> ComplexKForm:
+    """The ComplexKForm of int term maps (re, im) over den."""
+    re, im = (KForm(dim, degree, {key: Fraction(c, den) for key, c in terms.items()}) for terms in parts)
+    return ComplexKForm(re, im)
 
 
 def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> ComplexKForm:
     """Basic / type-(n,0) / closedness / normalization clauses for epsilon.
 
     A real epsilon is taken as a complex form; the checked form is returned.
+    Over ints: epsilon = (re + i im) / den, and C_k = iota_{X_k} epsilon is
+    tabulated once, so iota_v epsilon = sum_k v_k C_k for every v the clauses
+    contract with. d(epsilon) is computed once: it is the closedness witness,
+    and once iota_R epsilon = 0, Cartan's formula leaves L_R epsilon =
+    iota_R d(epsilon).
     """
     if not isinstance(epsilon, ComplexKForm):
         epsilon = ComplexKForm.from_real(epsilon)
     if epsilon.dim != alg.dim or epsilon.degree != n:
         raise InputError(f"epsilon must be a complex degree-{n} form")
+    if n == 0:  # a 1-dimensional algebra: a 0-form has no interior product
+        raise InputError("contract: cannot contract a degree-0 form")
+    dim = alg.dim
+    parts, den = linalg.scaled_maps([epsilon.re.terms, epsilon.im.terms])
+    cells = [_contractions(terms, dim) for terms in parts]  # cells[part][k] = C_k, over den
+    d1, dd = linalg.scaled_maps([form.terms for form in alg.d1])
+    deps = [d_terms(d1, terms) for terms in parts]  # over den dd
     # (a) basic with respect to every Reeb field
     for idx, reeb in enumerate(reebs, start=1):
-        cont = contract(reeb, epsilon)
-        if not cont.is_zero:
+        rs, rd = linalg.scaled(reeb.coeffs)
+        cont = [_combine(part, rs) for part in cells]
+        if any(cont):
             raise CCYError(
                 "ccy.basic",
                 f"iota_R{idx} epsilon != 0",
-                {"contraction": str(cont)},
+                {"contraction": str(_complex_form(cont, dim, n - 1, den * rd))},
             )
-        lie = lie_derivative(reeb, epsilon, alg)
-        if not lie.is_zero:
+        lie = [_combine(_contractions(terms, dim), rs) for terms in deps]
+        if any(lie):
             raise CCYError(
                 "ccy.basic",
                 f"Lie derivative of epsilon along R{idx} != 0",
-                {"lie_derivative": str(lie)},
+                {"lie_derivative": str(_complex_form(lie, dim, n, den * dd * rd))},
             )
-    # (b) type (n,0): iota_{Jv} epsilon = i iota_v epsilon for every basis v.
-    for i, jv in enumerate(zip(*J.matrix), start=1):
-        lhs = contract(Vector(jv), epsilon)
-        rhs = contract(Vector.basis(alg.dim, i), epsilon).scale(0, 1)
+    # (b) type (n,0): iota_{J X_i} epsilon = i iota_{X_i} epsilon for every basis
+    # vector, sum_k J_ki C_k = i C_i over J = jm / jd
+    jm, jd = linalg.scaled(J.matrix)
+    re_cells, im_cells = cells
+    for i, jcol in enumerate(zip(*jm)):
+        lhs = [_combine(part, jcol) for part in cells]
+        rhs = [{key: -jd * c for key, c in im_cells[i].items()}, {key: jd * c for key, c in re_cells[i].items()}]
         if lhs != rhs:
             raise CCYError(
                 "ccy.type",
-                f"iota_(J X{i}) epsilon != i * iota_(X{i}) epsilon",
-                {"lhs": str(lhs), "rhs": str(rhs)},
+                f"iota_(J X{i + 1}) epsilon != i * iota_(X{i + 1}) epsilon",
+                {"lhs": str(_complex_form(lhs, dim, n - 1, den * jd)),
+                 "rhs": str(_complex_form(rhs, dim, n - 1, den * jd))},
             )
     # epsilon ^ kappa = 0 follows: J preserves xi, so it is a horizontal (n+1,1)-form
     # (c) closedness
-    deps = alg.d(epsilon)
-    if not deps.is_zero:
-        raise CCYError("ccy.closed", "d epsilon != 0", {"d_epsilon": str(deps)})
+    if any(deps):
+        raise CCYError("ccy.closed", "d epsilon != 0", {"d_epsilon": str(_complex_form(deps, dim, n + 1, den * dd))})
     # (d) normalization. epsilon ^ conj(epsilon) and kappa^n are horizontal
     # 2n-forms (every iota_R kills both), a line, so one coefficient decides:
     # e^I, I the complement of the pivot coordinates of the Reeb fields.
@@ -431,12 +493,12 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
     scale = factorial(n) if strict_def31 else 1  # kappa^n = n! sum_I Pf(K_II) e^I
     kmatrix = two_form_matrix(kappa)
     _, pivots = linalg.rref([reeb.coeffs for reeb in reebs])
-    index = tuple(k for k in range(1, alg.dim + 1) if k - 1 not in pivots)
+    index = tuple(k for k in range(1, dim + 1) if k - 1 not in pivots)
     top = scale * _pfaffian_minor(kmatrix, index)
-    lhs, rhs = _wedge_conjugate_at(epsilon, index), (c_re * top, c_im * top)
+    lhs, rhs = _wedge_conjugate_at(parts, den, index), (c_re * top, c_im * top)
     if lhs != rhs:
-        indices = combinations(range(1, alg.dim + 1), 2 * n)
-        top = KForm(alg.dim, 2 * n, {I: scale * _pfaffian_minor(kmatrix, I) for I in indices})
+        indices = combinations(range(1, dim + 1), 2 * n)
+        top = KForm(dim, 2 * n, {I: scale * _pfaffian_minor(kmatrix, I) for I in indices})
         rhs_form = ComplexKForm(c_re * top, c_im * top)
         lhs_form = epsilon.wedge(epsilon.conjugate())
         witness = {

@@ -1,9 +1,10 @@
 """Reference curvature kernels in per-entry Fraction arithmetic.
 
-These are the Koszul connection, Ricci tensor and transverse Ricci tensor as
-they were computed before the kernels in `nilgeo.curvature` went
-fraction-free: every product and sum is a Fraction operation. The tests
-compare the integer-numerator kernels against them table for table.
+These are the Koszul connection, Ricci tensor, transverse Ricci tensor and
+the alpha-Einstein constants as they were computed before the kernels in
+`nilgeo.curvature` went fraction-free: every product and sum is a Fraction
+operation. The tests compare the integer-numerator kernels against them
+table for table.
 """
 
 from fractions import Fraction
@@ -146,3 +147,21 @@ def ricci_identity(structure) -> tuple:
     return tuple(
         tuple(dot(x, matvec(ric, y)) + 2 * dot(x, matvec(g.matrix, y)) for y in fs) for x in fs
     )
+
+
+def alpha_einstein(report, g, alpha):
+    """(lambda, nu) from `linalg.solve` on all n(n+1)/2 entry equations, then
+    every entry re-checked; None when no constants fit."""
+    n = g.dim
+    cov = covector(alpha)
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(i, n):
+            rows.append([g.matrix[i][j], cov[i] * cov[j]])
+            rhs.append(report.ricci[i][j])
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        return None
+    lam, nu = sol
+    fits = all(report.ricci[i][j] == lam * g.matrix[i][j] + nu * cov[i] * cov[j] for i in range(n) for j in range(n))
+    return (lam, nu) if fits else None

@@ -2,19 +2,23 @@
 
 These are the wedge power, the r-contact volume as a wedge product, Sylvester's
 criterion by one determinant per leading minor, the Pfaffian by expansion
-along the first row, the calibration and Nijenhuis clauses over Fractions,
-and the volume normalization as an equality of full forms with its ratio read
-off every coefficient, as they were computed before the structure checks
-went fraction-free and polynomial. The tests compare the integer and
-Pfaffian paths against them.
+along the first row, the calibration, Nijenhuis and epsilon clauses over
+Fractions, the volume normalization as an equality of full forms with its
+ratio read off every coefficient, and the dimension-5 obstruction filter over
+Fraction forms, as they were computed before the structure checks went
+fraction-free and polynomial. The tests compare the integer and Pfaffian
+paths against them.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 from nilgeo import linalg
-from nilgeo.exterior import ComplexKForm, KForm, Vector, covector, two_form_matrix
-from nilgeo.structures import volume_constant, xi_basis
+from nilgeo.cealg import basis_tuples, d_matrix, lie_derivative
+from nilgeo.classify import MultiPoly, ObstructionVerdict
+from nilgeo.exterior import ComplexKForm, KForm, Vector, contract, covector, two_form_matrix
+from nilgeo.structures import check_contact, volume_constant, xi_basis
 
 
 def wedge_power(form: KForm, k: int) -> KForm:
@@ -147,3 +151,63 @@ def normalization_witness(kappa, epsilon, n: int, strict_def31: bool) -> dict | 
     if ratio is not None:
         witness["ratio_rhs_over_lhs"] = str(ratio)
     return witness
+
+
+def epsilon_error(alg, kappa, reebs, J, epsilon, n: int, strict_def31: bool) -> tuple | None:
+    """(check, witness) of the first failing epsilon clause, or None: the
+    contractions and Lie derivatives as Fraction forms, one per vector."""
+    if not isinstance(epsilon, ComplexKForm):
+        epsilon = ComplexKForm.from_real(epsilon)
+    for idx, reeb in enumerate(reebs, start=1):
+        cont = contract(reeb, epsilon)
+        if not cont.is_zero:
+            return "ccy.basic", {"contraction": str(cont)}
+        lie = lie_derivative(reeb, epsilon, alg)
+        if not lie.is_zero:
+            return "ccy.basic", {"lie_derivative": str(lie)}
+    for i, jv in enumerate(zip(*J.matrix), start=1):
+        lhs = contract(Vector(jv), epsilon)
+        rhs = contract(Vector.basis(alg.dim, i), epsilon).scale(0, 1)
+        if lhs != rhs:
+            return "ccy.type", {"lhs": str(lhs), "rhs": str(rhs)}
+    deps = alg.d(epsilon)
+    if not deps.is_zero:
+        return "ccy.closed", {"d_epsilon": str(deps)}
+    witness = normalization_witness(kappa, epsilon, n, strict_def31)
+    return None if witness is None else ("ccy.normalization", witness)
+
+
+def obstruction_filter(alg, alpha) -> ObstructionVerdict:
+    """W = ker(d) on 2-forms cut by gamma ^ d alpha = 0 as one Fraction
+    nullspace, q from the triple wedges, the witness search on MultiPoly."""
+    dim = alg.dim
+    check_contact(alg, alpha)
+    dalpha = alg.d(alpha)
+    two_forms = basis_tuples(dim, 2)
+    target_pos = {idx: i for i, idx in enumerate(basis_tuples(dim, 4))}
+    wedge_rows = [[Fraction(0)] * len(two_forms) for _ in target_pos]
+    for c, idx in enumerate(two_forms):
+        for jdx, val in KForm.monomial(dim, idx).wedge(dalpha).terms.items():
+            wedge_rows[target_pos[jdx]][c] = val
+    basis_w = linalg.nullspace(d_matrix(alg, 2) + wedge_rows, len(two_forms))
+    gammas = [KForm(dim, 2, {idx: v[i] for i, idx in enumerate(two_forms)}) for v in basis_w]
+    m = len(gammas)
+    if m == 0:
+        return ObstructionVerdict(obstructed=True, space_dimension=0, polynomial="0")
+    top = tuple(range(1, dim + 1))
+    q_terms = {}
+    for i, j in combinations_with_replacement(range(m), 2):
+        vol = gammas[i].wedge(gammas[j]).wedge(alpha).coefficient(top)
+        q_terms[tuple((k == i) + (k == j) for k in range(m))] = vol if i == j else 2 * vol
+    q = MultiPoly(m, q_terms)
+    if q.is_zero:
+        return ObstructionVerdict(obstructed=True, space_dimension=m, polynomial="0")
+    for point in product((0, 1, 2), repeat=m):
+        value = q.evaluate(point)
+        if value:
+            witness = KForm.zero(dim, 2)
+            for coord, gamma in zip(point, gammas):
+                if coord:
+                    witness = witness + coord * gamma
+            return ObstructionVerdict(False, m, str(q), witness, value)
+    raise ArithmeticError("nonzero quadratic vanished on the full grid")

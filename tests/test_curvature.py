@@ -7,6 +7,7 @@ from nilgeo.algdsl import parse_algebra, parse_form
 from nilgeo.cealg import LieAlgebra
 from nilgeo.classify import Catalog
 from nilgeo.curvature import (
+    CurvatureReport,
     NotAlphaEinsteinError,
     check_alpha_einstein,
     levi_civita,
@@ -15,7 +16,7 @@ from nilgeo.curvature import (
     transverse_ricci,
 )
 from nilgeo.errors import InputError
-from nilgeo.exterior import Metric, Vector
+from nilgeo.exterior import KForm, Metric, Vector
 from nilgeo.models import heisenberg_ccy
 
 from . import fraction_curvature as reference
@@ -305,6 +306,46 @@ def test_preservation_check_matches_the_reference_on_every_pair():
         moved = [[[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(k)] for _ in range(2)]
         assert _preserves(matrix, frame, moved) == reference._preserves(matrix, frame, moved)
     assert not _preserves([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[[1, 0], [0, 0]]])
+
+
+def test_alpha_einstein_matches_the_solve_reference():
+    # alpha-Einstein Ricci tables (sometimes with one entry perturbed) and
+    # arbitrary symmetric ones, on positive metrics, degenerate forms and
+    # alphas with zero entries; the CCY structures give the shipped constants
+    rng = random.Random(13)
+    cases = []
+    for s in map(heisenberg_ccy, (1, 2, 3)):
+        cases.append((ricci_scalar(s.alg, s.metric), s.metric, s.contact.alpha))
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        g = random_rational_metric(rng, n, den=4) if rng.random() < 0.7 else Metric(rand_symmetric(rng, n))
+        alpha = KForm(n, 1, {(k,): Q(rng.randint(-2, 2), rng.randint(1, 3)) for k in range(1, n + 1)})
+        cov = [alpha.coefficient((k,)) for k in range(1, n + 1)]
+        if rng.random() < 0.6:
+            lam, nu = Q(rng.randint(-3, 3), rng.randint(1, 4)), Q(rng.randint(-3, 3), rng.randint(1, 4))
+            ric = [[lam * g.matrix[i][j] + nu * cov[i] * cov[j] for j in range(n)] for i in range(n)]
+            if rng.random() < 0.3:
+                i, j = rng.randrange(n), rng.randrange(n)
+                ric[i][j] = ric[j][i] = ric[i][j] + 1
+        else:
+            ric = rand_symmetric(rng, n)
+        cases.append((CurvatureReport(ricci=tuple(map(tuple, ric)), scalar=Q(0)), g, alpha))
+    verdicts = []
+    for report, g, alpha in cases:
+        expected = reference.alpha_einstein(report, g, alpha)
+        verdicts.append(expected is None)
+        try:
+            assert check_alpha_einstein(report, g, alpha) == expected
+        except NotAlphaEinsteinError as exc:
+            assert expected is None
+            assert exc.witness == {"ricci": str([[str(x) for x in row] for row in report.ricci]),
+                                   "note": "no constants (lambda, nu) reproduce Ric exactly"}
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def rand_symmetric(rng, n):
+    upper = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice((0, 1, 1)) for _ in range(n)] for _ in range(n)]
+    return [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
 
 
 def test_wrong_inverse_metric_trips_the_torsion_guard(monkeypatch):

@@ -1,9 +1,10 @@
 """The fraction-free structure checks against per-entry Fraction oracles.
 
 `linalg.sylvester` and `linalg.pfaffian` against per-minor determinants,
-`linalg.inverse`, sympy and the expansion of the Pfaffian; the calibration,
-Nijenhuis and normalization clauses and the r-contact volume against the
-reference computations in `fraction_structures`.
+`linalg.inverse`, sympy and the expansion of the Pfaffian; `linalg.kernel`
+against `linalg.nullspace`; the calibration, Nijenhuis, epsilon and
+normalization clauses, the r-contact volume and the dimension-5 obstruction
+filter against the reference computations in `fraction_structures`.
 """
 
 import random
@@ -15,16 +16,21 @@ import pytest
 import sympy
 
 from nilgeo import linalg
+from nilgeo import classify
 from nilgeo.algdsl import parse_algebra, parse_form
-from nilgeo.classify import Catalog
+from nilgeo.cealg import change_of_basis
+from nilgeo.classify import Catalog, ccy_obstruction_filter, classify_entry, closed_two_forms
 from nilgeo.errors import CheckError
 from nilgeo.exterior import ComplexKForm, Endo, KForm, Metric
 from nilgeo.models import PYTHAGOREAN_ROTATIONS, heisenberg_ccy_data, kodaira_thurston_data
 from nilgeo.structures import (
     CCYError,
     NotCalibratedError,
+    NotContactError,
     _check_calibration,
+    _check_epsilon_clauses,
     _nijenhuis_failures,
+    _solve_reeb,
     _volume_coefficient,
     check_ccy,
     check_contact,
@@ -33,7 +39,7 @@ from nilgeo.structures import (
 
 from . import fraction_structures as reference
 from .test_curvature import transported_data
-from .test_properties import rand_form
+from .test_properties import rand_form, rand_unimodular
 
 
 def rand_matrix(rng, rows, cols, den=6):
@@ -264,3 +270,131 @@ def test_contact_and_rccy_verdicts_need_no_wedge_power(monkeypatch):
     with pytest.raises(CheckError):
         check_ccy(check_contact(alg, alpha), J, eps.scale(2))
     assert check_r_contact_ccy(*kodaira_thurston_data()).ok
+
+
+def test_kernel_is_the_nullspace_over_one_denominator():
+    rng = random.Random(1968)
+    for _ in range(400):
+        rows, cols, rank = rng.randint(0, 7), rng.randint(1, 8), rng.randint(0, 4)
+        a = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+        b = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(cols)] for _ in range(rank)]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if rank else [0] * cols for row in a]
+        if rng.random() < 0.3:  # full rank more often, zero columns too
+            m = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(cols)] for _ in range(rows)]
+        basis, den = linalg.kernel(m, cols)
+        assert [[Q(x, den) for x in v] for v in basis] == linalg.nullspace(m, cols)
+
+
+def epsilon_cases():
+    """(alg, kappa, reebs, J, epsilon, n) reaching every epsilon clause:
+    rotated and scaled epsilons, conjugated ones (type), added terms (basic
+    contraction or type), the Lie derivative on su(2) and sl(2,R), a closedness
+    failure, transported frames and r-contact structures."""
+    rng = random.Random(9)
+    scales = list(PYTHAGOREAN_ROTATIONS) + [(Q(2), Q(0)), (Q(0), Q(-1, 3))]
+
+    def contact_case(alg, alpha, J, eps):
+        contact = check_contact(alg, alpha)
+        return alg, contact.kappa, [contact.reeb], J, eps, contact.n
+
+    for n in (1, 2, 3):
+        alg, alpha, J, eps = heisenberg_ccy_data(n)
+        for re, im in scales:
+            yield contact_case(alg, alpha, J, eps.scale(re, im))
+        yield contact_case(alg, alpha, J, eps.conjugate())
+        for _ in range(4):
+            yield contact_case(alg, alpha, J, eps + rand_form(rng, alg.dim, n, sparsity=rng.randint(1, 3)))
+        if n < 3:
+            for re, im in scales[1::2]:
+                yield contact_case(*transported_data(rng, alg, alpha, J, eps.scale(re, im)))
+    for spec in ("(23,-13,12)", "(-23,13,12)"):  # iota_R epsilon = 0, L_R epsilon != 0
+        alg = parse_algebra(spec)
+        for alpha in ("e3", "2*e3", "1/2*e3"):
+            yield contact_case(alg, parse_form(alpha, 3), Endo.from_pairs(3, [(1, 2)]), parse_form("e1 + i*e2", 3))
+    # basic and of type (2,0), but d epsilon = e1 ^ (e2 ^ e3 + ...) != 0
+    alg = parse_algebra("(0,0,0,23,12+34)")
+    eps = parse_form("(e1+i*e2)^(e3+i*e4)", 5)
+    yield contact_case(alg, parse_form("2*e5", 5), Endo.from_pairs(5, [(1, 2), (3, 4)]), eps)
+    r_contact = [kodaira_thurston_data()]
+    r_contact.append((parse_algebra("(14,-24,12,0)"), [parse_form("2*e3", 4), parse_form("2*e3 + 2*e4", 4)],
+                      Endo.from_pairs(4, [(1, 2)]), parse_form("e1 + i*e2", 4)))
+    for alg, alphas, J, eps in r_contact:
+        dalpha = alg.d(alphas[0])
+        for re, im in scales[::2]:
+            yield alg, dalpha * Q(1, 2), _solve_reeb(alphas, dalpha), J, eps.scale(re, im), (alg.dim - len(alphas)) // 2
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_epsilon_clauses_match_the_fraction_reference(strict):
+    seen = set()
+    for alg, kappa, reebs, J, eps, n in epsilon_cases():
+        expected = reference.epsilon_error(alg, kappa, reebs, J, eps, n, strict)
+        try:
+            _check_epsilon_clauses(alg, kappa, reebs, J, eps, n, strict)
+            got = None
+        except CCYError as exc:
+            got = (exc.check, exc.witness)
+        assert got == expected
+        seen.add(got and (got[0], next(iter(got[1]))))
+    assert seen >= {None, ("ccy.basic", "contraction"), ("ccy.basic", "lie_derivative"), ("ccy.type", "lhs"),
+                    ("ccy.closed", "d_epsilon"), ("ccy.normalization", "lhs (epsilon ^ conj)")}
+
+
+# The 5-dimensional nilpotent Lie algebras (de Graaf 2007); the filter
+# obstructs none of their contact forms. It does obstruct on R^2 acting on
+# h3: W = 0 on the first algebra, and q = 0 on a 2-dimensional W on the second.
+NILPOTENT_5 = ("(0,0,0,0,0)", "(0,0,0,0,12)", "(0,0,0,12,13)", "(0,0,0,0,12+34)", "(0,0,0,12,14+23)",
+               "(0,0,0,12,13+24)", "(0,0,12,13,14)", "(0,0,12,13,14+23)", "(0,0,12,13,23)")
+SOLVABLE_5 = ("(0,0,-13-23,-14,-2*15-25+34)", "(0,0,-13-23,-14-24,-2*15-2*25+34)")
+
+
+def filter_outcome(alg, alpha, closed=None):
+    try:
+        if closed is None:
+            return reference.obstruction_filter(alg, alpha)
+        return ccy_obstruction_filter(alg, alpha, closed)
+    except NotContactError as exc:
+        return exc.check, exc.witness
+
+
+def test_obstruction_filter_matches_the_fraction_reference():
+    rng = random.Random(2007)
+    seen = set()
+    for spec in NILPOTENT_5 + SOLVABLE_5:
+        base = parse_algebra(spec)
+        for _ in range(6):
+            alg = change_of_basis(base, [list(col) for col in zip(*rand_unimodular(rng, 5))])
+            closed = closed_two_forms(alg)
+            for _ in range(4):
+                alpha = KForm(5, 1, {(k,): Q(rng.randint(-3, 3), rng.randint(1, 3)) for k in range(1, 6)})
+                expected = filter_outcome(alg, alpha)
+                assert filter_outcome(alg, alpha, closed) == expected
+                if isinstance(expected, tuple):
+                    with pytest.raises(NotContactError):
+                        ccy_obstruction_filter(alg, alpha)
+                    seen.add("not contact")
+                    continue
+                assert ccy_obstruction_filter(alg, alpha).to_dict() == expected.to_dict()
+                seen.add((spec in SOLVABLE_5, expected.obstructed, expected.space_dimension > 0))
+    assert seen == {"not contact", (False, False, True), (True, True, False), (True, True, True)}
+
+
+def test_classify_guard_reuses_the_sample_at_the_ansatz_alpha(monkeypatch):
+    calls = []
+    real = classify.ccy_obstruction_filter
+
+    def counted(alg, alpha, closed=None):
+        calls.append(str(alpha))
+        return real(alg, alpha, closed)
+
+    monkeypatch.setattr(classify, "ccy_obstruction_filter", counted)
+    entry = next(e for e in Catalog.default() if e.name == "n5_heis")
+    report = classify_entry(entry, seed=0, random_samples=3)
+    # one call per sampled alpha (non-contact ones included), none for the guard
+    assert report.ccy_verified and calls[0] == "2*e5"
+    assert calls == [str(alpha) for alpha in classify._sample_alphas(entry.algebra(), 0, 3)]
+    # the guard keeps its meaning: an Obstructed verdict at the ansatz alpha raises
+    obstructed = classify.ObstructionVerdict(obstructed=True, space_dimension=0, polynomial="0")
+    monkeypatch.setattr(classify, "ccy_obstruction_filter", lambda *_: obstructed)
+    with pytest.raises(ArithmeticError, match="where a structure verifies"):
+        classify_entry(entry, seed=0, random_samples=0)
