@@ -35,14 +35,15 @@ class JacobiError(InputError):
 class LieAlgebra:
     """Lie algebra given by the images of degree-1 generators under d.
 
-    `d1[k]` is the degree-2 form d(e^{k+1}). The derived brackets satisfy
+    `d1[k]` is the degree-2 form d(e^{k+1}) and `d1_terms[k]` its term map,
+    which the differential reads. The derived brackets satisfy
     [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k; `structure_constants[i][j][k]`
     is the X_{k+1} component of [X_{i+1}, X_{j+1}] (0-based, antisymmetric in
     i and j), the one bracket table every contraction reads. Construction
     verifies d on each generator squares to zero unless check=False.
     """
 
-    __slots__ = ("dim", "d1", "structure_constants")
+    __slots__ = ("dim", "d1", "d1_terms", "structure_constants")
 
     def __init__(self, d1, check: bool = True):
         d1 = list(d1)
@@ -52,6 +53,7 @@ class LieAlgebra:
                 raise InputError(f"d(e{k}) must be a degree-2 form on dimension {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "d1", tuple(d1))
+        object.__setattr__(self, "d1_terms", tuple(form.terms for form in d1))
         # commuting pairs share one zero cell, so the table costs O(dim^2)
         # plus dim per bracketing pair
         zero = Fraction(0)
@@ -89,7 +91,7 @@ class LieAlgebra:
             return ComplexKForm(self.d(form.re), self.d(form.im))
         if form.dim != self.dim:
             raise InputError("ce differential: dimension mismatch")
-        return KForm(self.dim, form.degree + 1, d_terms([f.terms for f in self.d1], form.terms))
+        return KForm(self.dim, form.degree + 1, d_terms(self.d1_terms, form.terms))
 
     def is_nilpotent(self) -> bool:
         """Lower central series terminates at zero."""
@@ -140,12 +142,13 @@ def _d_monomial(d1, idx: tuple[int, ...]):
 def d_terms(d1, terms) -> dict:
     """d of the form with the given terms (index tuple -> coefficient), for
     generator differentials d1 given as term maps; the coefficients may be
-    Fractions or the ints of a scaled table. Zero terms are dropped."""
+    Fractions or the ints of a scaled table. Terms that cancel stay, as 0."""
     out: dict[tuple[int, ...], object] = {}
     for idx, c in terms.items():
         for merged, v in _d_monomial(d1, idx):
-            out[merged] = out.get(merged, 0) + c * v
-    return {idx: c for idx, c in out.items() if c}
+            prev = out.get(merged)
+            out[merged] = c * v if prev is None else prev + c * v
+    return out
 
 
 def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, Fraction]]:
@@ -153,9 +156,8 @@ def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, Fraction]]:
     domain column to the coefficient of the r-th codomain monomial."""
     cod_pos = {idx: r for r, idx in enumerate(basis_tuples(alg.dim, degree + 1))}
     rows: list[dict[int, Fraction]] = [{} for _ in cod_pos]
-    d1 = [f.terms for f in alg.d1]
     for col, idx in enumerate(basis_tuples(alg.dim, degree)):
-        for merged, v in _d_monomial(d1, idx):
+        for merged, v in _d_monomial(alg.d1_terms, idx):
             row = rows[cod_pos[merged]]
             row[col] = row.get(col, _ZERO) + v
     return [{c: v for c, v in row.items() if v} for row in rows]

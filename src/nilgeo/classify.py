@@ -185,7 +185,9 @@ def closed_two_forms(alg: LieAlgebra) -> tuple[list[list[int]], int]:
     return linalg.kernel(rows, len(basis_tuples(alg.dim, 2)))
 
 
-def ccy_obstruction_filter(alg: LieAlgebra, alpha: KForm, closed=None) -> ObstructionVerdict:
+def ccy_obstruction_filter(
+    alg: LieAlgebra, alpha: KForm, closed: tuple[list[list[int]], int] | None = None
+) -> ObstructionVerdict:
     """Necessary-condition filter for an invariant structure at a fixed alpha.
 
     W is the exact space of closed 2-forms gamma with gamma ^ d(alpha) = 0.

@@ -449,8 +449,8 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
     dim = alg.dim
     parts, den = linalg.scaled_maps([epsilon.re.terms, epsilon.im.terms])
     cells = [_contractions(terms, dim) for terms in parts]  # cells[part][k] = C_k, over den
-    d1, dd = linalg.scaled_maps([form.terms for form in alg.d1])
-    deps = [d_terms(d1, terms) for terms in parts]  # over den dd
+    d1, dd = linalg.scaled_maps(alg.d1_terms)
+    deps = [{idx: c for idx, c in d_terms(d1, terms).items() if c} for terms in parts]  # over den dd
     # (a) basic with respect to every Reeb field
     for idx, reeb in enumerate(reebs, start=1):
         rs, rd = linalg.scaled(reeb.coeffs)
