@@ -30,13 +30,14 @@ coefficients as exact strings "p/q".
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cealg import LieAlgebra
 from .errors import InputError
-from .exterior import ComplexKForm, Endo, KForm, Vector, rat
+from .exterior import ComplexKForm, Endo, KForm, Vector, merge_indices, rat
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +288,22 @@ def parse_form_expr(text: str):
 MAX_WEDGE_PAIRS = 2**14
 
 
-def _elaborate(node, dim: int) -> ComplexKForm:
+def _combine(x: dict, a: int, y: dict, b: int) -> dict:
+    """a x + b y over term maps, zeros dropped."""
+    out = {key: a * c for key, c in x.items()}
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + b * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _elaborate(node, dim: int) -> tuple[int, dict, dict, int]:
+    """(degree, re, im, den): the value of a syntax tree as two term maps of
+    nonzero int numerators over den. The degree of a zero value follows
+    ComplexKForm: the sum of the factor degrees for a product, and for a sum
+    that of the first nonzero partial sum (of the last term while all are 0)."""
     if isinstance(node, Gen):
         if 1 <= node.index <= dim:
-            return ComplexKForm.from_real(KForm.monomial(dim, (node.index,)))
+            return 1, {(node.index,): 1}, {}, 1
         # compact monomials like e12 = e1^e2 (only unambiguous for dim <= 9)
         digits = tuple(int(ch) for ch in str(node.index))
         if (
@@ -299,54 +312,59 @@ def _elaborate(node, dim: int) -> ComplexKForm:
             and all(1 <= k <= dim for k in digits)
             and all(a < b for a, b in zip(digits, digits[1:]))
         ):
-            return ComplexKForm.from_real(KForm.monomial(dim, digits))
+            return len(digits), {digits: 1}, {}, 1
         raise InputError(f"generator e{node.index} out of range for dimension {dim}")
     if isinstance(node, Rat):
-        return ComplexKForm.from_real(KForm.scalar(dim, node.value))
+        p, q = node.value.as_integer_ratio()
+        return 0, {(): p} if p else {}, {}, q
     if isinstance(node, Imag):
-        return ComplexKForm(KForm.zero(dim, 0), KForm.scalar(dim, 1))
+        return 0, {}, {(): 1}, 1
     if isinstance(node, Wedge):
-        out = _elaborate(node.factors[0], dim)
+        degree, re, im, den = _elaborate(node.factors[0], dim)
         for factor in node.factors[1:]:
-            value = _elaborate(factor, dim)
-            left, right = (len(f.re.terms) + len(f.im.terms) for f in (out, value))
+            fdeg, fre, fim, fden = _elaborate(factor, dim)
+            left, right = len(re) + len(im), len(fre) + len(fim)
             if left * right > MAX_WEDGE_PAIRS:
                 too_large = f"a wedge of {left} by {right} terms exceeds {MAX_WEDGE_PAIRS} term pairs"
                 raise InputError(f"expression too large: {too_large}")
-            out = out.wedge(value)
-        return out
+            # (a + ib) ^ (c + id) = (ac - bd) + i(ad + bc), term by term
+            out_re: dict = {}
+            out_im: dict = {}
+            for terms, fterms, out, sign in ((re, fre, out_re, 1), (im, fim, out_re, -1),
+                                             (re, fim, out_im, 1), (im, fre, out_im, 1)):
+                for ia, ca in terms.items():
+                    for ib, cb in fterms.items():
+                        s, merged = merge_indices(ia, ib)
+                        if s:
+                            out[merged] = out.get(merged, 0) + s * sign * ca * cb
+            degree, den = degree + fdeg, den * fden
+            re, im = ({key: c for key, c in out.items() if c} for out in (out_re, out_im))
+        return degree, re, im, den
     if isinstance(node, Sum):
-        total: ComplexKForm | None = None
+        degree, re, im, den = 0, {}, {}, 1
         for sign, term in node.terms:
-            value = _elaborate(term, dim)
-            if sign < 0:
-                value = -value
-            if total is None:
-                total = value
-            else:
-                if (
-                    not total.is_zero
-                    and not value.is_zero
-                    and total.degree != value.degree
-                ):
-                    raise InputError(
-                        f"mixed degrees in a sum: {total.degree} and {value.degree}"
-                    )
-                total = total + value
-        assert total is not None
-        return total
+            tdeg, tre, tim, tden = _elaborate(term, dim)
+            if not (re or im):
+                degree = tdeg
+            elif (tre or tim) and tdeg != degree:
+                raise InputError(f"mixed degrees in a sum: {degree} and {tdeg}")
+            common = math.lcm(den, tden)
+            a, b = common // den, sign * (common // tden)
+            re, im, den = _combine(re, a, tre, b), _combine(im, a, tim, b), common
+        return degree, re, im, den
     raise InputError(f"unknown node {node!r}")
 
 
 def parse_form(text: str, dim: int):
     """Elaborate a form expression; the presence of "i" yields a ComplexKForm."""
     tree, saw_imag = parse_form_expr(text)
-    value = _elaborate(tree, dim)
+    degree, re, im, den = _elaborate(tree, dim)
+    re, im = (KForm(dim, degree, {key: Fraction(c, den) for key, c in terms.items()}) for terms in (re, im))
     if saw_imag:
-        return value
-    if not value.im.is_zero:
+        return ComplexKForm(re, im)
+    if not im.is_zero:
         raise InputError("internal: imaginary part without i token")
-    return value.re
+    return re
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +409,7 @@ def parse_endo(text: str, dim: int) -> Endo:
             rows = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"bad matrix JSON: {exc}") from exc
-        if len(rows) != dim or any(len(r) != dim for r in rows):
+        if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
             raise InputError(f"matrix must be {dim}x{dim}")
         return Endo([[rat(x) for x in row] for row in rows])
     raise InputError("endomorphism must be pairs:(a,b),... or matrix:[[...]]")

@@ -37,13 +37,16 @@ class LieAlgebra:
 
     `d1[k]` is the degree-2 form d(e^{k+1}) and `d1_terms[k]` its term map,
     which the differential reads. The derived brackets satisfy
-    [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k; `structure_constants[i][j][k]`
-    is the X_{k+1} component of [X_{i+1}, X_{j+1}] (0-based, antisymmetric in
-    i and j), the one bracket table every contraction reads. Construction
-    verifies d on each generator squares to zero unless check=False.
+    [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k. `brackets[i][j]` maps k to the
+    X_{k+1} component of [X_{i+1}, X_{j+1}] times `bracket_den` (0-based,
+    ints, only the nonzero brackets and components): the sparse table the
+    structure checks contract. `structure_constants[i][j][k]` is the same
+    table, dense in Fractions, for the curvature layer. Construction verifies
+    d on each generator squares to zero, over the same ints, unless
+    check=False.
     """
 
-    __slots__ = ("dim", "d1", "d1_terms", "structure_constants")
+    __slots__ = ("dim", "d1", "d1_terms", "brackets", "bracket_den", "structure_constants")
 
     def __init__(self, d1, check: bool = True):
         d1 = list(d1)
@@ -54,21 +57,30 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "d1", tuple(d1))
         object.__setattr__(self, "d1_terms", tuple(form.terms for form in d1))
+        d1_num, den = linalg.scaled_maps(self.d1_terms)
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
+        for k, terms in enumerate(d1_num):
+            for (i, j), c in terms.items():
+                rows[i - 1].setdefault(j - 1, {})[k] = -c
+                rows[j - 1].setdefault(i - 1, {})[k] = c
+        object.__setattr__(self, "brackets", tuple(rows))
+        object.__setattr__(self, "bracket_den", den)
         # commuting pairs share one zero cell, so the table costs O(dim^2)
         # plus dim per bracketing pair
-        zero = Fraction(0)
-        cells: dict[tuple[int, int], list[Fraction]] = {}
-        for k, form in enumerate(d1):
-            for (i, j), c in form.terms.items():
-                cells.setdefault((i - 1, j - 1), [zero] * dim)[k] = -c
-        table = [[(zero,) * dim] * dim for _ in range(dim)]
-        for (i, j), cell in cells.items():
-            table[i][j], table[j][i] = tuple(cell), tuple(-x for x in cell)
+        zero = (_ZERO,) * dim
+        table = [[zero] * dim for _ in range(dim)]
+        for i, row in enumerate(rows):
+            for j, cell in row.items():
+                column = list(zero)
+                for k, c in cell.items():
+                    column[k] = Fraction(c, den)
+                table[i][j] = tuple(column)
         object.__setattr__(self, "structure_constants", tuple(map(tuple, table)))
         if check:
-            for k, form in enumerate(d1, start=1):
-                dd = self.d(form)
-                if not dd.is_zero:
+            for k, terms in enumerate(d1_num, start=1):
+                dd = {idx: Fraction(c, den * den) for idx, c in d_terms(d1_num, terms).items() if c}
+                if dd:
+                    dd = KForm(dim, 3, dd)
                     raise JacobiError(f"d(d(e{k})) = {dd} != 0; Jacobi identity fails")
 
     def __setattr__(self, *_):

@@ -330,6 +330,12 @@ ANSATZ_TABLE = {
 }
 
 
+# Largest classify --samples (random contact forms per algebra): 10^3 take
+# about 1 s on the default catalog on a 2-CPU x86-64 host; goldens and
+# benchmark inputs reach 3.
+MAX_CLASSIFY_SAMPLES = 10**3
+
+
 def _sample_alphas(alg: LieAlgebra, seed: int, random_samples: int) -> list[KForm]:
     """Deterministic small-height candidate 1-forms plus seeded random ones;
     the filter rejects the ones that are not contact."""

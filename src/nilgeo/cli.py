@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .algdsl import parse_algebra, parse_endo, parse_form, parse_vectors
 from .cealg import betti_numbers
-from .classify import Catalog, classify_catalog
+from .classify import MAX_CLASSIFY_SAMPLES, Catalog, classify_catalog
 from .curvature import (
     NotAlphaEinsteinError,
     check_alpha_einstein,
@@ -36,6 +36,7 @@ from .deform import CircleGrid, assemble_operator, kernel_dimension, kernel_is_r
 from .errors import CheckError, InputError, NilgeoError
 from .exterior import Metric, rat
 from .legendrian import (
+    MAX_COMASS_SAMPLES,
     FamilySpec,
     Subalgebra,
     check_special_legendrian,
@@ -399,6 +400,8 @@ def cmd_moduli_kernel(args) -> int:
 def cmd_comass(args) -> int:
     if args.samples < 0 or not (args.samples or args.probe):
         raise InputError("comass needs --samples > 0 or a --probe frame")
+    if args.samples > MAX_COMASS_SAMPLES:
+        raise InputError(f"comass supports --samples <= {MAX_COMASS_SAMPLES}, got {args.samples}")
     alg = parse_algebra(_file_value(args.algebra))
     seed = args.seed if args.seed is not None else _default_seed()
     report = Report(
@@ -433,6 +436,8 @@ def cmd_comass(args) -> int:
 def cmd_classify(args) -> int:
     if args.samples < 0:
         raise InputError("--samples must be nonnegative")
+    if args.samples > MAX_CLASSIFY_SAMPLES:
+        raise InputError(f"classify supports --samples <= {MAX_CLASSIFY_SAMPLES}, got {args.samples}")
     seed = args.seed if args.seed is not None else _default_seed()
     if args.catalog:
         catalog = Catalog.from_json(_file_value(args.catalog))

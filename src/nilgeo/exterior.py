@@ -22,11 +22,16 @@ Scalar = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like "3/5", and Fractions to an exact rational."""
+    """Coerce ints, strings like "3/5", and Fractions to an exact rational;
+    anything else (bools, floats, malformed strings, a zero denominator) is
+    an InputError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"not an exact rational: {x!r}")
 
 
@@ -345,9 +350,13 @@ class Vector:
 
 
 class Endo:
-    """Endomorphism of the vector space; column j is the image of X_j."""
+    """Endomorphism of the vector space; column j is the image of X_j.
 
-    __slots__ = ("matrix",)
+    `columns()` gives the columns as sparse ints over one denominator,
+    computed on first use and kept; the structure checks contract those.
+    """
+
+    __slots__ = ("matrix", "_columns")
 
     def __init__(self, matrix):
         rows = tuple(tuple(rat(x) for x in row) for row in matrix)
@@ -381,6 +390,14 @@ class Endo:
     @property
     def dim(self) -> int:
         return len(self.matrix)
+
+    def columns(self) -> tuple[list[dict[int, int]], int]:
+        """(cols, den): cols[j][i] = den * J[i][j] for the nonzero entries."""
+        if getattr(self, "_columns", None) is None:
+            nums, den = linalg.scaled([list(col) for col in zip(*self.matrix)])
+            cols = [{i: x for i, x in enumerate(col) if x} for col in nums]
+            object.__setattr__(self, "_columns", (cols, den))
+        return self._columns
 
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,7 @@ from .algdsl import parse_endo, parse_form
 from .cealg import LieAlgebra, is_exact
 from .errors import InputError
 from .exterior import KForm, evaluate, pullback
-from .structures import CCYStructure, check_ccy, check_contact
+from .structures import CCYStructure, _check_epsilon_clauses, check_ccy, check_contact
 
 
 class Subalgebra:
@@ -175,6 +175,9 @@ def comass_probe(ccy: CCYStructure, frame) -> Fraction:
 
 
 _CHUNK = 4096
+# Largest comass --samples: 10^6 frames at n = 3 take about 3 s on a 2-CPU
+# x86-64 host; goldens and benchmark inputs reach 10^5.
+MAX_COMASS_SAMPLES = 10**6
 
 
 def comass_sample(ccy: CCYStructure, samples: int, seed: int = 0) -> float:
@@ -239,19 +242,20 @@ class FamilySpec:
     def rotation(cls, ccy: CCYStructure, rotations) -> FamilySpec:
         """Rotate the volume form by exact unit complex numbers.
 
-        `rotations` is a list of (t, cos, sin) with cos^2 + sin^2 = 1; each
-        rotated structure is re-verified so the family invariant holds by
-        construction.
+        `rotations` is a list of (t, cos, sin) with cos^2 + sin^2 = 1. The
+        contact form and J are the verified ones of ccy, so each rotated
+        epsilon is re-verified by the epsilon clauses of check_ccy alone.
         """
         samples = []
+        contact = ccy.contact
         for t, c, s in rotations:
             c, s = Fraction(c), Fraction(s)
             if c * c + s * s != 1:
                 raise InputError(f"({c}, {s}) is not a unit rotation")
-            rotated = ccy.epsilon.scale(c, s)
-            samples.append(
-                FamilySample(Fraction(t), check_ccy(ccy.contact, ccy.J, rotated))
+            rotated = _check_epsilon_clauses(
+                ccy.alg, contact.kappa, [contact.reeb], ccy.J, ccy.epsilon.scale(c, s), ccy.n, False
             )
+            samples.append(FamilySample(Fraction(t), replace(ccy, epsilon=rotated)))
         return cls(tuple(samples))
 
     @classmethod

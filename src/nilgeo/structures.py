@@ -38,6 +38,9 @@ from .exterior import (
 )
 
 
+_ZERO = Fraction(0)
+
+
 class NotContactError(CheckError):
     """The 1-form fails the contact volume condition."""
 
@@ -123,17 +126,20 @@ def _volume_coefficient(alphas, dalpha: KForm, n: int) -> Fraction:
 def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
     """The Reeb fields: alpha_i(R_j) = delta_ij and iota_{R_j} d alpha = 0.
 
-    One elimination of the system with all r right-hand sides appended; the
-    rows iota_R d alpha = 0 are the rows of the 2-form matrix of d alpha.
-    Returns None when the solution is not unique or does not exist.
+    One sparse elimination of the system with all r right-hand sides
+    appended (column dim + j), its rows read off the term maps: alpha_i, and
+    for each X_p the row of iota_{X_p} d alpha. Returns None when the
+    solution is not unique or does not exist.
     """
-    dim, r = dalpha.dim, len(alphas)
-    rows = [covector(a) + [Fraction(int(i == j)) for j in range(r)] for i, a in enumerate(alphas)]
-    rows += [row + [Fraction(0)] * r for row in two_form_matrix(dalpha)]
-    reduced, pivots = linalg.rref(rows)
+    dim, one = dalpha.dim, Fraction(1)
+    rows = [{**{k - 1: c for (k,), c in a.terms.items()}, dim + i: one} for i, a in enumerate(alphas)]
+    iota: list[dict] = [{} for _ in range(dim)]
+    for (p, q), c in dalpha.terms.items():
+        iota[p - 1][q - 1], iota[q - 1][p - 1] = c, -c
+    reduced, pivots = linalg._rref_sparse(rows + iota)
     if pivots != list(range(dim)):
         return None
-    return [Vector([reduced[i][dim + j] for i in range(dim)]) for j in range(r)]
+    return [Vector([row.get(dim + j, _ZERO) for row in reduced]) for j in range(len(alphas))]
 
 
 def _contact_differential(alg: LieAlgebra, alpha: KForm) -> KForm:
@@ -181,50 +187,77 @@ def require_contact(alg: LieAlgebra, alpha: KForm) -> KForm:
     return dalpha
 
 
+def _xi_frame(dim: int, alphas) -> tuple[list[list[int]], int]:
+    """(basis, den): the kernel of the int covectors of the 1-forms."""
+    return linalg.kernel(linalg.scaled([covector(a) for a in alphas])[0], dim)
+
+
 def xi_basis(alg: LieAlgebra, alphas) -> list[Vector]:
     """Exact basis of the intersection of the kernels of the given 1-forms."""
-    return [Vector(v) for v in linalg.nullspace([covector(a) for a in alphas], alg.dim)]
+    basis, den = _xi_frame(alg.dim, alphas)
+    return [Vector([Fraction(x, den) for x in v]) for v in basis]
+
+
+def _sparse(v) -> dict[int, int]:
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def _combine(cells, v: dict) -> dict:
+    """sum_k v[k] cells[k] over term maps, for v sparse; zeros dropped."""
+    out: dict = {}
+    for k, vk in v.items():
+        for key, c in cells[k].items():
+            out[key] = out.get(key, 0) + vk * c
+    return {key: c for key, c in out.items() if c}
 
 
 def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
-    """The calibration axioms as matrix identities, shared by the contact
-    (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the algebra.
-    Over ints: J = jm / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad."""
+    """The calibration axioms as identities of sparse int columns, shared by
+    the contact (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the
+    algebra. Over ints: J = cols / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad,
+    and column j of a matrix is the dict of its nonzero entries."""
     dim = alg.dim
-    jm, jd = linalg.scaled(J.matrix)
+    cols, jd = J.columns()
     rs, rd = linalg.scaled([reeb.coeffs for reeb in reebs])
     for idx, (reeb, r) in enumerate(zip(reebs, rs), start=1):
-        if any(linalg.matvec(jm, r)):
+        if _combine(cols, _sparse(r)):
             raise NotCalibratedError(
                 "calibrated.J_reeb",
                 f"J(R_{idx}) != 0",
                 {"reeb": str(reeb), "J_reeb": str(J.apply(reeb))},
             )
-    jcols = list(zip(*jm))  # jcols[j] = J X_{j+1}, over jd
-    j2cols = [linalg.matvec(jm, col) for col in jcols]  # over jd^2
+    # J^2 = -I + sum_k R_k (x) alpha_k, column by column over jd^2 and s
     covs, ad = linalg.scaled([covector(a) for a in alphas])
-    s = ad * rd
-    for i in range(dim):
-        for j in range(dim):
-            expected = sum(r[i] * cov[j] for cov, r in zip(covs, rs)) - s * (i == j)  # over s
-            if j2cols[j][i] * s != expected * jd * jd:
-                value, expected = Fraction(j2cols[j][i], jd * jd), Fraction(expected, s)
-                witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(value), "expected": str(expected)}
-                raise NotCalibratedError("calibrated.J_square", "J^2 != -I + sum alpha_i (x) R_i", witness)
-    # g_J(X_i, X_j) = kappa(X_i, J X_j): the matrix product K J, over gd
-    km, kd = linalg.scaled(two_form_matrix(kappa))
-    g_rows = [list(row) for row in zip(*(linalg.matvec(km, col) for col in jcols))]
+    s, jd2 = ad * rd, jd * jd
+    reeb_cols, failing = [_sparse(r) for r in rs], []
+    for j in range(dim):
+        expected = _combine(reeb_cols, {k: cov[j] for k, cov in enumerate(covs) if cov[j]})
+        expected[j] = expected.get(j, 0) - s
+        j2 = _combine(cols, cols[j])
+        failing += [(i, j) for i in set(j2) | set(expected) if j2.get(i, 0) * s != expected.get(i, 0) * jd2]
+    if failing:
+        i, j = min(failing)
+        expected = sum(r[i] * cov[j] for cov, r in zip(covs, rs)) - s * (i == j)
+        value, expected = Fraction(_combine(cols, cols[j]).get(i, 0), jd2), Fraction(expected, s)
+        witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(value), "expected": str(expected)}
+        raise NotCalibratedError("calibrated.J_square", "J^2 != -I + sum alpha_i (x) R_i", witness)
+    # g_J(X_i, X_j) = kappa(X_i, J X_j): column j of K J is sum_p J_pj K[:, p], over gd
+    (knum, kd) = linalg.scaled_maps([kappa.terms])
+    kcols: list[dict] = [{} for _ in range(dim)]
+    for (a, b), c in knum[0].items():
+        kcols[b - 1][a - 1], kcols[a - 1][b - 1] = c, -c
+    g = [_combine(kcols, col) for col in cols]  # g[j][i] = g_J(X_i, X_j)
     gd = kd * jd
-    for i in range(dim):
-        for j in range(i):
-            if g_rows[i][j] != g_rows[j][i]:
-                gij, gji = Fraction(g_rows[i][j], gd), Fraction(g_rows[j][i], gd)
-                witness = {"pair": f"(X{j + 1},X{i + 1})", "g(Xi,Xj)": str(gij), "g(Xj,Xi)": str(gji)}
-                raise NotCalibratedError("calibrated.symmetric", "kappa(., J.) is not symmetric", witness)
-    xi = xi_basis(alg, alphas)
-    frame, fd = linalg.scaled([v.coeffs for v in xi])
-    gframe = [linalg.matvec(g_rows, v) for v in frame]
-    gram = [[linalg.dot(u, gv) for gv in gframe] for u in frame]  # over gd fd^2
+    asymmetric = [(max(i, j), min(i, j)) for j, col in enumerate(g) for i, x in col.items() if g[i].get(j, 0) != x]
+    if asymmetric:
+        i, j = min(asymmetric)
+        gij, gji = Fraction(g[j].get(i, 0), gd), Fraction(g[i].get(j, 0), gd)
+        witness = {"pair": f"(X{j + 1},X{i + 1})", "g(Xi,Xj)": str(gij), "g(Xj,Xi)": str(gji)}
+        raise NotCalibratedError("calibrated.symmetric", "kappa(., J.) is not symmetric", witness)
+    basis, fd = _xi_frame(dim, alphas)
+    frame = [_sparse(v) for v in basis]
+    gframe = [_combine(g, v) for v in frame]
+    gram = [[sum(x * gv.get(i, 0) for i, x in u.items()) for gv in gframe] for u in frame]  # over gd fd^2
     minors, inverse = linalg.sylvester(gram)
     if inverse is None:
         k, den = len(minors), gd * fd * fd
@@ -232,13 +265,17 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
             "calibrated.positive",
             "g_J is not positive definite on the contact distribution",
             {
-                "witness_vector": str(xi[k - 1]),
+                "witness_vector": str(Vector([Fraction(x, fd) for x in basis[k - 1]])),
                 "leading_minor": str(minors[-1] / den**k),
                 "g(v,v)": str(Fraction(gram[k - 1][k - 1], den)),
             },
         )
     # J-invariance on xi follows: g_J(Ju, Jv) = kappa(Ju, J^2 v) = -kappa(Ju, v) = g_J(v, u)
-    return Metric([[Fraction(x, gd) for x in row] for row in g_rows])
+    rows = [[_ZERO] * dim for _ in range(dim)]
+    for j, col in enumerate(g):
+        for i, x in col.items():
+            rows[i][j] = Fraction(x, gd)
+    return Metric(rows)
 
 
 def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
@@ -253,29 +290,45 @@ def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
 
 
 def _nijenhuis_table(J: Endo, alg: LieAlgebra) -> tuple[dict, int]:
-    """(table, den): table[(i, j)] is N(X_i, X_j) for 1-based i < j, as ints
-    over den = jd^2 Cd, for J = jm / jd and the bracket table c = C / Cd."""
-    c, cd = linalg.scaled(alg.structure_constants)
-    jm, jd = linalg.scaled(J.matrix)
-    jcols = list(zip(*jm))
-    ad_j = [linalg.contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j], over jd cd
+    """(table, den): table[(i, j)] is the nonzero N(X_i, X_j) for 1-based
+    i < j, a sparse int vector over den = jd^2 Cd, for J = cols / jd and the
+    bracket cells over Cd; the pairs where N vanishes are left out."""
+    cols, jd = J.columns()
+    cells = alg.brackets
+    ad_j = []  # ad_j[i][j] = [J X_i, X_j] = sum_p J_pi [X_p, X_j], over jd Cd
+    for col in cols:
+        row: dict[int, dict] = {}
+        for p, x in col.items():
+            for j, cell in cells[p].items():
+                acc = row.setdefault(j, {})
+                for k, c in cell.items():
+                    acc[k] = acc.get(k, 0) + x * c
+        ad_j.append(row)
     table = {}
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            # [JX, Y] + [X, JY] - J[X, Y], then N = [JX, JY] - J(...), over jd^2 cd
-            inner = [a - b for a, b in zip(ad_j[i][j], ad_j[j][i])]
-            linalg.axpy(inner, -1, linalg.matvec(jm, c[i][j]))
-            out = linalg.lincomb(ad_j[i], jcols[j])
-            linalg.axpy(out, -1, linalg.matvec(jm, inner))
-            table[(i + 1, j + 1)] = out
-    return table, jd * jd * cd
+            if not (ad_j[i] or ad_j[j] or j in cells[i]):
+                continue
+            # [JX, Y] + [X, JY] - J[X, Y], then N = [JX, JY] - J(...), over jd^2 Cd
+            inner = dict(ad_j[i].get(j, {}))
+            for k, c in ad_j[j].get(i, {}).items():
+                inner[k] = inner.get(k, 0) - c
+            for k, c in _combine(cols, cells[i].get(j, {})).items():
+                inner[k] = inner.get(k, 0) - c
+            out = _combine(ad_j[i], {q: x for q, x in cols[j].items() if q in ad_j[i]})
+            for k, c in _combine(cols, inner).items():
+                out[k] = out.get(k, 0) - c
+            out = {k: c for k, c in out.items() if c}
+            if out:
+                table[(i + 1, j + 1)] = out
+    return table, jd * jd * alg.bracket_den
 
 
 class NijenhuisTensor:
     """Exact Nijenhuis tensor N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2[X, Y].
 
     `table[(i, j)]` is N(X_i, X_j) for 1-based i < j, contracted from the
-    algebra's bracket table at construction.
+    algebra's bracket cells at construction.
     """
 
     def __init__(self, J: Endo, alg: LieAlgebra):
@@ -285,7 +338,8 @@ class NijenhuisTensor:
         self.alg = alg
         self.dim = alg.dim
         table, den = _nijenhuis_table(J, alg)
-        self.table = {key: Vector([Fraction(x, den) for x in v]) for key, v in table.items()}
+        pairs = combinations(range(1, self.dim + 1), 2)
+        self.table = {key: _vector(table.get(key, {}), self.dim, den) for key in pairs}
 
     def __call__(self, x: Vector, y: Vector) -> Vector:
         out = [Fraction(0)] * self.dim
@@ -300,16 +354,22 @@ def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> NijenhuisTensor:
     return NijenhuisTensor(J, alg)
 
 
+def _vector(v: dict, dim: int, den: int) -> Vector:
+    """The Vector of a sparse int vector over den."""
+    return Vector([Fraction(v[k], den) if k in v else _ZERO for k in range(dim)])
+
+
 def _nijenhuis_failures(alg: LieAlgebra, J: Endo, dalpha: KForm, reeb: Vector) -> list[dict]:
     """The basis pairs where N_J != -d(alpha) (x) R, with both sides; for
     N = num / den, R = rs / rd and d alpha(X_i, X_j) = p / q, num q rd = -p rs den."""
     table, den = _nijenhuis_table(J, alg)
     rs, rd = linalg.scaled(reeb.coeffs)
     failures = []
-    for (i, j), num in table.items():
+    for i, j in sorted(set(table) | set(dalpha.terms)):
+        num = table.get((i, j), {})
         p, q = dalpha.coefficient((i, j)).as_integer_ratio()
-        if any(x * q * rd != -p * y * den for x, y in zip(num, rs)):
-            lhs, rhs = Vector([Fraction(x, den) for x in num]), -Fraction(p, q) * reeb
+        if {k: x * q * rd for k, x in num.items()} != {k: -p * y * den for k, y in enumerate(rs) if p * y}:
+            lhs, rhs = _vector(num, alg.dim, den), -Fraction(p, q) * reeb
             failures.append({"pair": f"(X{i},X{j})", "nijenhuis": str(lhs), "required": str(rhs)})
     return failures
 
@@ -329,7 +389,7 @@ def check_sasakian(contact: ContactStructure, J: Endo) -> SasakianStructure:
     raises NotSasakianError carrying every failing pair.
     """
     g_j = check_calibrated_complex(contact, J)
-    failures = _nijenhuis_failures(contact.alg, J, contact.alg.d(contact.alpha), contact.reeb)
+    failures = _nijenhuis_failures(contact.alg, J, contact.kappa * 2, contact.reeb)
     if failures:
         raise NotSasakianError(failures)
     return SasakianStructure(contact=contact, J=J, g_j=g_j)
@@ -414,16 +474,6 @@ def _contractions(terms: dict, dim: int) -> list[dict]:
     return cells
 
 
-def _combine(cells, v) -> dict:
-    """sum_k v[k] cells[k] over term maps, zeros dropped."""
-    out: dict = {}
-    for vk, cell in zip(v, cells):
-        if vk:
-            for key, c in cell.items():
-                out[key] = out.get(key, 0) + vk * c
-    return {key: c for key, c in out.items() if c}
-
-
 def _complex_form(parts, dim: int, degree: int, den: int) -> ComplexKForm:
     """The ComplexKForm of int term maps (re, im) over den."""
     re, im = (KForm(dim, degree, {key: Fraction(c, den) for key, c in terms.items()}) for terms in parts)
@@ -454,6 +504,7 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
     # (a) basic with respect to every Reeb field
     for idx, reeb in enumerate(reebs, start=1):
         rs, rd = linalg.scaled(reeb.coeffs)
+        rs = _sparse(rs)
         cont = [_combine(part, rs) for part in cells]
         if any(cont):
             raise CCYError(
@@ -470,9 +521,9 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
             )
     # (b) type (n,0): iota_{J X_i} epsilon = i iota_{X_i} epsilon for every basis
     # vector, sum_k J_ki C_k = i C_i over J = jm / jd
-    jm, jd = linalg.scaled(J.matrix)
+    jcols, jd = J.columns()
     re_cells, im_cells = cells
-    for i, jcol in enumerate(zip(*jm)):
+    for i, jcol in enumerate(jcols):
         lhs = [_combine(part, jcol) for part in cells]
         rhs = [{key: -jd * c for key, c in im_cells[i].items()}, {key: jd * c for key, c in re_cells[i].items()}]
         if lhs != rhs:
