@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .cealg import LieAlgebra
 from .errors import InputError
-from .exterior import ComplexKForm, Endo, KForm, Vector, merge_indices, rat
+from .exterior import ComplexKForm, Endo, KForm, Vector, add_terms, rat, wedge_terms
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +288,8 @@ def parse_form_expr(text: str):
 MAX_WEDGE_PAIRS = 2**14
 
 
-def _combine(x: dict, a: int, y: dict, b: int) -> dict:
-    """a x + b y over term maps, zeros dropped."""
-    out = {key: a * c for key, c in x.items()}
-    for key, c in y.items():
-        out[key] = out.get(key, 0) + b * c
-    return {key: c for key, c in out.items() if c}
-
-
 def _elaborate(node, dim: int) -> tuple[int, dict, dict, int]:
-    """(degree, re, im, den): the value of a syntax tree as two term maps of
-    nonzero int numerators over den. The degree of a zero value follows
-    ComplexKForm: the sum of the factor degrees for a product, and for a sum
-    that of the first nonzero partial sum (of the last term while all are 0)."""
+    """(degree, re, im, den): term maps of nonzero ints over den; degrees as in ComplexKForm."""
     if isinstance(node, Gen):
         if 1 <= node.index <= dim:
             return 1, {(node.index,): 1}, {}, 1
@@ -327,18 +316,10 @@ def _elaborate(node, dim: int) -> tuple[int, dict, dict, int]:
             if left * right > MAX_WEDGE_PAIRS:
                 too_large = f"a wedge of {left} by {right} terms exceeds {MAX_WEDGE_PAIRS} term pairs"
                 raise InputError(f"expression too large: {too_large}")
-            # (a + ib) ^ (c + id) = (ac - bd) + i(ad + bc), term by term
-            out_re: dict = {}
-            out_im: dict = {}
-            for terms, fterms, out, sign in ((re, fre, out_re, 1), (im, fim, out_re, -1),
-                                             (re, fim, out_im, 1), (im, fre, out_im, 1)):
-                for ia, ca in terms.items():
-                    for ib, cb in fterms.items():
-                        s, merged = merge_indices(ia, ib)
-                        if s:
-                            out[merged] = out.get(merged, 0) + s * sign * ca * cb
+            # (a + ib) ^ (c + id) = (ac - bd) + i(ad + bc)
+            re, im = ({key: c for key, c in add_terms(wedge_terms(u, v), sign, wedge_terms(x, y)).items() if c}
+                      for u, v, sign, x, y in ((re, fre, -1, im, fim), (re, fim, 1, im, fre)))
             degree, den = degree + fdeg, den * fden
-            re, im = ({key: c for key, c in out.items() if c} for out in (out_re, out_im))
         return degree, re, im, den
     if isinstance(node, Sum):
         degree, re, im, den = 0, {}, {}, 1
@@ -348,9 +329,11 @@ def _elaborate(node, dim: int) -> tuple[int, dict, dict, int]:
                 degree = tdeg
             elif (tre or tim) and tdeg != degree:
                 raise InputError(f"mixed degrees in a sum: {degree} and {tdeg}")
-            common = math.lcm(den, tden)
-            a, b = common // den, sign * (common // tden)
-            re, im, den = _combine(re, a, tre, b), _combine(im, a, tim, b), common
+            scale = math.lcm(den, tden)
+            a, b = scale // den, sign * scale // tden
+            re, im = ({key: c for key, c in add_terms(add_terms({}, a, x), b, y).items() if c}
+                      for x, y in ((re, tre), (im, tim)))
+            den = scale
         return degree, re, im, den
     raise InputError(f"unknown node {node!r}")
 

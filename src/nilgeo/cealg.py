@@ -37,16 +37,14 @@ class LieAlgebra:
 
     `d1[k]` is the degree-2 form d(e^{k+1}) and `d1_terms[k]` its term map,
     which the differential reads. The derived brackets satisfy
-    [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k. `brackets[i][j]` maps k to the
-    X_{k+1} component of [X_{i+1}, X_{j+1}] times `bracket_den` (0-based,
-    ints, only the nonzero brackets and components): the sparse table the
-    structure checks contract. `structure_constants[i][j][k]` is the same
-    table, dense in Fractions, for the curvature layer. Construction verifies
-    d on each generator squares to zero, over the same ints, unless
-    check=False.
+    [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k. `brackets` is (cells, den):
+    cells[i][j][k] is den times the X_{k+1} component of [X_{i+1}, X_{j+1}]
+    (0-based, sparse ints); `structure_constants[i][j][k]` is that table dense,
+    in Fractions. Construction verifies over those ints that d on each
+    generator squares to zero unless check=False.
     """
 
-    __slots__ = ("dim", "d1", "d1_terms", "brackets", "bracket_den", "structure_constants")
+    __slots__ = ("dim", "d1", "d1_terms", "brackets", "structure_constants")
 
     def __init__(self, d1, check: bool = True):
         d1 = list(d1)
@@ -63,24 +61,19 @@ class LieAlgebra:
             for (i, j), c in terms.items():
                 rows[i - 1].setdefault(j - 1, {})[k] = -c
                 rows[j - 1].setdefault(i - 1, {})[k] = c
-        object.__setattr__(self, "brackets", tuple(rows))
-        object.__setattr__(self, "bracket_den", den)
+        object.__setattr__(self, "brackets", (tuple(rows), den))
         # commuting pairs share one zero cell, so the table costs O(dim^2)
         # plus dim per bracketing pair
         zero = (_ZERO,) * dim
         table = [[zero] * dim for _ in range(dim)]
         for i, row in enumerate(rows):
             for j, cell in row.items():
-                column = list(zero)
-                for k, c in cell.items():
-                    column[k] = Fraction(c, den)
-                table[i][j] = tuple(column)
+                table[i][j] = tuple(Fraction(cell[k], den) if k in cell else _ZERO for k in range(dim))
         object.__setattr__(self, "structure_constants", tuple(map(tuple, table)))
         if check:
             for k, terms in enumerate(d1_num, start=1):
-                dd = {idx: Fraction(c, den * den) for idx, c in d_terms(d1_num, terms).items() if c}
-                if dd:
-                    dd = KForm(dim, 3, dd)
+                dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(d1_num, terms).items()})
+                if not dd.is_zero:
                     raise JacobiError(f"d(d(e{k})) = {dd} != 0; Jacobi identity fails")
 
     def __setattr__(self, *_):

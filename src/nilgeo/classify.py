@@ -330,9 +330,8 @@ ANSATZ_TABLE = {
 }
 
 
-# Largest classify --samples (random contact forms per algebra): 10^3 take
-# about 1 s on the default catalog on a 2-CPU x86-64 host; goldens and
-# benchmark inputs reach 3.
+# Largest classify --samples (random contact forms per algebra): 10^3 take about
+# 1 s on the default catalog (2-CPU x86-64 host); goldens and benchmarks use 3.
 MAX_CLASSIFY_SAMPLES = 10**3
 
 

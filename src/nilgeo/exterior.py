@@ -22,9 +22,7 @@ Scalar = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like "3/5", and Fractions to an exact rational;
-    anything else (bools, floats, malformed strings, a zero denominator) is
-    an InputError."""
+    """Coerce ints, strings like "3/5", and Fractions to an exact rational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
@@ -60,6 +58,24 @@ def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     merged.extend(left[i:])
     merged.extend(right[j:])
     return sign, tuple(merged)
+
+
+def add_terms(out: dict, c, terms: dict) -> dict:
+    """out += c * terms over term maps or sparse vectors, in place; returns out."""
+    for key, x in terms.items():
+        out[key] = out.get(key, 0) + c * x
+    return out
+
+
+def wedge_terms(a: dict, b: dict) -> dict:
+    """The term map of the wedge product; cancelled terms stay, as 0."""
+    out: dict = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            sign, merged = merge_indices(ia, ib)
+            if sign:
+                out[merged] = out.get(merged, 0) + sign * ca * cb
+    return out
 
 
 class KForm:
@@ -149,14 +165,7 @@ class KForm:
             return ComplexKForm.from_real(self).wedge(other)
         if self.dim != other.dim:
             raise InputError(f"wedge: dimension mismatch {self.dim} != {other.dim}")
-        degree = self.degree + other.degree
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                sign, merged = merge_indices(ia, ib)
-                if sign:
-                    terms[merged] = terms.get(merged, Fraction(0)) + sign * ca * cb
-        return KForm(self.dim, degree, terms)
+        return KForm(self.dim, self.degree + other.degree, wedge_terms(self.terms, other.terms))
 
     def power(self, k: int) -> KForm:
         """k-fold wedge power; power(0) is the scalar 1."""
@@ -350,11 +359,7 @@ class Vector:
 
 
 class Endo:
-    """Endomorphism of the vector space; column j is the image of X_j.
-
-    `columns()` gives the columns as sparse ints over one denominator,
-    computed on first use and kept; the structure checks contract those.
-    """
+    """Endomorphism of the vector space; column j is the image of X_j."""
 
     __slots__ = ("matrix", "_columns")
 
@@ -392,11 +397,10 @@ class Endo:
         return len(self.matrix)
 
     def columns(self) -> tuple[list[dict[int, int]], int]:
-        """(cols, den): cols[j][i] = den * J[i][j] for the nonzero entries."""
+        """(cols, den): cols[j][i] = den * J[i][j] for the nonzero entries, kept."""
         if getattr(self, "_columns", None) is None:
             nums, den = linalg.scaled([list(col) for col in zip(*self.matrix)])
-            cols = [{i: x for i, x in enumerate(col) if x} for col in nums]
-            object.__setattr__(self, "_columns", (cols, den))
+            object.__setattr__(self, "_columns", ([{i: x for i, x in enumerate(c) if x} for c in nums], den))
         return self._columns
 
     def apply(self, v: Vector) -> Vector:

@@ -246,15 +246,13 @@ class FamilySpec:
         contact form and J are the verified ones of ccy, so each rotated
         epsilon is re-verified by the epsilon clauses of check_ccy alone.
         """
-        samples = []
-        contact = ccy.contact
+        samples, contact = [], ccy.contact
         for t, c, s in rotations:
             c, s = Fraction(c), Fraction(s)
             if c * c + s * s != 1:
                 raise InputError(f"({c}, {s}) is not a unit rotation")
-            rotated = _check_epsilon_clauses(
-                ccy.alg, contact.kappa, [contact.reeb], ccy.J, ccy.epsilon.scale(c, s), ccy.n, False
-            )
+            rotated = ccy.epsilon.scale(c, s)
+            rotated = _check_epsilon_clauses(ccy.alg, contact.kappa, [contact.reeb], ccy.J, rotated, ccy.n, False)
             samples.append(FamilySample(Fraction(t), replace(ccy, epsilon=rotated)))
         return cls(tuple(samples))
 

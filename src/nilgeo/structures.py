@@ -32,13 +32,11 @@ from .exterior import (
     KForm,
     Metric,
     Vector,
+    add_terms,
     covector,
     merge_indices,
     two_form_matrix,
 )
-
-
-_ZERO = Fraction(0)
 
 
 class NotContactError(CheckError):
@@ -126,20 +124,17 @@ def _volume_coefficient(alphas, dalpha: KForm, n: int) -> Fraction:
 def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
     """The Reeb fields: alpha_i(R_j) = delta_ij and iota_{R_j} d alpha = 0.
 
-    One sparse elimination of the system with all r right-hand sides
-    appended (column dim + j), its rows read off the term maps: alpha_i, and
-    for each X_p the row of iota_{X_p} d alpha. Returns None when the
-    solution is not unique or does not exist.
+    One sparse elimination, with all r right-hand sides appended, of rows read
+    off the term maps: alpha_i, and the columns of the matrix of d alpha (the
+    -iota_{X_p} d alpha). Returns None when the solution is not unique or
+    does not exist.
     """
     dim, one = dalpha.dim, Fraction(1)
     rows = [{**{k - 1: c for (k,), c in a.terms.items()}, dim + i: one} for i, a in enumerate(alphas)]
-    iota: list[dict] = [{} for _ in range(dim)]
-    for (p, q), c in dalpha.terms.items():
-        iota[p - 1][q - 1], iota[q - 1][p - 1] = c, -c
-    reduced, pivots = linalg._rref_sparse(rows + iota)
+    reduced, pivots = linalg._rref_sparse(rows + _columns(dalpha.terms, dim))
     if pivots != list(range(dim)):
         return None
-    return [Vector([row.get(dim + j, _ZERO) for row in reduced]) for j in range(len(alphas))]
+    return [Vector([row.get(dim + j, 0) for row in reduced]) for j in range(len(alphas))]
 
 
 def _contact_differential(alg: LieAlgebra, alpha: KForm) -> KForm:
@@ -187,14 +182,9 @@ def require_contact(alg: LieAlgebra, alpha: KForm) -> KForm:
     return dalpha
 
 
-def _xi_frame(dim: int, alphas) -> tuple[list[list[int]], int]:
-    """(basis, den): the kernel of the int covectors of the 1-forms."""
-    return linalg.kernel(linalg.scaled([covector(a) for a in alphas])[0], dim)
-
-
 def xi_basis(alg: LieAlgebra, alphas) -> list[Vector]:
     """Exact basis of the intersection of the kernels of the given 1-forms."""
-    basis, den = _xi_frame(alg.dim, alphas)
+    basis, den = linalg.kernel(linalg.scaled([covector(a) for a in alphas])[0], alg.dim)
     return [Vector([Fraction(x, den) for x in v]) for v in basis]
 
 
@@ -202,20 +192,26 @@ def _sparse(v) -> dict[int, int]:
     return {k: x for k, x in enumerate(v) if x}
 
 
+def _columns(terms: dict, dim: int) -> list[dict]:
+    """The sparse columns of the matrix M[i][p] = beta(X_i, X_p) of a 2-form."""
+    cols: list[dict] = [{} for _ in range(dim)]
+    for (a, b), c in terms.items():
+        cols[b - 1][a - 1], cols[a - 1][b - 1] = c, -c
+    return cols
+
+
 def _combine(cells, v: dict) -> dict:
     """sum_k v[k] cells[k] over term maps, for v sparse; zeros dropped."""
     out: dict = {}
     for k, vk in v.items():
-        for key, c in cells[k].items():
-            out[key] = out.get(key, 0) + vk * c
+        add_terms(out, vk, cells[k])
     return {key: c for key, c in out.items() if c}
 
 
 def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
     """The calibration axioms as identities of sparse int columns, shared by
     the contact (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the
-    algebra. Over ints: J = cols / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad,
-    and column j of a matrix is the dict of its nonzero entries."""
+    algebra. Over ints: J = cols / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad."""
     dim = alg.dim
     cols, jd = J.columns()
     rs, rd = linalg.scaled([reeb.coeffs for reeb in reebs])
@@ -228,25 +224,19 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
             )
     # J^2 = -I + sum_k R_k (x) alpha_k, column by column over jd^2 and s
     covs, ad = linalg.scaled([covector(a) for a in alphas])
-    s, jd2 = ad * rd, jd * jd
-    reeb_cols, failing = [_sparse(r) for r in rs], []
-    for j in range(dim):
-        expected = _combine(reeb_cols, {k: cov[j] for k, cov in enumerate(covs) if cov[j]})
-        expected[j] = expected.get(j, 0) - s
-        j2 = _combine(cols, cols[j])
-        failing += [(i, j) for i in set(j2) | set(expected) if j2.get(i, 0) * s != expected.get(i, 0) * jd2]
+    s, jd2, reeb_cols = ad * rd, jd * jd, [_sparse(r) for r in rs]
+    square = [_combine(cols, col) for col in cols]
+    expected = [add_terms(_combine(reeb_cols, dict(enumerate(cov[j] for cov in covs))), -s, {j: 1}) for j in range(dim)]
+    failing = [(i, j) for j, (sq, ex) in enumerate(zip(square, expected))
+               for i in set(sq) | set(ex) if sq.get(i, 0) * s != ex.get(i, 0) * jd2]
     if failing:
         i, j = min(failing)
-        expected = sum(r[i] * cov[j] for cov, r in zip(covs, rs)) - s * (i == j)
-        value, expected = Fraction(_combine(cols, cols[j]).get(i, 0), jd2), Fraction(expected, s)
-        witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(value), "expected": str(expected)}
+        value, required = Fraction(square[j].get(i, 0), jd2), Fraction(expected[j].get(i, 0), s)
+        witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(value), "expected": str(required)}
         raise NotCalibratedError("calibrated.J_square", "J^2 != -I + sum alpha_i (x) R_i", witness)
     # g_J(X_i, X_j) = kappa(X_i, J X_j): column j of K J is sum_p J_pj K[:, p], over gd
-    (knum, kd) = linalg.scaled_maps([kappa.terms])
-    kcols: list[dict] = [{} for _ in range(dim)]
-    for (a, b), c in knum[0].items():
-        kcols[b - 1][a - 1], kcols[a - 1][b - 1] = c, -c
-    g = [_combine(kcols, col) for col in cols]  # g[j][i] = g_J(X_i, X_j)
+    (knum,), kd = linalg.scaled_maps([kappa.terms])
+    g = [_combine(_columns(knum, dim), col) for col in cols]  # g[j][i] = g_J(X_i, X_j)
     gd = kd * jd
     asymmetric = [(max(i, j), min(i, j)) for j, col in enumerate(g) for i, x in col.items() if g[i].get(j, 0) != x]
     if asymmetric:
@@ -254,7 +244,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
         gij, gji = Fraction(g[j].get(i, 0), gd), Fraction(g[i].get(j, 0), gd)
         witness = {"pair": f"(X{j + 1},X{i + 1})", "g(Xi,Xj)": str(gij), "g(Xj,Xi)": str(gji)}
         raise NotCalibratedError("calibrated.symmetric", "kappa(., J.) is not symmetric", witness)
-    basis, fd = _xi_frame(dim, alphas)
+    basis, fd = linalg.kernel(covs, dim)
     frame = [_sparse(v) for v in basis]
     gframe = [_combine(g, v) for v in frame]
     gram = [[sum(x * gv.get(i, 0) for i, x in u.items()) for gv in gframe] for u in frame]  # over gd fd^2
@@ -271,11 +261,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
             },
         )
     # J-invariance on xi follows: g_J(Ju, Jv) = kappa(Ju, J^2 v) = -kappa(Ju, v) = g_J(v, u)
-    rows = [[_ZERO] * dim for _ in range(dim)]
-    for j, col in enumerate(g):
-        for i, x in col.items():
-            rows[i][j] = Fraction(x, gd)
-    return Metric(rows)
+    return Metric([[Fraction(g[j][i], gd) if i in g[j] else 0 for j in range(dim)] for i in range(dim)])
 
 
 def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
@@ -289,39 +275,29 @@ def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
     )
 
 
+def _bracket(cells, u: dict, v: dict) -> dict:
+    """[u, v] of sparse vectors over the sparse int bracket cells."""
+    out: dict = {}
+    for p, x in u.items():
+        for q, y in v.items():
+            if q in cells[p]:
+                add_terms(out, x * y, cells[p][q])
+    return out
+
+
 def _nijenhuis_table(J: Endo, alg: LieAlgebra) -> tuple[dict, int]:
-    """(table, den): table[(i, j)] is the nonzero N(X_i, X_j) for 1-based
-    i < j, a sparse int vector over den = jd^2 Cd, for J = cols / jd and the
-    bracket cells over Cd; the pairs where N vanishes are left out."""
+    """(table, den): table[(i, j)] is N(X_i, X_j) != 0 for 1-based i < j, as
+    sparse ints over den = jd^2 Cd, for J = cols / jd and the cells over Cd."""
     cols, jd = J.columns()
-    cells = alg.brackets
-    ad_j = []  # ad_j[i][j] = [J X_i, X_j] = sum_p J_pi [X_p, X_j], over jd Cd
-    for col in cols:
-        row: dict[int, dict] = {}
-        for p, x in col.items():
-            for j, cell in cells[p].items():
-                acc = row.setdefault(j, {})
-                for k, c in cell.items():
-                    acc[k] = acc.get(k, 0) + x * c
-        ad_j.append(row)
-    table = {}
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            if not (ad_j[i] or ad_j[j] or j in cells[i]):
-                continue
-            # [JX, Y] + [X, JY] - J[X, Y], then N = [JX, JY] - J(...), over jd^2 Cd
-            inner = dict(ad_j[i].get(j, {}))
-            for k, c in ad_j[j].get(i, {}).items():
-                inner[k] = inner.get(k, 0) - c
-            for k, c in _combine(cols, cells[i].get(j, {})).items():
-                inner[k] = inner.get(k, 0) - c
-            out = _combine(ad_j[i], {q: x for q, x in cols[j].items() if q in ad_j[i]})
-            for k, c in _combine(cols, inner).items():
-                out[k] = out.get(k, 0) - c
-            out = {k: c for k, c in out.items() if c}
-            if out:
-                table[(i + 1, j + 1)] = out
-    return table, jd * jd * alg.bracket_den
+    (cells, cd), table = alg.brackets, {}
+    for i, j in combinations(range(alg.dim), 2):
+        # N = [JX, JY] - J([JX, Y] + [X, JY] - J[X, Y]), over jd^2 Cd
+        inner = add_terms(_bracket(cells, cols[i], {j: 1}), 1, _bracket(cells, {i: 1}, cols[j]))
+        add_terms(inner, -1, _combine(cols, cells[i].get(j, {})))
+        out = add_terms(_bracket(cells, cols[i], cols[j]), -1, _combine(cols, inner))
+        if any(out.values()):
+            table[(i + 1, j + 1)] = out
+    return table, jd * jd * cd
 
 
 class NijenhuisTensor:
@@ -338,8 +314,8 @@ class NijenhuisTensor:
         self.alg = alg
         self.dim = alg.dim
         table, den = _nijenhuis_table(J, alg)
-        pairs = combinations(range(1, self.dim + 1), 2)
-        self.table = {key: _vector(table.get(key, {}), self.dim, den) for key in pairs}
+        self.table = {key: Vector([Fraction(table.get(key, {}).get(k, 0), den) for k in range(alg.dim)])
+                      for key in combinations(range(1, alg.dim + 1), 2)}
 
     def __call__(self, x: Vector, y: Vector) -> Vector:
         out = [Fraction(0)] * self.dim
@@ -354,11 +330,6 @@ def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> NijenhuisTensor:
     return NijenhuisTensor(J, alg)
 
 
-def _vector(v: dict, dim: int, den: int) -> Vector:
-    """The Vector of a sparse int vector over den."""
-    return Vector([Fraction(v[k], den) if k in v else _ZERO for k in range(dim)])
-
-
 def _nijenhuis_failures(alg: LieAlgebra, J: Endo, dalpha: KForm, reeb: Vector) -> list[dict]:
     """The basis pairs where N_J != -d(alpha) (x) R, with both sides; for
     N = num / den, R = rs / rd and d alpha(X_i, X_j) = p / q, num q rd = -p rs den."""
@@ -368,8 +339,8 @@ def _nijenhuis_failures(alg: LieAlgebra, J: Endo, dalpha: KForm, reeb: Vector) -
     for i, j in sorted(set(table) | set(dalpha.terms)):
         num = table.get((i, j), {})
         p, q = dalpha.coefficient((i, j)).as_integer_ratio()
-        if {k: x * q * rd for k, x in num.items()} != {k: -p * y * den for k, y in enumerate(rs) if p * y}:
-            lhs, rhs = _vector(num, alg.dim, den), -Fraction(p, q) * reeb
+        if {k: x * q * rd for k, x in num.items() if x} != {k: -p * y * den for k, y in enumerate(rs) if p * y}:
+            lhs, rhs = Vector([Fraction(num.get(k, 0), den) for k in range(alg.dim)]), -Fraction(p, q) * reeb
             failures.append({"pair": f"(X{i},X{j})", "nijenhuis": str(lhs), "required": str(rhs)})
     return failures
 
@@ -504,15 +475,14 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
     # (a) basic with respect to every Reeb field
     for idx, reeb in enumerate(reebs, start=1):
         rs, rd = linalg.scaled(reeb.coeffs)
-        rs = _sparse(rs)
-        cont = [_combine(part, rs) for part in cells]
+        cont = [_combine(part, _sparse(rs)) for part in cells]
         if any(cont):
             raise CCYError(
                 "ccy.basic",
                 f"iota_R{idx} epsilon != 0",
                 {"contraction": str(_complex_form(cont, dim, n - 1, den * rd))},
             )
-        lie = [_combine(_contractions(terms, dim), rs) for terms in deps]
+        lie = [_combine(_contractions(terms, dim), _sparse(rs)) for terms in deps]
         if any(lie):
             raise CCYError(
                 "ccy.basic",
