@@ -19,7 +19,7 @@ from . import linalg
 from .algdsl import parse_endo, parse_form
 from .cealg import LieAlgebra, is_exact
 from .errors import InputError
-from .exterior import KForm, evaluate, pullback
+from .exterior import KForm, evaluate, pullback, rat
 from .structures import CCYStructure, _check_epsilon_clauses, check_ccy, check_contact
 
 
@@ -266,7 +266,7 @@ class FamilySpec:
         samples = []
         try:
             for entry in data:
-                t = Fraction(str(entry["t"]))
+                t = rat(str(entry["t"]))
                 alpha = parse_form(entry["alpha"], alg.dim)
                 J = parse_endo(entry["J"], alg.dim)
                 epsilon = parse_form(entry["epsilon"], alg.dim)

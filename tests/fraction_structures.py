@@ -8,6 +8,11 @@ ratio read off every coefficient, and the dimension-5 obstruction filter over
 Fraction forms, as they were computed before the structure checks went
 fraction-free and polynomial. The tests compare the integer and Pfaffian
 paths against them.
+
+Beside them are the dense paths that the sparse ones replaced: the Reeb
+fields from one Fraction `linalg.rref` of the dense system, the Nijenhuis
+table contracted from the dense bracket table and J's dense int matrix, and
+g_J = K J as a product of dense int matrices.
 """
 
 from fractions import Fraction
@@ -19,6 +24,45 @@ from nilgeo.cealg import basis_tuples, d_matrix, lie_derivative
 from nilgeo.classify import MultiPoly, ObstructionVerdict
 from nilgeo.exterior import ComplexKForm, KForm, Vector, contract, covector, two_form_matrix
 from nilgeo.structures import check_contact, volume_constant, xi_basis
+
+
+def solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
+    """alpha_i(R_j) = delta_ij and iota_{R_j} d alpha = 0, by one dense
+    Fraction elimination with all r right-hand sides appended; None unless
+    the solution exists and is unique."""
+    dim, r = dalpha.dim, len(alphas)
+    rows = [covector(a) + [Fraction(int(i == j)) for j in range(r)] for i, a in enumerate(alphas)]
+    rows += [row + [Fraction(0)] * r for row in two_form_matrix(dalpha)]
+    reduced, pivots = linalg.rref(rows)
+    if pivots != list(range(dim)):
+        return None
+    return [Vector([reduced[i][dim + j] for i in range(dim)]) for j in range(r)]
+
+
+def nijenhuis_table(J, alg) -> dict:
+    """N(X_i, X_j) for every 1-based i < j as a Fraction Vector, contracted
+    from the dense int tables: ad_J = c against J's columns."""
+    c, cd = linalg.scaled(alg.structure_constants)
+    jm, jd = linalg.scaled(J.matrix)
+    jcols = list(zip(*jm))
+    ad_j = [linalg.contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j], over jd cd
+    table, den = {}, jd * jd * cd
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            inner = [a - b for a, b in zip(ad_j[i][j], ad_j[j][i])]
+            linalg.axpy(inner, -1, linalg.matvec(jm, c[i][j]))
+            out = linalg.lincomb(ad_j[i], jcols[j])
+            linalg.axpy(out, -1, linalg.matvec(jm, inner))
+            table[(i + 1, j + 1)] = Vector([Fraction(x, den) for x in out])
+    return table
+
+
+def g_j_matrix(kappa: KForm, J) -> list[list[Fraction]]:
+    """g_J(X_i, X_j) = kappa(X_i, J X_j), the dense int product K J."""
+    jm, jd = linalg.scaled(J.matrix)
+    km, kd = linalg.scaled(two_form_matrix(kappa))
+    g_rows = zip(*(linalg.matvec(km, col) for col in zip(*jm)))
+    return [[Fraction(x, kd * jd) for x in row] for row in g_rows]
 
 
 def wedge_power(form: KForm, k: int) -> KForm:

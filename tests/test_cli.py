@@ -510,6 +510,66 @@ def test_zero_denominator_coefficient_is_an_input_error(capsys):
         assert code == 2 and report["status"] == "error", argv
 
 
+def run_input_error(argv):
+    """Run argv and check the input-error half of the contract: exit 2, one
+    JSON error document on stdout, nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 2, argv
+    report = json.loads(out.getvalue())  # exactly one JSON document
+    assert report["status"] == "error" and err.getvalue() == "", argv
+    return report
+
+
+H3_J = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+BAD_ENTRIES = ('"a"', '"1/0"', '"1/"', '""', "true", "false", "null", "1.5", "[1]", "{}")
+
+
+@given(st.sampled_from(BAD_ENTRIES), st.integers(0, 8))
+@example('"a"', 0)
+@example('"1/0"', 4)
+@example("true", 3)
+@settings(max_examples=40, deadline=None)
+def test_bad_json_matrix_and_vector_entries_are_input_errors(entry, cell):
+    matrix = [[json.dumps(x) for x in row] for row in H3_J]
+    matrix[cell // 3][cell % 3] = entry
+    vector = ["1", "0", "0"]
+    vector[cell % 3] = entry
+    structure = ["--algebra=(0,0,12)", "--alpha=2*e3"]
+    J = "matrix:[" + ",".join("[" + ",".join(row) + "]" for row in matrix) + "]"
+    run_input_error(["check-sasakian", *structure, f"--J={J}"])
+    run_input_error(["legendrian", *structure, "--J=pairs:(1,2)", "--epsilon=e1 + i*e2",
+                     f"--span=[{','.join(vector)}]"])
+
+
+@pytest.mark.parametrize("J", [
+    "matrix:[0,1,2]",
+    "matrix:[[0,-1,0],[1,0],[0,0,0]]",
+    "matrix:[[0,-1,0],[1,0,0],5]",
+    "matrix:[[0,-1],[1,0]]",
+    '[["a",0,0],[1,0,0],[0,0,0]]',
+])
+def test_malformed_json_matrices_are_input_errors(J):
+    run_input_error(["check-sasakian", "--algebra=(0,0,12)", "--alpha=2*e3", f"--J={J}"])
+
+
+def test_zero_denominator_family_parameter_is_an_input_error(tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([{"t": "1/0", "alpha": "2*e3", "J": "pairs:(1,2)", "epsilon": "e1 + i*e2"}]))
+    run_input_error(["obstruction", *H3_CCY, "--span=X1", f"--family=@{family}"])
+
+
+def test_sample_counts_above_their_limits_are_input_errors():
+    from nilgeo.classify import MAX_CLASSIFY_SAMPLES
+    from nilgeo.legendrian import MAX_COMASS_SAMPLES
+
+    report = run_input_error(["comass", *H3_CCY, f"--samples={MAX_COMASS_SAMPLES + 1}"])
+    assert str(MAX_COMASS_SAMPLES) in report["error"]
+    report = run_input_error(["classify", f"--samples={MAX_CLASSIFY_SAMPLES + 1}"])
+    assert str(MAX_CLASSIFY_SAMPLES) in report["error"]
+
+
 def test_internal_guard_exits_3_with_one_document(capsys, monkeypatch):
     from nilgeo.exterior import Metric
 
