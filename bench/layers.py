@@ -2,7 +2,7 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --out BENCH_9.json
+        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_10.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -16,8 +16,12 @@ levi_civita, ricci_scalar and transverse_ricci:
   is_positive_definite and inverse_matrix;
 - check_contact + check_ccy on the Heisenberg structure data, n = 1..10
   (dim 3..21; compact notation stops at dim 9, so the data come from
-  models.heisenberg_ccy_data), and the epsilon clauses of check_ccy alone
-  on the same data;
+  models.heisenberg_ccy_data), and on the same data the epsilon clauses of
+  check_ccy alone, the calibration clauses alone and the Nijenhuis clause
+  alone (J rebuilt from its matrix on every call, as a request parses it),
+  and parse_form of the epsilon expression (e1+i*e2)^...^(e(2n-1)+i*e(2n));
+- check_contact on the Heisenberg algebra in the JSON format, dim 11, 21,
+  41 and 101, with alpha = 2 e_dim;
 - and the dimension-5 obstruction filter, in ms per call over the contact
   forms among the default catalog's samples (CLASSIFY_SEED with
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
@@ -55,6 +59,7 @@ from time import perf_counter
 
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
+JSON_HEISENBERG = (11, 21, 41, 101)
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 CLASSIFY_SEED = 0
@@ -110,12 +115,19 @@ def slope(points) -> float:
 def measure(tree: Path) -> dict:
     """Time the kernels of the nilgeo under tree/src (run in a fresh process)."""
     sys.path.insert(0, str(tree / "src"))
-    from nilgeo.algdsl import parse_algebra
+    from nilgeo.algdsl import parse_algebra, parse_form
     from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
-    from nilgeo.exterior import Metric
+    from nilgeo.exterior import Endo, Metric
     from nilgeo.models import heisenberg_ccy, heisenberg_ccy_data
-    from nilgeo.structures import NotContactError, _check_epsilon_clauses, check_ccy, check_contact
+    from nilgeo.structures import (
+        NotContactError,
+        _check_calibration,
+        _check_epsilon_clauses,
+        _nijenhuis_failures,
+        check_ccy,
+        check_contact,
+    )
 
     rows = []
     for n in HEISENBERG:
@@ -155,6 +167,8 @@ def measure(tree: Path) -> dict:
     for n in STRUCTURE_N:
         alg, alpha, J, epsilon = heisenberg_ccy_data(n)
         contact = check_contact(alg, alpha)
+        dalpha = alg.d(alpha)
+        text = "^".join(f"(e{2 * k - 1}+i*e{2 * k})" for k in range(1, n + 1))
         rows.append(
             {
                 "family": "structure",
@@ -164,7 +178,19 @@ def measure(tree: Path) -> dict:
                 "epsilon_clauses_ms": timed_ms(
                     lambda: _check_epsilon_clauses(alg, contact.kappa, [contact.reeb], J, epsilon, n, False)
                 ),
+                "calibration_ms": timed_ms(
+                    lambda: _check_calibration(alg, contact.kappa, [alpha], [contact.reeb], Endo(J.matrix))
+                ),
+                "nijenhuis_ms": timed_ms(lambda: _nijenhuis_failures(alg, Endo(J.matrix), dalpha, contact.reeb)),
+                "parse_epsilon_ms": timed_ms(lambda: parse_form(text, alg.dim)),
             }
+        )
+    for dim in JSON_HEISENBERG:
+        pairs = [["1", 2 * k - 1, 2 * k] for k in range(1, (dim - 1) // 2 + 1)]
+        alg = parse_algebra(json.dumps({"dim": dim, "d": {str(dim): pairs}}))
+        alpha = parse_form(f"2*e{dim}", dim)
+        rows.append(
+            {"family": "json_heisenberg", "dim": dim, "check_contact_ms": timed_ms(lambda: check_contact(alg, alpha))}
         )
     calls = []
     for entry in Catalog.default():
@@ -190,9 +216,9 @@ def measure(tree: Path) -> dict:
         }
     )
     slopes = {}
-    for family in ("heisenberg", "filiform", "structure"):
+    for family in ("heisenberg", "filiform", "structure", "json_heisenberg"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
-                       "epsilon_clauses"):
+                       "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -282,6 +308,7 @@ def main() -> None:
         "layers": {
             "heisenberg_n": list(HEISENBERG),
             "structure_n": list(STRUCTURE_N),
+            "json_heisenberg_dims": list(JSON_HEISENBERG),
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
             "classify_seed": CLASSIFY_SEED,

@@ -19,6 +19,7 @@ from . import linalg
 from .errors import InputError
 
 Scalar = Fraction
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -130,7 +131,7 @@ class KForm:
         return not self.terms
 
     def coefficient(self, indices) -> Fraction:
-        return self.terms.get(tuple(indices), Fraction(0))
+        return self.terms.get(tuple(indices), _ZERO)
 
     def _require_like(self, other: KForm, op: str) -> None:
         if self.dim != other.dim:
