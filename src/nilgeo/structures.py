@@ -236,7 +236,8 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
         raise NotCalibratedError("calibrated.J_square", "J^2 != -I + sum alpha_i (x) R_i", witness)
     # g_J(X_i, X_j) = kappa(X_i, J X_j): column j of K J is sum_p J_pj K[:, p], over gd
     (knum,), kd = linalg.scaled_maps([kappa.terms])
-    g = [_combine(_columns(knum, dim), col) for col in cols]  # g[j][i] = g_J(X_i, X_j)
+    kcols = _columns(knum, dim)
+    g = [_combine(kcols, col) for col in cols]  # g[j][i] = g_J(X_i, X_j)
     gd = kd * jd
     asymmetric = [(max(i, j), min(i, j)) for j, col in enumerate(g) for i, x in col.items() if g[i].get(j, 0) != x]
     if asymmetric:
