@@ -28,8 +28,11 @@ levi_civita, ricci_scalar and transverse_ricci:
   with the whole default `classify` run.
 
 A point is the median of REPEATS timed loops, each long enough to take at
-least MIN_LOOP_S; a slope is the least-squares fit of log(time) against
-log(dim) over one family.
+least MIN_LOOP_S. The trees are measured ROUNDS times in turn, and each
+point keeps the fastest of its rounds: the host's speed drifts by tens of
+percent within minutes, and a slow stretch should not land on one tree
+only. A slope is the least-squares fit of log(time) against log(dim) over
+one family.
 
 With --pairs N it then runs `perfbench/run.py --workload W` N times in every
 tree for each --workload, alternating which tree runs first, and records each
@@ -65,6 +68,7 @@ METRIC_SEED = 7
 CLASSIFY_SEED = 0
 RANDOM_SAMPLES = 3
 REPEATS = 7
+ROUNDS = 3
 MIN_LOOP_S = 0.02
 WORKLOADS = ("curvature-sweep", "ccy-mix", "rank-sweep")
 
@@ -215,6 +219,13 @@ def measure(tree: Path) -> dict:
             "classify_default_ms": timed_ms(lambda: classify_catalog(Catalog.default(), CLASSIFY_SEED)),
         }
     )
+    return rows
+
+
+def fastest(rounds) -> dict:
+    """Each point's fastest timing over the rounds, and the slopes of those."""
+    rows = [{key: min(r[key] for r in point) if "_ms" in key else value for key, value in point[0].items()}
+            for point in zip(*rounds)]
     slopes = {}
     for family in ("heisenberg", "filiform", "structure", "json_heisenberg"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
@@ -314,15 +325,20 @@ def main() -> None:
             "classify_seed": CLASSIFY_SEED,
             "random_samples": RANDOM_SAMPLES,
             "repeats": REPEATS,
-            "statistic": "median ms per call",
+            "rounds": ROUNDS,
+            "statistic": "median ms per call, fastest of the rounds",
         },
         "trees": {},
     }
+    rounds = {label: [] for label in trees}
+    for _ in range(ROUNDS):
+        for label, tree in trees.items():
+            measured = subprocess.run(
+                [sys.executable, __file__, "--measure", str(tree)], capture_output=True, text=True, check=True
+            ).stdout
+            rounds[label].append(json.loads(measured))
     for label, tree in trees.items():
-        measured = subprocess.run(
-            [sys.executable, __file__, "--measure", str(tree)], capture_output=True, text=True, check=True
-        ).stdout
-        report["trees"][label] = {**describe(tree), **json.loads(measured)}
+        report["trees"][label] = {**describe(tree), **fastest(rounds[label])}
     if args.pairs:
         report["perfbench"] = {
             workload: pairs(trees, workload, args.pairs, args.seed, args.seconds)

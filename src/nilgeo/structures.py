@@ -491,7 +491,7 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
                 {"lie_derivative": str(_complex_form(lie, dim, n, den * dd * rd))},
             )
     # (b) type (n,0): iota_{J X_i} epsilon = i iota_{X_i} epsilon for every basis
-    # vector, sum_k J_ki C_k = i C_i over J = jm / jd
+    # vector, sum_k J_ki C_k = i C_i over J's columns / jd
     jcols, jd = J.columns()
     re_cells, im_cells = cells
     for i, jcol in enumerate(jcols):
