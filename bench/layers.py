@@ -28,11 +28,13 @@ levi_civita, ricci_scalar and transverse_ricci:
   with the whole default `classify` run.
 
 A point is the median of REPEATS timed loops, each long enough to take at
-least MIN_LOOP_S. The trees are measured ROUNDS times in turn, and each
-point keeps the fastest of its rounds: the host's speed drifts by tens of
-percent within minutes, and a slow stretch should not land on one tree
-only. A slope is the least-squares fit of log(time) against log(dim) over
-one family.
+least MIN_LOOP_S and host-speed adjusted as the end-to-end timings are
+(`perfbench/hostspeed.py`: the reference job runs right before and after
+each loop, and the loop's time is scaled to a host on which it takes 1 ms).
+The trees are measured ROUNDS times in turn, and each point keeps the
+fastest of its rounds: the host's speed drifts by tens of percent within
+minutes, and a slow stretch should not land on one tree only. A slope is
+the least-squares fit of log(time) against log(dim) over one family.
 
 With --pairs N it then runs `perfbench/run.py --workload W` N times in every
 tree for each --workload, alternating which tree runs first, and records each
@@ -58,7 +60,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, perf_counter_ns
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.hostspeed import HostClock  # noqa: E402
 
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
@@ -73,8 +78,8 @@ MIN_LOOP_S = 0.02
 WORKLOADS = ("curvature-sweep", "ccy-mix", "rank-sweep")
 
 
-def timed_ms(fn) -> float:
-    """Median milliseconds per call of fn over REPEATS loops."""
+def timed_ms(clock: HostClock, fn) -> float:
+    """Median host-adjusted milliseconds per call of fn over REPEATS loops."""
     fn()
     number = 1
     while True:
@@ -86,11 +91,14 @@ def timed_ms(fn) -> float:
         number *= 2
     runs = []
     for _ in range(REPEATS):
-        start = perf_counter()
+        clock.probe()
+        start = perf_counter_ns()
         for _ in range(number):
             fn()
-        runs.append((perf_counter() - start) / number)
-    return statistics.median(runs) * 1e3
+        end = perf_counter_ns()
+        clock.probe()
+        runs.append((end - start) / number * clock.factor(start, end))
+    return statistics.median(runs) / 1e6
 
 
 def filiform_spec(m: int) -> str:
@@ -133,7 +141,7 @@ def measure(tree: Path) -> dict:
         check_contact,
     )
 
-    rows = []
+    clock, rows = HostClock(), []
     for n in HEISENBERG:
         structure = heisenberg_ccy(n)
         alg, g = structure.alg, structure.metric
@@ -144,9 +152,9 @@ def measure(tree: Path) -> dict:
                 "family": "heisenberg",
                 "n": n,
                 "dim": alg.dim,
-                "levi_civita_ms": timed_ms(lambda: levi_civita(alg, g)),
-                "ricci_scalar_ms": timed_ms(lambda: ricci_scalar(alg, g, conn)),
-                "transverse_ricci_ms": timed_ms(lambda: transverse_ricci(structure, g, conn, full)),
+                "levi_civita_ms": timed_ms(clock, lambda: levi_civita(alg, g)),
+                "ricci_scalar_ms": timed_ms(clock, lambda: ricci_scalar(alg, g, conn)),
+                "transverse_ricci_ms": timed_ms(clock, lambda: transverse_ricci(structure, g, conn, full)),
             }
         )
     rng = random.Random(METRIC_SEED)
@@ -163,9 +171,9 @@ def measure(tree: Path) -> dict:
             {
                 "family": "filiform",
                 "dim": m,
-                "levi_civita_ms": timed_ms(lambda: levi_civita(alg, g)),
-                "ricci_scalar_ms": timed_ms(lambda: ricci_scalar(alg, g, conn)),
-                "metric_elimination_ms": timed_ms(eliminate),
+                "levi_civita_ms": timed_ms(clock, lambda: levi_civita(alg, g)),
+                "ricci_scalar_ms": timed_ms(clock, lambda: ricci_scalar(alg, g, conn)),
+                "metric_elimination_ms": timed_ms(clock, eliminate),
             }
         )
     for n in STRUCTURE_N:
@@ -178,15 +186,15 @@ def measure(tree: Path) -> dict:
                 "family": "structure",
                 "n": n,
                 "dim": alg.dim,
-                "check_ccy_ms": timed_ms(lambda: check_ccy(check_contact(alg, alpha), J, epsilon)),
+                "check_ccy_ms": timed_ms(clock, lambda: check_ccy(check_contact(alg, alpha), J, epsilon)),
                 "epsilon_clauses_ms": timed_ms(
                     lambda: _check_epsilon_clauses(alg, contact.kappa, [contact.reeb], J, epsilon, n, False)
                 ),
                 "calibration_ms": timed_ms(
                     lambda: _check_calibration(alg, contact.kappa, [alpha], [contact.reeb], Endo(J.matrix))
                 ),
-                "nijenhuis_ms": timed_ms(lambda: _nijenhuis_failures(alg, Endo(J.matrix), dalpha, contact.reeb)),
-                "parse_epsilon_ms": timed_ms(lambda: parse_form(text, alg.dim)),
+                "nijenhuis_ms": timed_ms(clock, lambda: _nijenhuis_failures(alg, Endo(J.matrix), dalpha, contact.reeb)),
+                "parse_epsilon_ms": timed_ms(clock, lambda: parse_form(text, alg.dim)),
             }
         )
     for dim in JSON_HEISENBERG:
@@ -194,7 +202,7 @@ def measure(tree: Path) -> dict:
         alg = parse_algebra(json.dumps({"dim": dim, "d": {str(dim): pairs}}))
         alpha = parse_form(f"2*e{dim}", dim)
         rows.append(
-            {"family": "json_heisenberg", "dim": dim, "check_contact_ms": timed_ms(lambda: check_contact(alg, alpha))}
+            {"family": "json_heisenberg", "dim": dim, "check_contact_ms": timed_ms(clock, lambda: check_contact(alg, alpha))}
         )
     calls = []
     for entry in Catalog.default():
@@ -215,8 +223,8 @@ def measure(tree: Path) -> dict:
         {
             "family": "filter",
             "calls": len(calls),
-            "filter_ms_per_call": timed_ms(run_filter) / len(calls),
-            "classify_default_ms": timed_ms(lambda: classify_catalog(Catalog.default(), CLASSIFY_SEED)),
+            "filter_ms_per_call": timed_ms(clock, run_filter) / len(calls),
+            "classify_default_ms": timed_ms(clock, lambda: classify_catalog(Catalog.default(), CLASSIFY_SEED)),
         }
     )
     return rows
@@ -326,7 +334,7 @@ def main() -> None:
             "random_samples": RANDOM_SAMPLES,
             "repeats": REPEATS,
             "rounds": ROUNDS,
-            "statistic": "median ms per call, fastest of the rounds",
+            "statistic": "median host-adjusted ms per call, fastest of the rounds",
         },
         "trees": {},
     }
