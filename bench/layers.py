@@ -188,10 +188,10 @@ def measure(tree: Path) -> dict:
                 "dim": alg.dim,
                 "check_ccy_ms": timed_ms(clock, lambda: check_ccy(check_contact(alg, alpha), J, epsilon)),
                 "epsilon_clauses_ms": timed_ms(
-                    lambda: _check_epsilon_clauses(alg, contact.kappa, [contact.reeb], J, epsilon, n, False)
+                    clock, lambda: _check_epsilon_clauses(alg, contact.kappa, [contact.reeb], J, epsilon, n, False)
                 ),
                 "calibration_ms": timed_ms(
-                    lambda: _check_calibration(alg, contact.kappa, [alpha], [contact.reeb], Endo(J.matrix))
+                    clock, lambda: _check_calibration(alg, contact.kappa, [alpha], [contact.reeb], Endo(J.matrix))
                 ),
                 "nijenhuis_ms": timed_ms(clock, lambda: _nijenhuis_failures(alg, Endo(J.matrix), dalpha, contact.reeb)),
                 "parse_epsilon_ms": timed_ms(clock, lambda: parse_form(text, alg.dim)),
@@ -201,9 +201,8 @@ def measure(tree: Path) -> dict:
         pairs = [["1", 2 * k - 1, 2 * k] for k in range(1, (dim - 1) // 2 + 1)]
         alg = parse_algebra(json.dumps({"dim": dim, "d": {str(dim): pairs}}))
         alpha = parse_form(f"2*e{dim}", dim)
-        rows.append(
-            {"family": "json_heisenberg", "dim": dim, "check_contact_ms": timed_ms(clock, lambda: check_contact(alg, alpha))}
-        )
+        check_ms = timed_ms(clock, lambda: check_contact(alg, alpha))
+        rows.append({"family": "json_heisenberg", "dim": dim, "check_contact_ms": check_ms})
     calls = []
     for entry in Catalog.default():
         alg = entry.algebra()
