@@ -2,7 +2,7 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_10.json
+        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_11.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -20,8 +20,8 @@ levi_civita, ricci_scalar and transverse_ricci:
   check_ccy alone, the calibration clauses alone and the Nijenhuis clause
   alone (J rebuilt from its matrix on every call, as a request parses it),
   and parse_form of the epsilon expression (e1+i*e2)^...^(e(2n-1)+i*e(2n));
-- check_contact on the Heisenberg algebra in the JSON format, dim 11, 21,
-  41 and 101, with alpha = 2 e_dim;
+- parse_algebra of the Heisenberg algebra in the JSON format, dim 11, 21,
+  41, 101, 201, 401 and 801, and check_contact on it with alpha = 2 e_dim;
 - and the dimension-5 obstruction filter, in ms per call over the contact
   forms among the default catalog's samples (CLASSIFY_SEED with
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
@@ -34,7 +34,8 @@ each loop, and the loop's time is scaled to a host on which it takes 1 ms).
 The trees are measured ROUNDS times in turn, and each point keeps the
 fastest of its rounds: the host's speed drifts by tens of percent within
 minutes, and a slow stretch should not land on one tree only. A slope is
-the least-squares fit of log(time) against log(dim) over one family.
+the least-squares fit of log(time) against log(dim) over one family; the
+JSON family also gets the slope of parse_algebra over dims >= 101 alone.
 
 With --pairs N it then runs `perfbench/run.py --workload W` N times in every
 tree for each --workload, alternating which tree runs first, and records each
@@ -67,7 +68,7 @@ from perfbench.hostspeed import HostClock  # noqa: E402
 
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
-JSON_HEISENBERG = (11, 21, 41, 101)
+JSON_HEISENBERG = (11, 21, 41, 101, 201, 401, 801)
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 CLASSIFY_SEED = 0
@@ -199,10 +200,11 @@ def measure(tree: Path) -> dict:
         )
     for dim in JSON_HEISENBERG:
         pairs = [["1", 2 * k - 1, 2 * k] for k in range(1, (dim - 1) // 2 + 1)]
-        alg = parse_algebra(json.dumps({"dim": dim, "d": {str(dim): pairs}}))
-        alpha = parse_form(f"2*e{dim}", dim)
+        text = json.dumps({"dim": dim, "d": {str(dim): pairs}})
+        alg, alpha = parse_algebra(text), parse_form(f"2*e{dim}", dim)
+        parse_ms = timed_ms(clock, lambda: parse_algebra(text))
         check_ms = timed_ms(clock, lambda: check_contact(alg, alpha))
-        rows.append({"family": "json_heisenberg", "dim": dim, "check_contact_ms": check_ms})
+        rows.append({"family": "json_heisenberg", "dim": dim, "parse_algebra_ms": parse_ms, "check_contact_ms": check_ms})
     calls = []
     for entry in Catalog.default():
         alg = entry.algebra()
@@ -236,10 +238,13 @@ def fastest(rounds) -> dict:
     slopes = {}
     for family in ("heisenberg", "filiform", "structure", "json_heisenberg"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
-                       "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact"):
+                       "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
+                       "parse_algebra"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
+    large = [(r["dim"], r["parse_algebra_ms"]) for r in rows if r["family"] == "json_heisenberg" and r["dim"] >= 101]
+    slopes["json_heisenberg.parse_algebra.dim_101_up"] = slope(large)
     return {"points": rows, "slopes": slopes}
 
 

@@ -20,7 +20,7 @@ from math import comb
 
 from . import linalg
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, Vector, contract, merge_indices, pullback
+from .exterior import ComplexKForm, KForm, Vector, add_terms, contract, merge_indices, pullback
 
 # Largest algebra dimension betti_numbers accepts: Lambda^5 and Lambda^6 of
 # dimension 11 have 462 monomials each, and the whole complex 2^11.
@@ -35,18 +35,20 @@ class JacobiError(InputError):
 class LieAlgebra:
     """Lie algebra given by the images of degree-1 generators under d.
 
-    `d1[k]` is the degree-2 form d(e^{k+1}) and `d1_terms[k]` its term map,
-    which the differential reads. The derived brackets satisfy
-    [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k. `brackets` is (cells, den):
-    cells[i][j][k] is den times the X_{k+1} component of [X_{i+1}, X_{j+1}]
-    (0-based, sparse ints); `structure_constants[i][j][k]` is that table dense,
-    in Fractions. Construction verifies over those ints that d on each
-    generator squares to zero unless check=False.
+    `d1[k]` is the degree-2 form d(e^{k+1}) and `d1_terms[k]` its term map.
+    The kernels read two int tables over one denominator den: `d1_ints` is
+    (maps, den), the term maps scaled, and `brackets` is (cells, den), where
+    cells[i][j] maps k to den times the X_{k+1} component of
+    [X_{i+1}, X_{j+1}] (0-based), by [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k,
+    for the nonzero brackets and components only. Construction verifies over
+    those ints that d on each generator squares to zero. No dense table is
+    stored: `structure_constants` is a Fraction view of the cells, built on
+    first read.
     """
 
-    __slots__ = ("dim", "d1", "d1_terms", "brackets", "structure_constants")
+    __slots__ = ("dim", "d1", "d1_terms", "d1_ints", "brackets", "_table")
 
-    def __init__(self, d1, check: bool = True):
+    def __init__(self, d1):
         d1 = list(d1)
         dim = len(d1)
         for k, form in enumerate(d1, start=1):
@@ -56,39 +58,42 @@ class LieAlgebra:
         object.__setattr__(self, "d1", tuple(d1))
         object.__setattr__(self, "d1_terms", tuple(form.terms for form in d1))
         d1_num, den = linalg.scaled_maps(self.d1_terms)
+        object.__setattr__(self, "d1_ints", (tuple(d1_num), den))
         rows: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for k, terms in enumerate(d1_num):
             for (i, j), c in terms.items():
                 rows[i - 1].setdefault(j - 1, {})[k] = -c
                 rows[j - 1].setdefault(i - 1, {})[k] = c
         object.__setattr__(self, "brackets", (tuple(rows), den))
-        # commuting pairs share one zero cell, so the table costs O(dim^2)
-        # plus dim per bracketing pair
-        zero = (_ZERO,) * dim
-        table = [[zero] * dim for _ in range(dim)]
-        for i, row in enumerate(rows):
-            for j, cell in row.items():
-                table[i][j] = tuple(Fraction(cell[k], den) if k in cell else _ZERO for k in range(dim))
-        object.__setattr__(self, "structure_constants", tuple(map(tuple, table)))
-        if check:
-            for k, terms in enumerate(d1_num, start=1):
-                dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(d1_num, terms).items()})
-                if not dd.is_zero:
-                    raise JacobiError(f"d(d(e{k})) = {dd} != 0; Jacobi identity fails")
+        for k, terms in enumerate(d1_num, start=1):
+            dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(d1_num, terms).items()})
+            if not dd.is_zero:
+                raise JacobiError(f"d(d(e{k})) = {dd} != 0; Jacobi identity fails")
 
     def __setattr__(self, *_):
         raise AttributeError("LieAlgebra is immutable")
 
     @classmethod
     def abelian(cls, dim: int) -> LieAlgebra:
-        return cls([KForm.zero(dim, 2) for _ in range(dim)], check=False)
+        return cls([KForm.zero(dim, 2)] * dim)
+
+    @property
+    def structure_constants(self) -> tuple:
+        """The dense table c[i][j][k], the X_{k+1} component of [X_{i+1}, X_{j+1}], in Fractions."""
+        if getattr(self, "_table", None) is None:
+            basis = range(1, self.dim + 1)
+            table = tuple(tuple(self.bracket_basis(i, j).coeffs for j in basis) for i in basis)
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[X_i, X_j] for 1-based basis indices."""
-        return Vector(self.structure_constants[i - 1][j - 1])
+        return self.bracket(Vector.basis(self.dim, i), Vector.basis(self.dim, j))
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        return Vector(linalg.bilinear(self.structure_constants, u.coeffs, v.coeffs))
+        cells, den = self.brackets
+        out = bracket_terms(cells, dict(enumerate(u.coeffs)), dict(enumerate(v.coeffs)))
+        return Vector([out.get(k, _ZERO) / den for k in range(self.dim)])
 
     def d(self, form):
         """Chevalley-Eilenberg differential, extended as a graded derivation."""
@@ -99,19 +104,15 @@ class LieAlgebra:
         return KForm(self.dim, form.degree + 1, d_terms(self.d1_terms, form.terms))
 
     def is_nilpotent(self) -> bool:
-        """Lower central series terminates at zero."""
-        current = [Vector.basis(self.dim, i) for i in range(1, self.dim + 1)]
+        """Lower central series terminates at zero: g^(k+1) is spanned by the
+        brackets [v, X_j] of a basis v of g^k, read off the cells and reduced
+        to echelon rows (over Fractions: the elimination divides)."""
+        cells, current = self.brackets[0], [{i: Fraction(1)} for i in range(self.dim)]
         for _ in range(self.dim + 1):
-            nxt = []
-            for i in range(1, self.dim + 1):
-                for v in current:
-                    w = self.bracket(Vector.basis(self.dim, i), v)
-                    if not w.is_zero:
-                        nxt.append(w)
-            if not nxt:
+            spans = [bracket_terms(cells, v, {j: 1}) for v in current for j in range(self.dim)]
+            current = [row for _, _, row in linalg._eliminate(spans)]
+            if not current:
                 return True
-            basis = linalg.rref([list(v.coeffs) for v in nxt])[0]
-            current = [Vector(row) for row in basis if any(row)]
         return False
 
     def __eq__(self, other) -> bool:
@@ -121,6 +122,18 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, d={[str(f) for f in self.d1]})"
+
+
+def bracket_terms(cells, u: dict, v: dict) -> dict:
+    """[u, v] of sparse vectors (index -> coefficient, 0-based) over the
+    bracket cells, as a sparse vector over their denominator; zeros may stay."""
+    out: dict = {}
+    for p, x in u.items():
+        row = cells[p]
+        for q, y in v.items():
+            if x and y and q in row:
+                add_terms(out, x * y, row[q])
+    return out
 
 
 def basis_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
@@ -256,13 +269,10 @@ def change_of_basis(alg: LieAlgebra, p_columns) -> LieAlgebra:
     n = alg.dim
     if len(cols) != n:
         raise InputError("change_of_basis: need a full frame")
-    pmat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    pinv = linalg.inverse(pmat)
     new_d1 = []
-    for k in range(n):
-        old = KForm.zero(n, 2)
-        for i in range(n):
-            if pinv[k][i]:
-                old = old + pinv[k][i] * alg.d1[i]
-        new_d1.append(pullback(old, cols))
+    for row in linalg.inverse([[cols[j][i] for j in range(n)] for i in range(n)]):
+        old: dict = {}  # d f^k in the old coordinates, added up in one term map
+        for c, terms in zip(row, alg.d1_terms):
+            add_terms(old, c, terms)
+        new_d1.append(pullback(KForm(n, 2, old), cols))
     return LieAlgebra(new_d1)

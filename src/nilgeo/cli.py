@@ -34,7 +34,7 @@ from .curvature import (
 )
 from .deform import CircleGrid, assemble_operator, kernel_dimension, kernel_is_reeb_line
 from .errors import CheckError, InputError, NilgeoError
-from .exterior import Metric, rat
+from .exterior import Metric
 from .legendrian import (
     MAX_COMASS_SAMPLES,
     FamilySpec,
@@ -245,7 +245,7 @@ def _parse_metric(text: str) -> Metric:
     rows = json.loads(text)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("--metric must be a JSON list of rows")
-    return Metric([[rat(x) for x in row] for row in rows])
+    return Metric(rows)
 
 
 def cmd_curvature(args) -> int:

@@ -1,10 +1,10 @@
 """Left-invariant Riemannian geometry, all exact.
 
 Every curvature quantity is a contraction of two tables, the algebra's
-`structure_constants` and the Connection's Christoffel table, each built once
-per algebra and metric:
+sparse bracket cells and the Connection's Christoffel table, built once per
+algebra and per metric:
 
-    c[i][j][k]      X_k component of [X_i, X_j]        (structure constants)
+    c[i][j][k]      X_k component of [X_i, X_j]        (the bracket cells)
     gamma[i][j][k]  X_k component of nabla_{X_i} X_j   (Christoffel symbols)
 
 gamma comes from the Koszul formula; Ricci and scalar curvature are single
@@ -13,10 +13,11 @@ tabulated the same way on the basis, so its Ricci tensor, parallelism flags and
 torsion are contractions too. The transverse Ricci tensor is computed from the
 curvature definition and checked against the Ricci identity.
 
-The kernels are fraction-free: each rational input table is carried as int
-numerators over one common denominator (`linalg.scaled`), the contractions
-multiply and add ints, and each reported entry becomes a Fraction exactly
-once. Tables are nested sequences indexed from 0.
+The kernels are fraction-free: the algebra, the metric, the Connection and
+the CurvatureReport each store their tables as int numerators over one
+common denominator, the contractions multiply and add ints, and each
+reported entry becomes a Fraction exactly once. Tables are indexed from 0;
+c is sparse (`LieAlgebra.brackets`), gamma dense.
 
 Sign conventions, pinned so the curvature of the standard contact Calabi-Yau
 examples comes out with lambda = -2:
@@ -27,7 +28,7 @@ examples comes out with lambda = -2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,7 +37,7 @@ from .cealg import LieAlgebra
 from .errors import CheckError, InputError
 from .exterior import KForm, Metric, Vector, covector, two_form_matrix
 from .linalg import axpy, bilinear, contract_first, dot, lincomb, matvec, scaled
-from .structures import induced_metric, xi_basis
+from .structures import induced_metric
 
 
 class NotAlphaEinsteinError(CheckError):
@@ -46,16 +47,14 @@ class NotAlphaEinsteinError(CheckError):
 @dataclass(frozen=True)
 class Connection:
     """Levi-Civita connection as one Christoffel table (see the module doc),
-    gamma = num / den in ints, with the inverse metric it was raised by and the
-    structure constants c = c_num / c_den; `gamma` is the table as Fractions."""
+    gamma = num / den in ints, with the inverse metric it was raised by as
+    ginv = (ints, den); `gamma` is the table as Fractions."""
 
     alg: LieAlgebra
     metric: Metric
     ginv: tuple
     num: list
     den: int
-    c_num: list
-    c_den: int
 
     @cached_property
     def gamma(self) -> tuple:
@@ -83,50 +82,55 @@ def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
         raise InputError("metric dimension mismatch")
     if not g.is_positive_definite():
         raise InputError("levi_civita: metric is not positive definite")
-    c, cd = scaled(alg.structure_constants)
-    gm, d = scaled(g.matrix)
-    ginv = g.inverse_matrix()
-    m, e = scaled(ginv)
+    (cells, cd), gm, d, (m, e) = alg.brackets, g.num, g.den, g.inverse()
     # twice the lowered symbols, low_ijk = gc_ijk - gc_jki + gc_kij over cd d, for
     # gc_ijk = g([X_i, X_j], X_k): each nonzero gc entry lands in three places
     low = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(c):
-        for j, cell in enumerate(row):
-            if any(cell):
-                for k, v in enumerate(matvec(gm, cell)):
-                    if v:
-                        low[i][j][k] += v
-                        low[k][i][j] -= v
-                        low[j][k][i] += v
+    for i, row in enumerate(cells):
+        for j, cell in row.items():
+            for k, v in enumerate(lincomb([gm[p] for p in cell], cell.values())):
+                if v:
+                    low[i][j][k] += v
+                    low[k][i][j] -= v
+                    low[j][k][i] += v
     num = [[matvec(m, cell) if any(cell) else cell for cell in row] for row in low]
     torsion = 2 * e * d  # gamma_ij - gamma_ji = c_ij reads num_ij - num_ji = torsion C_ij
     for i in range(n):
         for j in range(n):
-            if any(a - b != torsion * x for a, b, x in zip(num[i][j], num[j][i], c[i][j])):
+            cell = cells[i].get(j, {})
+            if any(a - b != torsion * cell.get(k, 0) for k, (a, b) in enumerate(zip(num[i][j], num[j][i]))):
                 raise ArithmeticError(f"Koszul connection has torsion at ({i + 1},{j + 1})")
         lowered = [matvec(gm, cell) if any(cell) else cell for cell in num[i]]
         for j in range(n):
             for k in range(j, n):
                 if lowered[j][k] + lowered[k][j] != 0:
                     raise ArithmeticError(f"connection not metric at ({i + 1},{j + 1},{k + 1})")
-    return Connection(alg, g, tuple(tuple(r) for r in ginv), num, torsion * cd, c, cd)
+    return Connection(alg, g, (m, e), num, torsion * cd)
 
 
 def riemann(conn: Connection, x: Vector, y: Vector, z: Vector) -> Vector:
     """R(X, Y)Z for invariant fields."""
+    xy = conn.alg.bracket(x, y).coeffs
     gamma, x, y, z = conn.gamma, x.coeffs, y.coeffs, z.coeffs
     first = bilinear(gamma, x, bilinear(gamma, y, z))
     second = bilinear(gamma, y, bilinear(gamma, x, z))
-    third = bilinear(gamma, bilinear(conn.alg.structure_constants, x, y), z)
+    third = bilinear(gamma, xy, z)
     return Vector([a - b - d for a, b, d in zip(first, second, third)])
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
+    """The Ricci tensor and the scalar curvature. `ints` is (num, den), the
+    Ricci tensor as ints over one denominator, which check_alpha_einstein and
+    transverse_ricci read; a report built from `ricci` alone scales it once."""
+
     ricci: tuple
     scalar: Fraction
-    lam: Fraction | None = None
-    nu: Fraction | None = None
+    ints: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ints is None:
+            object.__setattr__(self, "ints", scaled(self.ricci))
 
 
 def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> CurvatureReport:
@@ -142,11 +146,11 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
     """
     conn = conn or levi_civita(alg, g)
     n = alg.dim
-    gamma, delta, c, cd = conn.num, conn.den, conn.c_num, conn.c_den
+    (cells, cd), gamma, delta = alg.brackets, conn.num, conn.den
     trace = [sum(gamma[k][m][k] for k in range(n)) for m in range(n)]
-    # the nonzero factors gamma_im^k and c_ki^m of the quadratic terms, by i
+    # the nonzero factors gamma_im^k and c_ki^m = -c_ik^m of the quadratic terms, by i
     gam_nz = [[(m, k, x) for m in range(n) for k, x in enumerate(g_i[m]) if x] for g_i in gamma]
-    c_nz = [[(k, m, x) for k in range(n) for m, x in enumerate(c[k][i]) if x] for i in range(n)]
+    c_nz = [[(k, m, -x) for k, cell in row.items() for m, x in cell.items()] for row in cells]
     num = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -155,9 +159,9 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
             num[i][j] = num[j][i] = cd * (dot(gamma[i][j], trace) - quadratic) - delta * bracket
     den = cd * delta * delta
     ric = tuple(tuple(Fraction(x, den) for x in row) for row in num)
-    m, e = scaled(conn.ginv)
+    m, e = conn.ginv
     scalar = Fraction(sum(dot(mi, ri) for mi, ri in zip(m, num)), e * den)
-    return CurvatureReport(ricci=ric, scalar=scalar)
+    return CurvatureReport(ricci=ric, scalar=scalar, ints=(num, den))
 
 
 def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):
@@ -171,8 +175,7 @@ def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):
     every entry is then checked.
     """
     n = g.dim
-    ric, rd = scaled(report.ricci)
-    gm, gd = scaled(g.matrix)
+    (ric, rd), gm, gd = report.ints, g.num, g.den
     cov, ad = scaled(covector(alpha))
     entries = [(ric[i][j], gm[i][j], cov[i] * cov[j]) for i in range(n) for j in range(i, n)]
     det, l, m = 1, 0, 0  # free unknowns are 0, as in linalg.solve
@@ -236,9 +239,9 @@ def _transverse_table(conn: Connection, cov, reeb, s: int) -> tuple[list, int]:
     X_a tangent to the distribution acts through the projected Levi-Civita
     derivative, the Reeb part alpha(X_a) R through the bracket [R, X_b].
     """
-    gamma, delta, c, cd = conn.num, conn.den, conn.c_num, conn.c_den
+    (cells, cd), gamma, delta = conn.alg.brackets, conn.num, conn.den
     along_reeb = contract_first(gamma, reeb)  # nabla_R X_b, over r delta
-    bracket_reeb = contract_first(c, reeb)  # [R, X_b], over r cd
+    bracket_reeb = _ad(cells, reeb)  # [R, X_b], over r cd
     table = []
     for a, row in enumerate(gamma):
         table.append([])
@@ -253,11 +256,22 @@ def _transverse_table(conn: Connection, cov, reeb, s: int) -> tuple[list, int]:
     return table, s * s * delta * cd
 
 
+def _ad(cells, u) -> list[list[int]]:
+    """[u, X_j] for every j, dense, of a dense vector u over the bracket cells."""
+    out = [[0] * len(cells) for _ in cells]
+    for i, x in enumerate(u):
+        if x:
+            for j, cell in cells[i].items():
+                for k, c in cell.items():
+                    out[j][k] += x * c
+    return out
+
+
 def _preserves(matrix, frame, moved) -> bool:
     """B(D x, y) + B(x, D y) == 0 for x, y in the frame and every D, where
-    B(u, v) = u^T matrix v and moved[p][a] = D_p frame[a]. B is symmetric or
-    antisymmetric, so the condition is too, and x <= y suffices."""
-    matrix, _ = scaled(matrix)
+    B(u, v) = u^T matrix v for an int matrix and moved[p][a] = D_p frame[a].
+    B is symmetric or antisymmetric, so the condition is too, and x <= y
+    suffices."""
     right = [matvec(matrix, f) for f in frame]
     left = [matvec(list(zip(*matrix)), f) for f in frame]
     return all(
@@ -293,29 +307,28 @@ def transverse_ricci(
     g = g or getattr(structure, "metric", None) or induced_metric(structure.g_j, contact.alpha)
     conn = conn or levi_civita(alg, g)
     full = full or ricci_scalar(alg, g, conn)
-    n, c, cd, J = alg.dim, conn.c_num, conn.c_den, structure.J
+    n, (cells, cd), J = alg.dim, alg.brackets, structure.J
     cov, a = scaled(covector(contact.alpha))
     reeb, r = scaled(contact.reeb.coeffs)
     s = a * r
-    frame = xi_basis(alg, [contact.alpha])
-    fs, fd = scaled([f.coeffs for f in frame])  # f_a = fs[a] / fd
+    fs, fd = linalg.kernel([cov], n)  # the frame f_a = fs[a] / fd of xi_basis
     T, td = _transverse_table(conn, cov, reeb, s)
     along = [contract_first(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k), over fd td
 
     # curvature-definition path: sum_ab w_ab R^T(x, f_a) f_b, w the inverse
     # Gram matrix of the frame, inverted from its ints g(f_a, f_b) d fd^2
-    gm, d = scaled(g.matrix)
+    gm, d = g.num, g.den
     gframe = [matvec(gm, f) for f in fs]  # g f_a, over d fd
-    w, wd = scaled(linalg.sylvester([[dot(x, gy) for gy in gframe] for x in fs])[1])
-    w = [[d * fd * fd * x for x in row] for row in w]  # over wd
+    minors, adjugate = linalg.sylvester([[dot(x, gy) for gy in gframe] for x in fs])
+    w, wd = [[d * fd * fd * x for x in row] for row in adjugate], minors[-1]
     wf = [lincomb(fs, wa) for wa in w]  # sum_b w_ab f_b, over wd fd
     tau = [0] * n  # sum_ab w_ab nabla^T(f_a, f_b), over wd fd^2 td
     for ta, v in zip(along, wf):
         axpy(tau, 1, lincomb(ta, v))
     along_wf = [[lincomb(tp, v) for tp in T] for v in wf]  # nabla^T(X_p, wf_a), over wd fd td
     ric_num = []
-    for x, tx in zip(fs, along):
-        cx = contract_first(c, x)  # [f_x, X_j], over cd fd
+    ad_frame = [_ad(cells, x) for x in fs]  # [f_x, X_j], over cd fd
+    for tx, cx in zip(along, ad_frame):
         q = lincomb(tx, tau)  # over wd fd^3 td^2
         bracket = [0] * n  # over cd wd fd^3 td
         for f, ta, v, tv in zip(fs, along, wf, along_wf):
@@ -324,7 +337,7 @@ def transverse_ricci(
         q = [cd * p - td * b for p, b in zip(q, bracket)]  # over cd wd fd^3 td^2
         ric_num.append([dot(q, gy) for gy in gframe])
     ric_den = cd * wd * fd**4 * td**2 * d
-    ric, rd = scaled(full.ricci)
+    ric, rd = full.ints
     ric_frame = [matvec(ric, y) for y in fs]
     id_num = [  # over rd d fd^2
         [d * dot(x, ry) + 2 * rd * dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs
@@ -352,20 +365,20 @@ def transverse_ricci(
         for p in range(n)
         for jf, mf in zip(jframe, moved[p])
     )
-    dalpha = two_form_matrix(alg.d(contact.alpha))
+    dalpha, _ = scaled(two_form_matrix(alg.d(contact.alpha)))
     # T(f_x, f_y) - T(f_y, f_x) over fd^2 td; the projected bracket over s cd fd^2
     torsion_ok = all(
         [s * cd * (p - q) for p, q in zip(lincomb(tx, y), lincomb(ty, x))]
-        == [td * b for b in _project(bilinear(c, x, y), cov, reeb, s)]
-        for x, tx in zip(fs, along)
+        == [td * b for b in _project(lincomb(cx, y), cov, reeb, s)]
+        for x, tx, cx in zip(fs, along, ad_frame)
         for y, ty in zip(fs, along)
     )
     return TransverseReport(
-        frame=tuple(frame),
+        frame=tuple(Vector([Fraction(x, fd) for x in f]) for f in fs),
         ric_t=tuple(tuple(Fraction(p, ric_den) for p in row) for row in ric_num),
         rho_t=tuple(tuple(Fraction(p, rho_den) for p in row) for row in rho_num),
         parallel_j=parallel_j,
-        parallel_g_j=_preserves(structure.g_j.matrix, fs, moved),
+        parallel_g_j=_preserves(structure.g_j.num, fs, moved),
         parallel_d_alpha=_preserves(dalpha, fs, moved),
         torsion_matches_bracket=torsion_ok,
     )

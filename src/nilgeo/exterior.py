@@ -79,6 +79,12 @@ def wedge_terms(a: dict, b: dict) -> dict:
     return out
 
 
+def _signed_sum(parts) -> str:
+    """Terms joined as "a + b - c"; "0" when there are none."""
+    rest = "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
+    return parts[0] + rest if parts else "0"
+
+
 class KForm:
     """Sparse exterior form of fixed degree with exact rational coefficients.
 
@@ -144,10 +150,7 @@ class KForm:
             return NotImplemented
         self._require_like(other, "add")
         degree = other.degree if self.is_zero else self.degree
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            terms[idx] = terms.get(idx, Fraction(0)) + c
-        return KForm(self.dim, degree, terms)
+        return KForm(self.dim, degree, add_terms(dict(self.terms), 1, other.terms))
 
     def __sub__(self, other: KForm) -> KForm:
         return self + (-other)
@@ -186,8 +189,6 @@ class KForm:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for idx in sorted(self.terms):
             c = self.terms[idx]
@@ -205,10 +206,7 @@ class KForm:
             else:
                 term = str(c)
             parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"KForm({self.dim}, {self.degree}, {self})"
@@ -348,12 +346,7 @@ class Vector:
                 parts.append(f"-X{i}")
             else:
                 parts.append(f"{c}*X{i}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"Vector({self})"
@@ -407,21 +400,11 @@ class Endo:
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
             raise InputError("endomorphism/vector dimension mismatch")
-        return Vector(
-            [sum((row[j] * v[j] for j in range(self.dim)), Fraction(0)) for row in self.matrix]
-        )
+        return Vector(linalg.matvec(self.matrix, v.coeffs))
 
     def compose(self, other: Endo) -> Endo:
-        n = self.dim
-        return Endo(
-            [
-                [
-                    sum((self.matrix[i][k] * other.matrix[k][j] for k in range(n)), Fraction(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        columns = list(zip(*other.matrix))
+        return Endo([linalg.matvec(columns, row) for row in self.matrix])
 
     def __neg__(self) -> Endo:
         return Endo([[-a for a in row] for row in self.matrix])
@@ -436,70 +419,88 @@ class Endo:
 
 
 class Metric:
-    """Symmetric bilinear form given by an exact matrix.
+    """Symmetric bilinear form, stored as an int matrix `num` over one
+    denominator `den`.
 
     Symmetry is enforced at construction; positive definiteness is checked on
     demand via leading principal minors, so degenerate forms (like g_J on the
-    full algebra) are representable. The minors and the inverse come from one
-    fraction-free elimination (`linalg.sylvester`), run on first use and kept.
+    full algebra) are representable. The minors and the adjugate come from one
+    fraction-free elimination of `num` (`linalg.sylvester`), run on first use
+    and kept. `matrix` is the Fraction view, built on first read.
     """
 
-    __slots__ = ("matrix", "_elimination")
+    __slots__ = ("num", "den", "_matrix", "_elimination")
 
     def __init__(self, matrix):
         rows = tuple(tuple(rat(x) for x in row) for row in matrix)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise InputError("metric matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise InputError(f"metric not symmetric at ({i + 1},{j + 1})")
-        object.__setattr__(self, "matrix", rows)
+        pair = next(((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]), None)
+        if pair:
+            raise InputError(f"metric not symmetric at ({pair[0] + 1},{pair[1] + 1})")
+        num, den = linalg.scaled(rows)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, num, den: int) -> Metric:
+        """The metric num / den of a symmetric int matrix, not checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "num", num)
+        object.__setattr__(g, "den", den)
+        return g
 
     def __setattr__(self, *_):
         raise AttributeError("Metric is immutable")
 
     @classmethod
     def identity(cls, dim: int) -> Metric:
-        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
+        return cls.diagonal([1] * dim)
 
     @classmethod
     def diagonal(cls, entries) -> Metric:
-        entries = [rat(e) for e in entries]
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.num)
+
+    @property
+    def matrix(self) -> tuple:
+        if getattr(self, "_matrix", None) is None:
+            view = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
+            object.__setattr__(self, "_matrix", view)
+        return self._matrix
 
     def bilinear(self, u: Vector, v: Vector) -> Fraction:
-        total = Fraction(0)
-        for i in range(self.dim):
-            if not u[i]:
-                continue
-            row = self.matrix[i]
-            for j in range(self.dim):
-                if v[j]:
-                    total += row[j] * u[i] * v[j]
-        return total
+        total = _ZERO
+        for x, row in zip(u.coeffs, self.num):
+            if x:
+                total += x * sum(a * y for a, y in zip(row, v.coeffs) if a and y)
+        return total / self.den
 
     def det(self) -> Fraction:
-        return linalg.det(self.matrix)
+        return linalg.det(self.num) / self.den**self.dim
 
     def _sylvester(self) -> tuple:
-        """(leading minors up to the first one <= 0, inverse or None), computed once."""
+        """(leading minors of num up to the first one <= 0, adjugate or None), computed once."""
         if getattr(self, "_elimination", None) is None:
-            object.__setattr__(self, "_elimination", linalg.sylvester(self.matrix))
+            object.__setattr__(self, "_elimination", linalg.sylvester(self.num))
         return self._elimination
 
-    def inverse_matrix(self) -> list[list[Fraction]]:
-        """The inverse of a positive definite metric; raises ValueError otherwise."""
-        inverse = self._sylvester()[1]
-        if inverse is None:
+    def inverse(self) -> tuple[list[list[int]], int]:
+        """(num, den): the inverse of a positive definite metric as ints over
+        den, den * adj(num) / det(num); raises ValueError otherwise."""
+        minors, adjugate = self._sylvester()
+        if adjugate is None:
             raise ValueError("metric is not positive definite")
-        return [list(row) for row in inverse]
+        return [[self.den * x for x in row] for row in adjugate], minors[-1] if minors else 1
+
+    def inverse_matrix(self) -> list[list[Fraction]]:
+        """The inverse of a positive definite metric in Fractions; raises ValueError otherwise."""
+        num, den = self.inverse()
+        return [[Fraction(x, den) for x in row] for row in num]
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion with exact leading principal minors."""

@@ -8,9 +8,10 @@ Then `scaled` (a table as ints over one denominator) and the zero-skipping
 contractions that the structure checks and the curvature layer are written
 in, over Fractions or ints alike; nothing is ever rounded.
 
-Beside the sparse one, three dense fraction-free eliminations run on those
-ints. `sylvester` is the Gram-matrix elimination (Bareiss 1968), giving the
-leading minors and the inverse of a metric. It takes no row exchanges, so
+Beside the sparse one, three dense fraction-free eliminations run on int
+matrices. `sylvester` is the Gram-matrix elimination (Bareiss 1968), ints
+in and ints out: the leading minors and the adjugate, which is the inverse
+times the last minor (`Metric` keeps both). It takes no row exchanges, so
 pivot k is a leading minor: a positive definite matrix never needs one, and
 any other stops at the first minor <= 0, Sylvester's witness. `kernel` is
 Gauss-Jordan with row exchanges and the same exact division, for the
@@ -230,31 +231,31 @@ def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
     return basis, prev
 
 
-def sylvester(matrix) -> tuple[list[Fraction], Matrix | None]:
-    """(leading principal minors up to the first one <= 0, inverse or None).
+def sylvester(a) -> tuple[list[int], list[list[int]] | None]:
+    """(pivots, adjugate or None) of a square int matrix A.
 
-    One fraction-free Gauss-Jordan elimination of [G | I], for the matrix
-    G / D with G in ints: each step divides every row exactly by the previous
-    pivot, so pivot k is D^(k+1) times the (k+1)-th leading minor and the
-    right block ends as the adjugate of G. The inverse is returned when every
-    minor is positive.
+    One fraction-free Gauss-Jordan elimination of [A | I]: each step divides
+    every row exactly by the previous pivot, so pivot k is the (k+1)-th
+    leading principal minor of A, and the right block ends as the adjugate,
+    A^-1 = adj / det with det the last pivot (1 in size 0). The pivots stop
+    at the first minor <= 0; the adjugate is returned when every minor is
+    positive.
     """
-    n = _require_square(matrix, "sylvester")
-    a, den = scaled(matrix)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    minors, prev = [], 1
+    n = _require_square(a, "sylvester")
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    pivots, prev = [], 1
     for k in range(n):
         pivot_row = rows[k]
         p = pivot_row[k]
-        minors.append(Fraction(p, den ** (k + 1)))
+        pivots.append(p)
         if p <= 0:
-            return minors, None
+            return pivots, None
         for i, row in enumerate(rows):
             if i != k:
                 f = row[k]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = p
-    return minors, [[Fraction(den * x, prev) for x in row[n:]] for row in rows]
+    return pivots, [row[n:] for row in rows]
 
 
 def pfaffian(matrix) -> Fraction:

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import factorial
 
 from . import linalg
-from .cealg import LieAlgebra, d_terms
+from .cealg import LieAlgebra, bracket_terms, d_terms
 from .errors import CheckError, InputError
 from .exterior import (
     ComplexKForm,
@@ -249,20 +249,20 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
     frame = [_sparse(v) for v in basis]
     gframe = [_combine(g, v) for v in frame]
     gram = [[sum(x * gv.get(i, 0) for i, x in u.items()) for gv in gframe] for u in frame]  # over gd fd^2
-    minors, inverse = linalg.sylvester(gram)
-    if inverse is None:
+    minors, adjugate = linalg.sylvester(gram)
+    if adjugate is None:
         k, den = len(minors), gd * fd * fd
         raise NotCalibratedError(
             "calibrated.positive",
             "g_J is not positive definite on the contact distribution",
             {
                 "witness_vector": str(Vector([Fraction(x, fd) for x in basis[k - 1]])),
-                "leading_minor": str(minors[-1] / den**k),
+                "leading_minor": str(Fraction(minors[-1], den**k)),
                 "g(v,v)": str(Fraction(gram[k - 1][k - 1], den)),
             },
         )
     # J-invariance on xi follows: g_J(Ju, Jv) = kappa(Ju, J^2 v) = -kappa(Ju, v) = g_J(v, u)
-    return Metric([[Fraction(g[j][i], gd) if i in g[j] else 0 for j in range(dim)] for i in range(dim)])
+    return Metric._of([[g[j].get(i, 0) for j in range(dim)] for i in range(dim)], gd)
 
 
 def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
@@ -276,16 +276,6 @@ def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:
     )
 
 
-def _bracket(cells, u: dict, v: dict) -> dict:
-    """[u, v] of sparse vectors over the sparse int bracket cells."""
-    out: dict = {}
-    for p, x in u.items():
-        for q, y in v.items():
-            if q in cells[p]:
-                add_terms(out, x * y, cells[p][q])
-    return out
-
-
 def _nijenhuis_table(J: Endo, alg: LieAlgebra) -> tuple[dict, int]:
     """(table, den): table[(i, j)] is N(X_i, X_j) != 0 for 1-based i < j, as
     sparse ints over den = jd^2 Cd, for J = cols / jd and the cells over Cd."""
@@ -293,9 +283,9 @@ def _nijenhuis_table(J: Endo, alg: LieAlgebra) -> tuple[dict, int]:
     (cells, cd), table = alg.brackets, {}
     for i, j in combinations(range(alg.dim), 2):
         # N = [JX, JY] - J([JX, Y] + [X, JY] - J[X, Y]), over jd^2 Cd
-        inner = add_terms(_bracket(cells, cols[i], {j: 1}), 1, _bracket(cells, {i: 1}, cols[j]))
+        inner = add_terms(bracket_terms(cells, cols[i], {j: 1}), 1, bracket_terms(cells, {i: 1}, cols[j]))
         add_terms(inner, -1, _combine(cols, cells[i].get(j, {})))
-        out = add_terms(_bracket(cells, cols[i], cols[j]), -1, _combine(cols, inner))
+        out = add_terms(bracket_terms(cells, cols[i], cols[j]), -1, _combine(cols, inner))
         if any(out.values()):
             table[(i + 1, j + 1)] = out
     return table, jd * jd * cd
@@ -401,13 +391,12 @@ class CCYStructure:
 
 
 def induced_metric(g_j: Metric, alpha: KForm) -> Metric:
-    """The Riemannian metric g_J + alpha (x) alpha of a calibrated structure."""
-    dim = g_j.dim
-    cov = covector(alpha)
-    rows = [
-        [g_j.matrix[i][j] + cov[i] * cov[j] for j in range(dim)] for i in range(dim)
-    ]
-    return Metric(rows)
+    """The Riemannian metric g_J + alpha (x) alpha of a calibrated structure,
+    over ints: g_J = G / gd and alpha = a / ad give (ad^2 G + gd a a^T) / (gd ad^2)."""
+    cov, ad = linalg.scaled(covector(alpha))
+    s = ad * ad
+    rows = [[s * x + g_j.den * ci * cj for x, cj in zip(row, cov)] for row, ci in zip(g_j.num, cov)]
+    return Metric._of(rows, g_j.den * s)
 
 
 def _proportionality(lhs, rhs) -> Fraction | None:
@@ -471,7 +460,7 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
     dim = alg.dim
     parts, den = linalg.scaled_maps([epsilon.re.terms, epsilon.im.terms])
     cells = [_contractions(terms, dim) for terms in parts]  # cells[part][k] = C_k, over den
-    d1, dd = linalg.scaled_maps(alg.d1_terms)
+    d1, dd = alg.d1_ints
     deps = [{idx: c for idx, c in d_terms(d1, terms).items() if c} for terms in parts]  # over den dd
     # (a) basic with respect to every Reeb field
     for idx, reeb in enumerate(reebs, start=1):

@@ -1,13 +1,23 @@
-"""Reference elaboration of form expressions over ComplexKForm.
+"""Reference elaboration of form expressions over ComplexKForm, and the
+reference parse of algebra specs as per-monomial KForm sums.
 
 Each syntax-tree node becomes a validated ComplexKForm and every product and
 sum is a ComplexKForm operation, as `algdsl` elaborated expressions before it
-combined term maps. The tests compare `parse_form` against it.
+combined term maps. Each pair term of an algebra spec becomes one validated
+monomial KForm, added to the sum of the earlier ones, as `algdsl` parsed
+algebras before it added up term maps. The tests compare `parse_form` and
+`parse_algebra` against them, on valid input.
 """
+
+import json
+import re
+from fractions import Fraction
 
 from nilgeo.algdsl import MAX_WEDGE_PAIRS, Gen, Imag, Rat, Sum, Wedge, parse_form_expr
 from nilgeo.errors import InputError
-from nilgeo.exterior import ComplexKForm, KForm
+from nilgeo.exterior import ComplexKForm, KForm, rat
+
+_PAIR_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?(\d)(\d)")
 
 
 def elaborate(node, dim: int) -> ComplexKForm:
@@ -62,3 +72,27 @@ def parse_form(text: str, dim: int):
     if not value.im.is_zero:
         raise InputError("internal: imaginary part without i token")
     return value.re
+
+
+def algebra_d1(text: str) -> list[KForm]:
+    """The generator differentials d(e^1), ..., d(e^dim) of a compact or JSON
+    algebra spec, each the sum of one monomial KForm per pair term."""
+    text = text.strip()
+    if text.startswith("{"):
+        data = json.loads(text)
+        dim = data["dim"]
+        d1 = [KForm.zero(dim, 2) for _ in range(dim)]
+        for key, terms in data["d"].items():
+            for coef, i, j in terms:
+                d1[int(key) - 1] = d1[int(key) - 1] + KForm.monomial(dim, (i, j), rat(coef))
+        return d1
+    entries = text[1:-1].split(",")
+    dim = len(entries)
+    d1 = []
+    for entry in entries:
+        form = KForm.zero(dim, 2)
+        for sign, coef, i, j in _PAIR_TERM.findall(entry):
+            value = Fraction(coef or 1) * (-1 if sign == "-" else 1)
+            form = form + KForm.monomial(dim, (int(i), int(j)), value)
+        d1.append(form)
+    return d1

@@ -115,6 +115,42 @@ def test_betti_dimension_bound_is_input_error(capsys, monkeypatch):
         assert report["status"] == "error" and str(cealg.MAX_BETTI_DIM) in report["error"]
 
 
+def test_json_algebra_dimension_bound_is_input_error(capsys, monkeypatch):
+    from nilgeo import algdsl
+
+    monkeypatch.setattr(algdsl, "KForm", None)  # no generator is built
+    for dim in (algdsl.MAX_ALGEBRA_DIM + 1, 10**8):
+        code, report = run(capsys, "betti", "--algebra", json.dumps({"dim": dim, "d": {}}))
+        assert code == 2
+        assert report["status"] == "error" and str(algdsl.MAX_ALGEBRA_DIM) in report["error"]
+    monkeypatch.undo()
+    for dim in (101, 801, algdsl.MAX_ALGEBRA_DIM):
+        pairs = [["1", 2 * k - 1, 2 * k] for k in range(1, (dim - 1) // 2 + 1)]
+        assert algdsl.parse_algebra(json.dumps({"dim": dim, "d": {str(dim): pairs}})).dim == dim
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        '{"dim": -3, "d": {}}',
+        '{"dim": 0, "d": {}}',
+        '{"dim": 3.7, "d": {"3": [["1", 1, 2]]}}',
+        '{"dim": 3.0, "d": {"3": [["1", 1, 2]]}}',
+        '{"dim": true, "d": {}}',
+        '{"dim": "3", "d": {"3": [["1", 1, 2]]}}',
+        '{"dim": 3, "d": {"3": [["1", 1.9, 2]]}}',
+        '{"dim": 3, "d": {"3": [["1", 1, 2.0]]}}',
+        '{"dim": 3, "d": {"3": [["1", true, 2]]}}',
+        '{"dim": 3, "d": {"3": [["1", "1", 2]]}}',
+        '{"dim": 3, "d": {" 3": [["1", 1, 2]]}}',
+        '{"dim": 3, "d": {"+3": [["1", 1, 2]]}}',
+    ],
+)
+def test_json_algebra_integers_are_strict(algebra):
+    # each of these was read (truncated, coerced or as dim 0) and passed
+    run_input_error(["betti", f"--algebra={algebra}"])
+
+
 def test_betti(capsys):
     code, report = run(capsys, "betti", "--algebra", "(0,0,0,0,12+34)")
     assert code == 0
@@ -573,8 +609,8 @@ def test_sample_counts_above_their_limits_are_input_errors():
 def test_internal_guard_exits_3_with_one_document(capsys, monkeypatch):
     from nilgeo.exterior import Metric
 
-    inverse = Metric.inverse_matrix
-    monkeypatch.setattr(Metric, "inverse_matrix", lambda g: [[2 * x for x in row] for row in inverse(g)])
+    inverse = Metric.inverse
+    monkeypatch.setattr(Metric, "inverse", lambda g: ([[2 * x for x in row] for row in inverse(g)[0]], inverse(g)[1]))
     code = main(["curvature", "--algebra", "(0,0,12)", "--metric", "[[1,0,0],[0,1,0],[0,0,4]]"])
     captured = capsys.readouterr()
     assert code == 3

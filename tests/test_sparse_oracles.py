@@ -5,9 +5,13 @@
 columns against the dense contraction; the calibration's g_J against the
 dense product K J; `xi_basis` against `linalg.nullspace`; and `parse_form`
 (term maps over one denominator) against the ComplexKForm elaboration of
-`fraction_forms`, on hypothesis-generated expressions.
+`fraction_forms`, on hypothesis-generated expressions. The term-map
+`parse_algebra` against the per-monomial KForm sums of `fraction_forms`,
+and the bracket, nilpotency and Riemann paths over the sparse bracket cells
+against the dense Fraction table read off those sums.
 """
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -15,9 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilgeo import linalg
-from nilgeo.algdsl import parse_algebra, parse_form
+from nilgeo.algdsl import parse_algebra, parse_form, serialize_algebra, serialize_algebra_json
 from nilgeo.cealg import LieAlgebra, change_of_basis
 from nilgeo.classify import Catalog
+from nilgeo.curvature import levi_civita, riemann
 from nilgeo.errors import InputError
 from nilgeo.exterior import Endo, KForm, Vector, covector
 from nilgeo.models import heisenberg_algebra, heisenberg_ccy_data, kodaira_thurston_data
@@ -31,10 +36,10 @@ from nilgeo.structures import (
     xi_basis,
 )
 
-from . import fraction_forms
+from . import fraction_curvature, fraction_forms
 from . import fraction_structures as reference
-from .test_curvature import transported_data
-from .test_properties import rand_form, rand_unimodular
+from .test_curvature import random_rational_metric, transported_data
+from .test_properties import NILPOTENT_SPECS, rand_form, rand_fraction, rand_rational_frame, rand_unimodular
 from .test_structure_oracles import rand_endo
 
 R_CONTACT = (
@@ -205,3 +210,98 @@ def test_parse_form_refuses_the_same_wedge_as_the_complexkform_elaboration():
         assert got == outcome(fraction_forms.parse_form, text, 30)
         assert isinstance(got, tuple) == (count > 3)
     assert isinstance(outcome(parse_form, "^".join(one_forms[:3]), 30), KForm)
+
+
+def dense_table(d1) -> list:
+    """c[i][j][k] = -d(e^(k+1))(X_(i+1), X_(j+1)), the structure constants
+    read off the generator differentials."""
+    dim = len(d1)
+    c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for k, form in enumerate(d1):
+        for (i, j), x in form.terms.items():
+            c[i - 1][j - 1][k], c[j - 1][i - 1][k] = -x, x
+    return c
+
+
+def dense_is_nilpotent(table) -> bool:
+    """The lower central series from dense Fraction brackets and `linalg.rref`."""
+    dim = len(table)
+    basis = [[Q(int(i == j)) for j in range(dim)] for i in range(dim)]
+    current = basis
+    for _ in range(dim + 1):
+        nxt = [w for e in basis for v in current if any(w := linalg.bilinear(table, e, v))]
+        if not nxt:
+            return True
+        current = [row for row in linalg.rref(nxt)[0] if any(row)]
+    return False
+
+
+def respelled(rng, spec: str) -> tuple[str, str]:
+    """(compact, JSON): the same algebra with each term split into repeated
+    pairs and with pairs that cancel added."""
+    alg = parse_algebra(spec)
+    dim, entries, d = alg.dim, [], {}
+    for k, form in enumerate(alg.d1, start=1):
+        terms = [[c, i, j] for (i, j), c in sorted(form.terms.items())]
+        i, j = sorted(rng.sample(range(1, dim + 1), 2))
+        a = abs(rand_fraction(rng)) or Q(1)
+        terms += [[a, i, j], [-a, i, j]]
+        split = []
+        for c, i, j in terms:
+            b = rand_fraction(rng)
+            split += [[c - b, i, j], [b, i, j]] if rng.random() < 0.5 else [[c, i, j]]
+        d[str(k)] = [[str(c), i, j] for c, i, j in split]
+        entries.append("".join(f"{'-' if c < 0 else '+'}{abs(c)}*{i}{j}" for c, i, j in split).lstrip("+"))
+    return "(" + ",".join(entries) + ")", json.dumps({"dim": dim, "d": d})
+
+
+def oracle_algebras(rng) -> list[LieAlgebra]:
+    """The catalog, su(2), sl(2), two solvable non-nilpotent algebras, a
+    rational-coefficient algebra and the nilpotent specs, plain and in seeded
+    rational frames."""
+    specs = [entry.spec for entry in Catalog.default()]
+    specs += ["(23,-13,12)", "(-23,13,12)", "(0,12)", "(0,12,13,2*14+23)", "(0,0,1/2*12,3/4*13,14+23)"]
+    specs += NILPOTENT_SPECS
+    out = [parse_algebra(spec) for spec in specs]
+    return out + [change_of_basis(alg, rand_rational_frame(rng, alg.dim)) for alg in out]
+
+
+def test_term_map_parse_matches_the_per_monomial_reference():
+    rng = random.Random(111)
+    texts = ["(0,0,12+12)", "(0,0,12-12)", "(0,0,3/2*12-1/3*12,13+13-2*13)", "(0,0,0,0,12+34-34+1/2*34-1/2*34)",
+             '{"dim": 5, "d": {"5": [["1", 1, 2], [3, 1, 2], ["-4", 1, 2], ["1/2", 3, 4], ["1/2", 3, 4]]}}',
+             '{"dim": 3, "d": {"3": [["1", 1, 2], ["-1", 1, 2]], "2": []}}']
+    for alg in oracle_algebras(rng):
+        spec = serialize_algebra(alg)
+        texts += [spec, serialize_algebra_json(alg), *respelled(rng, spec)]
+    for text in texts:
+        alg, d1 = parse_algebra(text), fraction_forms.algebra_d1(text)
+        assert alg.d1 == tuple(d1), text
+        table = dense_table(d1)
+        assert alg.structure_constants == tuple(tuple(tuple(cell) for cell in row) for row in table)
+        cells, den = alg.brackets
+        for i, row in enumerate(table):
+            for j, cell in enumerate(row):
+                assert {k: Q(x, den) for k, x in cells[i].get(j, {}).items()} == {k: x for k, x in enumerate(cell) if x}
+    assert parse_algebra("(0,0,12-12)") == LieAlgebra.abelian(3)
+
+
+def test_bracket_nilpotency_and_riemann_match_the_dense_table():
+    rng = random.Random(112)
+    verdicts = []
+    for alg in oracle_algebras(rng):
+        table = dense_table(alg.d1)
+        verdicts.append(alg.is_nilpotent())
+        assert verdicts[-1] == dense_is_nilpotent(table)
+        for _ in range(4):
+            u, v = (Vector([rand_fraction(rng) * rng.choice((0, 1)) for _ in range(alg.dim)]) for _ in range(2))
+            assert alg.bracket(u, v) == Vector(linalg.bilinear(table, u.coeffs, v.coeffs))
+        i, j = rng.randint(1, alg.dim), rng.randint(1, alg.dim)
+        assert alg.bracket_basis(i, j) == Vector(table[i - 1][j - 1])
+        g = random_rational_metric(rng, alg.dim, den=4)
+        gamma = fraction_curvature.gamma_table(alg, g)
+        x, y, z = (Vector([rand_fraction(rng) for _ in range(alg.dim)]) for _ in range(3))
+        xyz = [linalg.bilinear(gamma, a.coeffs, linalg.bilinear(gamma, b.coeffs, z.coeffs)) for a, b in ((x, y), (y, x))]
+        third = linalg.bilinear(gamma, linalg.bilinear(table, x.coeffs, y.coeffs), z.coeffs)
+        assert riemann(levi_civita(alg, g), x, y, z) == Vector([p - q - r for p, q, r in zip(*xyz, third)])
+    assert True in verdicts and False in verdicts

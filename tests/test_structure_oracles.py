@@ -67,7 +67,11 @@ def test_sylvester_matches_per_minor_determinants_inverse_and_sympy():
         cases.append([[sym[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
     verdicts = []
     for matrix in cases:
-        minors, inverse = linalg.sylvester(matrix)
+        # ints in, ints out: matrix = a / den, minor k = pivot k / den^k, inverse = den adj / det
+        a, den = linalg.scaled(matrix)
+        pivots, adjugate = linalg.sylvester(a)
+        minors = [Q(p, den ** (k + 1)) for k, p in enumerate(pivots)]
+        inverse = None if adjugate is None else [[Q(den * x, pivots[-1]) for x in row] for row in adjugate]
         assert minors == reference.leading_minors(matrix)
         sym = to_sympy(matrix)
         assert minors == [Q(str(sym[:k, :k].det())) for k in range(1, len(minors) + 1)]
