@@ -44,7 +44,7 @@ from .exterior import ComplexKForm, Endo, KForm, Vector, add_terms, rat, wedge_t
 # algebra notation
 # ---------------------------------------------------------------------------
 
-_PAIR_TERM = re.compile(r"^(?:(\d+(?:/\d*[1-9]\d*)?)\*)?(\d)(\d)$")
+_PAIR_TERM = re.compile(r"^(?:(\d+(?:/\d*[1-9]\d*)?)\*)?([1-9])(\d)$")
 
 
 def _signed_terms(text: str) -> list[tuple[int, str]]:
@@ -74,8 +74,6 @@ def _parse_entry(entry: str, k: int, dim: int) -> dict:
             raise InputError(f"entry {k}: invalid pair {i}{j} (indices must increase)")
         if j > dim:
             raise InputError(f"entry {k}: index {j} out of range for dimension {dim}")
-        if i < 1:
-            raise InputError(f"index out of range 1..{dim} in {(i, j)}")
         terms[(i, j)] = terms.get((i, j), 0) + sgn * coef
     return terms
 
@@ -123,10 +121,8 @@ def _parse_algebra_json(text: str) -> tuple[int, dict[int, dict]]:
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError('algebra JSON needs {"dim": n, "d": {...}}')
     dim, d = data["dim"], data.get("d") or {}
-    if type(dim) is not int or dim < 1:
-        raise InputError(f"algebra JSON: dim must be an integer >= 1, got {json.dumps(dim)}")
-    if dim > MAX_ALGEBRA_DIM:
-        raise InputError(f"JSON algebras support dimension <= {MAX_ALGEBRA_DIM}, got {dim}")
+    if type(dim) is not int or not 1 <= dim <= MAX_ALGEBRA_DIM:
+        raise InputError(f"algebra JSON: dim must be an integer in 1..{MAX_ALGEBRA_DIM}, got {json.dumps(dim)}")
     d1: dict[int, dict] = {}
     try:
         for key, entries in d.items():

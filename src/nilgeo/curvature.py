@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .cealg import LieAlgebra
+from .cealg import LieAlgebra, bracket_terms
 from .errors import CheckError, InputError
 from .exterior import KForm, Metric, Vector, covector, two_form_matrix
 from .linalg import axpy, bilinear, contract_first, dot, lincomb, matvec, scaled
@@ -258,13 +258,8 @@ def _transverse_table(conn: Connection, cov, reeb, s: int) -> tuple[list, int]:
 
 def _ad(cells, u) -> list[list[int]]:
     """[u, X_j] for every j, dense, of a dense vector u over the bracket cells."""
-    out = [[0] * len(cells) for _ in cells]
-    for i, x in enumerate(u):
-        if x:
-            for j, cell in cells[i].items():
-                for k, c in cell.items():
-                    out[j][k] += x * c
-    return out
+    n, su = len(cells), dict(enumerate(u))
+    return [[w.get(k, 0) for k in range(n)] for w in (bracket_terms(cells, su, {j: 1}) for j in range(n))]
 
 
 def _preserves(matrix, frame, moved) -> bool:
@@ -320,7 +315,7 @@ def transverse_ricci(
     gm, d = g.num, g.den
     gframe = [matvec(gm, f) for f in fs]  # g f_a, over d fd
     minors, adjugate = linalg.sylvester([[dot(x, gy) for gy in gframe] for x in fs])
-    w, wd = [[d * fd * fd * x for x in row] for row in adjugate], minors[-1]
+    w, wd = linalg.lowest([[d * fd * fd * x for x in row] for row in adjugate], minors[-1])
     wf = [lincomb(fs, wa) for wa in w]  # sum_b w_ab f_b, over wd fd
     tau = [0] * n  # sum_ab w_ab nabla^T(f_a, f_b), over wd fd^2 td
     for ta, v in zip(along, wf):

@@ -445,8 +445,8 @@ class Metric:
 
     @classmethod
     def _of(cls, num, den: int) -> Metric:
-        """The metric num / den of a symmetric int matrix, not checked again."""
-        g = object.__new__(cls)
+        """The metric num / den of a symmetric int matrix, in lowest terms, not checked again."""
+        g, (num, den) = object.__new__(cls), linalg.lowest(num, den)
         object.__setattr__(g, "num", num)
         object.__setattr__(g, "den", den)
         return g
@@ -495,7 +495,7 @@ class Metric:
         minors, adjugate = self._sylvester()
         if adjugate is None:
             raise ValueError("metric is not positive definite")
-        return [[self.den * x for x in row] for row in adjugate], minors[-1] if minors else 1
+        return linalg.lowest([[self.den * x for x in row] for row in adjugate], minors[-1] if minors else 1)
 
     def inverse_matrix(self) -> list[list[Fraction]]:
         """The inverse of a positive definite metric in Fractions; raises ValueError otherwise."""

@@ -186,6 +186,13 @@ def scaled(table) -> tuple[list, int]:
     return out, den
 
 
+def lowest(rows, den: int) -> tuple[list[list[int]], int]:
+    """(rows, den) of an int table over den, divided by the gcd of den and
+    every entry: the numerators and denominator `scaled` gives its values."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
+
+
 def scaled_maps(maps) -> tuple[list[dict], int]:
     """(int maps, den): term maps (key -> rational) as ints over den, the lcm of
     the denominators of all of them."""
