@@ -2,7 +2,7 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_11.json
+        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_12.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -22,6 +22,9 @@ levi_civita, ricci_scalar and transverse_ricci:
   and parse_form of the epsilon expression (e1+i*e2)^...^(e(2n-1)+i*e(2n));
 - parse_algebra of the Heisenberg algebra in the JSON format, dim 11, 21,
   41, 101, 201, 401 and 801, and check_contact on it with alpha = 2 e_dim;
+- kernel_dimension of the moduli operator at N = 256, 512, 1024, 2048 and
+  4096 (the operator assembled once), and betti_numbers of the Heisenberg
+  algebras of dims 7, 9 and 11;
 - and the dimension-5 obstruction filter, in ms per call over the contact
   forms among the default catalog's samples (CLASSIFY_SEED with
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
@@ -69,6 +72,8 @@ from perfbench.hostspeed import HostClock  # noqa: E402
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
 JSON_HEISENBERG = (11, 21, 41, 101, 201, 401, 801)
+MODULI_N = (256, 512, 1024, 2048, 4096)
+BETTI_DIMS = (7, 9, 11)
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 CLASSIFY_SEED = 0
@@ -129,10 +134,12 @@ def measure(tree: Path) -> dict:
     """Time the kernels of the nilgeo under tree/src (run in a fresh process)."""
     sys.path.insert(0, str(tree / "src"))
     from nilgeo.algdsl import parse_algebra, parse_form
+    from nilgeo.cealg import betti_numbers
     from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
+    from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension
     from nilgeo.exterior import Endo, Metric
-    from nilgeo.models import heisenberg_ccy, heisenberg_ccy_data
+    from nilgeo.models import heisenberg_algebra, heisenberg_ccy, heisenberg_ccy_data
     from nilgeo.structures import (
         NotContactError,
         _check_calibration,
@@ -155,7 +162,7 @@ def measure(tree: Path) -> dict:
                 "dim": alg.dim,
                 "levi_civita_ms": timed_ms(clock, lambda: levi_civita(alg, g)),
                 "ricci_scalar_ms": timed_ms(clock, lambda: ricci_scalar(alg, g, conn)),
-                "transverse_ricci_ms": timed_ms(clock, lambda: transverse_ricci(structure, g, conn, full)),
+                "transverse_ricci_ms": timed_ms(clock, lambda: transverse_ricci(structure, conn=conn, full=full)),
             }
         )
     rng = random.Random(METRIC_SEED)
@@ -205,6 +212,12 @@ def measure(tree: Path) -> dict:
         parse_ms = timed_ms(clock, lambda: parse_algebra(text))
         check_ms = timed_ms(clock, lambda: check_contact(alg, alpha))
         rows.append({"family": "json_heisenberg", "dim": dim, "parse_algebra_ms": parse_ms, "check_contact_ms": check_ms})
+    for n in MODULI_N:
+        op = assemble_operator(CircleGrid(n))
+        rows.append({"family": "moduli", "dim": n, "kernel_dimension_ms": timed_ms(clock, lambda: kernel_dimension(op))})
+    for dim in BETTI_DIMS:
+        alg = heisenberg_algebra((dim - 1) // 2)
+        rows.append({"family": "betti", "dim": dim, "betti_numbers_ms": timed_ms(clock, lambda: betti_numbers(alg))})
     calls = []
     for entry in Catalog.default():
         alg = entry.algebra()
@@ -236,10 +249,10 @@ def fastest(rounds) -> dict:
     rows = [{key: min(r[key] for r in point) if "_ms" in key else value for key, value in point[0].items()}
             for point in zip(*rounds)]
     slopes = {}
-    for family in ("heisenberg", "filiform", "structure", "json_heisenberg"):
+    for family in ("heisenberg", "filiform", "structure", "json_heisenberg", "moduli", "betti"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
-                       "parse_algebra"):
+                       "parse_algebra", "kernel_dimension", "betti_numbers"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -332,6 +345,8 @@ def main() -> None:
             "heisenberg_n": list(HEISENBERG),
             "structure_n": list(STRUCTURE_N),
             "json_heisenberg_dims": list(JSON_HEISENBERG),
+            "moduli_n": list(MODULI_N),
+            "betti_dims": list(BETTI_DIMS),
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
             "classify_seed": CLASSIFY_SEED,

@@ -78,13 +78,13 @@ def _parse_entry(entry: str, k: int, dim: int) -> dict:
     return terms
 
 
-def parse_algebra(text: str, require_nilpotent: bool = False) -> LieAlgebra:
+def parse_algebra(text: str) -> LieAlgebra:
     """Parse compact structure-constant notation or the JSON algebra format.
 
     Each d(e^k) is added up in one term map and becomes one KForm. The
     elaborated differential is verified to square to zero (Jacobi); a
     failure raises JacobiError. Non-nilpotent algebras passing Jacobi are
-    accepted unless require_nilpotent is set.
+    accepted; `LieAlgebra.is_nilpotent` tells them apart.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -99,10 +99,7 @@ def parse_algebra(text: str, require_nilpotent: bool = False) -> LieAlgebra:
         if dim > 9:
             raise InputError("compact notation supports dimension <= 9; use the JSON format")
         d1 = {k: _parse_entry(e, k, dim) for k, e in enumerate(entries, start=1)}
-    alg = LieAlgebra([KForm(dim, 2, d1.get(k)) for k in range(1, dim + 1)])
-    if require_nilpotent and not alg.is_nilpotent():
-        raise InputError("algebra is not nilpotent")
-    return alg
+    return LieAlgebra([KForm(dim, 2, d1.get(k)) for k in range(1, dim + 1)])
 
 
 # The largest dimension of a JSON algebra. The goldens and benchmarks reach

@@ -106,8 +106,8 @@ class LieAlgebra:
     def is_nilpotent(self) -> bool:
         """Lower central series terminates at zero: g^(k+1) is spanned by the
         brackets [v, X_j] of a basis v of g^k, read off the cells and reduced
-        to echelon rows (over Fractions: the elimination divides)."""
-        cells, current = self.brackets[0], [{i: Fraction(1)} for i in range(self.dim)]
+        to echelon rows."""
+        cells, current = self.brackets[0], [{i: 1} for i in range(self.dim)]
         for _ in range(self.dim + 1):
             spans = [bracket_terms(cells, v, {j: 1}) for v in current for j in range(self.dim)]
             current = [row for _, _, row in linalg._eliminate(spans)]

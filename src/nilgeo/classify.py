@@ -13,8 +13,8 @@ not claimed by this module. The filter is defined in dimension 5 only;
 catalog entries of other dimensions get no filter samples.
 
 The filter runs over Python ints: the closed 2-forms are computed once per
-catalog entry, the wedges with d alpha and the quadratic form come from one
-sign table, and only the reported polynomial and witness become Fractions.
+catalog entry, the contact test, the wedges with d alpha and the quadratic
+form come from one sign table, and only the reported polynomial and witness become Fractions.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
 from .cealg import LieAlgebra, basis_tuples, d_matrix
 from .errors import CheckError, InputError
-from .exterior import KForm, covector, merge_indices
-from .structures import NotContactError, check_ccy, check_contact, require_contact
+from .exterior import KForm, _signed_sum, covector, merge_indices
+from .structures import NotContactError, _contact_differential, _not_contact, check_ccy, check_contact
 
 
 class MultiPoly:
@@ -84,8 +84,6 @@ class MultiPoly:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         # sort by total degree then lexicographically, for stable output
         parts = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
@@ -104,10 +102,7 @@ class MultiPoly:
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -200,9 +195,11 @@ def ccy_obstruction_filter(
     Only dimension 5 is accepted: gamma ^ gamma ^ alpha is a 5-form, so in
     any other dimension q is identically zero and Obstructed would be wrong.
 
-    Over ints, from one sign table: the closed 2-forms Z (`closed`, computed
-    when not given) have the identity on their free coordinates, so the
-    kernel of gamma -> gamma ^ d alpha on Z, in that form, is the reduced
+    Over ints, from one sign table: alpha is contact iff the volume
+    coefficient of alpha ^ d alpha ^ d alpha is nonzero (otherwise the
+    NotContactError of check_contact). The closed 2-forms Z (`closed`,
+    computed when not given) have the identity on their free coordinates, so
+    the kernel of gamma -> gamma ^ d alpha on Z, in that form, is the reduced
     nullspace basis of W. q is the integer bilinear form
     vol(gamma_i ^ gamma_j ^ alpha); its coefficients and the witness become
     Fractions once.
@@ -210,12 +207,15 @@ def ccy_obstruction_filter(
     dim = alg.dim
     if dim != 5:
         raise InputError(f"the obstruction filter is defined in dimension 5 only, got {dim}")
-    dalpha = require_contact(alg, alpha)  # raises NotContactError if not contact
-    z, zd = closed if closed is not None else closed_two_forms(alg)
+    dalpha = _contact_differential(alg, alpha)
     two_forms = basis_tuples(dim, 2)
     da, _ = linalg.scaled([dalpha.coefficient(idx) for idx in two_forms])
     cov, ad = linalg.scaled(covector(alpha))
     table = _wedge_table()
+    # alpha ^ d alpha ^ d alpha, in units of a positive multiple of e^12345
+    if not sum(sign * cov[t] * da[x] * da[y] for x, y, t, _, sign in table if cov[t]):
+        raise _not_contact(alpha, dalpha)
+    z, zd = closed if closed is not None else closed_two_forms(alg)
     rows = [[0] * len(z) for _ in range(dim)]  # rows[t][j]: the e^T coefficient of z_j ^ d alpha
     for j, v in enumerate(z):
         for x, y, t, sign, _ in table:

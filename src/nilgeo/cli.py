@@ -6,8 +6,7 @@ check failed (the report says which clause), 2 input, parse or usage error,
 3 an internal guard (ArithmeticError) fired, named in the error document.
 
 Any structured flag value may be given as "@path" to read the value from a
-file. The environment variable NILGEO_SEED provides the default sampling
-seed.
+file.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -100,14 +98,6 @@ def _file_value(value: str) -> str:
         except OSError as exc:
             raise InputError(f"cannot read {value[1:]}: {exc}") from exc
     return value
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("NILGEO_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"NILGEO_SEED must be an integer, got {raw!r}") from exc
 
 
 def _emit(report: Report) -> int:
@@ -291,7 +281,7 @@ def cmd_curvature(args) -> int:
         except NotAlphaEinsteinError as exc:
             report.add(exc.check, False, message=str(exc), witness=exc.witness)
     if structure is not None:
-        transverse = transverse_ricci(structure, g, conn, curvature)
+        transverse = transverse_ricci(structure, conn, curvature)
         report.add(
             "transverse_ricci_zero",
             transverse.is_zero,
@@ -400,7 +390,6 @@ def cmd_comass(args) -> int:
     if args.samples > MAX_COMASS_SAMPLES:
         raise InputError(f"comass supports --samples <= {MAX_COMASS_SAMPLES}, got {args.samples}")
     alg = parse_algebra(_file_value(args.algebra))
-    seed = args.seed if args.seed is not None else _default_seed()
     report = Report(
         "comass",
         {
@@ -409,7 +398,7 @@ def cmd_comass(args) -> int:
             "J": args.J,
             "epsilon": args.epsilon,
             "samples": args.samples,
-            "seed": seed,
+            "seed": args.seed,
         },
     )
     try:
@@ -421,11 +410,11 @@ def cmd_comass(args) -> int:
         value = comass_probe(ccy, frame)
         report.add("comass_probe", abs(value) <= 1, value=str(value))
     if args.samples > 0:
-        best = comass_sample(ccy, args.samples, seed=seed)
+        best = comass_sample(ccy, args.samples, seed=args.seed)
         report.add(
             "comass_bound",
             best <= 1 + 1e-9,
-            maximum={"approx": repr(best), "seed": seed, "samples": args.samples},
+            maximum={"approx": repr(best), "seed": args.seed, "samples": args.samples},
         )
     return _emit(report)
 
@@ -435,16 +424,15 @@ def cmd_classify(args) -> int:
         raise InputError("--samples must be nonnegative")
     if args.samples > MAX_CLASSIFY_SAMPLES:
         raise InputError(f"classify supports --samples <= {MAX_CLASSIFY_SAMPLES}, got {args.samples}")
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.catalog:
         catalog = Catalog.from_json(_file_value(args.catalog))
     else:
         catalog = Catalog.default()
     report = Report(
         "classify",
-        {"catalog": args.catalog or "default", "seed": seed, "samples": args.samples},
+        {"catalog": args.catalog or "default", "seed": args.seed, "samples": args.samples},
     )
-    result = classify_catalog(catalog, seed=seed, random_samples=args.samples)
+    result = classify_catalog(catalog, seed=args.seed, random_samples=args.samples)
     report.info("classification", **result.to_dict())
     return _emit(report)
 
@@ -532,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("comass", help="Monte Carlo calibration bound check")
     add_structure_flags(p)
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probe", help="exact g-orthonormal frame, e.g. X1;X3")
     p.set_defaults(func=cmd_comass)
 
     p = sub.add_parser("classify", help="run the 5-dimensional classification catalog")
     p.add_argument("--catalog", help="catalog JSON or @file; default is the shipped catalog")
     p.add_argument("--samples", type=int, default=3, help="random contact forms per algebra")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     return parser

@@ -278,10 +278,7 @@ def _preserves(matrix, frame, moved) -> bool:
 
 
 def transverse_ricci(
-    structure,
-    g: Metric | None = None,
-    conn: Connection | None = None,
-    full: CurvatureReport | None = None,
+    structure, conn: Connection | None = None, full: CurvatureReport | None = None
 ) -> TransverseReport:
     """Transverse connection and transverse Ricci tensor of a verified structure.
 
@@ -291,15 +288,16 @@ def transverse_ricci(
     arbitrary exact frame of the contact distribution, which avoids irrational
     Gram-Schmidt factors. Also verifies the parallelism identities of the
     transverse connection and the Ricci identity Ric^T = Ric + 2g on the
-    distribution. `conn` and `full`, when given, must be levi_civita(alg, g)
-    and its ricci_scalar report; they are reused instead of rebuilt.
+    distribution. g is the structure's metric, or the metric induced by g_J
+    and alpha. `conn` and `full`, when given, must be levi_civita(alg, g) and
+    its ricci_scalar report; they are reused instead of rebuilt.
 
     Every table is contracted over ints; the comments give its denominator.
     ric_t and rho_t are reported in the frame itself, not in its numerators.
     """
     contact = structure.contact
     alg = contact.alg
-    g = g or getattr(structure, "metric", None) or induced_metric(structure.g_j, contact.alpha)
+    g = getattr(structure, "metric", None) or induced_metric(structure.g_j, contact.alpha)
     conn = conn or levi_civita(alg, g)
     full = full or ricci_scalar(alg, g, conn)
     n, (cells, cd), J = alg.dim, alg.brackets, structure.J

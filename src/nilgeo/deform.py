@@ -1,5 +1,7 @@
 """Desk-scale discretization of the linearized deformation operator of the
 circle special Legendrian inside the 3-dimensional Heisenberg-type model.
+The operator is always assembled on that reference structure,
+`reference_structure()` = `heisenberg_ccy(1)`; it takes no structure input.
 
 Symbolic reduction (documented here because the assembly realizes it):
 
@@ -111,16 +113,6 @@ def reference_structure() -> CCYStructure:
     return heisenberg_ccy(1)
 
 
-def _is_reference(ccy: CCYStructure) -> bool:
-    ref = reference_structure()
-    return (
-        ccy.alg == ref.alg
-        and ccy.contact.alpha == ref.contact.alpha
-        and ccy.J == ref.J
-        and ccy.epsilon == ref.epsilon
-    )
-
-
 def coupling_constant(ccy: CCYStructure) -> Fraction:
     """Coefficient c in p^*(iota_{JX1} d alpha) = c * (dual coordinate form)."""
     tangent = Vector.basis(ccy.dim, 1)
@@ -130,19 +122,9 @@ def coupling_constant(ccy: CCYStructure) -> Fraction:
     return restricted.coefficient((1,))
 
 
-def assemble_operator(grid: CircleGrid, ccy: CCYStructure | None = None) -> LinearizedOperator:
-    """Assemble the discretized linearized operator on the reference structure.
-
-    Only the shipped reference configuration is supported; anything else is
-    an unsupported configuration error.
-    """
-    if ccy is None:
-        ccy = reference_structure()
-    elif not _is_reference(ccy):
-        raise InputError("assemble_operator: unsupported configuration")
-    c = coupling_constant(ccy)
-    if c == 0:
-        raise InputError("degenerate coupling; configuration is not the reference one")
+def assemble_operator(grid: CircleGrid) -> LinearizedOperator:
+    """Assemble the discretized linearized operator on the reference structure."""
+    c = coupling_constant(reference_structure())
     n = grid.n
     inv_h = Fraction(grid.n)
     rows: list[dict[int, Fraction]] = []

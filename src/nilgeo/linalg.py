@@ -33,7 +33,7 @@ def _sparse(matrix) -> list[dict[int, Fraction]]:
 
 
 def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
-    """Sparse forward elimination of rows (dict column -> Fraction).
+    """Sparse forward elimination of rows (dict column -> int or Fraction).
 
     Returns the pivots in column order as (column, input row, echelon row):
     each echelon row is its input row minus multiples of earlier pivot rows.
@@ -57,7 +57,7 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
         bucket.sort(key=lambda entry: len(entry[0]))
         pivot, source = bucket[0]
         pivots.append((col, source, pivot))
-        pv = pivot[col]
+        pv = Fraction(pivot[col])  # int rows divide exactly too
         for row, s in bucket[1:]:
             f = row[col] / pv
             for c, v in pivot.items():
@@ -70,19 +70,19 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
 def _rref_sparse(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     """The nonzero rows of the reduced row echelon form and their pivot columns."""
     pivots = _eliminate(rows)
-    reduced: list[dict[int, Fraction]] = [{}] * len(pivots)
-    for k in reversed(range(len(pivots))):
-        col, _, row = pivots[k]
-        pv = row[col]
+    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its reduced row
+    for col, _, row in reversed(pivots):
+        pv = Fraction(row[col])
         row = {c: v / pv for c, v in row.items()}
-        # the rows below are final and zero in every other pivot column
-        for (later_col, _, _), later in zip(pivots[k + 1 :], reduced[k + 1 :]):
-            f = row.get(later_col)
-            if f:
-                for c, v in later.items():
-                    row[c] = row.get(c, _ZERO) - f * v
-        reduced[k] = {c: v for c, v in row.items() if v}
-    return reduced, [col for col, _, _ in pivots]
+        # the rows below are final and zero in every other pivot column, so
+        # clearing one pivot column of this row fills in no other
+        for later_col in [c for c in row if c in reduced]:
+            f = row[later_col]
+            for c, v in reduced[later_col].items():
+                row[c] = row.get(c, _ZERO) - f * v
+        reduced[col] = {c: v for c, v in row.items() if v}
+    cols = [col for col, _, _ in pivots]
+    return [reduced[col] for col in cols], cols
 
 
 def _require_square(matrix, what: str) -> int:
@@ -98,7 +98,7 @@ def rank(matrix) -> int:
 
 
 def rank_sparse(rows) -> int:
-    """Exact rank of a matrix given as sparse rows (dict column -> Fraction)."""
+    """Exact rank of a matrix given as sparse rows (dict column -> int or Fraction)."""
     return len(_eliminate(rows))
 
 

@@ -171,17 +171,6 @@ def check_contact(alg: LieAlgebra, alpha: KForm) -> ContactStructure:
     return ContactStructure(alg=alg, alpha=alpha, reeb=reeb, kappa=dalpha * Fraction(1, 2))
 
 
-def require_contact(alg: LieAlgebra, alpha: KForm) -> KForm:
-    """The volume condition of check_contact without the Reeb field: returns
-    d alpha, or raises the same errors. It reads the one volume coefficient,
-    a dense Pfaffian of size dim + 1, so it suits small algebras; the sparse
-    Reeb elimination of check_contact suits any size."""
-    dalpha = _contact_differential(alg, alpha)
-    if not _volume_coefficient([alpha], dalpha, (alg.dim - 1) // 2):
-        raise _not_contact(alpha, dalpha)
-    return dalpha
-
-
 def xi_basis(alg: LieAlgebra, alphas) -> list[Vector]:
     """Exact basis of the intersection of the kernels of the given 1-forms."""
     basis, den = linalg.kernel(linalg.scaled([covector(a) for a in alphas])[0], alg.dim)

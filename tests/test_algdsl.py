@@ -151,14 +151,11 @@ def test_parse_vector():
         parse_vector("Y1", 3)
 
 
-def test_nilpotency_flag():
-    assert parse_algebra("(0,0,12)", require_nilpotent=True).is_nilpotent()
+def test_is_nilpotent_on_heisenberg_and_a_solvable_algebra():
+    assert parse_algebra("(0,0,12)").is_nilpotent()
     # a solvable non-nilpotent algebra passing Jacobi: d(e2) = 12 means
     # [X1, X2] = -X2, whose lower central series stabilizes at span{X2}
-    alg = parse_algebra("(0,12)")
-    assert not alg.is_nilpotent()
-    with pytest.raises(InputError):
-        parse_algebra("(0,12)", require_nilpotent=True)
+    assert not parse_algebra("(0,12)").is_nilpotent()
 
 
 def test_compact_monomial_generators():

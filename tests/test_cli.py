@@ -327,22 +327,6 @@ def test_family_file_obstruction(capsys, tmp_path):
     assert [s["class_zero"] for s in samples] == [True, False]
 
 
-def test_seed_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("NILGEO_SEED", "17")
-    code, report = run(
-        capsys,
-        "comass",
-        "--algebra", "(0,0,12)",
-        "--alpha", "2*e3",
-        "--J", "pairs:(1,2)",
-        "--epsilon", "e1 + i*e2",
-        "--samples", "1024",
-    )
-    assert code == 0
-    names = {c["name"]: c for c in report["checks"]}
-    assert names["comass_bound"]["maximum"]["seed"] == 17
-
-
 def test_curvature_metric_scalar_is_input_error(capsys):
     code, report = run(capsys, "curvature", "--algebra", "(0,0,12)", "--metric", "5")
     assert code == 2

@@ -17,7 +17,6 @@ from nilgeo.deform import (
     reference_structure,
 )
 from nilgeo.errors import InputError
-from nilgeo.models import heisenberg_ccy
 
 
 def naive_nullity(matrix):
@@ -94,11 +93,6 @@ def test_kernel_dimension_against_dense_oracle():
 
 def test_zero_operator_full_kernel():
     assert kernel_dimension(LinearizedOperator.zero(4)) == 8
-
-
-def test_unsupported_configuration_rejected():
-    with pytest.raises(InputError):
-        assemble_operator(CircleGrid(8), heisenberg_ccy(2))
 
 
 def test_kernel_element_forces_zero_mean_u():

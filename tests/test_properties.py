@@ -367,6 +367,55 @@ def test_rank_agrees_with_sympy():
             assert linalg.rank_sparse(d_rows(alg, k)) == expected
 
 
+def test_rref_and_solve_agree_with_sympy_on_sparse_matrices_up_to_40():
+    # the back-reduction clears only the pivot columns present in each row
+    rng = random.Random(4040)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.1, 0.25))
+        dense = [
+            [rand_fraction(rng) if rng.random() < density else Q(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        m = to_sympy(dense)
+        reduced, pivots = m.rref()
+        assert linalg.rref(dense) == ([from_sympy(reduced.row(i)) for i in range(nrows)], list(pivots))
+        if rng.random() < 0.5:
+            rhs = linalg.matvec(dense, [rand_fraction(rng) for _ in range(ncols)])
+        else:
+            rhs = [rand_fraction(rng) for _ in range(nrows)]
+        augmented, aug_pivots = m.row_join(to_sympy([[b] for b in rhs])).rref()
+        if ncols in aug_pivots:
+            assert linalg.solve(dense, rhs) is None
+        else:
+            expected = [Q(0)] * ncols
+            for i, col in enumerate(aug_pivots):
+                expected[col] = from_sympy([augmented[i, ncols]])[0]
+            assert linalg.solve(dense, rhs) == expected
+
+
+def test_int_rows_give_the_rank_and_rref_of_their_fraction_copies():
+    # each pivot becomes a Fraction, so int rows are never divided into floats
+    assert linalg.rank_sparse([{0: -3, 1: 8, 2: 6}, {0: 5, 1: 7, 2: -1}, {0: 24, 1: -3, 2: -21}]) == 2
+    rng = random.Random(2024)
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        base = [{c: rng.randint(-9, 9) for c in rng.sample(range(ncols), rng.randint(1, ncols))} for _ in range(3)]
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            row: dict[int, int] = {}
+            for b in base:
+                f = rng.randint(-3, 3)
+                for c, v in b.items():
+                    row[c] = row.get(c, 0) + f * v
+            rows.append(row)
+        copies = [{c: Q(v) for c, v in row.items()} for row in rows]
+        assert linalg.rank_sparse(rows) == linalg.rank_sparse(copies)
+        reduced, pivots = linalg._rref_sparse(rows)
+        assert (reduced, pivots) == linalg._rref_sparse(copies)
+        assert all(type(v) is Q for row in reduced for v in row.values())
+
+
 def test_sparse_d_rows_match_the_differential_of_each_monomial():
     rng = random.Random(115)
     algebras = [parse_algebra(s) for s in NILPOTENT_SPECS]

@@ -383,6 +383,32 @@ def test_obstruction_filter_matches_the_fraction_reference():
     assert seen == {"not contact", (False, False, True), (True, True, False), (True, True, True)}
 
 
+def contact_refusal(check, *args):
+    """(check, witness) of the NotContactError that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except NotContactError as exc:
+        return exc.check, exc.witness
+    return None
+
+
+def test_filter_refuses_exactly_the_alphas_check_contact_refuses():
+    # the filter reads contact off its sign table, check_contact off the Reeb rank
+    rng = random.Random(2012)
+    seen = set()
+    for spec in NILPOTENT_5 + SOLVABLE_5:
+        base = parse_algebra(spec)
+        for _ in range(5):
+            alg = change_of_basis(base, [list(col) for col in zip(*rand_unimodular(rng, 5))])
+            closed = closed_two_forms(alg)
+            for _ in range(12):
+                alpha = rand_form(rng, 5, 1, sparsity=rng.randint(1, 5))
+                expected = contact_refusal(check_contact, alg, alpha)
+                assert contact_refusal(ccy_obstruction_filter, alg, alpha, closed) == expected, (spec, str(alpha))
+                seen.add((spec in SOLVABLE_5, expected is None))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_classify_guard_reuses_the_sample_at_the_ansatz_alpha(monkeypatch):
     calls = []
     real = classify.ccy_obstruction_filter
