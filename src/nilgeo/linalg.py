@@ -32,6 +32,11 @@ def _sparse(matrix) -> list[dict[int, Fraction]]:
     return [{c: v for c, x in enumerate(row) if (v := Fraction(x))} for row in matrix]
 
 
+def _divisor(x):
+    """x, or Fraction(x) for an int x, so that dividing by it stays exact."""
+    return Fraction(x) if type(x) is int else x
+
+
 def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
     """Sparse forward elimination of rows (dict column -> int or Fraction).
 
@@ -57,7 +62,7 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
         bucket.sort(key=lambda entry: len(entry[0]))
         pivot, source = bucket[0]
         pivots.append((col, source, pivot))
-        pv = Fraction(pivot[col])  # int rows divide exactly too
+        pv = _divisor(pivot[col])
         for row, s in bucket[1:]:
             f = row[col] / pv
             for c, v in pivot.items():
@@ -72,7 +77,7 @@ def _rref_sparse(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     pivots = _eliminate(rows)
     reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its reduced row
     for col, _, row in reversed(pivots):
-        pv = Fraction(row[col])
+        pv = _divisor(row[col])
         row = {c: v / pv for c, v in row.items()}
         # the rows below are final and zero in every other pivot column, so
         # clearing one pivot column of this row fills in no other
