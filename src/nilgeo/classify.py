@@ -14,7 +14,8 @@ catalog entries of other dimensions get no filter samples.
 
 The filter runs over Python ints: the closed 2-forms are computed once per
 catalog entry, the contact test, the wedges with d alpha and the quadratic
-form come from one sign table, and only the reported polynomial and witness become Fractions.
+form come from one sign table, and only the reported polynomial and witness
+become Fractions.
 """
 
 from __future__ import annotations
