@@ -2,7 +2,7 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_12.json
+        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_13.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -28,7 +28,9 @@ levi_civita, ricci_scalar and transverse_ricci:
 - and the dimension-5 obstruction filter, in ms per call over the contact
   forms among the default catalog's samples (CLASSIFY_SEED with
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
-  with the whole default `classify` run.
+  once computing the closed 2-forms on every call and once handed them, as
+  `classify` computes them once per entry, with the whole default
+  `classify` run.
 
 A point is the median of REPEATS timed loops, each long enough to take at
 least MIN_LOOP_S and host-speed adjusted as the end-to-end timings are
@@ -135,7 +137,7 @@ def measure(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "src"))
     from nilgeo.algdsl import parse_algebra, parse_form
     from nilgeo.cealg import betti_numbers
-    from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog
+    from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog, closed_two_forms
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension
     from nilgeo.exterior import Endo, Metric
@@ -222,22 +224,28 @@ def measure(tree: Path) -> dict:
     for entry in Catalog.default():
         alg = entry.algebra()
         if alg.dim == 5:
+            closed = closed_two_forms(alg)
             for alpha in _sample_alphas(alg, CLASSIFY_SEED, RANDOM_SAMPLES):
                 try:
                     ccy_obstruction_filter(alg, alpha)
                 except NotContactError:
                     continue
-                calls.append((alg, alpha))
+                calls.append((alg, alpha, closed))
 
     def run_filter():
-        for alg, alpha in calls:
+        for alg, alpha, _ in calls:
             ccy_obstruction_filter(alg, alpha)
+
+    def run_filter_closed():
+        for alg, alpha, closed in calls:
+            ccy_obstruction_filter(alg, alpha, closed)
 
     rows.append(
         {
             "family": "filter",
             "calls": len(calls),
             "filter_ms_per_call": timed_ms(clock, run_filter) / len(calls),
+            "filter_closed_ms_per_call": timed_ms(clock, run_filter_closed) / len(calls),
             "classify_default_ms": timed_ms(clock, lambda: classify_catalog(Catalog.default(), CLASSIFY_SEED)),
         }
     )

@@ -6,6 +6,13 @@ convention d(gamma)(X, Y) = -gamma([X, Y]). Cohomology ranks (Betti numbers),
 exactness tests with explicit primitives, and Lie derivatives of invariant
 forms are all computed exactly.
 
+One monomial rule builds d: term c e^ab of d(e^{i_p}) is inserted into
+e^{I - i_p} at the bisection points of a and b, signed by their positions
+(`_d_monomial`). It is read by `d_terms` (d of a term map, over Fractions or
+ints) and by `d_rows`, the sparse matrix of d on Lambda^k as ints over the
+denominator of the generator differentials; the Betti ranks are taken on
+those ints, and `d_matrix` is their dense Fraction view.
+
 Betti numbers of the associated compact nilmanifold are identified with the
 cohomology of this complex (the Nomizu identification); the engine only ever
 works at the algebra level.
@@ -13,6 +20,7 @@ works at the algebra level.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +28,7 @@ from math import comb
 
 from . import linalg
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, Vector, add_terms, contract, merge_indices, pullback
+from .exterior import ComplexKForm, KForm, Vector, add_terms, contract, pullback
 
 # Largest algebra dimension betti_numbers accepts: Lambda^5 and Lambda^6 of
 # dimension 11 have 462 monomials each, and the whole complex 2^11.
@@ -145,16 +153,21 @@ def _d_monomial(d1, idx: tuple[int, ...]):
     """The terms (codomain monomial, coefficient) of d(e^I), I = idx, one per
     term of each generator differential, d1[k] a term map pair -> coefficient;
     a monomial may repeat. The 2-form d(e^{I_p}) commutes past e^{I<p}, so
-    term c e^ij of it adds (-1)^p c e^ij ^ e^{I - I_p}, signed by
-    merge_indices.
+    term c e^ab of it adds (-1)^p c e^ab ^ e^{I - I_p}: a and b are inserted
+    into rest = I - I_p at their bisection points pa <= pb, with sign
+    (-1)^(p + pa + pb), and the term vanishes when a or b is in rest.
     """
-    for pos, k in enumerate(idx):
-        rest = idx[:pos] + idx[pos + 1 :]
-        parity = -1 if pos % 2 else 1
-        for pair, c in d1[k - 1].items():
-            sign, merged = merge_indices(pair, rest)
-            if sign:
-                yield merged, parity * sign * c
+    for p, k in enumerate(idx):
+        rest = idx[:p] + idx[p + 1 :]
+        m = len(rest)
+        for (a, b), c in d1[k - 1].items():
+            pa = bisect_left(rest, a)
+            if pa < m and rest[pa] == a:
+                continue
+            pb = bisect_left(rest, b, pa)
+            if pb < m and rest[pb] == b:
+                continue
+            yield rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:], -c if (p + pa + pb) % 2 else c
 
 
 def d_terms(d1, terms) -> dict:
@@ -169,22 +182,25 @@ def d_terms(d1, terms) -> dict:
     return out
 
 
-def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, Fraction]]:
-    """Sparse rows of d: Lambda^degree -> Lambda^{degree+1}: row r maps each
-    domain column to the coefficient of the r-th codomain monomial."""
+def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, int]]:
+    """Sparse rows of d: Lambda^degree -> Lambda^{degree+1} as ints over
+    alg.d1_ints[1]: row r maps each domain column to den times the
+    coefficient of the r-th codomain monomial."""
+    d1 = alg.d1_ints[0]
     cod_pos = {idx: r for r, idx in enumerate(basis_tuples(alg.dim, degree + 1))}
-    rows: list[dict[int, Fraction]] = [{} for _ in cod_pos]
+    rows: list[dict[int, int]] = [{} for _ in cod_pos]
     for col, idx in enumerate(basis_tuples(alg.dim, degree)):
-        for merged, v in _d_monomial(alg.d1_terms, idx):
+        for merged, v in _d_monomial(d1, idx):
             row = rows[cod_pos[merged]]
-            row[col] = row.get(col, _ZERO) + v
+            row[col] = row.get(col, 0) + v
     return [{c: v for c, v in row.items() if v} for row in rows]
 
 
 def d_matrix(alg: LieAlgebra, degree: int) -> list[list[Fraction]]:
-    """Matrix of d: Lambda^degree -> Lambda^{degree+1}, the dense d_rows."""
+    """Matrix of d: Lambda^degree -> Lambda^{degree+1}, the dense d_rows over their denominator."""
+    den = alg.d1_ints[1]
     columns = range(comb(alg.dim, degree))
-    return [[row.get(c, _ZERO) for c in columns] for row in d_rows(alg, degree)]
+    return [[Fraction(row.get(c, 0), den) for c in columns] for row in d_rows(alg, degree)]
 
 
 @dataclass(frozen=True)
@@ -210,7 +226,8 @@ class BettiTable:
 
 
 def betti_numbers(alg: LieAlgebra) -> BettiTable:
-    """b_k = dim ker(d on Lambda^k) - rank(d on Lambda^{k-1}), all ranks exact.
+    """b_k = dim ker(d on Lambda^k) - rank(d on Lambda^{k-1}), all ranks exact,
+    read off the int `d_rows` (den times d, so the ranks are the same).
 
     Algebras above MAX_BETTI_DIM are an input error, raised before any basis
     of the exterior algebra is built.

@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement, product
 
 from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
-from .cealg import LieAlgebra, basis_tuples, d_matrix
+from .cealg import LieAlgebra, basis_tuples, d_rows
 from .errors import CheckError, InputError
 from .exterior import KForm, _signed_sum, covector, merge_indices
 from .structures import NotContactError, _contact_differential, _not_contact, check_ccy, check_contact
@@ -177,8 +177,10 @@ def _wedge_table() -> tuple:
 def closed_two_forms(alg: LieAlgebra) -> tuple[list[list[int]], int]:
     """(basis, den): the `nullspace` basis of d on 2-forms, as ints over den.
     It depends only on the algebra; `ccy_obstruction_filter` cuts W out of it."""
-    rows, _ = linalg.scaled(d_matrix(alg, 2))
-    return linalg.kernel(rows, len(basis_tuples(alg.dim, 2)))
+    ncols = len(basis_tuples(alg.dim, 2))
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in d_rows(alg, 2)]
+    rows, _ = linalg.lowest(dense, alg.d1_ints[1])
+    return linalg.kernel(rows, ncols)
 
 
 def ccy_obstruction_filter(

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .errors import InputError
@@ -122,9 +123,15 @@ def coupling_constant(ccy: CCYStructure) -> Fraction:
     return restricted.coefficient((1,))
 
 
+@cache
+def _reference_coupling() -> Fraction:
+    """coupling_constant of the reference structure, built and verified once."""
+    return coupling_constant(reference_structure())
+
+
 def assemble_operator(grid: CircleGrid) -> LinearizedOperator:
     """Assemble the discretized linearized operator on the reference structure."""
-    c = coupling_constant(reference_structure())
+    c = _reference_coupling()
     n = grid.n
     inv_h = Fraction(grid.n)
     rows: list[dict[int, Fraction]] = []

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
 One elimination: a sparse forward elimination over Q that buckets the rows
-by leading column and takes the shortest row of a bucket as pivot. rank and
-rank_sparse count its pivots; det multiplies them; rref, solve, nullspace and
-inverse read the reduced row echelon form after one sparse back-reduction.
+by leading column and takes the shortest row of a bucket as pivot. When an
+int pivot divides an int entry, the multiplier is their int quotient, so int
+rows (the Chevalley-Eilenberg differential) stay int while their pivots
+divide; any other multiplier is a Fraction, and Fraction rows are eliminated
+as Fractions. rank and rank_sparse count its pivots; det multiplies them;
+rref, solve, nullspace and inverse read the reduced row echelon form after
+one sparse back-reduction.
 Then `scaled` (a table as ints over one denominator) and the zero-skipping
 contractions that the structure checks and the curvature layer are written
 in, over Fractions or ints alike; nothing is ever rounded.
@@ -62,11 +66,16 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
         bucket.sort(key=lambda entry: len(entry[0]))
         pivot, source = bucket[0]
         pivots.append((col, source, pivot))
-        pv = _divisor(pivot[col])
+        p = pivot[col]
+        int_pivot = type(p) is int
         for row, s in bucket[1:]:
-            f = row[col] / pv
+            x = row[col]
+            if int_pivot and type(x) is int and not x % p:
+                f, zero = x // p, 0  # an integral multiplier keeps int rows int
+            else:
+                f, zero = x / _divisor(p), _ZERO
             for c, v in pivot.items():
-                row[c] = row.get(c, _ZERO) - f * v
+                row[c] = row.get(c, zero) - f * v
             del row[col]
             push(row, s)
     return pivots

@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from nilgeo import linalg
 from nilgeo.algdsl import parse_algebra, parse_form
-from nilgeo.cealg import LieAlgebra, change_of_basis
+from nilgeo.cealg import LieAlgebra, basis_tuples, change_of_basis, d_matrix, d_rows
 from nilgeo.classify import (
     ANSATZ_TABLE,
     Catalog,
     MultiPoly,
     ccy_obstruction_filter,
     classify_catalog,
+    closed_two_forms,
     contact_existence_polynomial,
 )
 from nilgeo.errors import InputError
@@ -118,6 +121,27 @@ def test_filter_witness_space_is_sound():
     gamma = verdict.witness
     assert alg.d(gamma).is_zero
     assert gamma.wedge(alg.d(alpha)).is_zero
+
+
+def test_closed_two_forms_read_the_same_ints_as_the_dense_d_matrix():
+    # the int d_rows in lowest terms are scaled(d_matrix): the kernel is unchanged
+    rng = random.Random(9)
+    algebras = [entry.algebra() for entry in Catalog.default()]
+    for spec in ("(0,0,12,13,14+23)", "(0,0,0,0,12+34)", "(0,0,12,13,14,15)", "(0,0,0,12)"):
+        alg = parse_algebra(spec)
+        for _ in range(4):
+            frame = [[Q(int(i == j)) for i in range(alg.dim)] for j in range(alg.dim)]
+            for col in frame:
+                col[rng.randrange(alg.dim)] += Q(rng.randint(-3, 3), rng.randint(1, 4))
+            if linalg.det(frame):
+                algebras.append(change_of_basis(alg, frame))
+    assert len(algebras) > 15
+    for alg in algebras:
+        ncols = len(basis_tuples(alg.dim, 2))
+        rows, den = linalg.scaled(d_matrix(alg, 2))
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in d_rows(alg, 2)]
+        assert linalg.lowest(dense, alg.d1_ints[1]) == (rows, den)
+        assert closed_two_forms(alg) == linalg.kernel(rows, ncols)
 
 
 def test_default_catalog_jacobi_and_size():

@@ -51,6 +51,9 @@ def test_grid_validation():
 
 def test_coupling_constant_derived_exactly():
     assert coupling_constant(reference_structure()) == -2
+    # the operator reads the same constant, derived once per process
+    for n in (4, 6, 8):
+        assert assemble_operator(CircleGrid(n)).coupling == coupling_constant(reference_structure())
 
 
 def test_operator_shape_and_blocks():

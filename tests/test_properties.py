@@ -417,11 +417,13 @@ def test_int_rows_give_the_rank_and_rref_of_their_fraction_copies():
 
 
 def test_sparse_d_rows_match_the_differential_of_each_monomial():
+    # d_rows are ints over the algebra's denominator: column I is den d(e^I)
     rng = random.Random(115)
     algebras = [parse_algebra(s) for s in NILPOTENT_SPECS]
     algebras += [rand_nilpotent_algebra(rng) for _ in range(8)]
     algebras += [parse_algebra("(23,-13,12)"), parse_algebra("(0,12)")]
     for alg in algebras:
+        den = alg.d1_ints[1]
         for k in range(alg.dim + 1):
             rows = d_rows(alg, k)
             cod = basis_tuples(alg.dim, k + 1)
@@ -429,10 +431,49 @@ def test_sparse_d_rows_match_the_differential_of_each_monomial():
             for col, idx in enumerate(basis_tuples(alg.dim, k)):
                 image = alg.d(KForm.monomial(alg.dim, idx))
                 column = {cod[r]: row[col] for r, row in enumerate(rows) if col in row}
-                assert column == image.terms
+                assert column == {i: den * c for i, c in image.terms.items()}
+            assert all(type(v) is int and v for row in rows for v in row.values())
             dense = d_matrix(alg, k)
-            assert all(v for row in rows for v in row.values())
-            assert [{c: v for c, v in enumerate(row) if v} for row in dense] == rows
+            assert [{c: v * den for c, v in enumerate(row) if v} for row in dense] == rows
+
+
+def test_monomial_rule_matches_the_wedge_of_the_leibniz_expansion():
+    # d(e^I) = sum_p (-1)^p d(e^{i_p}) ^ e^{I - i_p}, with the wedge of KForm
+    rng = random.Random(116)
+    algebras = [parse_algebra(s) for s in NILPOTENT_SPECS]
+    algebras += [rand_algebra(rng) for _ in range(20)]  # integer shears
+    algebras += [rand_nilpotent_algebra(rng) for _ in range(12)]  # rational frames
+    for alg in algebras:
+        for k in range(1, alg.dim + 1):
+            for idx in basis_tuples(alg.dim, k):
+                expected = KForm.zero(alg.dim, k + 1)
+                for p, i in enumerate(idx):
+                    rest = KForm.monomial(alg.dim, idx[:p] + idx[p + 1 :])
+                    expected = expected + (-1) ** p * alg.d1[i - 1].wedge(rest)
+                assert alg.d(KForm.monomial(alg.dim, idx)) == expected
+
+
+def test_int_and_fraction_matrices_eliminate_alike():
+    # integral multipliers keep int rows int; every result equals the Fraction one
+    (_, _, _), (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 4, 1: 7}])
+    assert second == {1: 1} and type(second[1]) is int
+    (_, _, _), (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 3, 1: 5}])
+    assert second == {1: Q(1, 2)}
+    rng = random.Random(117)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        ints = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        fracs = [[Q(x) for x in row] for row in ints]
+        expected = len(to_sympy(fracs).rref()[1])
+        int_rows = [{c: x for c, x in enumerate(row) if x} for row in ints]
+        pivots = linalg._eliminate(int_rows)
+        assert pivots == linalg._eliminate([{c: Q(x) for c, x in row.items()} for row in int_rows])
+        assert len(pivots) == linalg.rank_sparse(int_rows) == linalg.rank(ints) == linalg.rank(fracs) == expected
+        assert linalg.rref(ints) == linalg.rref(fracs)
+        k = min(nrows, ncols)
+        assert linalg.det([row[:k] for row in ints[:k]]) == linalg.det([row[:k] for row in fracs[:k]])
+        rhs = [rng.randint(-4, 4) for _ in range(nrows)]
+        assert linalg.solve(ints, rhs) == linalg.solve(fracs, [Q(b) for b in rhs])
 
 
 def test_induced_algebra_of_full_subspace_is_original():
