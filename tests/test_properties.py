@@ -455,9 +455,9 @@ def test_monomial_rule_matches_the_wedge_of_the_leibniz_expansion():
 
 def test_int_and_fraction_matrices_eliminate_alike():
     # integral multipliers keep int rows int; every result equals the Fraction one
-    (_, _, _), (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 4, 1: 7}])
+    _, (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 4, 1: 7}])
     assert second == {1: 1} and type(second[1]) is int
-    (_, _, _), (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 3, 1: 5}])
+    _, (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 3, 1: 5}])
     assert second == {1: Q(1, 2)}
     rng = random.Random(117)
     for _ in range(300):
