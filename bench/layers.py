@@ -24,7 +24,10 @@ levi_civita, ricci_scalar and transverse_ricci:
   41, 101, 201, 401 and 801, and check_contact on it with alpha = 2 e_dim;
 - kernel_dimension of the moduli operator at N = 256, 512, 1024, 2048 and
   4096 (the operator assembled once), and betti_numbers of the Heisenberg
-  algebras of dims 7, 9 and 11;
+  algebras of dims 7, 9 and 11 and, in one fixed frame each (BETTI_FRAME_SEED,
+  one shear, as rank-sweep draws its frames), of H9 and H3+H3+H3; each Betti
+  point also times building d on every degree as betti_numbers ranks it and
+  the ranks alone;
 - and the dimension-5 obstruction filter, in ms per call over the contact
   forms among the default catalog's samples (CLASSIFY_SEED with
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
@@ -70,12 +73,15 @@ from time import perf_counter, perf_counter_ns
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.hostspeed import HostClock  # noqa: E402
+from perfbench.workloads import BASES, change_basis, compact, unimodular  # noqa: E402
 
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
 JSON_HEISENBERG = (11, 21, 41, 101, 201, 401, 801)
 MODULI_N = (256, 512, 1024, 2048, 4096)
 BETTI_DIMS = (7, 9, 11)
+BETTI_SHEARED = ("H9", "H3+H3+H3")
+BETTI_FRAME_SEED = 0
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 CLASSIFY_SEED = 0
@@ -124,6 +130,22 @@ def ldl_metric(rng: random.Random, m: int) -> list[list[Fraction]]:
     return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(m)) for j in range(m)] for i in range(m)]
 
 
+def betti_parts(cealg, linalg, alg) -> dict:
+    """What a Betti point times: betti_numbers, building d on every degree as
+    it ranks it (the image rows; d_rows in trees that predate them), and the
+    ranks alone."""
+    if hasattr(cealg, "_image_rows"):
+        def build():
+            masks, pos = cealg._basis_masks(alg.dim, range(alg.dim))
+            return [cealg._image_rows(alg.d1_ints[0], masks[k], pos) for k in range(alg.dim)]
+    else:
+        def build():
+            return [cealg.d_rows(alg, k) for k in range(alg.dim)]
+    matrices = build()
+    return {"build_d_ms": build, "rank_d_ms": lambda: [linalg.rank_sparse(m) for m in matrices],
+            "betti_numbers_ms": lambda: cealg.betti_numbers(alg)}
+
+
 def slope(points) -> float:
     """Least-squares slope of log(ms) against log(dim)."""
     xs = [math.log(dim) for dim, _ in points]
@@ -136,7 +158,7 @@ def measure(tree: Path) -> dict:
     """Time the kernels of the nilgeo under tree/src (run in a fresh process)."""
     sys.path.insert(0, str(tree / "src"))
     from nilgeo.algdsl import parse_algebra, parse_form
-    from nilgeo.cealg import betti_numbers
+    from nilgeo import cealg, linalg
     from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog, closed_two_forms
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension
@@ -217,9 +239,15 @@ def measure(tree: Path) -> dict:
     for n in MODULI_N:
         op = assemble_operator(CircleGrid(n))
         rows.append({"family": "moduli", "dim": n, "kernel_dimension_ms": timed_ms(clock, lambda: kernel_dimension(op))})
-    for dim in BETTI_DIMS:
-        alg = heisenberg_algebra((dim - 1) // 2)
-        rows.append({"family": "betti", "dim": dim, "betti_numbers_ms": timed_ms(clock, lambda: betti_numbers(alg))})
+    betti = [("betti", f"H{dim}", heisenberg_algebra((dim - 1) // 2)) for dim in BETTI_DIMS]
+    frames = random.Random(BETTI_FRAME_SEED)
+    for base in BETTI_SHEARED:
+        alg = BASES[base][0]
+        betti.append(("betti_sheared", base, parse_algebra(compact(change_basis(alg, *unimodular(alg[0], frames, 1))))))
+    for family, name, alg in betti:
+        parts = betti_parts(cealg, linalg, alg)
+        rows.append({"family": family, "algebra": name, "dim": alg.dim,
+                     **{key: timed_ms(clock, fn) for key, fn in parts.items()}})
     calls = []
     for entry in Catalog.default():
         alg = entry.algebra()
@@ -260,7 +288,7 @@ def fastest(rounds) -> dict:
     for family in ("heisenberg", "filiform", "structure", "json_heisenberg", "moduli", "betti"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
-                       "parse_algebra", "kernel_dimension", "betti_numbers"):
+                       "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -355,6 +383,8 @@ def main() -> None:
             "json_heisenberg_dims": list(JSON_HEISENBERG),
             "moduli_n": list(MODULI_N),
             "betti_dims": list(BETTI_DIMS),
+            "betti_sheared": list(BETTI_SHEARED),
+            "betti_frame_seed": BETTI_FRAME_SEED,
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
             "classify_seed": CLASSIFY_SEED,

@@ -6,12 +6,12 @@ convention d(gamma)(X, Y) = -gamma([X, Y]). Cohomology ranks (Betti numbers),
 exactness tests with explicit primitives, and Lie derivatives of invariant
 forms are all computed exactly.
 
-One monomial rule builds d: term c e^ab of d(e^{i_p}) is inserted into
-e^{I - i_p} at the bisection points of a and b, signed by their positions
-(`_d_monomial`). It is read by `d_terms` (d of a term map, over Fractions or
-ints) and by `d_rows`, the sparse matrix of d on Lambda^k as ints over the
-denominator of the generator differentials; the Betti ranks are taken on
-those ints, and `d_matrix` is their dense Fraction view.
+A monomial e^I is an int mask, bit i - 1 for e^i. One rule builds d of a
+monomial (`_d_monomial`): term c e^ab of d(e^i), i in I, adds (-1)^(p + pa +
+pb) c e^{I - i + ab}, p, pa, pb the bits of I below i and of I - i below a
+and b, unless a or b is in I - i. `d_terms` reads it for term maps, and
+`_image_rows` for den d(e^I) as int rows over the generators' denominator,
+on which the Betti ranks are taken (`d_rows` is their transpose).
 
 Betti numbers of the associated compact nilmanifold are identified with the
 cohomology of this complex (the Nomizu identification); the engine only ever
@@ -20,7 +20,6 @@ works at the algebra level.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -45,13 +44,13 @@ class LieAlgebra:
 
     `d1[k]` is the degree-2 form d(e^{k+1}) and `d1_terms[k]` its term map.
     The kernels read two int tables over one denominator den: `d1_ints` is
-    (maps, den), the term maps scaled, and `brackets` is (cells, den), where
-    cells[i][j] maps k to den times the X_{k+1} component of
-    [X_{i+1}, X_{j+1}] (0-based), by [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k,
-    for the nonzero brackets and components only. Construction verifies over
-    those ints that d on each generator squares to zero. No dense table is
-    stored: `structure_constants` is a Fraction view of the cells, built on
-    first read.
+    (terms, den), the term maps scaled, as `_mask_terms`, and `brackets` is
+    (cells, den), where cells[i][j] maps k to den times the X_{k+1} component
+    of [X_{i+1}, X_{j+1}] (0-based), by [X_i, X_j] = -sum_k d1[k](X_i, X_j)
+    X_k, for the nonzero brackets and components only. Construction verifies
+    over those ints that d on each generator squares to zero. No dense table
+    is stored: `structure_constants` is a Fraction view of the cells, built
+    on first read.
     """
 
     __slots__ = ("dim", "d1", "d1_terms", "d1_ints", "brackets", "_table")
@@ -66,7 +65,7 @@ class LieAlgebra:
         object.__setattr__(self, "d1", tuple(d1))
         object.__setattr__(self, "d1_terms", tuple(form.terms for form in d1))
         d1_num, den = linalg.scaled_maps(self.d1_terms)
-        object.__setattr__(self, "d1_ints", (tuple(d1_num), den))
+        object.__setattr__(self, "d1_ints", (tuple(_mask_terms(d1_num)), den))
         rows: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for k, terms in enumerate(d1_num):
             for (i, j), c in terms.items():
@@ -74,7 +73,7 @@ class LieAlgebra:
                 rows[j - 1].setdefault(i - 1, {})[k] = c
         object.__setattr__(self, "brackets", (tuple(rows), den))
         for k, terms in enumerate(d1_num, start=1):
-            dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(d1_num, terms).items()})
+            dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(self.d1_ints[0], terms).items()})
             if not dd.is_zero:
                 raise JacobiError(f"d(d(e{k})) = {dd} != 0; Jacobi identity fails")
 
@@ -109,7 +108,9 @@ class LieAlgebra:
             return ComplexKForm(self.d(form.re), self.d(form.im))
         if form.dim != self.dim:
             raise InputError("ce differential: dimension mismatch")
-        return KForm(self.dim, form.degree + 1, d_terms(self.d1_terms, form.terms))
+        masks, den = self.d1_ints
+        terms = d_terms(masks, form.terms)
+        return KForm(self.dim, form.degree + 1, {idx: v / den for idx, v in terms.items()} if den != 1 else terms)
 
     def is_nilpotent(self) -> bool:
         """Lower central series terminates at zero: g^(k+1) is spanned by the
@@ -149,51 +150,69 @@ def basis_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, dim + 1), degree))
 
 
-def _d_monomial(d1, idx: tuple[int, ...]):
-    """The terms (codomain monomial, coefficient) of d(e^I), I = idx, one per
-    term of each generator differential, d1[k] a term map pair -> coefficient;
-    a monomial may repeat. The 2-form d(e^{I_p}) commutes past e^{I<p}, so
-    term c e^ab of it adds (-1)^p c e^ab ^ e^{I - I_p}: a and b are inserted
-    into rest = I - I_p at their bisection points pa <= pb, with sign
-    (-1)^(p + pa + pb), and the term vanishes when a or b is in rest.
-    """
-    for p, k in enumerate(idx):
-        rest = idx[:p] + idx[p + 1 :]
-        m = len(rest)
-        for (a, b), c in d1[k - 1].items():
-            pa = bisect_left(rest, a)
-            if pa < m and rest[pa] == a:
-                continue
-            pb = bisect_left(rest, b, pa)
-            if pb < m and rest[pb] == b:
-                continue
-            yield rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:], -c if (p + pa + pb) % 2 else c
+def _basis_masks(dim: int, degrees):
+    """The monomials of each of the degrees as masks, by degree, in the order
+    of basis_tuples, and every mask's position within its degree."""
+    masks = {k: list(map(sum, combinations([1 << i for i in range(dim)], k))) for k in degrees}
+    return masks, {mask: r for degree in masks.values() for r, mask in enumerate(degree)}
+
+
+def _mask_terms(d1) -> list:
+    """Each generator differential (a term map pair -> coefficient) as terms
+    (mask of ab, mask of the generators strictly between a and b, coefficient)."""
+    return [[(1 << a - 1 | 1 << b - 1, (1 << b - 1) - (1 << a), c) for (a, b), c in terms.items()] for terms in d1]
+
+
+def _d_monomial(d1, mask: int) -> dict:
+    """d(e^I), I = mask, as a map codomain mask -> coefficient (0 where terms
+    cancel), d1 as `_mask_terms`. pa + pb of the sign (-1)^(p + pa + pb) has
+    the parity of the bits of rest = I - i strictly between a and b."""
+    out, todo = {}, mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        rest, below = mask ^ low, mask & low - 1
+        for ab, between, c in d1[low.bit_length() - 1]:
+            if not rest & ab:
+                merged, v = rest | ab, -c if (below ^ rest & between).bit_count() & 1 else c
+                out[merged] = out[merged] + v if merged in out else v
+    return out
 
 
 def d_terms(d1, terms) -> dict:
     """d of the form with the given terms (index tuple -> coefficient), for
-    generator differentials d1 given as term maps; the coefficients may be
+    generator differentials d1 as `_mask_terms`; the coefficients may be
     Fractions or the ints of a scaled table. Terms that cancel stay, as 0."""
-    out: dict[tuple[int, ...], object] = {}
+    out: dict[int, object] = {}
     for idx, c in terms.items():
-        for merged, v in _d_monomial(d1, idx):
-            prev = out.get(merged)
-            out[merged] = c * v if prev is None else prev + c * v
-    return out
+        for merged, v in _d_monomial(d1, sum(1 << i - 1 for i in idx)).items():
+            out[merged] = out[merged] + c * v if merged in out else c * v
+    named = {}
+    for mask, v in out.items():  # back to index tuples, one set bit at a time
+        idx, todo = [], mask
+        while todo:
+            idx.append((todo & -todo).bit_length())
+            todo &= todo - 1
+        named[tuple(idx)] = v
+    return named
+
+
+def _image_rows(d1, domain, pos) -> list[dict[int, int]]:
+    """d(e^I) for each mask I of the domain, d1 as `_mask_terms`, as a sparse
+    row keyed by the position of each codomain monomial."""
+    return [{pos[merged]: v for merged, v in _d_monomial(d1, mask).items() if v} for mask in domain]
 
 
 def d_rows(alg: LieAlgebra, degree: int) -> list[dict[int, int]]:
     """Sparse rows of d: Lambda^degree -> Lambda^{degree+1} as ints over
-    alg.d1_ints[1]: row r maps each domain column to den times the
-    coefficient of the r-th codomain monomial."""
-    d1 = alg.d1_ints[0]
-    cod_pos = {idx: r for r, idx in enumerate(basis_tuples(alg.dim, degree + 1))}
-    rows: list[dict[int, int]] = [{} for _ in cod_pos]
-    for col, idx in enumerate(basis_tuples(alg.dim, degree)):
-        for merged, v in _d_monomial(d1, idx):
-            row = rows[cod_pos[merged]]
-            row[col] = row.get(col, 0) + v
-    return [{c: v for c, v in row.items() if v} for row in rows]
+    alg.d1_ints[1], the transpose of the image rows: row r maps each domain
+    column to den times the coefficient of the r-th codomain monomial."""
+    masks, pos = _basis_masks(alg.dim, (degree, degree + 1))
+    rows: list[dict[int, int]] = [{} for _ in masks[degree + 1]]
+    for col, image in enumerate(_image_rows(alg.d1_ints[0], masks[degree], pos)):
+        for r, v in image.items():
+            rows[r][col] = v
+    return rows
 
 
 def d_matrix(alg: LieAlgebra, degree: int) -> list[list[Fraction]]:
@@ -227,7 +246,7 @@ class BettiTable:
 
 def betti_numbers(alg: LieAlgebra) -> BettiTable:
     """b_k = dim ker(d on Lambda^k) - rank(d on Lambda^{k-1}), all ranks exact,
-    read off the int `d_rows` (den times d, so the ranks are the same).
+    each on the int image rows of d (den times d_rows transposed: same ranks).
 
     Algebras above MAX_BETTI_DIM are an input error, raised before any basis
     of the exterior algebra is built.
@@ -235,10 +254,11 @@ def betti_numbers(alg: LieAlgebra) -> BettiTable:
     n = alg.dim
     if n > MAX_BETTI_DIM:
         raise InputError(f"betti supports algebras of dimension <= {MAX_BETTI_DIM}, got {n}")
+    (masks, pos), d1 = _basis_masks(n, range(n + 1)), alg.d1_ints[0]
     numbers = []
     rank_prev = 0
     for k in range(n + 1):
-        rank_k = linalg.rank_sparse(d_rows(alg, k)) if k < n else 0
+        rank_k = linalg.rank_sparse(_image_rows(d1, masks[k], pos)) if k < n else 0
         numbers.append(comb(n, k) - rank_k - rank_prev)
         rank_prev = rank_k
     return BettiTable(tuple(numbers))

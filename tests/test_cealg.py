@@ -2,11 +2,13 @@
 row-reduction oracle for every Betti rank computed by the library."""
 
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 
 from nilgeo.algdsl import parse_algebra
 from nilgeo.cealg import (
+    MAX_BETTI_DIM,
     LieAlgebra,
     basis_tuples,
     betti_numbers,
@@ -17,6 +19,7 @@ from nilgeo.cealg import (
 )
 from nilgeo.errors import InputError
 from nilgeo.exterior import KForm, Vector
+from nilgeo.models import heisenberg_algebra
 
 
 def naive_rank(matrix):
@@ -80,6 +83,19 @@ def test_betti_against_independent_oracle():
     for spec in ("(0,0,12)", "(0,0,0,0,12+34)", "(0,0,12,13,14+23)", "(0,0,0,12,13+24)"):
         alg = parse_algebra(spec)
         assert betti_numbers(alg).numbers == oracle_betti(alg)
+
+
+def santharoubane_betti(n):
+    """Betti numbers of h_{2n+1} in closed form (Santharoubane 1983):
+    b_k = C(2n, k) - C(2n, k - 2) for k <= n, and b_k = b_{2n+1-k} above."""
+    low = [comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0) for k in range(n + 1)]
+    return tuple(low + low[::-1])
+
+
+def test_heisenberg_betti_match_santharoubane_closed_form():
+    # n = 1..5 reaches dim 11 = MAX_BETTI_DIM, so the top generator's bit is used
+    for n in range(1, (MAX_BETTI_DIM + 1) // 2):
+        assert betti_numbers(heisenberg_algebra(n)).numbers == santharoubane_betti(n)
 
 
 def test_betti_table_helpers():

@@ -109,6 +109,7 @@ def test_betti_dimension_bound_is_input_error(capsys, monkeypatch):
     from nilgeo import cealg
 
     monkeypatch.setattr(cealg, "basis_tuples", None)  # never reached
+    monkeypatch.setattr(cealg, "_basis_masks", None)  # the monomials betti enumerates
     for dim in (cealg.MAX_BETTI_DIM + 1, 40):
         code, report = run(capsys, "betti", "--algebra", json.dumps({"dim": dim}))
         assert code == 2
