@@ -2,7 +2,7 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --workload ccy-mix --out BENCH_13.json
+        --pairs 10 --seconds 30 --out BENCH_15.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -132,15 +132,11 @@ def ldl_metric(rng: random.Random, m: int) -> list[list[Fraction]]:
 
 def betti_parts(cealg, linalg, alg) -> dict:
     """What a Betti point times: betti_numbers, building d on every degree as
-    it ranks it (the image rows; d_rows in trees that predate them), and the
-    ranks alone."""
-    if hasattr(cealg, "_image_rows"):
-        def build():
-            masks, pos = cealg._basis_masks(alg.dim, range(alg.dim))
-            return [cealg._image_rows(alg.d1_ints[0], masks[k], pos) for k in range(alg.dim)]
-    else:
-        def build():
-            return [cealg.d_rows(alg, k) for k in range(alg.dim)]
+    it ranks it (the image rows), and the ranks alone."""
+    def build():
+        masks, pos = cealg._basis_masks(alg.dim, range(alg.dim))
+        return [cealg._image_rows(alg.d1_ints[0], masks[k], pos) for k in range(alg.dim)]
+
     matrices = build()
     return {"build_d_ms": build, "rank_d_ms": lambda: [linalg.rank_sparse(m) for m in matrices],
             "betti_numbers_ms": lambda: cealg.betti_numbers(alg)}

@@ -27,7 +27,7 @@ from math import comb
 
 from . import linalg
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, Vector, add_terms, contract, pullback
+from .exterior import ComplexKForm, KForm, Vector, add_terms, contract
 
 # Largest algebra dimension betti_numbers accepts: Lambda^5 and Lambda^6 of
 # dimension 11 have 462 monomials each, and the whole complex 2^11.
@@ -42,18 +42,18 @@ class JacobiError(InputError):
 class LieAlgebra:
     """Lie algebra given by the images of degree-1 generators under d.
 
-    `d1[k]` is the degree-2 form d(e^{k+1}) and `d1_terms[k]` its term map.
-    The kernels read two int tables over one denominator den: `d1_ints` is
-    (terms, den), the term maps scaled, as `_mask_terms`, and `brackets` is
-    (cells, den), where cells[i][j] maps k to den times the X_{k+1} component
-    of [X_{i+1}, X_{j+1}] (0-based), by [X_i, X_j] = -sum_k d1[k](X_i, X_j)
-    X_k, for the nonzero brackets and components only. Construction verifies
-    over those ints that d on each generator squares to zero. No dense table
-    is stored: `structure_constants` is a Fraction view of the cells, built
-    on first read.
+    `d1[k]` is the degree-2 form d(e^{k+1}). The kernels read two int tables
+    over one denominator den: `d1_ints` is (terms, den), the term maps of d1
+    scaled, as `_mask_terms`, and `brackets` is (cells, den), where
+    cells[i][j] maps k to den times the X_{k+1} component of [X_{i+1},
+    X_{j+1}] (0-based), by [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k, for the
+    nonzero brackets and components only. Construction verifies on the masks
+    that d on each generator squares to zero. No dense table is stored:
+    `structure_constants` is a Fraction view of the cells, built on first
+    read.
     """
 
-    __slots__ = ("dim", "d1", "d1_terms", "d1_ints", "brackets", "_table")
+    __slots__ = ("dim", "d1", "d1_ints", "brackets", "_table")
 
     def __init__(self, d1):
         d1 = list(d1)
@@ -63,19 +63,22 @@ class LieAlgebra:
                 raise InputError(f"d(e{k}) must be a degree-2 form on dimension {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "d1", tuple(d1))
-        object.__setattr__(self, "d1_terms", tuple(form.terms for form in d1))
-        d1_num, den = linalg.scaled_maps(self.d1_terms)
-        object.__setattr__(self, "d1_ints", (tuple(_mask_terms(d1_num)), den))
+        d1_num, den = linalg.scaled_maps([form.terms for form in d1])
+        masks = _mask_terms(d1_num)
+        object.__setattr__(self, "d1_ints", (tuple(masks), den))
         rows: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for k, terms in enumerate(d1_num):
             for (i, j), c in terms.items():
                 rows[i - 1].setdefault(j - 1, {})[k] = -c
                 rows[j - 1].setdefault(i - 1, {})[k] = c
         object.__setattr__(self, "brackets", (tuple(rows), den))
-        for k, terms in enumerate(d1_num, start=1):
-            dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(self.d1_ints[0], terms).items()})
-            if not dd.is_zero:
-                raise JacobiError(f"d(d(e{k})) = {dd} != 0; Jacobi identity fails")
+        for k, terms in enumerate(masks):  # d(d e^k) = sum of c d(e^ab) over the terms c e^ab of d e^k
+            square: dict = {}
+            for ab, _, c in terms:
+                add_terms(square, c, _d_monomial(masks, ab))
+            if any(square.values()):
+                dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(masks, d1_num[k]).items()})
+                raise JacobiError(f"d(d(e{k + 1})) = {dd} != 0; Jacobi identity fails")
 
     def __setattr__(self, *_):
         raise AttributeError("LieAlgebra is immutable")
@@ -295,21 +298,37 @@ def lie_derivative(v: Vector, form, alg: LieAlgebra):
     return alg.d(contract(v, form)) + contract(v, alg.d(form))
 
 
-def change_of_basis(alg: LieAlgebra, p_columns) -> LieAlgebra:
-    """Rewrite the algebra in the frame whose vectors are the columns of P.
+def span_algebra(alg: LieAlgebra, vectors) -> LieAlgebra | None:
+    """The bracket of alg on the span of independent vectors v_1..v_m, as the
+    algebra in their frame, or None when some [v_i, v_j] leaves the span.
 
-    The new coframe element f^k is the old form sum_i (P^{-1})_{k i} e^i; its
-    differential is computed in the old coordinates and pulled back along the
-    new frame.
+    One sparse elimination of the matrix whose columns are the v_i, with
+    every bracket [v_i, v_j], i < j, read off the cells, appended as a
+    right-hand side; pivots past column m are brackets outside the span.
+    Raises ValueError when the vectors are dependent.
     """
+    (cells, den), m = alg.brackets, len(vectors)
+    sparse = [{r: x for r, x in enumerate(v.coeffs) if x} for v in vectors]
+    pairs = list(combinations(range(1, m + 1), 2))
+    rows: list[dict] = [{} for _ in range(alg.dim)]
+    for col, v in enumerate(sparse + [bracket_terms(cells, sparse[i - 1], sparse[j - 1]) for i, j in pairs]):
+        for r, x in v.items():
+            rows[r][col] = x
+    reduced, pivots = linalg._rref_sparse(rows)
+    if pivots[:m] != list(range(m)):
+        raise ValueError("matrix is singular")
+    if len(pivots) > m:
+        return None
+    # [f_i, f_j] = sum_p c^p_ij f_p, so d f^p = -sum_{i<j} c^p_ij f^ij
+    d1 = [{ij: Fraction(-c, den) for col, ij in enumerate(pairs, m) if (c := row.get(col))} for row in reduced]
+    return LieAlgebra([KForm(m, 2, terms) for terms in d1])
+
+
+def change_of_basis(alg: LieAlgebra, p_columns) -> LieAlgebra:
+    """Rewrite the algebra in the frame whose vectors are the columns of P:
+    the algebra on their span, which is all of it. Raises ValueError when P
+    is singular."""
     cols = [Vector(col) for col in p_columns]
-    n = alg.dim
-    if len(cols) != n:
+    if len(cols) != alg.dim or any(v.dim != alg.dim for v in cols):
         raise InputError("change_of_basis: need a full frame")
-    new_d1 = []
-    for row in linalg.inverse([[cols[j][i] for j in range(n)] for i in range(n)]):
-        old: dict = {}  # d f^k in the old coordinates, added up in one term map
-        for c, terms in zip(row, alg.d1_terms):
-            add_terms(old, c, terms)
-        new_d1.append(pullback(KForm(n, 2, old), cols))
-    return LieAlgebra(new_d1)
+    return span_algebra(alg, cols)

@@ -310,6 +310,8 @@ class Catalog:
         except (TypeError, KeyError) as exc:
             raise InputError(f"malformed catalog entry: {exc}") from exc
         for entry in entries:
+            if not isinstance(entry.spec, str):
+                raise InputError(f"malformed catalog entry: spec must be a string, got {json.dumps(entry.spec)}")
             entry.algebra()  # validates Jacobi
         return cls(entries)
 

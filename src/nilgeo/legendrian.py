@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algdsl import parse_endo, parse_form
-from .cealg import LieAlgebra, is_exact
+from .cealg import LieAlgebra, is_exact, span_algebra
 from .errors import InputError
 from .exterior import KForm, evaluate, pullback, rat
 from .structures import CCYStructure, _check_epsilon_clauses, check_ccy, check_contact
@@ -26,9 +26,10 @@ from .structures import CCYStructure, _check_epsilon_clauses, check_ccy, check_c
 class Subalgebra:
     """A subspace of the parent algebra spanned by exact vectors.
 
-    Independence is verified at construction. Closure under the bracket is
-    computed (not required); when the subspace is closed, an induced Lie
-    algebra on the subspace is available for cohomology computations.
+    Independence is verified at construction, and closure under the bracket
+    computed (not required) in the same elimination (`cealg.span_algebra`);
+    when the subspace is closed, the induced Lie algebra on it is kept for
+    cohomology computations.
     """
 
     def __init__(self, parent: LieAlgebra, basis):
@@ -37,27 +38,13 @@ class Subalgebra:
             raise InputError("subalgebra needs at least one basis vector")
         if any(v.dim != parent.dim for v in basis):
             raise InputError("basis vector dimension mismatch")
-        if linalg.rank([list(v.coeffs) for v in basis]) != len(basis):
-            raise InputError("subalgebra basis is linearly dependent")
+        try:
+            self._induced = span_algebra(parent, basis)
+        except ValueError:
+            raise InputError("subalgebra basis is linearly dependent") from None
         self.parent = parent
         self.basis = basis
-        self._structure: list[list[list[Fraction] | None]] | None = None
-        self.closed_under_bracket = self._compute_closure()
-
-    def _compute_closure(self) -> bool:
-        k = len(self.basis)
-        cols = [[b[i] for b in self.basis] for i in range(self.parent.dim)]
-        table: list[list[list[Fraction] | None]] = [[None] * k for _ in range(k)]
-        closed = True
-        for i in range(k):
-            for j in range(k):
-                w = self.parent.bracket(self.basis[i], self.basis[j])
-                coords = linalg.solve(cols, list(w.coeffs))
-                table[i][j] = coords
-                if coords is None:
-                    closed = False
-        self._structure = table
-        return closed
+        self.closed_under_bracket = self._induced is not None
 
     @property
     def dim(self) -> int:
@@ -67,17 +54,7 @@ class Subalgebra:
         """Chevalley-Eilenberg structure of the subalgebra (requires closure)."""
         if not self.closed_under_bracket:
             raise InputError("subspace is not closed under the bracket")
-        k = self.dim
-        d1 = []
-        for p in range(k):
-            terms = {}
-            for i in range(k):
-                for j in range(i + 1, k):
-                    c = self._structure[i][j][p]
-                    if c:
-                        terms[(i + 1, j + 1)] = -c
-            d1.append(KForm(k, 2, terms))
-        return LieAlgebra(d1)
+        return self._induced
 
     def pull(self, form):
         return pullback(form, self.basis)

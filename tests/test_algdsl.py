@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -44,6 +45,25 @@ def test_parse_index_out_of_range():
 def test_parse_jacobi_failure():
     with pytest.raises(JacobiError):
         parse_algebra("(0,34,0,12)")
+
+
+JACOBI_GOLDENS = (
+    ("(0,0,12,34,0)", "d(d(e4)) = e124 != 0; Jacobi identity fails"),
+    ("(0,0,0,12,13,45+23)", "d(d(e6)) = e125 - e134 != 0; Jacobi identity fails"),
+    ("(0,0,0,0,0,12+34,35+2*16)", "d(d(e7)) = -2*e134 != 0; Jacobi identity fails"),
+    (
+        json.dumps({"dim": 11, "d": {"10": [["1/2", 1, 11]], "11": [["3", 1, 2], ["-2/3", 3, 4]]}}),
+        "d(d(e10)) = 1/3*e1^e3^e4 != 0; Jacobi identity fails",
+    ),
+)
+
+
+@pytest.mark.parametrize("spec, message", JACOBI_GOLDENS)
+def test_jacobi_failure_messages_are_golden(spec, message):
+    # the first failing generator and its d(d e^k), over the rationals
+    with pytest.raises(JacobiError) as info:
+        parse_algebra(spec)
+    assert str(info.value) == message
 
 
 def test_parse_rational_coefficients():

@@ -575,6 +575,12 @@ def test_malformed_json_matrices_are_input_errors(J):
     run_input_error(["check-sasakian", "--algebra=(0,0,12)", "--alpha=2*e3", f"--J={J}"])
 
 
+@pytest.mark.parametrize("spec", ["5", "null", "true", "[1]", '{"d": 1}'])
+def test_non_string_catalog_specs_are_input_errors(spec):
+    report = run_input_error(["classify", f'--catalog=[{{"name": "x", "spec": {spec}}}]'])
+    assert report["error"] == f"malformed catalog entry: spec must be a string, got {json.dumps(json.loads(spec))}"
+
+
 def test_zero_denominator_family_parameter_is_an_input_error(tmp_path):
     family = tmp_path / "family.json"
     family.write_text(json.dumps([{"t": "1/0", "alpha": "2*e3", "J": "pairs:(1,2)", "epsilon": "e1 + i*e2"}]))

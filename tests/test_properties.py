@@ -530,6 +530,67 @@ def test_induced_algebra_of_full_subspace_is_original():
         assert sub.induced_algebra() == alg
 
 
+def oracle_constants(alg, vectors):
+    """c[i][j], the coordinates of [v_i, v_j] in the v's by one dense solve per
+    pair, the bracket read off d1 as [u, v]_k = -d(e^k)(u, v); None if some
+    bracket leaves the span."""
+    matrix = [[v[r] for v in vectors] for r in range(alg.dim)]
+    solves = [[linalg.solve(matrix, [-evaluate(form, [u, v]) for form in alg.d1]) for v in vectors] for u in vectors]
+    if any(coords is None for row in solves for coords in row):
+        return None
+    return tuple(tuple(tuple(coords) for coords in row) for row in solves)
+
+
+def test_change_of_basis_solves_for_the_brackets_of_the_frame():
+    rng = random.Random(150)
+    for _ in range(120):
+        alg = parse_algebra(rng.choice(NILPOTENT_SPECS))
+        cols = rand_rational_frame(rng, alg.dim)
+        assert change_of_basis(alg, cols).structure_constants == oracle_constants(alg, [Vector(c) for c in cols])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        change_of_basis(alg, [cols[0], *cols[:-1]])
+    with pytest.raises(InputError, match="need a full frame"):
+        change_of_basis(alg, cols[:-1])
+
+
+def test_subalgebra_verdict_and_induced_algebra_match_per_pair_solves():
+    # random integer subspaces, half of them closed up under the bracket
+    from nilgeo.legendrian import Subalgebra
+
+    rng = random.Random(151)
+    closed = not_closed = 0
+    for _ in range(300):
+        alg = parse_algebra(rng.choice(NILPOTENT_SPECS))
+        basis = []
+        for _ in range(rng.randint(1, alg.dim - 1)):
+            v = Vector([rng.randint(-2, 2) for _ in range(alg.dim)])
+            if linalg.rank([list(w.coeffs) for w in basis + [v]]) > len(basis):
+                basis.append(v)
+        if rng.random() < 0.5:
+            grown = True
+            while grown:
+                grown = False
+                for u, v in combinations(list(basis), 2):
+                    w = alg.bracket(u, v)
+                    if linalg.rank([list(x.coeffs) for x in basis + [w]]) > len(basis):
+                        basis.append(w)
+                        grown = True
+        if not basis:
+            continue
+        sub, expected = Subalgebra(alg, basis), oracle_constants(alg, basis)
+        assert sub.closed_under_bracket == (expected is not None)
+        if expected is None:
+            not_closed += 1
+            with pytest.raises(InputError, match="not closed"):
+                sub.induced_algebra()
+        else:
+            closed += 1
+            assert sub.induced_algebra().structure_constants == expected
+        with pytest.raises(InputError, match="linearly dependent"):
+            Subalgebra(alg, basis + [basis[0] * 2 - basis[-1]])
+    assert closed > 50 and not_closed > 50
+
+
 def test_reeb_solution_unique_and_exact():
     from nilgeo.exterior import contract as iota
     from nilgeo.structures import check_contact
