@@ -2,14 +2,17 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --out BENCH_15.json
+        --pairs 10 --seconds 30 --out BENCH_16.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
 levi_civita, ricci_scalar and transverse_ricci:
 
 - on the shipped contact Calabi-Yau structures of the Heisenberg algebras,
-  n = 1..5 (dim 3..11), all three kernels;
+  n = 1..5 (dim 3..11), all three kernels, and on the same structures
+  carried into one seeded rational frame per n (FRAME_SEED; alpha pulled
+  back, J conjugated, verified Sasakian), where the bracket and Christoffel
+  cells are full rather than sparse;
 - on the filiform algebras F4..F9 ([X1, X_i] = X_{i+1}) with seeded rational
   L D L^T metrics, levi_civita and ricci_scalar (no contact structure), and
   the metric's own eliminations: a fresh Metric of those entries, then
@@ -49,6 +52,10 @@ With --pairs N it then runs `perfbench/run.py --workload W` N times in every
 tree for each --workload, alternating which tree runs first, and records each
 run's end-to-end metrics, each tree's median and quartiles, and for two trees
 how many pairs the second tree won on each metric (ties count for neither).
+`--workload W=N` sets N for that workload alone:
+
+    python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
+        --workload curvature-sweep=10 --workload ccy-mix=3 --workload rank-sweep=3
 
 The output records the Python version, platform, CPU count and, per tree,
 the git revision, whether the tree differs from it, and a digest of the
@@ -82,6 +89,7 @@ MODULI_N = (256, 512, 1024, 2048, 4096)
 BETTI_DIMS = (7, 9, 11)
 BETTI_SHEARED = ("H9", "H3+H3+H3")
 BETTI_FRAME_SEED = 0
+FRAME_SEED = 16
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 CLASSIFY_SEED = 0
@@ -130,6 +138,18 @@ def ldl_metric(rng: random.Random, m: int) -> list[list[Fraction]]:
     return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(m)) for j in range(m)] for i in range(m)]
 
 
+def rational_frame(linalg, rng: random.Random, m: int) -> list[list[Fraction]]:
+    """Columns of an invertible m x m matrix with entries p/q, |p| <= 2, q <= 3."""
+    while True:
+        cols = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m)] for _ in range(m)]
+        if linalg.det(cols):
+            return cols
+
+
+def matmul(a, b) -> list[list]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def betti_parts(cealg, linalg, alg) -> dict:
     """What a Betti point times: betti_numbers, building d on every degree as
     it ranks it (the image rows), and the ranks alone."""
@@ -158,7 +178,7 @@ def measure(tree: Path) -> dict:
     from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog, closed_two_forms
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension
-    from nilgeo.exterior import Endo, Metric
+    from nilgeo.exterior import Endo, Metric, Vector, pullback
     from nilgeo.models import heisenberg_algebra, heisenberg_ccy, heisenberg_ccy_data
     from nilgeo.structures import (
         NotContactError,
@@ -167,6 +187,8 @@ def measure(tree: Path) -> dict:
         _nijenhuis_failures,
         check_ccy,
         check_contact,
+        check_sasakian,
+        induced_metric,
     )
 
     clock, rows = HostClock(), []
@@ -178,6 +200,27 @@ def measure(tree: Path) -> dict:
         rows.append(
             {
                 "family": "heisenberg",
+                "n": n,
+                "dim": alg.dim,
+                "levi_civita_ms": timed_ms(clock, lambda: levi_civita(alg, g)),
+                "ricci_scalar_ms": timed_ms(clock, lambda: ricci_scalar(alg, g, conn)),
+                "transverse_ricci_ms": timed_ms(clock, lambda: transverse_ricci(structure, conn=conn, full=full)),
+            }
+        )
+    frames = random.Random(FRAME_SEED)
+    for n in HEISENBERG:
+        alg, alpha, J, _ = heisenberg_ccy_data(n)
+        cols = rational_frame(linalg, frames, alg.dim)
+        p = [list(row) for row in zip(*cols)]
+        alg = cealg.change_of_basis(alg, cols)
+        alpha = pullback(alpha, [Vector(col) for col in cols])
+        structure = check_sasakian(check_contact(alg, alpha), Endo(matmul(matmul(linalg.inverse(p), J.matrix), p)))
+        g = induced_metric(structure.g_j, alpha)
+        conn = levi_civita(alg, g)
+        full = ricci_scalar(alg, g, conn)
+        rows.append(
+            {
+                "family": "heisenberg_frame",
                 "n": n,
                 "dim": alg.dim,
                 "levi_civita_ms": timed_ms(clock, lambda: levi_civita(alg, g)),
@@ -281,7 +324,7 @@ def fastest(rounds) -> dict:
     rows = [{key: min(r[key] for r in point) if "_ms" in key else value for key, value in point[0].items()}
             for point in zip(*rounds)]
     slopes = {}
-    for family in ("heisenberg", "filiform", "structure", "json_heisenberg", "moduli", "betti"):
+    for family in ("heisenberg", "heisenberg_frame", "filiform", "structure", "json_heisenberg", "moduli", "betti"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
                        "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d"):
@@ -348,11 +391,19 @@ def pairs(trees: dict, workload: str, count: int, seed: int, seconds: float) -> 
     return out
 
 
+def workload_pairs(spec: str) -> tuple[str, int | None]:
+    """A --workload value: W, or W=PAIRS."""
+    workload, _, count = spec.partition("=")
+    if workload not in WORKLOADS:
+        raise argparse.ArgumentTypeError(f"unknown workload {workload!r}")
+    return workload, int(count) if count else None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], help="LABEL=PATH of a checkout")
     parser.add_argument("--pairs", type=int, default=0, help="perfbench runs per tree and workload")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--workload", action="append", type=workload_pairs, help="W or W=PAIRS, one of " + ", ".join(WORKLOADS))
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path)
@@ -381,6 +432,7 @@ def main() -> None:
             "betti_dims": list(BETTI_DIMS),
             "betti_sheared": list(BETTI_SHEARED),
             "betti_frame_seed": BETTI_FRAME_SEED,
+            "frame_seed": FRAME_SEED,
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
             "classify_seed": CLASSIFY_SEED,
@@ -400,10 +452,10 @@ def main() -> None:
             rounds[label].append(json.loads(measured))
     for label, tree in trees.items():
         report["trees"][label] = {**describe(tree), **fastest(rounds[label])}
-    if args.pairs:
+    counts = {workload: count or args.pairs for workload, count in args.workload or [(w, None) for w in WORKLOADS]}
+    if any(counts.values()):
         report["perfbench"] = {
-            workload: pairs(trees, workload, args.pairs, args.seed, args.seconds)
-            for workload in args.workload or WORKLOADS
+            workload: pairs(trees, workload, count, args.seed, args.seconds) for workload, count in counts.items() if count
         }
     text = json.dumps(report, indent=2)
     if args.out:

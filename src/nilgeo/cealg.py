@@ -142,9 +142,13 @@ def bracket_terms(cells, u: dict, v: dict) -> dict:
     out: dict = {}
     for p, x in u.items():
         row = cells[p]
+        if not (x and row):
+            continue
         for q, y in v.items():
-            if x and y and q in row:
-                add_terms(out, x * y, row[q])
+            if y and q in row:
+                c = x * y
+                for k, z in row[q].items():  # add_terms, inlined: this is the curvature kernels' inner loop
+                    out[k] = out.get(k, 0) + c * z
     return out
 
 

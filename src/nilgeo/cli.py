@@ -3,7 +3,9 @@
 Every subcommand parses its inputs, dispatches to the library, and prints a
 machine-readable JSON report. Exit codes: 0 all checks pass, 1 a geometric
 check failed (the report says which clause), 2 input, parse or usage error,
-3 an internal guard (ArithmeticError) fired, named in the error document.
+3 an internal guard (ArithmeticError) fired, named in the error document,
+141 standard output was closed before the report was written (as a shell
+reports a writer stopped by SIGPIPE).
 
 Any structured flag value may be given as "@path" to read the value from a
 file.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -58,6 +61,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED = 141
 
 
 @dataclass
@@ -244,6 +248,9 @@ def cmd_curvature(args) -> int:
     report = Report("curvature", report_inputs)
     if not (args.metric or (args.alpha and args.J)):
         raise InputError("curvature needs --metric or (--alpha and --J)")
+    if args.metric and (args.J or args.epsilon):
+        # the structure's checks would be skipped, not run on the given metric
+        raise InputError("curvature takes --J and --epsilon only without --metric")
     alpha = parse_form(_file_value(args.alpha), alg.dim) if args.alpha else None
     structure = None
     if args.metric:
@@ -549,7 +556,7 @@ def _raised_in(exc: BaseException) -> str:
     return where
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
@@ -564,6 +571,18 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         _error(exc, guard=_raised_in(exc))
         return EXIT_INTERNAL
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); Python flushes stdout again
+        # at exit, so the rest goes to devnull instead of a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
 
 
 if __name__ == "__main__":

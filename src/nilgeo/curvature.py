@@ -16,8 +16,12 @@ curvature definition and checked against the Ricci identity.
 The kernels are fraction-free: the algebra, the metric, the Connection and
 the CurvatureReport each store their tables as int numerators over one
 common denominator, the contractions multiply and add ints, and each
-reported entry becomes a Fraction exactly once. Tables are indexed from 0;
-c is sparse (`LieAlgebra.brackets`), gamma dense.
+reported entry becomes a Fraction exactly once. Tables are indexed from 0.
+The 3-index tables, c, gamma and the transverse table, are sparse cells
+table[i] = {j: {k: v}} holding only the nonzero entries (`LieAlgebra.brackets`
+is the model), and so are the vectors they are contracted with: a contraction
+table(u, v) = sum_ij u_i v_j table[i][j] is `cealg.bracket_terms`, and its
+cost follows the nonzero entries, not n^3.
 
 Sign conventions, pinned so the curvature of the standard contact Calabi-Yau
 examples comes out with lambda = -2:
@@ -31,13 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from . import linalg
 from .cealg import LieAlgebra, bracket_terms
 from .errors import CheckError, InputError
-from .exterior import KForm, Metric, Vector, covector, two_form_matrix
-from .linalg import axpy, bilinear, contract_first, dot, lincomb, matvec, scaled
+from .exterior import KForm, Metric, Vector, add_terms, covector
+from .linalg import dot, lincomb, scaled
 from .structures import induced_metric
+
+
+_ZERO = Fraction(0)
 
 
 class NotAlphaEinsteinError(CheckError):
@@ -47,8 +55,11 @@ class NotAlphaEinsteinError(CheckError):
 @dataclass(frozen=True)
 class Connection:
     """Levi-Civita connection as one Christoffel table (see the module doc),
-    gamma = num / den in ints, with the inverse metric it was raised by as
-    ginv = (ints, den); `gamma` is the table as Fractions."""
+    in sparse int cells over one denominator, as `LieAlgebra.brackets` stores
+    the bracket: num[i][j] maps k to den times gamma_ij^k (0-based), for the
+    nonzero entries only. ginv = (ints, den) is the inverse metric the table
+    was raised by; `gamma` is the dense table as Fractions, built on first
+    read."""
 
     alg: LieAlgebra
     metric: Metric
@@ -58,13 +69,55 @@ class Connection:
 
     @cached_property
     def gamma(self) -> tuple:
+        basis = range(self.alg.dim)
         return tuple(
-            tuple(tuple(Fraction(x, self.den) for x in cell) for cell in row) for row in self.num
+            tuple(tuple(Fraction(row.get(j, {}).get(k, 0), self.den) for k in basis) for j in basis)
+            for row in self.num
         )
 
-    def nabla_basis(self, i: int, j: int) -> Vector:
-        """nabla_{X_i} X_j for 1-based basis indices."""
-        return Vector(self.gamma[i - 1][j - 1])
+
+def _nonzero(terms: dict) -> dict:
+    return {k: x for k, x in terms.items() if x}
+
+
+def _sparse(vector) -> dict:
+    """A dense vector as a sparse one (index -> nonzero entry)."""
+    return {k: x for k, x in enumerate(vector) if x}
+
+
+def _combine(vectors, u: dict, dim: int) -> dict:
+    """sum_i u[i] vectors[i] over sparse vectors of dimension dim, zeros
+    dropped: the matrix product M u when vectors are the columns of M."""
+    out = [0] * dim  # a list adds faster than a dict, and dim is small
+    for i, x in u.items():
+        for k, y in vectors[i].items():
+            out[k] += x * y
+    return _sparse(out)
+
+
+def _dot(u: dict, v: dict):
+    if len(u) > len(v):
+        u, v = v, u
+    total = 0  # a loop, not sum() over a generator: these vectors have a few entries
+    for k, x in u.items():
+        if k in v:
+            total += x * v[k]
+    return total
+
+
+def _first(table, u: dict) -> dict:
+    """The first slot of a cells table against a sparse vector u: the cells
+    {j: {k: sum_i u[i] table[i][j][k]}}, nonzero entries only."""
+    out: dict = {}
+    for i, x in u.items():
+        for j, cell in table[i].items():
+            add_terms(out.setdefault(j, {}), x, cell)
+    return {j: w for j, cell in out.items() if (w := _nonzero(cell))}
+
+
+def _fractions(row, den: int) -> tuple:
+    """The ints of a row over den as Fractions (most entries are 0)."""
+    return tuple(Fraction(x, den) if x else _ZERO for x in row)
 
 
 def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
@@ -72,7 +125,8 @@ def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
 
     The lowered symbols are raised by the inverse metric. The raised table is
     verified to be torsion-free and metric-compatible before it is returned
-    (an internal consistency guard, not a user-facing check).
+    (an internal consistency guard, not a user-facing check). Every step
+    visits the nonzero cells only: the zero cells satisfy both guards.
 
     With g = G / D, g^-1 = M / E and c = C / Cd in ints, twice the lowered
     symbols lie over Cd D, so gamma = M.(twice lowered) / (2 E Cd D).
@@ -82,40 +136,39 @@ def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
         raise InputError("metric dimension mismatch")
     if not g.is_positive_definite():
         raise InputError("levi_civita: metric is not positive definite")
-    (cells, cd), gm, d, (m, e) = alg.brackets, g.num, g.den, g.inverse()
+    (cells, cd), d, (m, e) = alg.brackets, g.den, g.inverse()
+    grows = [_sparse(row) for row in g.num]  # g is symmetric: its rows are its columns
+    mcols = [_sparse(column) for column in zip(*m)]
     # twice the lowered symbols, low_ijk = gc_ijk - gc_jki + gc_kij over cd d, for
     # gc_ijk = g([X_i, X_j], X_k): each nonzero gc entry lands in three places
-    low = [[[0] * n for _ in range(n)] for _ in range(n)]
+    low: list[dict] = [{} for _ in range(n)]
     for i, row in enumerate(cells):
         for j, cell in row.items():
-            for k, v in enumerate(lincomb([gm[p] for p in cell], cell.values())):
-                if v:
-                    low[i][j][k] += v
-                    low[k][i][j] -= v
-                    low[j][k][i] += v
-    num = [[matvec(m, cell) if any(cell) else cell for cell in row] for row in low]
+            for k, v in _combine(grows, cell, n).items():
+                for a, b, c, x in ((i, j, k, v), (k, i, j, -v), (j, k, i, v)):
+                    cell_ab = low[a].setdefault(b, {})
+                    cell_ab[c] = cell_ab.get(c, 0) + x
+    num = [{j: w for j, cell in row.items() if (w := _combine(mcols, cell, n))} for row in low]
     torsion = 2 * e * d  # gamma_ij - gamma_ji = c_ij reads num_ij - num_ji = torsion C_ij
-    for i in range(n):
-        for j in range(n):
-            cell = cells[i].get(j, {})
-            if any(a - b != torsion * cell.get(k, 0) for k, (a, b) in enumerate(zip(num[i][j], num[j][i]))):
+    into: list[set] = [set() for _ in range(n)]  # into[i]: the j with a cell num_ji
+    for j, row in enumerate(num):
+        for i in row:
+            into[i].add(j)
+    for i, row in enumerate(num):
+        # the condition at (j, i) is the one at (i, j) negated: j > i suffices
+        for j in sorted(j for j in row.keys() | into[i] | cells[i].keys() if j > i):
+            diff = dict(row.get(j, {}))
+            add_terms(diff, -1, num[j].get(i, {}))
+            add_terms(diff, -torsion, cells[i].get(j, {}))
+            if any(diff.values()):
                 raise ArithmeticError(f"Koszul connection has torsion at ({i + 1},{j + 1})")
-        lowered = [matvec(gm, cell) if any(cell) else cell for cell in num[i]]
-        for j in range(n):
-            for k in range(j, n):
-                if lowered[j][k] + lowered[k][j] != 0:
-                    raise ArithmeticError(f"connection not metric at ({i + 1},{j + 1},{k + 1})")
+        lowered = {j: _combine(grows, cell, n) for j, cell in row.items()}
+        bad = [(min(j, k), max(j, k)) for j, cell in lowered.items() for k, x in cell.items()
+               if x + lowered.get(k, {}).get(j, 0)]
+        if bad:
+            j, k = min(bad)
+            raise ArithmeticError(f"connection not metric at ({i + 1},{j + 1},{k + 1})")
     return Connection(alg, g, (m, e), num, torsion * cd)
-
-
-def riemann(conn: Connection, x: Vector, y: Vector, z: Vector) -> Vector:
-    """R(X, Y)Z for invariant fields."""
-    xy = conn.alg.bracket(x, y).coeffs
-    gamma, x, y, z = conn.gamma, x.coeffs, y.coeffs, z.coeffs
-    first = bilinear(gamma, x, bilinear(gamma, y, z))
-    second = bilinear(gamma, y, bilinear(gamma, x, z))
-    third = bilinear(gamma, xy, z)
-    return Vector([a - b - d for a, b, d in zip(first, second, third)])
 
 
 @dataclass(frozen=True)
@@ -147,16 +200,27 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
     conn = conn or levi_civita(alg, g)
     n = alg.dim
     (cells, cd), gamma, delta = alg.brackets, conn.num, conn.den
-    trace = [sum(gamma[k][m][k] for k in range(n)) for m in range(n)]
-    # the nonzero factors gamma_im^k and c_ki^m = -c_ik^m of the quadratic terms, by i
-    gam_nz = [[(m, k, x) for m in range(n) for k, x in enumerate(g_i[m]) if x] for g_i in gamma]
-    c_nz = [[(k, m, -x) for k, cell in row.items() for m, x in cell.items()] for row in cells]
+    # both sums are dot products over the pair index p(a, b) = a n + b, with
+    # w[j][p(m, k)] = gamma_kj^m against the entries gamma_im^k at p(m, k) and
+    # C_ik^m at p(k, m) of row i (c_ki^m = -C_ik^m)
+    w = [[0] * (n * n) for _ in range(n)]
+    flat: list[list] = [[] for _ in range(n)]
+    trace: dict = {}  # t_m = sum_k gamma_km^k
+    for k, row in enumerate(gamma):
+        for j, cell in row.items():
+            for m, x in cell.items():
+                w[j][m * n + k] = x
+                flat[k].append((j * n + m, x))
+            if k in cell:
+                trace[j] = trace.get(j, 0) + cell[k]
     num = [[0] * n for _ in range(n)]
-    for i in range(n):
+    for i, row in enumerate(gamma):
+        brackets = [(k * n + m, x) for k, cell in cells[i].items() for m, x in cell.items()]
         for j in range(i, n):
-            quadratic = sum(x * gamma[k][j][m] for m, k, x in gam_nz[i])
-            bracket = sum(x * gamma[m][j][k] for k, m, x in c_nz[i])
-            num[i][j] = num[j][i] = cd * (dot(gamma[i][j], trace) - quadratic) - delta * bracket
+            wj = w[j]
+            quadratic = sum([x * wj[p] for p, x in flat[i]])
+            bracket = sum([x * wj[p] for p, x in brackets])
+            num[i][j] = num[j][i] = cd * (_dot(row.get(j, {}), trace) - quadratic) + delta * bracket
     den = cd * delta * delta
     ric = tuple(tuple(Fraction(x, den) for x in row) for row in num)
     m, e = conn.ginv
@@ -223,57 +287,62 @@ class TransverseReport:
         return all(not x for row in self.ric_t for x in row)
 
 
-def _project(v: list, cov, reeb, s: int) -> list:
+def _project(v: dict, cov: dict, reeb: dict, s: int) -> dict:
     """s (v - alpha(v) R), alpha = cov / a, R = reeb / r, s = a r: the projection
     onto the contact distribution, times s to stay integral."""
-    out = [s * x for x in v]
-    axpy(out, -dot(cov, v), reeb)
-    return out
+    out, t = {k: s * x for k, x in v.items()}, _dot(cov, v)
+    return add_terms(out, -t, reeb) if t else out
 
 
-def _transverse_table(conn: Connection, cov, reeb, s: int) -> tuple[list, int]:
+def _transverse_table(conn: Connection, cov: dict, reeb: dict, s: int) -> tuple[list, int]:
     """T[a][b] = nabla^T(X_a, X_b) for the contact form alpha = cov / a with
-    Reeb field R = reeb / r, s = a r; returns (numerators, den).
+    Reeb field R = reeb / r, s = a r; returns (cells, den), the cells sparse
+    as the connection's.
 
     The case split of the transverse connection, extended linearly: the part of
     X_a tangent to the distribution acts through the projected Levi-Civita
     derivative, the Reeb part alpha(X_a) R through the bracket [R, X_b].
     """
     (cells, cd), gamma, delta = conn.alg.brackets, conn.num, conn.den
-    along_reeb = contract_first(gamma, reeb)  # nabla_R X_b, over r delta
-    bracket_reeb = _ad(cells, reeb)  # [R, X_b], over r cd
+    along_reeb = _first(gamma, reeb)  # nabla_R X_b, over r delta
+    bracket_reeb = _first(cells, reeb)  # [R, X_b], over r cd
     table = []
     for a, row in enumerate(gamma):
-        table.append([])
-        for b, cell in enumerate(row):
-            v = [s * x for x in cell]  # nabla_{X_a} X_b - alpha_a nabla_R X_b, over s delta
-            if cov[a]:
-                axpy(v, -cov[a], along_reeb[b])
-            v = [cd * x for x in _project(v, cov, reeb, s)]  # over s^2 delta cd
-            if cov[a]:
-                axpy(v, s * delta * cov[a], bracket_reeb[b])
-            table[a].append(v)
+        ca, out = cov.get(a, 0), {}
+        for b in row.keys() | (along_reeb.keys() | bracket_reeb.keys() if ca else set()):
+            # cd (nabla_{X_a} X_b - alpha_a nabla_R X_b), over s delta cd, projected
+            v = {k: cd * s * x for k, x in row.get(b, {}).items()}
+            if ca:
+                add_terms(v, -cd * ca, along_reeb.get(b, {}))
+            v = _project(v, cov, reeb, s)  # over s^2 delta cd
+            if ca:
+                add_terms(v, s * delta * ca, bracket_reeb.get(b, {}))
+            if v := _nonzero(v):
+                out[b] = v
+        table.append(out)
     return table, s * s * delta * cd
 
 
-def _ad(cells, u) -> list[list[int]]:
-    """[u, X_j] for every j, dense, of a dense vector u over the bracket cells."""
-    n, su = len(cells), dict(enumerate(u))
-    return [[w.get(k, 0) for k in range(n)] for w in (bracket_terms(cells, su, {j: 1}) for j in range(n))]
+def _form(rows, u: dict, v: dict):
+    """u^T M v for a matrix M given by its sparse rows and sparse vectors u, v."""
+    total = 0
+    for i, x in u.items():
+        total += x * _dot(rows[i], v)
+    return total
 
 
-def _preserves(matrix, frame, moved) -> bool:
+def _preserves(rows, frame, moved) -> bool:
     """B(D x, y) + B(x, D y) == 0 for x, y in the frame and every D, where
-    B(u, v) = u^T matrix v for an int matrix and moved[p][a] = D_p frame[a].
-    B is symmetric or antisymmetric, so the condition is too, and x <= y
-    suffices."""
-    right = [matvec(matrix, f) for f in frame]
-    left = [matvec(list(zip(*matrix)), f) for f in frame]
+    B(u, v) = u^T M v for an int matrix M given by its sparse rows and
+    moved[p][a] = D_p frame[a], the vectors sparse. B is symmetric or
+    antisymmetric, so the condition is too, and x <= y suffices."""
+    k = len(frame)
     return all(
-        dot(d[x], right[y]) + dot(left[x], d[y]) == 0
+        _form(rows, d[x], frame[y]) + _form(rows, frame[x], d[y]) == 0
         for d in moved
-        for x in range(len(frame))
-        for y in range(x, len(frame))
+        for x in range(k)
+        for y in range(x, k)
+        if d[x] or d[y]
     )
 
 
@@ -292,8 +361,9 @@ def transverse_ricci(
     and alpha. `conn` and `full`, when given, must be levi_civita(alg, g) and
     its ricci_scalar report; they are reused instead of rebuilt.
 
-    Every table is contracted over ints; the comments give its denominator.
-    ric_t and rho_t are reported in the frame itself, not in its numerators.
+    Every table is contracted over ints, through bracket_terms on sparse
+    cells and vectors; the comments give each denominator. ric_t and rho_t
+    are reported in the frame itself, not in its numerators.
     """
     contact = structure.contact
     alg = contact.alg
@@ -304,36 +374,45 @@ def transverse_ricci(
     cov, a = scaled(covector(contact.alpha))
     reeb, r = scaled(contact.reeb.coeffs)
     s = a * r
-    fs, fd = linalg.kernel([cov], n)  # the frame f_a = fs[a] / fd of xi_basis
+    frame, fd = linalg.kernel([cov], n)  # the frame f_a = frame[a] / fd of xi_basis
+    cov, reeb, fs = _sparse(cov), _sparse(reeb), [_sparse(f) for f in frame]
     T, td = _transverse_table(conn, cov, reeb, s)
-    along = [contract_first(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k), over fd td
+    along = [_first(T, f) for f in fs]  # along[a][k] = nabla^T(f_a, X_k), over fd td
+
+    def nabla(x: int, v: dict) -> dict:  # nabla^T(f_x, v), over fd td times v's denominator
+        return bracket_terms(along, {x: 1}, v)
 
     # curvature-definition path: sum_ab w_ab R^T(x, f_a) f_b, w the inverse
     # Gram matrix of the frame, inverted from its ints g(f_a, f_b) d fd^2
-    gm, d = g.num, g.den
-    gframe = [matvec(gm, f) for f in fs]  # g f_a, over d fd
-    minors, adjugate = linalg.sylvester([[dot(x, gy) for gy in gframe] for x in fs])
+    grows, d = [_sparse(row) for row in g.num], g.den
+    gframe = [_combine(grows, f, n) for f in fs]  # g f_a (g is symmetric), over d fd
+    gram = [[_dot(x, gy) for gy in gframe] for x in fs]
+    minors, adjugate = linalg.sylvester(gram)
     w, wd = linalg.lowest([[d * fd * fd * x for x in row] for row in adjugate], minors[-1])
-    wf = [lincomb(fs, wa) for wa in w]  # sum_b w_ab f_b, over wd fd
-    tau = [0] * n  # sum_ab w_ab nabla^T(f_a, f_b), over wd fd^2 td
-    for ta, v in zip(along, wf):
-        axpy(tau, 1, lincomb(ta, v))
-    along_wf = [[lincomb(tp, v) for tp in T] for v in wf]  # nabla^T(X_p, wf_a), over wd fd td
+    wrows = [_sparse(row) for row in w]  # w is symmetric: its rows are its columns
+    wf = [_combine(fs, wa, n) for wa in wrows]  # sum_b w_ab f_b, over wd fd
+    tau: dict = {}  # sum_ab w_ab nabla^T(f_a, f_b), over wd fd^2 td
+    for x, v in enumerate(wf):
+        add_terms(tau, 1, nabla(x, v))
+    swapped: list[dict] = [{} for _ in range(n)]  # swapped[b][a] = T[a][b]
+    for a, row in enumerate(T):
+        for b, cell in row.items():
+            swapped[b][a] = cell
+    along_wf = [_first(swapped, v) for v in wf]  # along_wf[b][p] = nabla^T(X_p, wf_b), over wd fd td
     ric_num = []
-    ad_frame = [_ad(cells, x) for x in fs]  # [f_x, X_j], over cd fd
-    for tx, cx in zip(along, ad_frame):
-        q = lincomb(tx, tau)  # over wd fd^3 td^2
-        bracket = [0] * n  # over cd wd fd^3 td
-        for f, ta, v, tv in zip(fs, along, wf, along_wf):
-            axpy(q, -1, lincomb(ta, lincomb(tx, v)))
-            axpy(bracket, 1, lincomb(tv, lincomb(cx, f)))
-        q = [cd * p - td * b for p, b in zip(q, bracket)]  # over cd wd fd^3 td^2
-        ric_num.append([dot(q, gy) for gy in gframe])
+    for x, f in enumerate(fs):
+        q = {k: cd * p for k, p in nabla(x, tau).items()}  # over cd wd fd^3 td^2
+        for b, (fb, v) in enumerate(zip(fs, wf)):
+            add_terms(q, -cd, nabla(b, nabla(x, v)))
+            # nabla^T([f_x, f_b], wf_b), over cd wd fd^3 td
+            add_terms(q, -td, bracket_terms(along_wf, {b: 1}, bracket_terms(cells, f, fb)))
+        ric_num.append([_dot(q, gy) for gy in gframe])
     ric_den = cd * wd * fd**4 * td**2 * d
     ric, rd = full.ints
-    ric_frame = [matvec(ric, y) for y in fs]
+    ric_rows = [_sparse(row) for row in ric]
+    ric_frame = [_combine(ric_rows, y, n) for y in fs]  # Ric f_a (Ric is symmetric), over rd fd
     id_num = [  # over rd d fd^2
-        [d * dot(x, ry) + 2 * rd * dot(x, gy) for ry, gy in zip(ric_frame, gframe)] for x in fs
+        [d * _dot(x, ry) + 2 * rd * gxy for ry, gxy in zip(ric_frame, gx)] for x, gx in zip(fs, gram)
     ]
     id_den = rd * d * fd**2
     if any(p * id_den != q * ric_den for rp, rq in zip(ric_num, id_num) for p, q in zip(rp, rq)):
@@ -343,35 +422,46 @@ def transverse_ricci(
             "transverse Ricci computations disagree: "
             f"definition {definition} vs identity {identity}"
         )
-    jm, jd = scaled(J.matrix)
-    jframe = [matvec(jm, f) for f in fs]  # J f_a, over jd fd
-    if any(dot(cov, jf) for jf in jframe):
+    jcolumns, jd = J.columns()
+    jframe = [_combine(jcolumns, f, n) for f in fs]  # J f_a, over jd fd
+    if any(_dot(cov, jf) for jf in jframe):
         raise InputError("vector does not lie in the span of the frame")
     # J f_a = sum_b coords[a][b] f_b: coords[a] = w (g(f_c, J f_a))_c, over wd d jd fd^2
-    coords = [matvec(w, [dot(gy, jf) for gy in gframe]) for jf in jframe]
-    rho_num = [[dot(cj, col) for col in zip(*ric_num)] for cj in coords]
+    coords = [_combine(wrows, _sparse([_dot(jf, gy) for gy in gframe]), len(fs)) for jf in jframe]
+    rho_num = [lincomb(ric_num, [cj.get(b, 0) for b in range(len(fs))]) for cj in coords]
     rho_den = wd * d * jd * fd**2 * ric_den
 
-    moved = [[lincomb(T[p], f) for f in fs] for p in range(n)]  # nabla^T(X_p, f_a), over fd td
+    # D_p f_a = nabla^T(X_p, f_a) over fd td, for the p with D_p f != 0 for
+    # some f (a zero D_p passes every parallelism test)
+    moved = {}
+    for p, row in enumerate(T):
+        if row and any(mfs := [_nonzero(bracket_terms(T, {p: 1}, f)) for f in fs]):
+            moved[p] = mfs
     parallel_j = all(
-        lincomb(T[p], jf) == matvec(jm, mf)
-        for p in range(n)
-        for jf, mf in zip(jframe, moved[p])
+        _nonzero(bracket_terms(T, {p: 1}, jf)) == _combine(jcolumns, mf, n)
+        for p, mfs in moved.items()
+        for jf, mf in zip(jframe, mfs)
     )
-    dalpha, _ = scaled(two_form_matrix(alg.d(contact.alpha)))
-    # T(f_x, f_y) - T(f_y, f_x) over fd^2 td; the projected bracket over s cd fd^2
-    torsion_ok = all(
-        [s * cd * (p - q) for p, q in zip(lincomb(tx, y), lincomb(ty, x))]
-        == [td * b for b in _project(lincomb(cx, y), cov, reeb, s)]
-        for x, tx, cx in zip(fs, along, ad_frame)
-        for y, ty in zip(fs, along)
-    )
+    # kappa = d alpha / 2 (check_contact): D preserves one iff it preserves the other
+    (kappa,), _ = linalg.scaled_maps([contact.kappa.terms])
+    dalpha_rows: list[dict] = [{} for _ in range(n)]
+    for (i, j), c in kappa.items():
+        dalpha_rows[i - 1][j - 1], dalpha_rows[j - 1][i - 1] = c, -c
+
+    def torsion_free(x: int, y: int) -> bool:
+        # T(f_x, f_y) - T(f_y, f_x) over fd^2 td against the projected bracket over s cd fd^2
+        diff = {k: s * cd * p for k, p in nabla(x, fs[y]).items()}
+        add_terms(diff, -s * cd, nabla(y, fs[x]))
+        add_terms(diff, -td, _project(bracket_terms(cells, fs[x], fs[y]), cov, reeb, s))
+        return not any(diff.values())
+
     return TransverseReport(
-        frame=tuple(Vector([Fraction(x, fd) for x in f]) for f in fs),
-        ric_t=tuple(tuple(Fraction(p, ric_den) for p in row) for row in ric_num),
-        rho_t=tuple(tuple(Fraction(p, rho_den) for p in row) for row in rho_num),
+        frame=tuple(Vector(_fractions(f, fd)) for f in frame),
+        ric_t=tuple(_fractions(row, ric_den) for row in ric_num),
+        rho_t=tuple(_fractions(row, rho_den) for row in rho_num),
         parallel_j=parallel_j,
-        parallel_g_j=_preserves(structure.g_j.num, fs, moved),
-        parallel_d_alpha=_preserves(dalpha, fs, moved),
-        torsion_matches_bracket=torsion_ok,
+        parallel_g_j=_preserves([_sparse(row) for row in structure.g_j.num], fs, moved.values()),
+        parallel_d_alpha=_preserves(dalpha_rows, fs, moved.values()),
+        # both sides are antisymmetric in x, y, so x < y suffices
+        torsion_matches_bracket=all(torsion_free(x, y) for x, y in combinations(range(len(fs)), 2)),
     )

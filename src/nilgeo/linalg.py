@@ -333,13 +333,3 @@ def lincomb(cells, v) -> list:
         if vk:
             axpy(out, vk, cell)
     return out
-
-
-def contract_first(table, u) -> list[list]:
-    """The first slot of a table against u: cells[j] = sum_i u[i] table[i][j]."""
-    return [lincomb(column, u) for column in zip(*table)]
-
-
-def bilinear(table, u, v) -> list:
-    """sum_ij u[i] v[j] table[i][j]."""
-    return lincomb(contract_first(table, u), v)

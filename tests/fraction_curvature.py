@@ -5,17 +5,46 @@ the alpha-Einstein constants as they were computed before the kernels in
 `nilgeo.curvature` went fraction-free: every product and sum is a Fraction
 operation. The tests compare the integer-numerator kernels against them
 table for table.
+
+Beside them are the dense contractions of a 3-index table that the sparse
+cells replaced, `contract_first` and `bilinear`, and the curvature operator
+R(X, Y)Z and nabla_{X_i} X_j read off a Connection's dense `gamma` view.
 """
 
 from fractions import Fraction
 
 from nilgeo import linalg
 from nilgeo.curvature import CurvatureReport, TransverseReport
-from nilgeo.exterior import covector, two_form_matrix
-from nilgeo.linalg import axpy, bilinear, contract_first, dot, lincomb, matvec
+from nilgeo.exterior import Vector, covector, two_form_matrix
+from nilgeo.linalg import axpy, dot, lincomb, matvec
 from nilgeo.structures import induced_metric, xi_basis
 
 _ZERO = Fraction(0)
+
+
+def contract_first(table, u) -> list[list]:
+    """The first slot of a table against u: cells[j] = sum_i u[i] table[i][j]."""
+    return [lincomb(column, u) for column in zip(*table)]
+
+
+def bilinear(table, u, v) -> list:
+    """sum_ij u[i] v[j] table[i][j]."""
+    return lincomb(contract_first(table, u), v)
+
+
+def nabla_basis(conn, i: int, j: int) -> Vector:
+    """nabla_{X_i} X_j for 1-based basis indices."""
+    return Vector(conn.gamma[i - 1][j - 1])
+
+
+def riemann(conn, x: Vector, y: Vector, z: Vector) -> Vector:
+    """R(X, Y)Z for invariant fields."""
+    xy = conn.alg.bracket(x, y).coeffs
+    gamma, x, y, z = conn.gamma, x.coeffs, y.coeffs, z.coeffs
+    first = bilinear(gamma, x, bilinear(gamma, y, z))
+    second = bilinear(gamma, y, bilinear(gamma, x, z))
+    third = bilinear(gamma, xy, z)
+    return Vector([a - b - d for a, b, d in zip(first, second, third)])
 
 
 def gamma_table(alg, g):

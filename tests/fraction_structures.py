@@ -25,6 +25,8 @@ from nilgeo.classify import MultiPoly, ObstructionVerdict
 from nilgeo.exterior import ComplexKForm, KForm, Vector, contract, covector, two_form_matrix
 from nilgeo.structures import check_contact, volume_constant, xi_basis
 
+from .fraction_curvature import contract_first
+
 
 def solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
     """alpha_i(R_j) = delta_ij and iota_{R_j} d alpha = 0, by one dense
@@ -45,7 +47,7 @@ def nijenhuis_table(J, alg) -> dict:
     c, cd = linalg.scaled(alg.structure_constants)
     jm, jd = linalg.scaled(J.matrix)
     jcols = list(zip(*jm))
-    ad_j = [linalg.contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j], over jd cd
+    ad_j = [contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j], over jd cd
     table, den = {}, jd * jd * cd
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):

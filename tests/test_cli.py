@@ -328,6 +328,15 @@ def test_family_file_obstruction(capsys, tmp_path):
     assert [s["class_zero"] for s in samples] == [True, False]
 
 
+def test_curvature_metric_with_j_or_epsilon_is_input_error():
+    # with --metric the structure is not verified, so its flags are refused
+    # rather than dropped; --alpha keeps its meaning (alpha-Einstein on g)
+    metric = ["curvature", "--algebra=(0,0,12)", "--metric=[[1,0,0],[0,1,0],[0,0,1]]"]
+    for extra in (["--epsilon=e1+i*e2"], ["--J=pairs:(1,2)"], ["--alpha=e3", "--J=pairs:(1,2)", "--epsilon=e1+i*e2"]):
+        report = run_input_error(metric + extra)
+        assert "--metric" in report["error"]
+
+
 def test_curvature_metric_scalar_is_input_error(capsys):
     code, report = run(capsys, "curvature", "--algebra", "(0,0,12)", "--metric", "5")
     assert code == 2
@@ -610,3 +619,23 @@ def test_internal_guard_exits_3_with_one_document(capsys, monkeypatch):
     assert report["status"] == "error"
     assert report["guard"] == "nilgeo.curvature.levi_civita"
     assert "torsion" in report["error"]
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nilgeo
+
+    src = str(Path(nilgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilgeo.cli", "classify", "--seed", "0"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the interpreter has started, let alone written the report
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141

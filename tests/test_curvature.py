@@ -12,7 +12,6 @@ from nilgeo.curvature import (
     check_alpha_einstein,
     levi_civita,
     ricci_scalar,
-    riemann,
     transverse_ricci,
 )
 from nilgeo.errors import InputError
@@ -27,17 +26,17 @@ G_CCY = Metric.diagonal([1, 1, 4])
 
 def test_koszul_heisenberg_values():
     conn = levi_civita(H3, G_CCY)
-    assert conn.nabla_basis(1, 2) == Q(-1, 2) * Vector.basis(3, 3)
-    assert conn.nabla_basis(1, 1).is_zero
-    assert conn.nabla_basis(2, 1) == Q(1, 2) * Vector.basis(3, 3)
-    assert conn.nabla_basis(1, 3) == 2 * Vector.basis(3, 2)
-    assert conn.nabla_basis(2, 3) == -2 * Vector.basis(3, 1)
+    assert reference.nabla_basis(conn, 1, 2) == Q(-1, 2) * Vector.basis(3, 3)
+    assert reference.nabla_basis(conn, 1, 1).is_zero
+    assert reference.nabla_basis(conn, 2, 1) == Q(1, 2) * Vector.basis(3, 3)
+    assert reference.nabla_basis(conn, 1, 3) == 2 * Vector.basis(3, 2)
+    assert reference.nabla_basis(conn, 2, 3) == -2 * Vector.basis(3, 1)
 
 
 def test_koszul_abelian_flat():
     conn = levi_civita(LieAlgebra.abelian(4), Metric.diagonal([2, 1, 3, 5]))
     assert all(
-        conn.nabla_basis(i, j).is_zero for i in range(1, 5) for j in range(1, 5)
+        reference.nabla_basis(conn, i, j).is_zero for i in range(1, 5) for j in range(1, 5)
     )
 
 
@@ -94,9 +93,9 @@ def test_riemann_first_bianchi_on_reference():
         for y in basis:
             for z in basis:
                 total = (
-                    riemann(conn, x, y, z)
-                    + riemann(conn, y, z, x)
-                    + riemann(conn, z, x, y)
+                    reference.riemann(conn, x, y, z)
+                    + reference.riemann(conn, y, z, x)
+                    + reference.riemann(conn, z, x, y)
                 )
                 assert total.is_zero
 
@@ -227,8 +226,11 @@ def test_transverse_ricci_on_su2_and_sl2(spec, sign):
 # -- fraction-free kernels against the per-entry Fraction reference ----------
 
 from nilgeo import linalg
-from nilgeo.algdsl import parse_endo
+import json
+
+from nilgeo.algdsl import parse_endo, serialize_algebra
 from nilgeo.cealg import change_of_basis
+from nilgeo.cli import main
 from nilgeo.curvature import _preserves
 from nilgeo.exterior import Endo, pullback
 from nilgeo.models import heisenberg_ccy_data
@@ -304,8 +306,17 @@ def test_preservation_check_matches_the_reference_on_every_pair():
             matrix = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(matrix)]
         frame = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
         moved = [[[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(k)] for _ in range(2)]
-        assert _preserves(matrix, frame, moved) == reference._preserves(matrix, frame, moved)
-    assert not _preserves([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[[1, 0], [0, 0]]])
+        assert sparse_preserves(matrix, frame, moved) == reference._preserves(matrix, frame, moved)
+    assert not sparse_preserves([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[[1, 0], [0, 0]]])
+
+
+def sparse_preserves(matrix, frame, moved):
+    """_preserves on the sparse rows, frame and moved vectors of dense ones."""
+    def sparse(v):
+        return {k: x for k, x in enumerate(v) if x}
+
+    rows, frame = [sparse(row) for row in matrix], [sparse(f) for f in frame]
+    return _preserves(rows, frame, [[sparse(v) for v in d] for d in moved])
 
 
 def test_alpha_einstein_matches_the_solve_reference():
@@ -367,3 +378,95 @@ def test_wrong_ricci_report_trips_the_transverse_guard():
     wrong = ricci_scalar(structure.alg, Metric.identity(3))
     with pytest.raises(ArithmeticError, match="disagree"):
         transverse_ricci(structure, full=wrong)
+
+
+# -- the sparse kernels on the input shapes of the curvature benchmark --------
+
+# epsilon rotated by (a + b i) / c, the Pythagorean triples the benchmark draws
+EPSILON_ROTATIONS = ((3, 4, 5), (4, 3, 5), (5, 12, 13), (12, 5, 13), (8, 15, 17), (15, 8, 17))
+
+
+def heisenberg_argv(n, rotation):
+    """The curvature argv of the standard structure on H_{2n+1}, epsilon rotated."""
+    a, b, c = rotation
+    eps = "^".join(f"(e{2 * k - 1}+i*e{2 * k})" for k in range(1, n + 1))
+    return [
+        "curvature",
+        "--algebra=(" + ",".join(["0"] * (2 * n) + ["+".join(f"{2 * k - 1}{2 * k}" for k in range(1, n + 1))]) + ")",
+        f"--alpha=2*e{2 * n + 1}",
+        "--J=pairs:" + ",".join(f"({2 * k - 1},{2 * k})" for k in range(1, n + 1)),
+        f"--epsilon=({a}/{c}+{b}/{c}*i)*({eps})",
+    ]
+
+
+def structure_argv(alg, alpha, J, epsilon):
+    return ["curvature", f"--algebra={serialize_algebra(alg)}", f"--alpha={alpha}",
+            "--J=matrix:" + json.dumps([[str(x) for x in row] for row in J.matrix]), f"--epsilon={epsilon}"]
+
+
+def benchmark_metric(rng, dim):
+    """L D L^T with two entries of L below the diagonal drawn from +-1, +-1/2
+    and D from 1, 2, 3, 1/2: the shape of the benchmark's seeded metrics."""
+    low = [[Q(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for i, j in rng.sample([(i, j) for i in range(dim) for j in range(i)], 2):
+        low[i][j] = rng.choice((Q(1), Q(-1), Q(1, 2), Q(-1, 2)))
+    diag = [rng.choice((Q(1), Q(2), Q(3), Q(1, 2))) for _ in range(dim)]
+    return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+
+
+def reference_checks(alg, g, alpha=None, structure=None) -> list:
+    """The checks of a `curvature` report, from the Fraction reference kernels."""
+    ric = reference.ricci_report(alg, g)
+    checks = [{"name": "curvature", "ricci": [[str(x) for x in row] for row in ric.ricci], "scalar": str(ric.scalar)}]
+    if alpha is not None:
+        lam, nu = reference.alpha_einstein(ric, g, alpha)
+        checks.append({"name": "alpha_einstein", "verdict": "pass", "lambda": str(lam), "nu": str(nu)})
+    if structure is not None:
+        t = reference.transverse_report(structure)
+        checks.append({
+            "name": "transverse_ricci_zero", "verdict": "pass" if t.is_zero else "fail",
+            "ric_t": [[str(x) for x in row] for row in t.ric_t], "rho_t": [[str(x) for x in row] for row in t.rho_t],
+            "parallel_J": t.parallel_j, "parallel_g_J": t.parallel_g_j, "parallel_d_alpha": t.parallel_d_alpha,
+        })
+    return checks
+
+
+def curvature_checks(capsys, argv) -> list:
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == (0 if report["status"] == "pass" else 1), argv
+    return report["checks"]
+
+
+def test_sparse_kernels_match_the_reference_on_the_benchmark_shapes(capsys):
+    # the structure requests: Heisenberg n = 1..3 under every epsilon rotation
+    for n in (1, 2, 3):
+        for rotation in EPSILON_ROTATIONS:
+            argv = heisenberg_argv(n, rotation)
+            alg = parse_algebra(argv[1].partition("=")[2])
+            alpha = parse_form(argv[2].partition("=")[2], alg.dim)
+            J = parse_endo(argv[3].partition("=")[2], alg.dim)
+            structure = check_ccy(check_contact(alg, alpha), J, parse_form(argv[4].partition("=")[2], alg.dim))
+            assert transverse_ricci(structure) == reference.transverse_report(structure)
+            assert curvature_checks(capsys, argv) == reference_checks(alg, structure.metric, alpha, structure)
+    # the metric requests: seeded L D L^T metrics on H3, H5, H7 and F4..F7
+    rng = random.Random(16)
+    specs = ["(0,0,12)", "(0,0,0,0,12+34)", "(0,0,0,0,0,0,12+34+56)"]
+    specs += ["(0,0," + ",".join(f"1{k - 1}" for k in range(3, m + 1)) + ")" for m in (4, 5, 6, 7)]
+    for spec in specs:
+        alg = parse_algebra(spec)
+        for _ in range(3):
+            entries = benchmark_metric(rng, alg.dim)
+            g = Metric(entries)
+            assert levi_civita(alg, g).gamma == reference.gamma_table(alg, g)
+            metric = json.dumps([[str(x) for x in row] for row in entries])
+            argv = ["curvature", f"--algebra={spec}", f"--metric={metric}"]
+            assert curvature_checks(capsys, argv) == reference_checks(alg, g)
+    # the structures carried into dense rational frames, where every cell is full
+    for n in (1, 2, 3):
+        alg, alpha, J, epsilon = transported_data(rng, *heisenberg_ccy_data(n))
+        structure = check_ccy(check_contact(alg, alpha), J, epsilon)
+        assert sum(len(cell) for row in levi_civita(alg, structure.metric).num for cell in row.values()) > alg.dim**2
+        assert transverse_ricci(structure) == reference.transverse_report(structure)
+        checks = curvature_checks(capsys, structure_argv(alg, alpha, J, epsilon))
+        assert checks == reference_checks(alg, structure.metric, alpha, structure)

@@ -25,7 +25,7 @@ from nilgeo.cealg import (
     d_terms,
     is_exact,
 )
-from nilgeo.curvature import levi_civita, ricci_scalar, riemann
+from nilgeo.curvature import levi_civita, ricci_scalar
 from nilgeo.errors import InputError
 from nilgeo.exterior import (
     KForm,
@@ -36,6 +36,8 @@ from nilgeo.exterior import (
     hodge_star,
     pullback,
 )
+
+from .fraction_curvature import riemann
 
 TRIALS = 1000
 
