@@ -42,7 +42,7 @@ from .cealg import LieAlgebra, bracket_terms
 from .errors import CheckError, InputError
 from .exterior import KForm, Metric, Vector, add_terms, covector
 from .linalg import dot, lincomb, scaled
-from .structures import induced_metric
+from .structures import _columns, _sparse, induced_metric
 
 
 _ZERO = Fraction(0)
@@ -80,15 +80,12 @@ def _nonzero(terms: dict) -> dict:
     return {k: x for k, x in terms.items() if x}
 
 
-def _sparse(vector) -> dict:
-    """A dense vector as a sparse one (index -> nonzero entry)."""
-    return {k: x for k, x in enumerate(vector) if x}
-
-
 def _combine(vectors, u: dict, dim: int) -> dict:
     """sum_i u[i] vectors[i] over sparse vectors of dimension dim, zeros
-    dropped: the matrix product M u when vectors are the columns of M."""
-    out = [0] * dim  # a list adds faster than a dict, and dim is small
+    dropped: the matrix product M u when vectors are the columns of M. As
+    `structures._combine`, whose keys may be index tuples, but summed in a
+    list, which is faster where the cells are full (a dense metric)."""
+    out = [0] * dim
     for i, x in u.items():
         for k, y in vectors[i].items():
             out[k] += x * y
@@ -335,7 +332,8 @@ def _preserves(rows, frame, moved) -> bool:
     """B(D x, y) + B(x, D y) == 0 for x, y in the frame and every D, where
     B(u, v) = u^T M v for an int matrix M given by its sparse rows and
     moved[p][a] = D_p frame[a], the vectors sparse. B is symmetric or
-    antisymmetric, so the condition is too, and x <= y suffices."""
+    antisymmetric, so the condition is too, x <= y suffices, and the
+    columns of M serve as well as its rows."""
     k = len(frame)
     return all(
         _form(rows, d[x], frame[y]) + _form(rows, frame[x], d[y]) == 0
@@ -444,9 +442,6 @@ def transverse_ricci(
     )
     # kappa = d alpha / 2 (check_contact): D preserves one iff it preserves the other
     (kappa,), _ = linalg.scaled_maps([contact.kappa.terms])
-    dalpha_rows: list[dict] = [{} for _ in range(n)]
-    for (i, j), c in kappa.items():
-        dalpha_rows[i - 1][j - 1], dalpha_rows[j - 1][i - 1] = c, -c
 
     def torsion_free(x: int, y: int) -> bool:
         # T(f_x, f_y) - T(f_y, f_x) over fd^2 td against the projected bracket over s cd fd^2
@@ -461,7 +456,7 @@ def transverse_ricci(
         rho_t=tuple(_fractions(row, rho_den) for row in rho_num),
         parallel_j=parallel_j,
         parallel_g_j=_preserves([_sparse(row) for row in structure.g_j.num], fs, moved.values()),
-        parallel_d_alpha=_preserves(dalpha_rows, fs, moved.values()),
+        parallel_d_alpha=_preserves(_columns(kappa, n), fs, moved.values()),
         # both sides are antisymmetric in x, y, so x < y suffices
         torsion_matches_bracket=all(torsion_free(x, y) for x, y in combinations(range(len(fs)), 2)),
     )
