@@ -2,7 +2,8 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --pairs 10 --seconds 30 --out BENCH_16.json
+        --workload curvature-sweep=10 --workload ccy-mix=3 --workload rank-sweep=3 \
+        --seconds 30 --out BENCH_16.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -52,10 +53,7 @@ With --pairs N it then runs `perfbench/run.py --workload W` N times in every
 tree for each --workload, alternating which tree runs first, and records each
 run's end-to-end metrics, each tree's median and quartiles, and for two trees
 how many pairs the second tree won on each metric (ties count for neither).
-`--workload W=N` sets N for that workload alone:
-
-    python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --workload curvature-sweep=10 --workload ccy-mix=3 --workload rank-sweep=3
+`--workload W=N` sets N for that workload alone, as in the command above.
 
 The output records the Python version, platform, CPU count and, per tree,
 the git revision, whether the tree differs from it, and a digest of the
@@ -403,7 +401,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], help="LABEL=PATH of a checkout")
     parser.add_argument("--pairs", type=int, default=0, help="perfbench runs per tree and workload")
-    parser.add_argument("--workload", action="append", type=workload_pairs, help="W or W=PAIRS, one of " + ", ".join(WORKLOADS))
+    parser.add_argument("--workload", action="append", type=workload_pairs,
+                        help="W or W=PAIRS, W one of " + ", ".join(WORKLOADS))
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path)
