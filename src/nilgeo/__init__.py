@@ -16,7 +16,6 @@ from .cealg import (
     betti_numbers,
     change_of_basis,
     is_exact,
-    lie_derivative,
 )
 from .classify import (
     Catalog,

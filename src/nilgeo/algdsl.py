@@ -141,21 +141,15 @@ def _parse_algebra_json(text: str) -> tuple[int, dict[int, dict]]:
 def serialize_algebra(alg: LieAlgebra) -> str:
     """Compact notation for dim <= 9; JSON otherwise. Round-trips through parse_algebra."""
     if alg.dim > 9:
-        return serialize_algebra_json(alg)
+        d = {str(k): [[str(c), i, j] for (i, j), c in sorted(form.terms.items())]
+             for k, form in enumerate(alg.d1, start=1) if not form.is_zero}
+        return json.dumps({"dim": alg.dim, "d": d})
     entries = []
     for form in alg.d1:
         terms = sorted(form.terms.items())
         parts = [f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else f'{abs(c)}*'}{i}{j}" for (i, j), c in terms]
         entries.append("".join(parts).removeprefix("+") or "0")
     return "(" + ",".join(entries) + ")"
-
-
-def serialize_algebra_json(alg: LieAlgebra) -> str:
-    d = {}
-    for k, form in enumerate(alg.d1, start=1):
-        if not form.is_zero:
-            d[str(k)] = [[str(c), i, j] for (i, j), c in sorted(form.terms.items())]
-    return json.dumps({"dim": alg.dim, "d": d})
 
 
 # ---------------------------------------------------------------------------

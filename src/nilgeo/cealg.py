@@ -2,9 +2,8 @@
 
 The algebra is described by the differential on degree-1 generators (the
 structure constants in dual form); the bracket is recovered from the standard
-convention d(gamma)(X, Y) = -gamma([X, Y]). Cohomology ranks (Betti numbers),
-exactness tests with explicit primitives, and Lie derivatives of invariant
-forms are all computed exactly.
+convention d(gamma)(X, Y) = -gamma([X, Y]). Cohomology ranks (Betti numbers)
+and exactness tests with explicit primitives are computed exactly.
 
 A monomial e^I is an int mask, bit i - 1 for e^i. One rule builds d of a
 monomial (`_d_monomial`): term c e^ab of d(e^i), i in I, adds (-1)^(p + pa +
@@ -27,7 +26,7 @@ from math import comb
 
 from . import linalg
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, Vector, add_terms, contract
+from .exterior import ComplexKForm, KForm, Vector, add_terms
 
 # Largest algebra dimension betti_numbers accepts: Lambda^5 and Lambda^6 of
 # dimension 11 have 462 monomials each, and the whole complex 2^11.
@@ -235,9 +234,6 @@ class BettiTable:
 
     numbers: tuple[int, ...]
 
-    def __iter__(self):
-        return iter(self.numbers)
-
     def __getitem__(self, k: int) -> int:
         return self.numbers[k]
 
@@ -246,9 +242,6 @@ class BettiTable:
 
     def is_poincare_dual(self) -> bool:
         return self.numbers == tuple(reversed(self.numbers))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(b) for b in self.numbers) + ")"
 
 
 def betti_numbers(alg: LieAlgebra) -> BettiTable:
@@ -291,15 +284,6 @@ def is_exact(form: KForm, alg: LieAlgebra) -> KForm | None:
     if sol is None:
         return None
     return KForm(alg.dim, k - 1, {idx: c for idx, c in zip(dom, sol)})
-
-
-def lie_derivative(v: Vector, form, alg: LieAlgebra):
-    """Cartan formula L_v = d iota_v + iota_v d for invariant forms, constant v."""
-    if isinstance(form, ComplexKForm):
-        return ComplexKForm(lie_derivative(v, form.re, alg), lie_derivative(v, form.im, alg))
-    if form.degree == 0:
-        return KForm.zero(alg.dim, 0)
-    return alg.d(contract(v, form)) + contract(v, alg.d(form))
 
 
 def span_algebra(alg: LieAlgebra, vectors) -> LieAlgebra | None:

@@ -70,7 +70,6 @@ class Report:
 
     command: str
     inputs: dict
-    version: str = __version__
     checks: list = field(default_factory=list)
     status: str = "pass"
 
@@ -85,7 +84,7 @@ class Report:
     def to_json(self) -> str:
         payload = {
             "tool": "nilgeo",
-            "version": self.version,
+            "version": __version__,
             "command": self.command,
             "inputs": self.inputs,
             "checks": self.checks,

@@ -68,10 +68,6 @@ class CircleGrid:
         if self.n > MAX_GRID_N:
             raise InputError(f"grid size N must be at most {MAX_GRID_N}, got {self.n}")
 
-    @property
-    def spacing(self) -> Fraction:
-        return Fraction(1, self.n)
-
 
 @dataclass(frozen=True)
 class LinearizedOperator:
@@ -103,10 +99,6 @@ class LinearizedOperator:
         return [
             sum((v * vec[c] for c, v in row.items()), Fraction(0)) for row in self.rows
         ]
-
-    @classmethod
-    def zero(cls, n: int) -> LinearizedOperator:
-        return cls(n=n, coupling=Fraction(0), rows=tuple({} for _ in range(2 * n)))
 
 
 def reference_structure() -> CCYStructure:
@@ -154,10 +146,10 @@ def reeb_constant_vector(op: LinearizedOperator) -> list[Fraction]:
     return [Fraction(1)] * op.n + [Fraction(0)] * op.n
 
 
-def kernel_is_reeb_line(op: LinearizedOperator, kernel_dim: int | None = None) -> bool:
-    """True when the kernel is exactly the span of the constant Reeb direction.
-    A caller holding kernel_dimension(op) passes it to skip a second rank."""
-    if (kernel_dimension(op) if kernel_dim is None else kernel_dim) != 1:
+def kernel_is_reeb_line(op: LinearizedOperator, kernel_dim: int) -> bool:
+    """True when the kernel is exactly the span of the constant Reeb direction,
+    for kernel_dim = kernel_dimension(op)."""
+    if kernel_dim != 1:
         return False
     image = op.apply(reeb_constant_vector(op))
     return not any(image)

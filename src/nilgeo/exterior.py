@@ -261,10 +261,6 @@ class ComplexKForm:
         other = other if isinstance(other, ComplexKForm) else ComplexKForm.from_real(other)
         return ComplexKForm(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other) -> ComplexKForm:
-        other = other if isinstance(other, ComplexKForm) else ComplexKForm.from_real(other)
-        return ComplexKForm(self.re - other.re, self.im - other.im)
-
     def __neg__(self) -> ComplexKForm:
         return ComplexKForm(-self.re, -self.im)
 
@@ -402,18 +398,6 @@ class Endo:
             raise InputError("endomorphism/vector dimension mismatch")
         return Vector(linalg.matvec(self.matrix, v.coeffs))
 
-    def compose(self, other: Endo) -> Endo:
-        columns = list(zip(*other.matrix))
-        return Endo([linalg.matvec(columns, row) for row in self.matrix])
-
-    def __neg__(self) -> Endo:
-        return Endo([[-a for a in row] for row in self.matrix])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Endo) and self.matrix == other.matrix
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"Endo({[[str(x) for x in row] for row in self.matrix]})"
 
@@ -532,14 +516,6 @@ def covector(a: KForm) -> list[Fraction]:
     if not isinstance(a, KForm) or a.degree != 1:
         raise InputError(f"expected a real 1-form, got {a}")
     return [a.coefficient((j,)) for j in range(1, a.dim + 1)]
-
-
-def two_form_matrix(a: KForm) -> list[list[Fraction]]:
-    """The antisymmetric matrix M[i][j] = a(X_{i+1}, X_{j+1}) of a 2-form."""
-    m = [[Fraction(0)] * a.dim for _ in range(a.dim)]
-    for (p, q), c in a.terms.items():
-        m[p - 1][q - 1], m[q - 1][p - 1] = c, -c
-    return m
 
 
 def contract(v: Vector, a):

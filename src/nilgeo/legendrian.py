@@ -211,11 +211,6 @@ class FamilySpec:
         return iter(self.samples)
 
     @classmethod
-    def from_structures(cls, pairs) -> FamilySpec:
-        samples = tuple(FamilySample(Fraction(t), ccy) for t, ccy in pairs)
-        return cls(samples)
-
-    @classmethod
     def rotation(cls, ccy: CCYStructure, rotations) -> FamilySpec:
         """Rotate the volume form by exact unit complex numbers.
 
@@ -229,7 +224,7 @@ class FamilySpec:
             if c * c + s * s != 1:
                 raise InputError(f"({c}, {s}) is not a unit rotation")
             rotated = ccy.epsilon.scale(c, s)
-            rotated = _check_epsilon_clauses(ccy.alg, contact.kappa, [contact.reeb], ccy.J, rotated, ccy.n, False)
+            _check_epsilon_clauses(ccy.alg, contact.kappa, [contact.reeb], ccy.J, rotated, ccy.n, False)
             samples.append(FamilySample(Fraction(t), replace(ccy, epsilon=rotated)))
         return cls(tuple(samples))
 

@@ -1,6 +1,6 @@
-"""Reference configurations used by the classifier, the moduli discretization
-and the test suite: the odd-dimensional Heisenberg-type family and the
-product model with a 2-contact structure.
+"""Reference configurations used by the moduli discretization, the obstruction
+command and the test suite: the odd-dimensional Heisenberg-type family and
+exact unit rotations of its volume form.
 """
 
 from __future__ import annotations
@@ -40,29 +40,6 @@ def heisenberg_ccy(n: int) -> CCYStructure:
     """The verified contact Calabi-Yau structure of the Heisenberg-type family."""
     alg, alpha, J, epsilon = heisenberg_ccy_data(n)
     return check_ccy(check_contact(alg, alpha), J, epsilon)
-
-
-def kodaira_thurston_data():
-    """Invariant model of the 2-contact Calabi-Yau structure on the product
-    of the 3-dimensional Heisenberg nilmanifold with a circle.
-
-    In the invariant coframe a1..a4 (a3 dual to the center, a4 the circle
-    direction) the two contact forms are 2*a3 and 2*a3 + 2*a4, with equal
-    differentials 2*a1^a2.
-    """
-    alg = LieAlgebra(
-        [
-            KForm.zero(4, 2),
-            KForm.zero(4, 2),
-            KForm.monomial(4, (1, 2)),
-            KForm.zero(4, 2),
-        ]
-    )
-    alpha1 = KForm.monomial(4, (3,), 2)
-    alpha2 = KForm(4, 1, {(3,): Fraction(2), (4,): Fraction(2)})
-    J = Endo.from_pairs(4, [(1, 2)])
-    epsilon = ComplexKForm(KForm.monomial(4, (1,)), KForm.monomial(4, (2,)))
-    return alg, [alpha1, alpha2], J, epsilon
 
 
 # Exact unit rotations (cos, sin) from Pythagorean triples, used to build

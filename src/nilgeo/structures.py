@@ -35,7 +35,6 @@ from .exterior import (
     add_terms,
     covector,
     merge_indices,
-    two_form_matrix,
 )
 
 
@@ -103,9 +102,10 @@ class ContactStructure:
         return self.alg.dim
 
 
-def _pfaffian_minor(kmatrix, indices) -> Fraction:
-    """Pf(K_II), the e^I coefficient of kappa^n / n! for K the matrix of kappa."""
-    return linalg.pfaffian([[kmatrix[p - 1][q - 1] for q in indices] for p in indices])
+def _pfaffian_minor(kcols, indices) -> Fraction:
+    """Pf(K_II), the e^I coefficient of kappa^n / n! for K the matrix of kappa,
+    read off its sparse columns (`_columns`)."""
+    return linalg.pfaffian([[kcols[q - 1].get(p - 1, 0) for q in indices] for p in indices])
 
 
 def _volume_coefficient(alphas, dalpha: KForm, n: int) -> Fraction:
@@ -113,9 +113,9 @@ def _volume_coefficient(alphas, dalpha: KForm, n: int) -> Fraction:
     volume: n! (-1)^(r(r-1)/2) Pf([[D, A], [-A^T, 0]]) for D the matrix of
     d alpha and A[i][k] = alpha_k(X_i), as that Pfaffian is the top coefficient
     of exp(d alpha + sum_k alpha_k ^ f_k) in r extra generators f_k."""
-    r = len(alphas)
-    covs = [covector(a) for a in alphas]
-    bordered = [row + [cov[i] for cov in covs] for i, row in enumerate(two_form_matrix(dalpha))]
+    r, dim = len(alphas), dalpha.dim
+    covs, cols = [covector(a) for a in alphas], _columns(dalpha.terms, dim)
+    bordered = [[col.get(i, 0) for col in cols] + [cov[i] for cov in covs] for i in range(dim)]
     bordered += [[-x for x in cov] + [0] * r for cov in covs]
     sign = -1 if r * (r - 1) // 2 % 2 else 1
     return sign * factorial(n) * linalg.pfaffian(bordered)
@@ -280,34 +280,15 @@ def _nijenhuis_table(J: Endo, alg: LieAlgebra) -> tuple[dict, int]:
     return table, jd * jd * cd
 
 
-class NijenhuisTensor:
-    """Exact Nijenhuis tensor N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2[X, Y].
-
-    `table[(i, j)]` is N(X_i, X_j) for 1-based i < j, contracted from the
-    algebra's bracket cells at construction.
-    """
-
-    def __init__(self, J: Endo, alg: LieAlgebra):
-        if J.dim != alg.dim:
-            raise InputError("endomorphism/algebra dimension mismatch")
-        self.J = J
-        self.alg = alg
-        self.dim = alg.dim
-        table, den = _nijenhuis_table(J, alg)
-        self.table = {key: Vector([Fraction(table.get(key, {}).get(k, 0), den) for k in range(alg.dim)])
-                      for key in combinations(range(1, alg.dim + 1), 2)}
-
-    def __call__(self, x: Vector, y: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for (i, j), value in self.table.items():
-            c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if c:
-                linalg.axpy(out, c, value.coeffs)
-        return Vector(out)
-
-
-def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> NijenhuisTensor:
-    return NijenhuisTensor(J, alg)
+def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> dict[tuple[int, int], Vector]:
+    """The exact Nijenhuis tensor N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2[X, Y]
+    as the table {(i, j): N(X_i, X_j)} over the 1-based pairs i < j, contracted
+    from the algebra's bracket cells."""
+    if J.dim != alg.dim:
+        raise InputError("endomorphism/algebra dimension mismatch")
+    table, den = _nijenhuis_table(J, alg)
+    return {key: Vector([Fraction(table.get(key, {}).get(k, 0), den) for k in range(alg.dim)])
+            for key in combinations(range(1, alg.dim + 1), 2)}
 
 
 def _nijenhuis_failures(alg: LieAlgebra, J: Endo, dalpha: KForm, reeb: Vector) -> list[dict]:
@@ -375,9 +356,6 @@ class CCYStructure:
     def dim(self) -> int:
         return self.contact.dim
 
-    def xi_frame(self) -> list[Vector]:
-        return xi_basis(self.alg, [self.contact.alpha])
-
 
 def induced_metric(g_j: Metric, alpha: KForm) -> Metric:
     """The Riemannian metric g_J + alpha (x) alpha of a calibrated structure,
@@ -430,22 +408,30 @@ def _complex_form(parts, dim: int, degree: int, den: int) -> ComplexKForm:
     return ComplexKForm(re, im)
 
 
-def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> ComplexKForm:
-    """Basic / type-(n,0) / closedness / normalization clauses for epsilon.
+def _complex_epsilon(epsilon, dim: int, n: int) -> ComplexKForm:
+    """epsilon as a complex form, after the input checks the epsilon clauses
+    need: a form of degree n >= 1 on the algebra. check_ccy and
+    check_r_contact_ccy run them before their first clause, so a wrong degree
+    is an input error whichever clause would fail."""
+    if not isinstance(epsilon, ComplexKForm):
+        epsilon = ComplexKForm.from_real(epsilon)
+    if epsilon.dim != dim or epsilon.degree != n:
+        raise InputError(f"epsilon must be a complex degree-{n} form")
+    if n == 0:  # a 1-dimensional algebra: a 0-form has no interior product
+        raise InputError("contract: cannot contract a degree-0 form")
+    return epsilon
 
-    A real epsilon is taken as a complex form; the checked form is returned.
+
+def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon: ComplexKForm, n, strict_def31) -> None:
+    """Basic / type-(n,0) / closedness / normalization clauses for a complex
+    epsilon of degree n (`_complex_epsilon`).
+
     Over ints: epsilon = (re + i im) / den, and C_k = iota_{X_k} epsilon is
     tabulated once, so iota_v epsilon = sum_k v_k C_k for every v the clauses
     contract with. d(epsilon) is computed once: it is the closedness witness,
     and once iota_R epsilon = 0, Cartan's formula leaves L_R epsilon =
     iota_R d(epsilon).
     """
-    if not isinstance(epsilon, ComplexKForm):
-        epsilon = ComplexKForm.from_real(epsilon)
-    if epsilon.dim != alg.dim or epsilon.degree != n:
-        raise InputError(f"epsilon must be a complex degree-{n} form")
-    if n == 0:  # a 1-dimensional algebra: a 0-form has no interior product
-        raise InputError("contract: cannot contract a degree-0 form")
     dim = alg.dim
     parts, den = linalg.scaled_maps([epsilon.re.terms, epsilon.im.terms])
     cells = [_contractions(terms, dim) for terms in parts]  # cells[part][k] = C_k, over den
@@ -491,14 +477,14 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
     # e^I, I the complement of the pivot coordinates of the Reeb fields.
     c_re, c_im = volume_constant(n)
     scale = factorial(n) if strict_def31 else 1  # kappa^n = n! sum_I Pf(K_II) e^I
-    kmatrix = two_form_matrix(kappa)
+    kcols = _columns(kappa.terms, dim)
     _, pivots = linalg.rref([reeb.coeffs for reeb in reebs])
     index = tuple(k for k in range(1, dim + 1) if k - 1 not in pivots)
-    top = scale * _pfaffian_minor(kmatrix, index)
+    top = scale * _pfaffian_minor(kcols, index)
     lhs, rhs = _wedge_conjugate_at(parts, den, index), (c_re * top, c_im * top)
     if lhs != rhs:
         indices = combinations(range(1, dim + 1), 2 * n)
-        top = KForm(dim, 2 * n, {I: scale * _pfaffian_minor(kmatrix, I) for I in indices})
+        top = KForm(dim, 2 * n, {I: scale * _pfaffian_minor(kcols, I) for I in indices})
         rhs_form = ComplexKForm(c_re * top, c_im * top)
         lhs_form = epsilon.wedge(epsilon.conjugate())
         witness = {
@@ -510,7 +496,6 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31) -> Co
         if ratio is not None:
             witness["ratio_rhs_over_lhs"] = str(ratio)
         raise CCYError("ccy.normalization", "volume normalization fails", witness)
-    return epsilon
 
 
 def check_ccy(
@@ -525,13 +510,13 @@ def check_ccy(
     normalization with constant (-1)^{n(n+1)/2} (2i)^n. The default
     normalization carries the 1/n! factor (the convention under which the
     standard nilpotent examples close up exactly); strict_def31 drops it.
-    Preconditions (calibration, Sasakian) are verified first and raise their
-    own errors.
+    A real epsilon is taken as a complex form; one of the wrong degree is an
+    input error, raised first. Preconditions (calibration, Sasakian) are
+    verified next and raise their own errors.
     """
+    epsilon = _complex_epsilon(epsilon, contact.dim, contact.n)
     sasakian = check_sasakian(contact, J)
-    epsilon = _check_epsilon_clauses(
-        contact.alg, contact.kappa, [contact.reeb], J, epsilon, contact.n, strict_def31
-    )
+    _check_epsilon_clauses(contact.alg, contact.kappa, [contact.reeb], J, epsilon, contact.n, strict_def31)
     return CCYStructure(
         contact=contact,
         J=J,
@@ -604,14 +589,6 @@ class RContactStructure:
     J: Endo
     epsilon: ComplexKForm
 
-    @property
-    def r(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def n(self) -> int:
-        return (self.alg.dim - self.r) // 2
-
 
 def check_r_contact_ccy(
     alg: LieAlgebra, alphas, J: Endo, epsilon, strict_def31: bool = False
@@ -631,6 +608,7 @@ def check_r_contact_ccy(
     if not all(isinstance(a, KForm) and a.dim == alg.dim and a.degree == 1 for a in alphas):
         raise InputError("alpha must be a degree-1 form on the algebra")
     n = (alg.dim - r) // 2
+    epsilon = _complex_epsilon(epsilon, alg.dim, n)
     clauses = []
     try:
         dalpha = alg.d(alphas[0])
@@ -660,7 +638,7 @@ def check_r_contact_ccy(
             if failures:
                 raise NotSasakianError(failures)
             clauses.append(Clause("rccy.sasakian", True))
-        epsilon = _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31)
+        _check_epsilon_clauses(alg, kappa, reebs, J, epsilon, n, strict_def31)
         clauses.append(Clause("rccy.epsilon", True))
     except CheckError as exc:
         clauses.append(Clause(exc.check, False, exc.witness))

@@ -7,19 +7,29 @@ operation. The tests compare the integer-numerator kernels against them
 table for table.
 
 Beside them are the dense contractions of a 3-index table that the sparse
-cells replaced, `contract_first` and `bilinear`, and the curvature operator
-R(X, Y)Z and nabla_{X_i} X_j read off a Connection's dense `gamma` view.
+cells replaced, `contract_first` and `bilinear`, the dense Fraction matrix of
+a 2-form that the sparse columns of `nilgeo.structures` replaced
+(`two_form_matrix`), and the curvature operator R(X, Y)Z and nabla_{X_i} X_j
+read off a Connection's dense `gamma` view.
 """
 
 from fractions import Fraction
 
 from nilgeo import linalg
 from nilgeo.curvature import CurvatureReport, TransverseReport
-from nilgeo.exterior import Vector, covector, two_form_matrix
+from nilgeo.exterior import Vector, covector
 from nilgeo.linalg import axpy, dot, lincomb, matvec
 from nilgeo.structures import induced_metric, xi_basis
 
 _ZERO = Fraction(0)
+
+
+def two_form_matrix(a) -> list[list[Fraction]]:
+    """The antisymmetric matrix M[i][j] = a(X_{i+1}, X_{j+1}) of a 2-form."""
+    m = [[Fraction(0)] * a.dim for _ in range(a.dim)]
+    for (p, q), c in a.terms.items():
+        m[p - 1][q - 1], m[q - 1][p - 1] = c, -c
+    return m
 
 
 def contract_first(table, u) -> list[list]:

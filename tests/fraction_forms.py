@@ -7,6 +7,9 @@ combined term maps. Each pair term of an algebra spec becomes one validated
 monomial KForm, added to the sum of the earlier ones, as `algdsl` parsed
 algebras before it added up term maps. The tests compare `parse_form` and
 `parse_algebra` against them, on valid input.
+
+`serialize_algebra_json` writes any algebra in the JSON notation, the small
+ones too, for the parsers' round-trip tests.
 """
 
 import json
@@ -16,6 +19,15 @@ from fractions import Fraction
 from nilgeo.algdsl import MAX_WEDGE_PAIRS, Gen, Imag, Rat, Sum, Wedge, parse_form_expr
 from nilgeo.errors import InputError
 from nilgeo.exterior import ComplexKForm, KForm, rat
+
+
+def serialize_algebra_json(alg) -> str:
+    d = {}
+    for k, form in enumerate(alg.d1, start=1):
+        if not form.is_zero:
+            d[str(k)] = [[str(c), i, j] for (i, j), c in sorted(form.terms.items())]
+    return json.dumps({"dim": alg.dim, "d": d})
+
 
 _PAIR_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?(\d)(\d)")
 

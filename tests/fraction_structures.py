@@ -13,6 +13,11 @@ Beside them are the dense paths that the sparse ones replaced: the Reeb
 fields from one Fraction `linalg.rref` of the dense system, the Nijenhuis
 table contracted from the dense bracket table and J's dense int matrix, and
 g_J = K J as a product of dense int matrices.
+
+Last come two definitions only the tests use: the Lie derivative of an
+invariant form by Cartan's formula, which the ccy.basic reference reads, and
+the invariant model of the 2-contact Calabi-Yau structure on the product of
+the 3-dimensional Heisenberg nilmanifold with a circle.
 """
 
 from fractions import Fraction
@@ -20,12 +25,12 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 
 from nilgeo import linalg
-from nilgeo.cealg import basis_tuples, d_matrix, lie_derivative
+from nilgeo.cealg import LieAlgebra, basis_tuples, d_matrix
 from nilgeo.classify import MultiPoly, ObstructionVerdict
-from nilgeo.exterior import ComplexKForm, KForm, Vector, contract, covector, two_form_matrix
+from nilgeo.exterior import ComplexKForm, Endo, KForm, Vector, contract, covector
 from nilgeo.structures import check_contact, volume_constant, xi_basis
 
-from .fraction_curvature import contract_first
+from .fraction_curvature import contract_first, two_form_matrix
 
 
 def solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
@@ -257,3 +262,35 @@ def obstruction_filter(alg, alpha) -> ObstructionVerdict:
                     witness = witness + coord * gamma
             return ObstructionVerdict(False, m, str(q), witness, value)
     raise ArithmeticError("nonzero quadratic vanished on the full grid")
+
+
+def lie_derivative(v: Vector, form, alg: LieAlgebra):
+    """Cartan formula L_v = d iota_v + iota_v d for invariant forms, constant v."""
+    if isinstance(form, ComplexKForm):
+        return ComplexKForm(lie_derivative(v, form.re, alg), lie_derivative(v, form.im, alg))
+    if form.degree == 0:
+        return KForm.zero(alg.dim, 0)
+    return alg.d(contract(v, form)) + contract(v, alg.d(form))
+
+
+def kodaira_thurston_data():
+    """Invariant model of the 2-contact Calabi-Yau structure on the product
+    of the 3-dimensional Heisenberg nilmanifold with a circle.
+
+    In the invariant coframe a1..a4 (a3 dual to the center, a4 the circle
+    direction) the two contact forms are 2*a3 and 2*a3 + 2*a4, with equal
+    differentials 2*a1^a2.
+    """
+    alg = LieAlgebra(
+        [
+            KForm.zero(4, 2),
+            KForm.zero(4, 2),
+            KForm.monomial(4, (1, 2)),
+            KForm.zero(4, 2),
+        ]
+    )
+    alpha1 = KForm.monomial(4, (3,), 2)
+    alpha2 = KForm(4, 1, {(3,): Fraction(2), (4,): Fraction(2)})
+    J = Endo.from_pairs(4, [(1, 2)])
+    epsilon = ComplexKForm(KForm.monomial(4, (1,)), KForm.monomial(4, (2,)))
+    return alg, [alpha1, alpha2], J, epsilon

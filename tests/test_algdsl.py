@@ -10,11 +10,12 @@ from nilgeo.algdsl import (
     parse_vector,
     parse_vectors,
     serialize_algebra,
-    serialize_algebra_json,
 )
 from nilgeo.cealg import JacobiError
 from nilgeo.errors import InputError
 from nilgeo.exterior import ComplexKForm, KForm, Vector
+
+from .fraction_forms import serialize_algebra_json
 
 
 def test_parse_heisenberg():

@@ -15,11 +15,12 @@ from nilgeo.cealg import (
     change_of_basis,
     d_matrix,
     is_exact,
-    lie_derivative,
 )
 from nilgeo.errors import InputError
 from nilgeo.exterior import KForm, Vector
 from nilgeo.models import heisenberg_algebra
+
+from .fraction_structures import lie_derivative
 
 
 def naive_rank(matrix):

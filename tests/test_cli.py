@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_readme_commands_each_print_one_report(capsys):
+    # the sh block under "## Command line" in README.md, continuation lines joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(commands) == 11 and all(argv[0] == "nilgeo" for argv in commands)
+    for _, *argv in commands:
+        code, report = run(capsys, *argv)  # one JSON document, or json.loads fails
+        if "--strict-def31" in argv:  # the README example that fails on purpose
+            assert (code, report["checks"][0]["name"]) == (1, "ccy.normalization")
+        else:
+            assert (code, report["status"]) == (0, "pass"), argv
 
 
 def test_check_ccy_reference(capsys):
@@ -114,6 +130,19 @@ def test_betti_dimension_bound_is_input_error(capsys, monkeypatch):
         code, report = run(capsys, "betti", "--algebra", json.dumps({"dim": dim}))
         assert code == 2
         assert report["status"] == "error" and str(cealg.MAX_BETTI_DIM) in report["error"]
+
+
+def test_classify_dimension_bound_is_input_error(capsys, monkeypatch, tmp_path):
+    from nilgeo import classify
+
+    monkeypatch.setattr(classify, "KForm", None)  # the expansion is never entered
+    for dim in (classify.MAX_CLASSIFY_DIM + 2, 41):
+        filiform = {str(k): [["1", 1, k - 1]] for k in range(3, dim + 1)}  # d e^k = e^1 ^ e^(k-1)
+        path = tmp_path / f"filiform{dim}.json"
+        path.write_text(json.dumps([{"name": "filiform", "spec": json.dumps({"dim": dim, "d": filiform})}]))
+        code, report = run(capsys, "classify", "--catalog", f"@{path}")
+        assert code == 2
+        assert report["status"] == "error" and str(classify.MAX_CLASSIFY_DIM) in report["error"]
 
 
 def test_json_algebra_dimension_bound_is_input_error(capsys, monkeypatch):
@@ -403,6 +432,21 @@ def test_complex_or_wrong_degree_alphas_are_input_errors(capsys):
     ) + tuple(
         ("check-rccy", "--algebra", "(0,0,12,0)", "--alphas", alphas, "--J", "pairs:(1,2)", "--epsilon", "e1 + i*e2")
         for alphas in ("2*e3; e1^e2", "2*e3; 2*e3 + 2*i*e4")
+    )
+    # an epsilon of the wrong degree is refused before any clause on J or
+    # epsilon, here before calibrated.J_reeb would fail on pairs:(1,3)
+    h3, wrong = ("--algebra", "(0,0,12)", "--alpha", "2*e3"), ("--J", "pairs:(1,3)", "--epsilon", "e12")
+    family = json.dumps([{"t": "0", "alpha": "2*e3", "J": "pairs:(1,3)", "epsilon": "e12"}])
+    argvs += (
+        ("check-ccy", *h3, *wrong),
+        ("check-ccy", *h3, "--J", "pairs:(1,2)", "--epsilon", "e12"),
+        ("check-rccy", "--algebra", "(0,0,12,0)", "--alphas", "2*e3; 2*e3 + 2*e4", "--J", "pairs:(1,4)",
+         "--epsilon", "e12"),
+        ("legendrian", *h3, *wrong, "--span", "X1"),
+        ("obstruction", *h3, *wrong, "--span", "X1"),
+        ("obstruction", *h3, "--J", "pairs:(1,2)", "--epsilon", "e1 + i*e2", "--span", "X1", "--family", family),
+        ("comass", *h3, *wrong, "--samples", "10"),
+        ("curvature", *h3, *wrong),
     )
     for argv in argvs:
         code, report = run(capsys, *argv)

@@ -17,6 +17,7 @@ from nilgeo.curvature import (
 from nilgeo.errors import InputError
 from nilgeo.exterior import KForm, Metric, Vector
 from nilgeo.models import heisenberg_ccy
+from nilgeo.structures import xi_basis
 
 from . import fraction_curvature as reference
 
@@ -133,7 +134,7 @@ def test_transverse_consistency_identity_value():
     # Ric^T = Ric + 2g on the distribution: -2 + 2*1 = 0 entrywise
     structure = heisenberg_ccy(1)
     full = ricci_scalar(structure.alg, structure.metric)
-    for v in structure.xi_frame():
+    for v in xi_basis(structure.alg, [structure.contact.alpha]):
         ric_vv = sum(
             full.ricci[i][j] * v[i] * v[j] for i in range(3) for j in range(3)
         )

@@ -149,7 +149,7 @@ def test_endo_pairs_and_square():
     j = Endo.from_pairs(4, [(1, 2), (3, 4)])
     assert j.apply(Vector.basis(4, 1)) == Vector.basis(4, 2)
     assert j.apply(Vector.basis(4, 2)) == -Vector.basis(4, 1)
-    assert j.compose(j) == -Endo.identity(4)
+    assert all(j.apply(j.apply(Vector.basis(4, k))) == -Vector.basis(4, k) for k in range(1, 5))
 
 
 def test_metric_positive_definite_on_demand():

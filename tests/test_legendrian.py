@@ -5,6 +5,7 @@ import pytest
 from nilgeo.errors import InputError
 from nilgeo.exterior import Vector
 from nilgeo.legendrian import (
+    FamilySample,
     FamilySpec,
     LegendrianVerdict,
     Subalgebra,
@@ -121,7 +122,7 @@ def test_rotation_family_obstruction():
 
 def test_constant_family_all_zero_classes():
     sub = Subalgebra(CCY1.alg, [Vector.basis(3, 1)])
-    family = FamilySpec.from_structures([(0, CCY1), (1, CCY1), (Q(1, 2), CCY1)])
+    family = FamilySpec(tuple(FamilySample(Q(t), CCY1) for t in (0, 1, Q(1, 2))))
     samples = extension_obstruction(sub, family)
     assert all(s.class_zero for s in samples)
     assert all(s.primitive is not None for s in samples)
@@ -130,12 +131,10 @@ def test_constant_family_all_zero_classes():
 def test_family_requires_t0_and_special_legendrian():
     sub = Subalgebra(CCY1.alg, [Vector.basis(3, 1)])
     with pytest.raises(InputError):
-        extension_obstruction(sub, FamilySpec.from_structures([(1, CCY1)]))
+        extension_obstruction(sub, FamilySpec((FamilySample(Q(1), CCY1),)))
     sub2 = Subalgebra(CCY1.alg, [Vector.basis(3, 2)])
     with pytest.raises(InputError):
-        extension_obstruction(
-            sub2, FamilySpec.from_structures([(0, CCY1)])
-        )
+        extension_obstruction(sub2, FamilySpec((FamilySample(Q(0), CCY1),)))
 
 
 def test_rotation_family_rejects_non_unit_pairs():

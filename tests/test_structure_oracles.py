@@ -22,7 +22,7 @@ from nilgeo.cealg import change_of_basis
 from nilgeo.classify import Catalog, ccy_obstruction_filter, classify_entry, closed_two_forms
 from nilgeo.errors import CheckError
 from nilgeo.exterior import ComplexKForm, Endo, KForm, Metric
-from nilgeo.models import PYTHAGOREAN_ROTATIONS, heisenberg_ccy_data, kodaira_thurston_data
+from nilgeo.models import PYTHAGOREAN_ROTATIONS, heisenberg_ccy_data
 from nilgeo.structures import (
     CCYError,
     NotCalibratedError,
@@ -38,6 +38,7 @@ from nilgeo.structures import (
 )
 
 from . import fraction_structures as reference
+from .fraction_structures import kodaira_thurston_data
 from .test_curvature import transported_data
 from .test_properties import rand_form, rand_unimodular
 
