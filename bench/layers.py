@@ -2,8 +2,8 @@
 classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
-        --workload curvature-sweep=10 --workload ccy-mix=3 --workload rank-sweep=3 \
-        --seconds 30 --out BENCH_16.json
+        --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
+        --seconds 30 --out BENCH_18.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -37,7 +37,13 @@ levi_civita, ricci_scalar and transverse_ricci:
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
   once computing the closed 2-forms on every call and once handed them, as
   `classify` computes them once per entry, with the whole default
-  `classify` run.
+  `classify` run;
+- and start-up: for each subcommand on one small input (STARTUP), the wall
+  time of a fresh `python -m nilgeo.cli` process on a copy of the tree's
+  sources, once compiling them on every start (no .pyc files, as with
+  PYTHONDONTWRITEBYTECODE=1) and once reading the .pyc files a first run
+  wrote; and the `nilgeo` modules the subcommand loads, their source lines,
+  and whether it loads numpy.
 
 A point is the median of REPEATS timed loops, each long enough to take at
 least MIN_LOOP_S and host-speed adjusted as the end-to-end timings are
@@ -69,9 +75,11 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter, perf_counter_ns
@@ -96,6 +104,32 @@ REPEATS = 7
 ROUNDS = 3
 MIN_LOOP_S = 0.02
 WORKLOADS = ("curvature-sweep", "ccy-mix", "rank-sweep")
+H3 = ("--algebra", "(0,0,12)", "--alpha", "2*e3")
+H3_CCY = (*H3, "--J", "pairs:(1,2)", "--epsilon", "e1 + i*e2")
+STARTUP = {
+    "check-contact": H3,
+    "check-sasakian": (*H3, "--J", "pairs:(1,2)"),
+    "check-ccy": H3_CCY,
+    "check-hypo": ("--algebra", "(0,0,0,0,12+34)", "--alpha", "2*e5", "--omega1", "e1^e2 + e3^e4",
+                   "--omega2", "e1^e3 - e2^e4", "--omega3", "e1^e4 + e2^e3"),
+    "check-rccy": ("--algebra", "(0,0,12,0)", "--alphas", "2*e3; 2*e3 + 2*e4", "--J", "pairs:(1,2)",
+                   "--epsilon", "e1 + i*e2"),
+    "betti": ("--algebra", "(0,0,0,0,12+34)"),
+    "curvature": H3_CCY,
+    "legendrian": (*H3_CCY, "--span", "X1"),
+    "obstruction": (*H3_CCY, "--span", "X1"),
+    "moduli-kernel": ("--N", "16"),
+    "comass": (*H3_CCY, "--samples", "1000"),
+    "classify": ("--seed", "0"),
+}
+# prints the nilgeo modules that cli.main(argv) loads, with their files
+LOADED = """import contextlib, io, json, sys
+import nilgeo.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    nilgeo.cli.main(sys.argv[1:])
+names = [name for name in sys.modules if name.split(".")[0] == "nilgeo"]
+print(json.dumps({"files": [sys.modules[name].__file__ for name in names], "numpy": "numpy" in sys.modules}))
+"""
 
 
 def timed_ms(clock: HostClock, fn) -> float:
@@ -158,6 +192,41 @@ def betti_parts(cealg, linalg, alg) -> dict:
     matrices = build()
     return {"build_d_ms": build, "rank_d_ms": lambda: [linalg.rank_sparse(m) for m in matrices],
             "betti_numbers_ms": lambda: cealg.betti_numbers(alg)}
+
+
+def process_ms(clock: HostClock, cmd: list, env: dict) -> float:
+    """Median host-adjusted milliseconds of REPEATS runs of a fresh process."""
+    runs = []
+    for _ in range(REPEATS):
+        clock.probe()
+        start = perf_counter_ns()
+        subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+        end = perf_counter_ns()
+        clock.probe()
+        runs.append((end - start) / 1e6 * clock.factor(start, end))
+    return statistics.median(runs)
+
+
+def startup(tree: Path, clock: HostClock) -> list[dict]:
+    """The start-up rows of the nilgeo under tree/src (see the docstring)."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(tree / "src" / "nilgeo", Path(tmp) / "nilgeo", ignore=shutil.ignore_patterns("__pycache__"))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPATH"] = tmp
+        cold = {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+        for command, argv in STARTUP.items():
+            cmd = [sys.executable, "-m", "nilgeo.cli", command, *argv]
+            loaded = json.loads(subprocess.run([sys.executable, "-c", LOADED, command, *argv], env=cold,
+                                               capture_output=True, text=True, check=True).stdout)
+            lines = sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in loaded["files"])
+            rows.append({"family": "startup", "command": command, "modules": len(loaded["files"]),
+                         "source_lines": lines, "numpy": loaded["numpy"], "cold_ms": process_ms(clock, cmd, cold)})
+        for row in rows:  # every cold run is done: now write the .pyc files, then read them
+            cmd = [sys.executable, "-m", "nilgeo.cli", row["command"], *STARTUP[row["command"]]]
+            subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+            row["pyc_ms"] = process_ms(clock, cmd, env)
+    return rows
 
 
 def slope(points) -> float:
@@ -314,7 +383,7 @@ def measure(tree: Path) -> dict:
             "classify_default_ms": timed_ms(clock, lambda: classify_catalog(Catalog.default(), CLASSIFY_SEED)),
         }
     )
-    return rows
+    return rows + startup(tree, clock)
 
 
 def fastest(rounds) -> dict:
@@ -436,6 +505,7 @@ def main() -> None:
             "metric_seed": METRIC_SEED,
             "classify_seed": CLASSIFY_SEED,
             "random_samples": RANDOM_SAMPLES,
+            "startup": {command: list(argv) for command, argv in STARTUP.items()},
             "repeats": REPEATS,
             "rounds": ROUNDS,
             "statistic": "median host-adjusted ms per call, fastest of the rounds",

@@ -23,39 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .algdsl import parse_algebra, parse_endo, parse_form, parse_vectors
-from .cealg import betti_numbers
-from .classify import MAX_CLASSIFY_SAMPLES, Catalog, classify_catalog
-from .curvature import (
-    NotAlphaEinsteinError,
-    check_alpha_einstein,
-    levi_civita,
-    ricci_scalar,
-    transverse_ricci,
-)
-from .deform import CircleGrid, assemble_operator, kernel_dimension, kernel_is_reeb_line
 from .errors import CheckError, InputError, NilgeoError
-from .exterior import Metric
-from .legendrian import (
-    MAX_COMASS_SAMPLES,
-    FamilySpec,
-    Subalgebra,
-    check_special_legendrian,
-    comass_probe,
-    comass_sample,
-    extension_obstruction,
-)
-from .models import PYTHAGOREAN_ROTATIONS
-from .structures import (
-    NotSasakianError,
-    Verdict,
-    check_ccy,
-    check_contact,
-    check_hypo,
-    check_r_contact_ccy,
-    check_sasakian,
-    induced_metric,
-)
+
+# Each handler imports the layers it runs, so that a process loads only those.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -113,18 +83,21 @@ def _check_error(report: Report, exc: CheckError) -> int:
     return _emit(report)
 
 
-def _not_sasakian(report: Report, exc: NotSasakianError) -> int:
+def _not_sasakian(report: Report, exc) -> int:
     report.add("sasakian", False, failures=list(exc.failures))
     return _emit(report)
 
 
-def _emit_clauses(report: Report, verdict: Verdict) -> int:
+def _emit_clauses(report: Report, verdict) -> int:
     for clause in verdict.clauses:
         report.add(clause.name, clause.ok, **clause.detail)
     return _emit(report)
 
 
 def cmd_check_contact(args) -> int:
+    from .algdsl import parse_algebra, parse_form
+    from .structures import check_contact
+
     alg = parse_algebra(_file_value(args.algebra))
     alpha = parse_form(_file_value(args.alpha), alg.dim)
     report = Report("check-contact", {"algebra": args.algebra, "alpha": args.alpha})
@@ -142,6 +115,9 @@ def cmd_check_contact(args) -> int:
 
 
 def cmd_check_sasakian(args) -> int:
+    from .algdsl import parse_algebra, parse_endo, parse_form
+    from .structures import NotSasakianError, check_contact, check_sasakian
+
     alg = parse_algebra(_file_value(args.algebra))
     alpha = parse_form(_file_value(args.alpha), alg.dim)
     J = parse_endo(_file_value(args.J), alg.dim)
@@ -159,6 +135,8 @@ def cmd_check_sasakian(args) -> int:
 
 
 def cmd_check_ccy(args) -> int:
+    from .algdsl import parse_algebra
+
     alg = parse_algebra(_file_value(args.algebra))
     report = Report(
         "check-ccy",
@@ -184,6 +162,9 @@ def cmd_check_ccy(args) -> int:
 
 
 def cmd_check_hypo(args) -> int:
+    from .algdsl import parse_algebra, parse_form
+    from .structures import check_hypo
+
     alg = parse_algebra(_file_value(args.algebra))
     alpha = parse_form(_file_value(args.alpha), alg.dim)
     omegas = [parse_form(_file_value(getattr(args, f"omega{i}")), alg.dim) for i in (1, 2, 3)]
@@ -201,6 +182,9 @@ def cmd_check_hypo(args) -> int:
 
 
 def cmd_check_rccy(args) -> int:
+    from .algdsl import parse_algebra, parse_endo, parse_form
+    from .structures import check_r_contact_ccy
+
     alg = parse_algebra(_file_value(args.algebra))
     alphas = [parse_form(part, alg.dim) for part in _file_value(args.alphas).split(";") if part.strip()]
     J = parse_endo(_file_value(args.J), alg.dim)
@@ -221,6 +205,9 @@ def cmd_check_rccy(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    from .algdsl import parse_algebra
+    from .cealg import betti_numbers
+
     alg = parse_algebra(_file_value(args.algebra))
     table = betti_numbers(alg)
     report = Report("betti", {"algebra": args.algebra})
@@ -233,8 +220,10 @@ def cmd_betti(args) -> int:
     return _emit(report)
 
 
-def _parse_metric(text: str) -> Metric:
+def _parse_metric(text: str):
     """A --metric value: a JSON list of rows of exact rationals."""
+    from .exterior import Metric
+
     rows = json.loads(text)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("--metric must be a JSON list of rows")
@@ -242,6 +231,10 @@ def _parse_metric(text: str) -> Metric:
 
 
 def cmd_curvature(args) -> int:
+    from .algdsl import parse_algebra, parse_endo, parse_form
+    from .curvature import NotAlphaEinsteinError, check_alpha_einstein, levi_civita, ricci_scalar, transverse_ricci
+    from .structures import NotSasakianError, ccy_epsilon, check_ccy, check_contact, check_sasakian, induced_metric
+
     alg = parse_algebra(_file_value(args.algebra))
     report_inputs = {"algebra": args.algebra}
     report = Report("curvature", report_inputs)
@@ -258,11 +251,11 @@ def cmd_curvature(args) -> int:
     else:
         report_inputs.update({"alpha": args.alpha, "J": args.J})
         J = parse_endo(_file_value(args.J), alg.dim)
+        epsilon = ccy_epsilon(alg, parse_form(_file_value(args.epsilon), alg.dim)) if args.epsilon else None
         try:
             contact = check_contact(alg, alpha)
-            if args.epsilon:
+            if epsilon is not None:
                 report_inputs["epsilon"] = args.epsilon
-                epsilon = parse_form(_file_value(args.epsilon), alg.dim)
                 structure = check_ccy(contact, J, epsilon)
                 g = structure.metric
             else:
@@ -301,13 +294,19 @@ def cmd_curvature(args) -> int:
 
 
 def _build_ccy(args, alg, strict_def31: bool = False):
+    from .algdsl import parse_endo, parse_form
+    from .structures import ccy_epsilon, check_ccy, check_contact
+
     alpha = parse_form(_file_value(args.alpha), alg.dim)
     J = parse_endo(_file_value(args.J), alg.dim)
-    epsilon = parse_form(_file_value(args.epsilon), alg.dim)
+    epsilon = ccy_epsilon(alg, parse_form(_file_value(args.epsilon), alg.dim))
     return check_ccy(check_contact(alg, alpha), J, epsilon, strict_def31)
 
 
 def cmd_legendrian(args) -> int:
+    from .algdsl import parse_algebra, parse_vectors
+    from .legendrian import Subalgebra, check_special_legendrian
+
     alg = parse_algebra(_file_value(args.algebra))
     report = Report(
         "legendrian",
@@ -336,6 +335,10 @@ def cmd_legendrian(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
+    from .algdsl import parse_algebra, parse_vectors
+    from .legendrian import FamilySpec, Subalgebra, extension_obstruction
+    from .models import PYTHAGOREAN_ROTATIONS
+
     alg = parse_algebra(_file_value(args.algebra))
     report = Report(
         "obstruction",
@@ -377,6 +380,8 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_moduli_kernel(args) -> int:
+    from .deform import CircleGrid, assemble_operator, kernel_dimension, kernel_is_reeb_line
+
     report = Report("moduli-kernel", {"N": args.N})
     op = assemble_operator(CircleGrid(args.N))
     dim = kernel_dimension(op)
@@ -391,6 +396,9 @@ def cmd_moduli_kernel(args) -> int:
 
 
 def cmd_comass(args) -> int:
+    from .algdsl import parse_algebra, parse_vectors
+    from .legendrian import MAX_COMASS_SAMPLES, comass_probe, comass_sample
+
     if args.samples < 0 or not (args.samples or args.probe):
         raise InputError("comass needs --samples > 0 or a --probe frame")
     if args.samples > MAX_COMASS_SAMPLES:
@@ -426,6 +434,8 @@ def cmd_comass(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import MAX_CLASSIFY_SAMPLES, Catalog, classify_catalog
+
     if args.samples < 0:
         raise InputError("--samples must be nonnegative")
     if args.samples > MAX_CLASSIFY_SAMPLES:

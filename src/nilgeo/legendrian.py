@@ -13,14 +13,12 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .algdsl import parse_endo, parse_form
 from .cealg import LieAlgebra, is_exact, span_algebra
 from .errors import InputError
 from .exterior import KForm, evaluate, pullback, rat
-from .structures import CCYStructure, _check_epsilon_clauses, check_ccy, check_contact
+from .structures import CCYStructure, _check_epsilon_clauses, ccy_epsilon, check_ccy, check_contact
 
 
 class Subalgebra:
@@ -165,6 +163,8 @@ def comass_sample(ccy: CCYStructure, samples: int, seed: int = 0) -> float:
     the frames. Deterministic given the seed (work is split into fixed-size
     chunks with spawned generators).
     """
+    import numpy as np  # only this sampler needs it
+
     if samples <= 0:
         return 0.0
     n, dim = ccy.n, ccy.dim
@@ -241,7 +241,7 @@ class FamilySpec:
                 t = rat(str(entry["t"]))
                 alpha = parse_form(entry["alpha"], alg.dim)
                 J = parse_endo(entry["J"], alg.dim)
-                epsilon = parse_form(entry["epsilon"], alg.dim)
+                epsilon = ccy_epsilon(alg, parse_form(entry["epsilon"], alg.dim))
                 contact = check_contact(alg, alpha)
                 samples.append(FamilySample(t, check_ccy(contact, J, epsilon)))
         except (TypeError, ValueError, KeyError) as exc:

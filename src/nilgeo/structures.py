@@ -137,11 +137,17 @@ def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
     return [Vector([row.get(dim + j, 0) for row in reduced]) for j in range(len(alphas))]
 
 
+def _contact_n(dim: int) -> int:
+    """n for a contact structure on an algebra of dimension dim = 2n + 1."""
+    if dim % 2 == 0:
+        raise InputError(f"contact structures need odd dimension, got {dim}")
+    return (dim - 1) // 2
+
+
 def _contact_differential(alg: LieAlgebra, alpha: KForm) -> KForm:
     """d alpha, after the input checks that every contact test shares."""
     dim = alg.dim
-    if dim % 2 == 0:
-        raise InputError(f"contact structures need odd dimension, got {dim}")
+    _contact_n(dim)
     if not isinstance(alpha, KForm) or alpha.dim != dim or alpha.degree != 1:
         raise InputError("alpha must be a degree-1 form on the algebra")
     return alg.d(alpha)
@@ -420,6 +426,13 @@ def _complex_epsilon(epsilon, dim: int, n: int) -> ComplexKForm:
     if n == 0:  # a 1-dimensional algebra: a 0-form has no interior product
         raise InputError("contract: cannot contract a degree-0 form")
     return epsilon
+
+
+def ccy_epsilon(alg: LieAlgebra, epsilon) -> ComplexKForm:
+    """epsilon checked as the volume form of a contact structure on alg, for a
+    caller that parses it before check_contact runs: a wrong degree is then an
+    input error even where alpha is not contact."""
+    return _complex_epsilon(epsilon, alg.dim, _contact_n(alg.dim))
 
 
 def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon: ComplexKForm, n, strict_def31) -> None:

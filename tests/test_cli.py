@@ -111,10 +111,10 @@ def test_moduli_kernel_odd_rejected(capsys):
 
 
 def test_moduli_kernel_grid_bound_is_input_error(capsys, monkeypatch):
-    from nilgeo import cli
+    from nilgeo import deform
     from nilgeo.deform import MAX_GRID_N
 
-    monkeypatch.setattr(cli, "assemble_operator", None)  # never reached
+    monkeypatch.setattr(deform, "assemble_operator", None)  # never reached
     for n in (MAX_GRID_N + 2, 10**30):
         code, report = run(capsys, "moduli-kernel", "--N", str(n))
         assert code == 2
@@ -452,6 +452,31 @@ def test_complex_or_wrong_degree_alphas_are_input_errors(capsys):
         code, report = run(capsys, *argv)
         assert code == 2, argv
         assert report["status"] == "error"
+
+
+# alpha = e1 is not contact on H3, but epsilon's degree is checked where it is
+# parsed, before check_contact could report contact.volume
+NON_CONTACT = ("--algebra", "(0,0,12)", "--alpha", "e1", "--J", "pairs:(1,2)", "--epsilon", "e12")
+NON_CONTACT_FAMILY = json.dumps([{"t": "0", "alpha": "e1", "J": "pairs:(1,2)", "epsilon": "e12"}])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-ccy", *NON_CONTACT),
+        ("legendrian", *NON_CONTACT, "--span", "X1"),
+        ("obstruction", *NON_CONTACT, "--span", "X1"),
+        ("comass", *NON_CONTACT, "--samples", "10"),
+        ("curvature", *NON_CONTACT),
+        ("obstruction", "--algebra", "(0,0,12)", "--alpha", "2*e3", "--J", "pairs:(1,2)",
+         "--epsilon", "e1 + i*e2", "--span", "X1", "--family", NON_CONTACT_FAMILY),
+    ],
+    ids=["check-ccy", "legendrian", "obstruction", "comass", "curvature", "obstruction-family"],
+)
+def test_wrong_degree_epsilon_beats_a_non_contact_alpha(capsys, argv):
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report["status"] == "error" and "degree-1" in report["error"]
 
 
 # -- exit-code contract of the check commands (hypothesis) -------------------

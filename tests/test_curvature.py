@@ -471,3 +471,33 @@ def test_sparse_kernels_match_the_reference_on_the_benchmark_shapes(capsys):
         assert transverse_ricci(structure) == reference.transverse_report(structure)
         checks = curvature_checks(capsys, structure_argv(alg, alpha, J, epsilon))
         assert checks == reference_checks(alg, structure.metric, alpha, structure)
+
+
+# A solvable contact Calabi-Yau structure with a nonzero transverse connection:
+# X1 turns (X3, X4) and (X5, X6) opposite ways, so epsilon stays closed. On the
+# Heisenberg algebras the transverse connection is zero in every invariant
+# frame (the transverse algebra is abelian), so there `_preserves` never
+# evaluates a form and parallel_g_J, parallel_d_alpha hold vacuously.
+TURNING_CCY = ("(0,0,14,-13,-16,15,12+34+56)", "2*e7", "pairs:(1,2),(3,4),(5,6)", "(e1+i*e2)^(e3+i*e4)^(e5+i*e6)")
+
+
+def test_curvature_report_evaluates_the_preservation_forms(capsys, monkeypatch):
+    from nilgeo import curvature
+
+    calls = []
+    form = curvature._form
+
+    def counting(*args):
+        calls.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(curvature, "_form", counting)
+    spec, alpha, J, epsilon = TURNING_CCY
+    alg = parse_algebra(spec)
+    data = (alg, parse_form(alpha, alg.dim), parse_endo(J, alg.dim), parse_form(epsilon, alg.dim))
+    for alg, alpha, J, epsilon in (data, transported_data(random.Random(18), *data)):
+        structure = check_ccy(check_contact(alg, alpha), J, epsilon)
+        calls.clear()
+        checks = curvature_checks(capsys, structure_argv(alg, alpha, J, epsilon))
+        assert calls
+        assert checks == reference_checks(alg, structure.metric, alpha, structure)
