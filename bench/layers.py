@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_18.json
+        --seconds 30 --out BENCH_19.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -26,6 +26,20 @@ levi_civita, ricci_scalar and transverse_ricci:
   and parse_form of the epsilon expression (e1+i*e2)^...^(e(2n-1)+i*e(2n));
 - parse_algebra of the Heisenberg algebra in the JSON format, dim 11, 21,
   41, 101, 201, 401 and 801, and check_contact on it with alpha = 2 e_dim;
+- the parsing of a curvature request: `cli._parse_metric` on PARSE_METRICS
+  seeded metric strings per dim 3..7, drawn as curvature-sweep draws its
+  metrics (`perfbench.workloads.positive_metric`, PARSE_SEED), in ms per
+  metric; parse_algebra of the compact specs of the filiform algebras F4..F7
+  and the Heisenberg algebras H3..H9; and one whole in-process `curvature
+  --metric` request on F6 (`cli.main`, its report discarded), in ms per
+  request over the same seeded metrics;
+- the parsing of a curvature request: `cli._parse_metric` on PARSE_METRICS
+  seeded metric strings per dim 3..7, drawn as curvature-sweep draws its
+  metrics (`perfbench.workloads.positive_metric`, PARSE_SEED), in ms per
+  metric; parse_algebra of the compact specs of the filiform algebras F4..F7
+  and the Heisenberg algebras H3..H9; and one whole in-process `curvature
+  --metric` request on F6 (`cli.main`, its report discarded), in ms per
+  request over the same seeded metrics;
 - kernel_dimension of the moduli operator at N = 256, 512, 1024, 2048 and
   4096 (the operator assembled once), and betti_numbers of the Heisenberg
   algebras of dims 7, 9 and 11 and, in one fixed frame each (BETTI_FRAME_SEED,
@@ -69,7 +83,9 @@ measured sources.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -86,7 +102,8 @@ from time import perf_counter, perf_counter_ns
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.hostspeed import HostClock  # noqa: E402
-from perfbench.workloads import BASES, change_basis, compact, unimodular  # noqa: E402
+from perfbench.workloads import BASES, change_basis, compact, filiform, heisenberg, positive_metric  # noqa: E402
+from perfbench.workloads import unimodular  # noqa: E402
 
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
@@ -98,6 +115,11 @@ BETTI_FRAME_SEED = 0
 FRAME_SEED = 16
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
+PARSE_SEED = 19
+PARSE_DIMS = (3, 4, 5, 6, 7)
+PARSE_METRICS = 20
+PARSE_COMPACT = {f"F{m}": filiform(m) for m in (4, 5, 6, 7)}
+PARSE_COMPACT.update({f"H{2 * n + 1}": heisenberg(n) for n in (1, 2, 3, 4)})
 CLASSIFY_SEED = 0
 RANDOM_SAMPLES = 3
 REPEATS = 7
@@ -241,7 +263,7 @@ def measure(tree: Path) -> dict:
     """Time the kernels of the nilgeo under tree/src (run in a fresh process)."""
     sys.path.insert(0, str(tree / "src"))
     from nilgeo.algdsl import parse_algebra, parse_form
-    from nilgeo import cealg, linalg
+    from nilgeo import cealg, cli, linalg
     from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog, closed_two_forms
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension
@@ -342,6 +364,24 @@ def measure(tree: Path) -> dict:
         parse_ms = timed_ms(clock, lambda: parse_algebra(text))
         check_ms = timed_ms(clock, lambda: check_contact(alg, alpha))
         rows.append({"family": "json_heisenberg", "dim": dim, "parse_algebra_ms": parse_ms, "check_contact_ms": check_ms})
+    parse_rng = random.Random(PARSE_SEED)
+    metrics = {dim: [positive_metric(dim, parse_rng) for _ in range(PARSE_METRICS)] for dim in PARSE_DIMS}
+    for dim, texts in metrics.items():
+        ms = timed_ms(clock, lambda: [cli._parse_metric(text) for text in texts]) / len(texts)
+        rows.append({"family": "parse_metric", "dim": dim, "parse_metric_ms": ms})
+    for name, alg in PARSE_COMPACT.items():
+        spec = compact(alg)
+        rows.append({"family": "parse_compact", "algebra": name, "dim": alg[0],
+                     "parse_algebra_ms": timed_ms(clock, lambda: parse_algebra(spec))})
+    argvs = [["curvature", "--algebra", compact(filiform(6)), "--metric", text] for text in metrics[6]]
+
+    def requests():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                cli.main(argv)
+
+    rows.append({"family": "request", "command": "curvature --metric", "algebra": "F6",
+                 "curvature_request_ms": timed_ms(clock, requests) / len(argvs)})
     for n in MODULI_N:
         op = assemble_operator(CircleGrid(n))
         rows.append({"family": "moduli", "dim": n, "kernel_dimension_ms": timed_ms(clock, lambda: kernel_dimension(op))})
@@ -391,10 +431,11 @@ def fastest(rounds) -> dict:
     rows = [{key: min(r[key] for r in point) if "_ms" in key else value for key, value in point[0].items()}
             for point in zip(*rounds)]
     slopes = {}
-    for family in ("heisenberg", "heisenberg_frame", "filiform", "structure", "json_heisenberg", "moduli", "betti"):
+    for family in ("heisenberg", "heisenberg_frame", "filiform", "structure", "json_heisenberg", "moduli", "betti",
+                   "parse_metric"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
-                       "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d"):
+                       "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d", "parse_metric"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -503,6 +544,10 @@ def main() -> None:
             "frame_seed": FRAME_SEED,
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
+            "parse_seed": PARSE_SEED,
+            "parse_dims": list(PARSE_DIMS),
+            "parse_metrics": PARSE_METRICS,
+            "parse_compact": list(PARSE_COMPACT),
             "classify_seed": CLASSIFY_SEED,
             "random_samples": RANDOM_SAMPLES,
             "startup": {command: list(argv) for command, argv in STARTUP.items()},

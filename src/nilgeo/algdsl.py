@@ -24,7 +24,8 @@ than MAX_WEDGE_PAIRS pairs of terms is refused before it is expanded.
 
 Algebras of dimension at most 9 use the compact pair notation; larger ones
 use the JSON format {"dim": n, "d": {"k": [[coef, i, j], ...]}} with
-coefficients as exact strings "p/q".
+coefficients as JSON integers or strings "[-]p[/q]"; `exterior.literal` reads
+every rational literal.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from fractions import Fraction
 
 from .cealg import LieAlgebra
 from .errors import InputError
-from .exterior import ComplexKForm, Endo, KForm, Vector, add_terms, rat, wedge_terms
+from .exterior import ComplexKForm, Endo, KForm, Vector, add_terms, literal, rat, read_json, wedge_terms
 
 
 # ---------------------------------------------------------------------------
 # algebra notation
 # ---------------------------------------------------------------------------
 
-_PAIR_TERM = re.compile(r"^(?:(\d+(?:/\d*[1-9]\d*)?)\*)?([1-9])(\d)$")
+_PAIR_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)\*)?([1-9])([0-9])")
 
 
 def _signed_terms(text: str) -> list[tuple[int, str]]:
@@ -55,40 +56,38 @@ def _signed_terms(text: str) -> list[tuple[int, str]]:
     return [(-1 if sign == "-" else 1, term.strip()) for sign, term in zip(parts[::2], parts[1::2])]
 
 
-def _parse_entry(entry: str, k: int, dim: int) -> dict:
-    """The term map of one compact entry, its repeated pairs added up."""
+def _parse_entry(entry: str, k: int, dim: int):
+    """Yield (k, (i, j), p, q) for each term p/q e^ij of one compact entry."""
     entry = entry.strip()
-    terms: dict[tuple[int, int], Fraction] = {}
     if entry == "0":
-        return terms
+        return
     chunks = _signed_terms(entry)
     if not all(chunk for _, chunk in chunks):
         raise InputError(f"entry {k}: empty term in {entry!r}")
     for sgn, chunk in chunks:
-        m = _PAIR_TERM.match(chunk)
+        m = _PAIR_TERM.fullmatch(chunk)
         if not m:
             raise InputError(f"entry {k}: malformed term {chunk!r}")
-        coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        p, q = literal(m.group(1)) if m.group(1) else (1, 1)
         i, j = int(m.group(2)), int(m.group(3))
         if i >= j:
             raise InputError(f"entry {k}: invalid pair {i}{j} (indices must increase)")
         if j > dim:
             raise InputError(f"entry {k}: index {j} out of range for dimension {dim}")
-        terms[(i, j)] = terms.get((i, j), 0) + sgn * coef
-    return terms
+        yield k, (i, j), sgn * p, q
 
 
 def parse_algebra(text: str) -> LieAlgebra:
     """Parse compact structure-constant notation or the JSON algebra format.
 
-    Each d(e^k) is added up in one term map and becomes one KForm. The
-    elaborated differential is verified to square to zero (Jacobi); a
-    failure raises JacobiError. Non-nilpotent algebras passing Jacobi are
-    accepted; `LieAlgebra.is_nilpotent` tells them apart.
+    Terms are read as ints p/q and each d(e^k) is added up in one int term
+    map over the lcm of the q. The differential is verified to square to
+    zero (Jacobi); a failure raises JacobiError. Non-nilpotent algebras
+    passing Jacobi are accepted; `LieAlgebra.is_nilpotent` tells them apart.
     """
     text = text.strip()
     if text.startswith("{"):
-        dim, d1 = _parse_algebra_json(text)
+        dim, terms = _parse_algebra_json(text)
     else:
         if not (text.startswith("(") and text.endswith(")")):
             raise InputError("algebra spec must be parenthesized, like (0,0,12)")
@@ -98,8 +97,12 @@ def parse_algebra(text: str) -> LieAlgebra:
             raise InputError("empty algebra spec")
         if dim > 9:
             raise InputError("compact notation supports dimension <= 9; use the JSON format")
-        d1 = {k: _parse_entry(e, k, dim) for k, e in enumerate(entries, start=1)}
-    return LieAlgebra([KForm(dim, 2, d1.get(k)) for k in range(1, dim + 1)])
+        terms = [term for k, e in enumerate(entries, start=1) for term in _parse_entry(e, k, dim)]
+    den = math.lcm(*(q for *_, q in terms))
+    d1: list[dict] = [{} for _ in range(dim)]
+    for k, ij, p, q in terms:
+        d1[k - 1][ij] = d1[k - 1].get(ij, 0) + p * (den // q)
+    return LieAlgebra(d1, den)
 
 
 # The largest dimension of a JSON algebra. The goldens and benchmarks reach
@@ -108,34 +111,29 @@ def parse_algebra(text: str) -> LieAlgebra:
 MAX_ALGEBRA_DIM = 1024
 
 
-def _parse_algebra_json(text: str) -> tuple[int, dict[int, dict]]:
-    """(dim, term maps by generator) of the JSON format; dim, the d keys and
-    the pair indices must be JSON integers (`type(x) is int` excludes bool)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad algebra JSON: {exc}") from exc
+def _parse_algebra_json(text: str) -> tuple[int, list]:
+    """(dim, terms as `_parse_entry` yields them) of the JSON format; dim, the
+    d keys and the pair indices must be JSON integers (not bools)."""
+    data, terms = read_json(text, "algebra"), []
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError('algebra JSON needs {"dim": n, "d": {...}}')
     dim, d = data["dim"], data.get("d") or {}
     if type(dim) is not int or not 1 <= dim <= MAX_ALGEBRA_DIM:
         raise InputError(f"algebra JSON: dim must be an integer in 1..{MAX_ALGEBRA_DIM}, got {json.dumps(dim)}")
-    d1: dict[int, dict] = {}
     try:
         for key, entries in d.items():
             if not (key.isascii() and key.isdigit()):
                 raise InputError(f"algebra JSON: generator key {key!r} is not an integer")
-            k = int(key)
+            k = literal(key)[0]
             if not 1 <= k <= dim:
                 raise InputError(f"generator index {k} out of range")
-            terms = d1[k] = {}
             for coef, i, j in entries:
                 if not (type(i) is type(j) is int and 1 <= i < j <= dim):
                     raise InputError(f"invalid pair ({json.dumps(i)},{json.dumps(j)}) in d({k})")
-                terms[(i, j)] = terms.get((i, j), 0) + rat(coef)
+                terms.append((k, (i, j), *literal(coef)))
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra JSON: {exc}") from exc
-    return dim, d1
+    return dim, terms
 
 
 def serialize_algebra(alg: LieAlgebra) -> str:
@@ -183,7 +181,7 @@ class Sum:
     terms: tuple
 
 
-_TOKEN = re.compile(r"\s*(e\d+|\d+|[i+\-*^/()])")
+_TOKEN = re.compile(r"\s*(e[0-9]+|[0-9]+|[i+\-*^/()])")
 
 
 def _tokenize_form(text: str) -> list[str]:
@@ -243,15 +241,15 @@ class _FormParser:
             self.saw_imag = True
             return Imag()
         if tok.startswith("e"):
-            return Gen(int(tok[1:]))
+            return Gen(literal(tok[1:])[0])
         if tok.isdigit():
             if self.peek() == "/":
                 self.take()
                 den = self.take()
-                if not den.isdigit() or not int(den):
+                if not den.isdigit():
                     raise InputError(f"bad rational denominator {den!r}")
-                return Rat(Fraction(int(tok), int(den)))
-            return Rat(Fraction(int(tok)))
+                tok = f"{tok}/{den}"
+            return Rat(rat(tok))
         raise InputError(f"unexpected token {tok!r}")
 
 
@@ -337,7 +335,7 @@ def parse_form(text: str, dim: int):
 # endomorphisms and vectors
 # ---------------------------------------------------------------------------
 
-_PAIRS = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
+_PAIRS = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 
 
 def parse_endo(text: str, dim: int) -> Endo:
@@ -363,35 +361,29 @@ def parse_endo(text: str, dim: int) -> Endo:
                 start = pos + 1
         chunks.append(body[start:])
         for chunk in chunks:
-            m = _PAIRS.match(chunk.strip())
+            m = _PAIRS.fullmatch(chunk.strip())
             if not m:
                 raise InputError(f"bad pair syntax {chunk!r}")
-            pairs.append((int(m.group(1)), int(m.group(2))))
+            pairs.append((literal(m.group(1))[0], literal(m.group(2))[0]))
         return Endo.from_pairs(dim, pairs)
     if text.startswith("matrix:"):
         text = text[len("matrix:") :].strip()
     if text.startswith("["):
-        try:
-            rows = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad matrix JSON: {exc}") from exc
+        rows = read_json(text, "matrix")
         if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
             raise InputError(f"matrix must be {dim}x{dim}")
         return Endo([[rat(x) for x in row] for row in rows])
     raise InputError("endomorphism must be pairs:(a,b),... or matrix:[[...]]")
 
 
-_VEC_TERM = re.compile(r"^(?:(\d+(?:/\d*[1-9]\d*)?)\*)?X(\d+)$")
+_VEC_TERM = re.compile(r"(?:([0-9]+(?:/[0-9]+)?)\*)?X([0-9]+)")
 
 
 def parse_vector(text: str, dim: int) -> Vector:
     """Parse "X1", "X1 + 2*X3", "1/2*X3 - X4", or a JSON coordinate list."""
     text = text.strip()
     if text.startswith("["):
-        try:
-            coords = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad vector JSON: {exc}") from exc
+        coords = read_json(text, "vector")
         if len(coords) != dim:
             raise InputError(f"vector must have {dim} coordinates")
         return Vector([rat(x) for x in coords])
@@ -400,11 +392,11 @@ def parse_vector(text: str, dim: int) -> Vector:
         raise InputError("empty vector expression")
     coeffs = [Fraction(0)] * dim
     for sign, chunk in _signed_terms(body):
-        m = _VEC_TERM.match(chunk)
+        m = _VEC_TERM.fullmatch(chunk)
         if not m:
             raise InputError(f"bad vector term {chunk!r}")
-        coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        idx = int(m.group(2))
+        coef = rat(m.group(1)) if m.group(1) else 1
+        idx = literal(m.group(2))[0]
         if not 1 <= idx <= dim:
             raise InputError(f"vector index X{idx} out of range")
         coeffs[idx - 1] += sign * coef

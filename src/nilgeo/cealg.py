@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from . import linalg
 from .errors import InputError
@@ -41,32 +41,35 @@ class JacobiError(InputError):
 class LieAlgebra:
     """Lie algebra given by the images of degree-1 generators under d.
 
-    `d1[k]` is the degree-2 form d(e^{k+1}). The kernels read two int tables
-    over one denominator den: `d1_ints` is (terms, den), the term maps of d1
-    scaled, as `_mask_terms`, and `brackets` is (cells, den), where
+    d1[k] is d(e^{k+1}): a degree-2 KForm or, with den (the parsers' path),
+    an int term map {(i, j): c} over den, its pairs checked. The kernels read
+    two int tables over one den, in lowest terms: `d1_ints` is (terms, den),
+    the term maps as `_mask_terms`, and `brackets` is (cells, den), where
     cells[i][j] maps k to den times the X_{k+1} component of [X_{i+1},
     X_{j+1}] (0-based), by [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k, for the
     nonzero brackets and components only. Construction verifies on the masks
-    that d on each generator squares to zero. No dense table is stored:
-    `structure_constants` is a Fraction view of the cells, built on first
-    read.
+    that d on each generator squares to zero. No Fraction table is stored:
+    `d1` and `structure_constants` are views, built on first read.
     """
 
-    __slots__ = ("dim", "d1", "d1_ints", "brackets", "_table")
+    __slots__ = ("dim", "d1_ints", "brackets", "_d1", "_table")
 
-    def __init__(self, d1):
+    def __init__(self, d1, den: int = 0):
         d1 = list(d1)
         dim = len(d1)
-        for k, form in enumerate(d1, start=1):
-            if not isinstance(form, KForm) or form.dim != dim or form.degree != 2:
-                raise InputError(f"d(e{k}) must be a degree-2 form on dimension {dim}")
+        if not den:
+            for k, form in enumerate(d1, start=1):
+                if not isinstance(form, KForm) or form.dim != dim or form.degree != 2:
+                    raise InputError(f"d(e{k}) must be a degree-2 form on dimension {dim}")
+            d1, den = linalg.scaled_maps([form.terms for form in d1])
+        d1 = [{ij: c for ij, c in terms.items() if c} for terms in d1]
+        if (g := gcd(den, *(c for terms in d1 for c in terms.values()))) != 1:
+            d1, den = [{ij: c // g for ij, c in terms.items()} for terms in d1], den // g
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "d1", tuple(d1))
-        d1_num, den = linalg.scaled_maps([form.terms for form in d1])
-        masks = _mask_terms(d1_num)
+        masks = _mask_terms(d1)
         object.__setattr__(self, "d1_ints", (tuple(masks), den))
         rows: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
-        for k, terms in enumerate(d1_num):
+        for k, terms in enumerate(d1):
             for (i, j), c in terms.items():
                 rows[i - 1].setdefault(j - 1, {})[k] = -c
                 rows[j - 1].setdefault(i - 1, {})[k] = c
@@ -76,7 +79,7 @@ class LieAlgebra:
             for ab, _, c in terms:
                 add_terms(square, c, _d_monomial(masks, ab))
             if any(square.values()):
-                dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(masks, d1_num[k]).items()})
+                dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(masks, d1[k]).items()})
                 raise JacobiError(f"d(d(e{k + 1})) = {dd} != 0; Jacobi identity fails")
 
     def __setattr__(self, *_):
@@ -85,6 +88,15 @@ class LieAlgebra:
     @classmethod
     def abelian(cls, dim: int) -> LieAlgebra:
         return cls([KForm.zero(dim, 2)] * dim)
+
+    @property
+    def d1(self) -> tuple:
+        """d(e^1), ..., d(e^dim) as KForms, read off `d1_ints`: bits a - 1 and b - 1 of ab are e^ab."""
+        if getattr(self, "_d1", None) is None:
+            masks, den = self.d1_ints
+            forms = ({((ab & -ab).bit_length(), ab.bit_length()): Fraction(c, den) for ab, _, c in t} for t in masks)
+            object.__setattr__(self, "_d1", tuple(KForm(self.dim, 2, terms) for terms in forms))
+        return self._d1
 
     @property
     def structure_constants(self) -> tuple:

@@ -31,7 +31,7 @@ from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
 from .cealg import LieAlgebra, basis_tuples, d_rows
 from .errors import CheckError, InputError
-from .exterior import KForm, _signed_sum, covector, merge_indices
+from .exterior import KForm, _signed_sum, covector, merge_indices, read_json
 from .structures import NotContactError, _contact_differential, _not_contact, check_ccy, check_contact
 
 
@@ -290,10 +290,7 @@ class Catalog:
 
     @classmethod
     def from_json(cls, text: str) -> Catalog:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad catalog JSON: {exc}") from exc
+        data = read_json(text, "catalog")
         try:
             entries = tuple(
                 CatalogEntry(e["name"], e["spec"], e.get("notes", "")) for e in data

@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import traceback
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from .errors import CheckError, InputError, NilgeoError
@@ -220,11 +220,17 @@ def cmd_betti(args) -> int:
     return _emit(report)
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def _parse_metric(text: str):
     """A --metric value: a JSON list of rows of exact rationals."""
-    from .exterior import Metric
+    from .exterior import Metric, read_json
 
-    rows = json.loads(text)
+    rows = read_json(text, "metric")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("--metric must be a JSON list of rows")
     return Metric(rows)
@@ -268,9 +274,10 @@ def cmd_curvature(args) -> int:
             return _check_error(report, exc)
     conn = levi_civita(alg, g)
     curvature = ricci_scalar(alg, g, conn)
+    num, den = curvature.ints
     report.info(
         "curvature",
-        ricci=[[str(x) for x in row] for row in curvature.ricci],
+        ricci=[[_ratio(x, den) for x in row] for row in num],
         scalar=str(curvature.scalar),
     )
     if alpha is not None:
@@ -336,6 +343,7 @@ def cmd_legendrian(args) -> int:
 
 def cmd_obstruction(args) -> int:
     from .algdsl import parse_algebra, parse_vectors
+    from .exterior import rat
     from .legendrian import FamilySpec, Subalgebra, extension_obstruction
     from .models import PYTHAGOREAN_ROTATIONS
 
@@ -365,11 +373,9 @@ def cmd_obstruction(args) -> int:
                 ]
             else:
                 for chunk in spec.split(";"):
-                    try:
-                        t, c, s = (Fraction(x) for x in chunk.split(","))
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise InputError(f"--rotations entry {chunk!r} is not t,cos,sin") from exc
-                    rotations.append((t, c, s))
+                    if len(fields := chunk.split(",")) != 3:
+                        raise InputError(f"--rotations entry {chunk!r} is not t,cos,sin")
+                    rotations.append(tuple(rat(x.strip()) for x in fields))
             family = FamilySpec.rotation(ccy, rotations)
         sub = Subalgebra(alg, parse_vectors(_file_value(args.span), alg.dim))
         samples = extension_obstruction(sub, family)
@@ -566,20 +572,25 @@ def _raised_in(exc: BaseException) -> str:
 
 
 def _run(argv) -> int:
+    limit = sys.get_int_max_str_digits()
     try:
         args = _parser().parse_args(argv)
+        # exterior.literal bounds each int of the input; this lets reports print any size
+        sys.set_int_max_str_digits(0)
         return args.func(args)
     except SystemExit as exc:  # --help and --version print their text
         return EXIT_INPUT if exc.code else EXIT_PASS
     except CheckError as exc:
         _error(exc, check=exc.check, witness=exc.witness, status="fail")
         return EXIT_FAIL
-    except (NilgeoError, json.JSONDecodeError) as exc:
+    except NilgeoError as exc:
         _error(exc)
         return EXIT_INPUT
     except ArithmeticError as exc:
         _error(exc, guard=_raised_in(exc))
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ curvature definition and checked against the Ricci identity.
 The kernels are fraction-free: the algebra, the metric, the Connection and
 the CurvatureReport each store their tables as int numerators over one
 common denominator, the contractions multiply and add ints, and each
-reported entry becomes a Fraction exactly once. Tables are indexed from 0.
+reported entry becomes a Fraction at most once. Tables are indexed from 0.
 The 3-index tables, c, gamma and the transverse table, are sparse cells
 table[i] = {j: {k: v}} holding only the nonzero entries (`LieAlgebra.brackets`
 is the model), and so are the vectors they are contracted with: a contraction
@@ -32,7 +32,7 @@ examples comes out with lambda = -2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -168,19 +168,22 @@ def levi_civita(alg: LieAlgebra, g: Metric) -> Connection:
     return Connection(alg, g, (m, e), num, torsion * cd)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureReport:
     """The Ricci tensor and the scalar curvature. `ints` is (num, den), the
-    Ricci tensor as ints over one denominator, which check_alpha_einstein and
-    transverse_ricci read; a report built from `ricci` alone scales it once."""
+    Ricci tensor as ints over one denominator, read by check_alpha_einstein,
+    transverse_ricci and the report; `ricci` is its view, built on first read."""
 
-    ricci: tuple
+    ints: tuple
     scalar: Fraction
-    ints: tuple = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.ints is None:
-            object.__setattr__(self, "ints", scaled(self.ricci))
+    @cached_property
+    def ricci(self) -> tuple:
+        num, den = self.ints
+        return tuple(tuple(Fraction(x, den) for x in row) for row in num)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CurvatureReport) and (self.ricci, self.scalar) == (other.ricci, other.scalar)
 
 
 def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> CurvatureReport:
@@ -219,10 +222,8 @@ def ricci_scalar(alg: LieAlgebra, g: Metric, conn: Connection | None = None) -> 
             bracket = sum([x * wj[p] for p, x in brackets])
             num[i][j] = num[j][i] = cd * (_dot(row.get(j, {}), trace) - quadratic) + delta * bracket
     den = cd * delta * delta
-    ric = tuple(tuple(Fraction(x, den) for x in row) for row in num)
     m, e = conn.ginv
-    scalar = Fraction(sum(dot(mi, ri) for mi, ri in zip(m, num)), e * den)
-    return CurvatureReport(ricci=ric, scalar=scalar, ints=(num, den))
+    return CurvatureReport((num, den), Fraction(sum(dot(mi, ri) for mi, ri in zip(m, num)), e * den))
 
 
 def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):

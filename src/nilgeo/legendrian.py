@@ -9,7 +9,6 @@ Chevalley-Eilenberg complex.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from . import linalg
 from .algdsl import parse_endo, parse_form
 from .cealg import LieAlgebra, is_exact, span_algebra
 from .errors import InputError
-from .exterior import KForm, evaluate, pullback, rat
+from .exterior import KForm, evaluate, pullback, rat, read_json
 from .structures import CCYStructure, _check_epsilon_clauses, ccy_epsilon, check_ccy, check_contact
 
 
@@ -231,14 +230,11 @@ class FamilySpec:
     @classmethod
     def from_json(cls, alg: LieAlgebra, text: str) -> FamilySpec:
         """Entries {"t": "p/q", "alpha": ..., "J": ..., "epsilon": ...}."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad family JSON: {exc}") from exc
+        data = read_json(text, "family")
         samples = []
         try:
             for entry in data:
-                t = rat(str(entry["t"]))
+                t = rat(entry["t"])
                 alpha = parse_form(entry["alpha"], alg.dim)
                 J = parse_endo(entry["J"], alg.dim)
                 epsilon = ccy_epsilon(alg, parse_form(entry["epsilon"], alg.dim))

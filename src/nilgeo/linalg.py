@@ -192,12 +192,16 @@ def scaled(table) -> tuple[list, int]:
     while flat and isinstance(flat[0], (list, tuple)):
         shape.append(len(flat[0]))
         flat = [x for row in flat for x in row]
-    ratios = [x.as_integer_ratio() for x in flat]
-    den = math.lcm(*(q for _, q in ratios))
-    out = [p * (den // q) for p, q in ratios]
+    out, den = over_lcm([x.as_integer_ratio() for x in flat])
     for size in reversed(shape):
         out = [out[k : k + size] for k in range(0, len(out), size)]
     return out, den
+
+
+def over_lcm(ratios) -> tuple[list[int], int]:
+    """(numerators, den): (p, q) pairs, q > 0, as ints over den, the lcm of the q."""
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
 def lowest(rows, den: int) -> tuple[list[list[int]], int]:

@@ -89,7 +89,7 @@ def ricci_report(alg, g) -> CurvatureReport:
             quadratic = sum((a * b for a, b in pairs if a and b), _ZERO)
             ric[i][j] = ric[j][i] = dot(gamma[i][j], trace) - quadratic
     scalar = sum((dot(ginv[i], ric[i]) for i in range(n)), _ZERO)
-    return CurvatureReport(ricci=tuple(tuple(r) for r in ric), scalar=scalar)
+    return CurvatureReport(linalg.scaled(ric), scalar)
 
 
 def _project(v, cov, reeb):

@@ -708,3 +708,121 @@ def test_closed_stdout_exits_141_without_a_traceback():
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 141
+
+
+# -- literals: one reader, bounded, never a traceback ------------------------
+
+import sys
+import time
+from fractions import Fraction
+
+from nilgeo.cli import _ratio
+from nilgeo.exterior import MAX_LITERAL_DIGITS
+
+# Each argv is valid with "1" in the slot {}; every flag that reads a literal
+# has one, in each of its notations (compact, form, JSON string, JSON number,
+# comma list, pairs, vector term, argparse int).
+H3_FLAGS = ("--algebra=(0,0,12)", "--alpha=2*e3", "--J=pairs:(1,2)", "--epsilon=e1 + i*e2")
+H3_SAMPLE = '"alpha": "2*e3", "J": "pairs:(1,2)", "epsilon": "e1 + i*e2"'
+H3_FAMILY = '--family=[{{"t": 0, %s}}, {{"t": %%s, %s}}]' % (H3_SAMPLE, H3_SAMPLE)  # t = 0 and t = %s
+LITERAL_SLOTS = (
+    ("check-contact", "--algebra=(0,0,{}*12)", "--alpha=2*e3"),
+    ("check-contact", "--algebra=(0,0,12)", "--alpha={}*e3"),
+    ("check-contact", "--algebra=(0,0,12)", "--alpha=e{}"),
+    ("check-contact", '--algebra={{"dim": 3, "d": {{"3": [["{}", 1, 2]]}}}}', "--alpha=e3"),
+    ("check-contact", '--algebra={{"dim": 3, "d": {{"3": [[{}, 1, 2]]}}}}', "--alpha=e3"),
+    ("check-sasakian", "--algebra=(0,0,12)", "--alpha=2*e3", "--J=pairs:({},2)"),
+    ("check-sasakian", "--algebra=(0,0,12)", "--alpha=2*e3", '--J=matrix:[[0,-1,0],["{}",0,0],[0,0,0]]'),
+    ("check-sasakian", "--algebra=(0,0,12)", "--alpha=2*e3", "--J=matrix:[[0,-1,0],[{},0,0],[0,0,0]]"),
+    ("check-ccy", *H3_FLAGS[:3], "--epsilon={}*e1 + i*e2"),
+    ("check-rccy", "--algebra=(0,0,12,0)", "--alphas=2*e3; {}*e3 + 2*e4", "--J=pairs:(1,2)", "--epsilon=e1 + i*e2"),
+    ("check-hypo", "--algebra=(0,0,0,0,12+34)", "--alpha=2*e5", "--omega1={}*e1^e2 + e3^e4",
+     "--omega2=e1^e3 - e2^e4", "--omega3=e1^e4 + e2^e3"),
+    ("betti", "--algebra=(0,0,{}*12)"),
+    ("curvature", "--algebra=(0,0,12)", '--metric=[["{}",0,0],[0,1,0],[0,0,1]]'),
+    ("curvature", "--algebra=(0,0,12)", "--metric=[[{},0,0],[0,1,0],[0,0,1]]"),
+    ("legendrian", *H3_FLAGS, "--span={}*X1"),
+    ("legendrian", *H3_FLAGS, "--span=X{}"),
+    ("legendrian", *H3_FLAGS, '--span=["{}",0,0]'),
+    ("obstruction", *H3_FLAGS, "--span=X1", "--rotations=0,{},0"),
+    ("obstruction", *H3_FLAGS, "--span=X1", "--rotations=0,1,0;{},1,0"),
+    ("obstruction", *H3_FLAGS, "--span=X1", H3_FAMILY % '"{}"'),
+    ("obstruction", *H3_FLAGS, "--span=X1", H3_FAMILY % "{}"),
+    ("comass", *H3_FLAGS, "--samples=0", "--probe={}*X1"),
+    ("comass", *H3_FLAGS, "--samples={}"),
+    ("moduli-kernel", "--N={}6"),
+    ("classify", "--seed={}", "--samples=0"),
+    ("classify", '--catalog=[{{"name": "x", "spec": "(0,0,{}*12)"}}]', "--samples=0"),
+)
+NON_ASCII_DIGITS = "١۳१３²Ⅷ"  # Arabic-Indic, Devanagari, fullwidth, superscript, Roman
+
+literals = st.one_of(
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{0,3})?[eE][+-]?[0-9]{1,7}", fullmatch=True),
+    st.from_regex(r"-?[0-9]{0,3}\.[0-9]{0,3}", fullmatch=True),
+    st.integers(MAX_LITERAL_DIGITS - 5, 6000).map(lambda n: "7" * n),
+    st.sampled_from((" 1", "1 ", " 1/2 ", "\t3", "1\n", "1 /2", "+1", "1_000")),
+    st.tuples(st.from_regex(r"-?[0-9]{0,2}", fullmatch=True), st.sampled_from(NON_ASCII_DIGITS),
+              st.from_regex(r"(/?[0-9]{1,2})?", fullmatch=True)).map("".join),
+)
+
+
+def run_bounded(argv):
+    """Run argv: exit 0, 1 or 2, one JSON document on stdout, nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2) and err.getvalue() == "", argv
+    report = json.loads(out.getvalue())  # exactly one JSON document
+    assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code], argv
+    return code
+
+
+@pytest.mark.parametrize("slots", LITERAL_SLOTS, ids=lambda slots: f"{slots[0]}:{'|'.join(slots[1:])}"[:60])
+def test_literal_slots_accept_one(slots):
+    assert run_bounded([slots[0], *(flag.format("1") for flag in slots[1:])]) in (0, 1)
+
+
+@given(st.sampled_from(LITERAL_SLOTS), literals)
+@example(LITERAL_SLOTS[12], "1e3000000")
+@example(LITERAL_SLOTS[4], "7" * 5000)
+@example(LITERAL_SLOTS[12], "7" * MAX_LITERAL_DIGITS)
+@settings(max_examples=150, deadline=None)
+def test_bad_and_long_literals_keep_the_exit_code_contract(slots, text):
+    run_bounded([slots[0], *(flag.format(text) for flag in slots[1:])])
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--algebra", "(0,0,12)", "--metric", '[["1e3000000",0,0],[0,1,0],[0,0,1]]'],
+    ["check-contact", "--algebra", '{"dim": 3, "d": {"3": [["1e5000", 1, 2]]}}', "--alpha", "e3"],
+    ["obstruction", *H3_CCY, "--span", "X1", "--rotations", "0,1,0;1e5000,1,0"],
+    ["check-contact", "--algebra", "(0,0,12)", "--alpha", "1" * 5000 + "*e3"],
+    ["curvature", "--algebra", "(0,0,12)", "--metric", f"[[{'1' * 5000},0,0],[0,1,0],[0,0,1]]"],
+    ["obstruction", *H3_CCY, "--span", "X1", "--rotations", " 0.5 ,1,0"],
+    ["obstruction", *H3_CCY, "--span", "X1", "--family",
+     '[{"t": 1.5, "alpha": "2*e3", "J": "pairs:(1,2)", "epsilon": "e1 + i*e2"}]'],
+])
+def test_exponent_decimal_and_over_long_literals_exit_2_at_once(argv):
+    start = time.perf_counter()
+    run_input_error(argv)
+    assert time.perf_counter() - start < 1
+
+
+def test_reports_print_exact_values_beyond_the_int_string_bound(capsys):
+    # 45 literals of 100 digits multiply to a 4500-digit coefficient, above the
+    # 4300 digits Python converts to a string by default
+    factor, limit = "9" * MAX_LITERAL_DIGITS, sys.get_int_max_str_digits()
+    code, report = run(capsys, "check-contact", "--algebra", "(0,0,12)", "--alpha", "*".join([factor] * 45) + "*e3")
+    assert code == 0 and sys.get_int_max_str_digits() == limit  # main puts the process's bound back
+    sys.set_int_max_str_digits(0)
+    try:
+        assert report["checks"][0]["kappa"] == f"{Fraction(int(factor) ** 45, 2)}*e12"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+@example(0, 7)
+@example(-6, 3)
+@example(-4, 6)
+def test_ratio_renders_as_fraction_does(p, q):
+    assert _ratio(p, q) == str(Fraction(p, q))

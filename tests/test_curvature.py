@@ -16,6 +16,7 @@ from nilgeo.curvature import (
 )
 from nilgeo.errors import InputError
 from nilgeo.exterior import KForm, Metric, Vector
+from nilgeo.linalg import scaled
 from nilgeo.models import heisenberg_ccy
 from nilgeo.structures import xi_basis
 
@@ -341,7 +342,7 @@ def test_alpha_einstein_matches_the_solve_reference():
                 ric[i][j] = ric[j][i] = ric[i][j] + 1
         else:
             ric = rand_symmetric(rng, n)
-        cases.append((CurvatureReport(ricci=tuple(map(tuple, ric)), scalar=Q(0)), g, alpha))
+        cases.append((CurvatureReport(scaled(ric), Q(0)), g, alpha))
     verdicts = []
     for report, g, alpha in cases:
         expected = reference.alpha_einstein(report, g, alpha)

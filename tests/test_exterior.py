@@ -193,3 +193,64 @@ def test_wedge_mixed_real_complex():
     out = wedge(real, eps)
     assert out.re == KForm.monomial(3, (1, 3), -1)
     assert out.im == KForm.monomial(3, (2, 3), -1)
+
+
+# -- the literal reader --------------------------------------------------------
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nilgeo import linalg
+from nilgeo.exterior import MAX_LITERAL_DIGITS, literal, read_json
+
+
+@given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+@example("-0")
+@example("0/7")
+@example("-12/08")
+@example("3/0")
+@settings(max_examples=300, deadline=None)
+def test_literal_agrees_with_fraction_on_p_q_strings(text):
+    try:
+        expected = Q(text).as_integer_ratio()
+    except ZeroDivisionError:
+        with pytest.raises(InputError):
+            literal(text)
+    else:
+        assert literal(text) == expected
+
+
+@pytest.mark.parametrize("x", [
+    "1e5", "1E-2", "0.5", ".5", "5.", "+1", " 1", "1 ", "1_000", "", "-", "1/", "/2", "1/-2", "--1",
+    "١", "1/٢", "３", "²", 1.5, True, None, [1],
+    "9" * (MAX_LITERAL_DIGITS + 1), "-" + "9" * (MAX_LITERAL_DIGITS + 1), "1/" + "9" * (MAX_LITERAL_DIGITS + 1),
+])
+def test_literal_refuses_everything_but_ints_fractions_and_bounded_p_q_strings(x):
+    with pytest.raises(InputError):
+        literal(x)
+
+
+def test_literals_at_the_digit_bound_and_json_integers_beyond_it():
+    most = "9" * MAX_LITERAL_DIGITS
+    assert literal(f"-{most}/{most}") == (-1, 1) and literal(Q(-2, 4)) == (-1, 2)
+    assert read_json(f"[{most}, -{most}]", "test") == [int(most), -int(most)]
+    for digits in (MAX_LITERAL_DIGITS + 1, 5000):  # 5000 is past what json.loads itself converts
+        with pytest.raises(InputError):
+            read_json(f'{{"x": [1, {"9" * digits}]}}', "test")
+
+
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), min_size=1, max_size=36), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_metric_from_literals_matches_the_fraction_metric(entries, rng):
+    # symmetric n x n matrices of p/q, spelled as JSON ints, "p/q" strings
+    # (not in lowest terms) and Fractions, against linalg.scaled of the Fractions
+    n = max(k for k in range(1, 7) if k * (k + 1) // 2 <= len(entries))
+    upper = iter(entries)
+    values = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            values[i][j] = values[j][i] = next(upper)
+    spelled = [[rng.choice((f"{p}/{q}", Q(p, q), p if q == 1 else f"{2 * p}/{2 * q}")) for p, q in row]
+               for row in values]
+    g = Metric(spelled)
+    assert (g.num, g.den) == linalg.scaled([[Q(p, q) for p, q in row] for row in values])

@@ -5,8 +5,9 @@
 columns against the dense contraction; the calibration's g_J against the
 dense product K J; `xi_basis` against `linalg.nullspace`; and `parse_form`
 (term maps over one denominator) against the ComplexKForm elaboration of
-`fraction_forms`, on hypothesis-generated expressions. The term-map
-`parse_algebra` against the per-monomial KForm sums of `fraction_forms`,
+`fraction_forms`, on hypothesis-generated expressions. The int term-map
+`parse_algebra` against the per-monomial KForm sums of `fraction_forms` and
+the tables `LieAlgebra` builds from them,
 and the bracket, nilpotency and Riemann paths over the sparse bracket cells
 against the dense Fraction table read off those sums.
 """
@@ -276,9 +277,16 @@ def test_term_map_parse_matches_the_per_monomial_reference():
     for alg in oracle_algebras(rng):
         spec = serialize_algebra(alg)
         texts += [spec, serialize_algebra_json(alg), *respelled(rng, spec)]
+    for spec in NILPOTENT_SPECS * 2:  # sheared by integer frames, as the rank benchmark draws its algebras
+        alg = parse_algebra(spec)
+        texts.append(serialize_algebra(change_of_basis(alg, [list(c) for c in zip(*rand_unimodular(rng, alg.dim))])))
     for text in texts:
         alg, d1 = parse_algebra(text), fraction_forms.algebra_d1(text)
         assert alg.d1 == tuple(d1), text
+        # the parser's int term maps give the tables LieAlgebra builds from the KForms
+        built = LieAlgebra(d1)
+        assert alg.brackets == built.brackets and alg.d1_ints[1] == built.d1_ints[1], text
+        assert [sorted(terms) for terms in alg.d1_ints[0]] == [sorted(terms) for terms in built.d1_ints[0]], text
         table = dense_table(d1)
         assert alg.structure_constants == tuple(tuple(tuple(cell) for cell in row) for row in table)
         cells, den = alg.brackets
