@@ -572,11 +572,11 @@ def _raised_in(exc: BaseException) -> str:
 
 
 def _run(argv) -> int:
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no bound, before Python 3.10.7
     try:
         args = _parser().parse_args(argv)
-        # exterior.literal bounds each int of the input; this lets reports print any size
-        sys.set_int_max_str_digits(0)
+        if limit:  # exterior.literal bounds each int of the input, so reports may print any size
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except SystemExit as exc:  # --help and --version print their text
         return EXIT_INPUT if exc.code else EXIT_PASS
@@ -590,7 +590,8 @@ def _run(argv) -> int:
         _error(exc, guard=_raised_in(exc))
         return EXIT_INTERNAL
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:
