@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_19.json
+        --seconds 30 --out BENCH_20.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -33,13 +33,15 @@ levi_civita, ricci_scalar and transverse_ricci:
   and the Heisenberg algebras H3..H9; and one whole in-process `curvature
   --metric` request on F6 (`cli.main`, its report discarded), in ms per
   request over the same seeded metrics;
-- the parsing of a curvature request: `cli._parse_metric` on PARSE_METRICS
-  seeded metric strings per dim 3..7, drawn as curvature-sweep draws its
-  metrics (`perfbench.workloads.positive_metric`, PARSE_SEED), in ms per
-  metric; parse_algebra of the compact specs of the filiform algebras F4..F7
-  and the Heisenberg algebras H3..H9; and one whole in-process `curvature
-  --metric` request on F6 (`cli.main`, its report discarded), in ms per
-  request over the same seeded metrics;
+- the stages of a check-ccy request as ccy-mix sends it (`perfbench.workloads
+  .ccy_flags`, epsilon rotated by CCY_ROTATION), n = 1..3: argparse, the
+  parse of the algebra, of alpha, of J and of epsilon, check_contact,
+  check_ccy, the report (built from its strings and written by
+  `Report.to_json`), and the whole in-process request (`cli.main`, its
+  report discarded);
+- the special Legendrian check of a `legendrian` request on the same
+  structures, dims 3, 5 and 7, span X1;X3;...: `Subalgebra` on the parsed
+  span and `check_special_legendrian`, and the whole request;
 - kernel_dimension of the moduli operator at N = 256, 512, 1024, 2048 and
   4096 (the operator assembled once), and betti_numbers of the Heisenberg
   algebras of dims 7, 9 and 11 and, in one fixed frame each (BETTI_FRAME_SEED,
@@ -103,7 +105,7 @@ from time import perf_counter, perf_counter_ns
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.hostspeed import HostClock  # noqa: E402
 from perfbench.workloads import BASES, change_basis, compact, filiform, heisenberg, positive_metric  # noqa: E402
-from perfbench.workloads import unimodular  # noqa: E402
+from perfbench.workloads import ccy_flags, legendrian_span, unimodular  # noqa: E402
 
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
@@ -120,6 +122,8 @@ PARSE_DIMS = (3, 4, 5, 6, 7)
 PARSE_METRICS = 20
 PARSE_COMPACT = {f"F{m}": filiform(m) for m in (4, 5, 6, 7)}
 PARSE_COMPACT.update({f"H{2 * n + 1}": heisenberg(n) for n in (1, 2, 3, 4)})
+CCY_N = (1, 2, 3)
+CCY_ROTATION = (3, 4, 5)
 CLASSIFY_SEED = 0
 RANDOM_SAMPLES = 3
 REPEATS = 7
@@ -382,6 +386,7 @@ def measure(tree: Path) -> dict:
 
     rows.append({"family": "request", "command": "curvature --metric", "algebra": "F6",
                  "curvature_request_ms": timed_ms(clock, requests) / len(argvs)})
+    rows += ccy_requests(clock)
     for n in MODULI_N:
         op = assemble_operator(CircleGrid(n))
         rows.append({"family": "moduli", "dim": n, "kernel_dimension_ms": timed_ms(clock, lambda: kernel_dimension(op))})
@@ -426,16 +431,70 @@ def measure(tree: Path) -> dict:
     return rows + startup(tree, clock)
 
 
+def ccy_requests(clock: HostClock) -> list[dict]:
+    """The stage rows of check-ccy and legendrian requests (see the docstring)."""
+    from nilgeo import cli
+    from nilgeo.algdsl import parse_algebra, parse_endo, parse_form, parse_vectors
+    from nilgeo.legendrian import Subalgebra, check_special_legendrian
+    from nilgeo.structures import ccy_epsilon, check_ccy, check_contact
+
+    def whole(argv):
+        def request():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+        return request
+
+    rows = []
+    for n in CCY_N:
+        argv = ["check-ccy", *ccy_flags(n, rotation=CCY_ROTATION)]
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        alg = parse_algebra(flags["--algebra"])
+        alpha, J = parse_form(flags["--alpha"], alg.dim), parse_endo(flags["--J"], alg.dim)
+        epsilon = ccy_epsilon(alg, parse_form(flags["--epsilon"], alg.dim))
+        contact = check_contact(alg, alpha)
+        structure = check_ccy(contact, J, epsilon)
+        reeb, metric = str(structure.contact.reeb), [[str(x) for x in row] for row in structure.metric.matrix]
+
+        def report():
+            out = cli.Report("check-ccy", {**{k[2:]: v for k, v in flags.items()}, "strict_def31": False})
+            out.add("ccy", True, reeb=reeb, metric=metric)
+            return out.to_json()
+
+        rows.append({
+            "family": "ccy_request", "n": n, "dim": alg.dim,
+            "argparse_ms": timed_ms(clock, lambda: cli._parser().parse_args(argv)),
+            "parse_algebra_ms": timed_ms(clock, lambda: parse_algebra(flags["--algebra"])),
+            "parse_alpha_ms": timed_ms(clock, lambda: parse_form(flags["--alpha"], alg.dim)),
+            "parse_J_ms": timed_ms(clock, lambda: parse_endo(flags["--J"], alg.dim)),
+            "parse_epsilon_ms": timed_ms(clock, lambda: ccy_epsilon(alg, parse_form(flags["--epsilon"], alg.dim))),
+            "check_contact_ms": timed_ms(clock, lambda: check_contact(alg, alpha)),
+            "check_ccy_ms": timed_ms(clock, lambda: check_ccy(contact, J, epsilon)),
+            "report_ms": timed_ms(clock, report),
+            "request_ms": timed_ms(clock, whole(argv)),
+        })
+        span = legendrian_span(n)
+        sub = Subalgebra(alg, parse_vectors(span, alg.dim))
+        rows.append({
+            "family": "legendrian", "n": n, "dim": alg.dim, "span": span,
+            "subalgebra_ms": timed_ms(clock, lambda: Subalgebra(alg, parse_vectors(span, alg.dim))),
+            "special_legendrian_ms": timed_ms(clock, lambda: check_special_legendrian(sub, structure)),
+            "request_ms": timed_ms(clock, whole(["legendrian", *ccy_flags(n), "--span", span])),
+        })
+    return rows
+
+
 def fastest(rounds) -> dict:
     """Each point's fastest timing over the rounds, and the slopes of those."""
     rows = [{key: min(r[key] for r in point) if "_ms" in key else value for key, value in point[0].items()}
             for point in zip(*rounds)]
     slopes = {}
     for family in ("heisenberg", "heisenberg_frame", "filiform", "structure", "json_heisenberg", "moduli", "betti",
-                   "parse_metric"):
+                   "parse_metric", "ccy_request", "legendrian"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
-                       "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d", "parse_metric"):
+                       "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d", "parse_metric",
+                       "argparse", "parse_alpha", "parse_J", "report", "request", "subalgebra",
+                       "special_legendrian"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -548,6 +607,8 @@ def main() -> None:
             "parse_dims": list(PARSE_DIMS),
             "parse_metrics": PARSE_METRICS,
             "parse_compact": list(PARSE_COMPACT),
+            "ccy_n": list(CCY_N),
+            "ccy_rotation": list(CCY_ROTATION),
             "classify_seed": CLASSIFY_SEED,
             "random_samples": RANDOM_SAMPLES,
             "startup": {command: list(argv) for command, argv in STARTUP.items()},

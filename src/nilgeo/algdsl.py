@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .cealg import LieAlgebra
 from .errors import InputError
-from .exterior import ComplexKForm, Endo, KForm, Vector, add_terms, literal, rat, read_json, wedge_terms
+from .exterior import ComplexKForm, Endo, KForm, Vector, add_terms, literal, read_json, wedge_terms
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,12 @@ class Gen:
 
 @dataclass(frozen=True)
 class Rat:
-    value: Fraction
+    p: int
+    q: int  # > 0, in lowest terms
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ class _FormParser:
                 if not den.isdigit():
                     raise InputError(f"bad rational denominator {den!r}")
                 tok = f"{tok}/{den}"
-            return Rat(rat(tok))
+            return Rat(*literal(tok))
         raise InputError(f"unexpected token {tok!r}")
 
 
@@ -285,8 +290,7 @@ def _elaborate(node, dim: int) -> tuple[int, dict, dict, int]:
             return len(digits), {digits: 1}, {}, 1
         raise InputError(f"generator e{node.index} out of range for dimension {dim}")
     if isinstance(node, Rat):
-        p, q = node.value.as_integer_ratio()
-        return 0, {(): p} if p else {}, {}, q
+        return 0, {(): node.p} if node.p else {}, {}, node.q
     if isinstance(node, Imag):
         return 0, {}, {(): 1}, 1
     if isinstance(node, Wedge):
@@ -323,7 +327,7 @@ def parse_form(text: str, dim: int):
     """Elaborate a form expression; the presence of "i" yields a ComplexKForm."""
     tree, saw_imag = parse_form_expr(text)
     degree, re, im, den = _elaborate(tree, dim)
-    re, im = (KForm(dim, degree, {key: Fraction(c, den) for key, c in terms.items()}) for terms in (re, im))
+    re, im = KForm._of(dim, degree, re, den), KForm._of(dim, degree, im, den)
     if saw_imag:
         return ComplexKForm(re, im)
     if not im.is_zero:
@@ -372,7 +376,7 @@ def parse_endo(text: str, dim: int) -> Endo:
         rows = read_json(text, "matrix")
         if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
             raise InputError(f"matrix must be {dim}x{dim}")
-        return Endo([[rat(x) for x in row] for row in rows])
+        return Endo(rows)
     raise InputError("endomorphism must be pairs:(a,b),... or matrix:[[...]]")
 
 
@@ -386,21 +390,24 @@ def parse_vector(text: str, dim: int) -> Vector:
         coords = read_json(text, "vector")
         if len(coords) != dim:
             raise InputError(f"vector must have {dim} coordinates")
-        return Vector([rat(x) for x in coords])
+        return Vector(coords)
     body = text.replace(" ", "")
     if not body:
         raise InputError("empty vector expression")
-    coeffs = [Fraction(0)] * dim
+    terms = []
     for sign, chunk in _signed_terms(body):
         m = _VEC_TERM.fullmatch(chunk)
         if not m:
             raise InputError(f"bad vector term {chunk!r}")
-        coef = rat(m.group(1)) if m.group(1) else 1
+        p, q = literal(m.group(1)) if m.group(1) else (1, 1)
         idx = literal(m.group(2))[0]
         if not 1 <= idx <= dim:
             raise InputError(f"vector index X{idx} out of range")
-        coeffs[idx - 1] += sign * coef
-    return Vector(coeffs)
+        terms.append((idx - 1, sign * p, q))
+    den, nums = math.lcm(*(q for *_, q in terms)), [0] * dim
+    for k, p, q in terms:
+        nums[k] += p * (den // q)
+    return Vector._of(nums, den)
 
 
 def parse_vectors(text: str, dim: int) -> list[Vector]:

@@ -26,12 +26,11 @@ from math import comb, gcd
 
 from . import linalg
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, Vector, add_terms
+from .exterior import ComplexKForm, KForm, Vector, add_terms, common_den
 
 # Largest algebra dimension betti_numbers accepts: Lambda^5 and Lambda^6 of
 # dimension 11 have 462 monomials each, and the whole complex 2^11.
 MAX_BETTI_DIM = 11
-_ZERO = Fraction(0)
 
 
 class JacobiError(InputError):
@@ -61,7 +60,7 @@ class LieAlgebra:
             for k, form in enumerate(d1, start=1):
                 if not isinstance(form, KForm) or form.dim != dim or form.degree != 2:
                     raise InputError(f"d(e{k}) must be a degree-2 form on dimension {dim}")
-            d1, den = linalg.scaled_maps([form.terms for form in d1])
+            d1, den = common_den(d1)
         d1 = [{ij: c for ij, c in terms.items() if c} for terms in d1]
         if (g := gcd(den, *(c for terms in d1 for c in terms.values()))) != 1:
             d1, den = [{ij: c // g for ij, c in terms.items()} for terms in d1], den // g
@@ -79,7 +78,7 @@ class LieAlgebra:
             for ab, _, c in terms:
                 add_terms(square, c, _d_monomial(masks, ab))
             if any(square.values()):
-                dd = KForm(dim, 3, {idx: Fraction(c, den * den) for idx, c in d_terms(masks, d1[k]).items()})
+                dd = KForm._of(dim, 3, d_terms(masks, d1[k]), den * den)
                 raise JacobiError(f"d(d(e{k + 1})) = {dd} != 0; Jacobi identity fails")
 
     def __setattr__(self, *_):
@@ -94,8 +93,8 @@ class LieAlgebra:
         """d(e^1), ..., d(e^dim) as KForms, read off `d1_ints`: bits a - 1 and b - 1 of ab are e^ab."""
         if getattr(self, "_d1", None) is None:
             masks, den = self.d1_ints
-            forms = ({((ab & -ab).bit_length(), ab.bit_length()): Fraction(c, den) for ab, _, c in t} for t in masks)
-            object.__setattr__(self, "_d1", tuple(KForm(self.dim, 2, terms) for terms in forms))
+            forms = ({((ab & -ab).bit_length(), ab.bit_length()): c for ab, _, c in t} for t in masks)
+            object.__setattr__(self, "_d1", tuple(KForm._of(self.dim, 2, terms, den) for terms in forms))
         return self._d1
 
     @property
@@ -113,8 +112,8 @@ class LieAlgebra:
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         cells, den = self.brackets
-        out = bracket_terms(cells, dict(enumerate(u.coeffs)), dict(enumerate(v.coeffs)))
-        return Vector([out.get(k, _ZERO) / den for k in range(self.dim)])
+        out = bracket_terms(cells, dict(enumerate(u.nums)), dict(enumerate(v.nums)))
+        return Vector._of([out.get(k, 0) for k in range(self.dim)], den * u.den * v.den)
 
     def d(self, form):
         """Chevalley-Eilenberg differential, extended as a graded derivation."""
@@ -123,8 +122,7 @@ class LieAlgebra:
         if form.dim != self.dim:
             raise InputError("ce differential: dimension mismatch")
         masks, den = self.d1_ints
-        terms = d_terms(masks, form.terms)
-        return KForm(self.dim, form.degree + 1, {idx: v / den for idx, v in terms.items()} if den != 1 else terms)
+        return KForm._of(self.dim, form.degree + 1, d_terms(masks, form.nums), den * form.den)
 
     def is_nilpotent(self) -> bool:
         """Lower central series terminates at zero: g^(k+1) is spanned by the
@@ -139,7 +137,7 @@ class LieAlgebra:
         return False
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieAlgebra) and self.d1 == other.d1
+        return self is other or isinstance(other, LieAlgebra) and self.d1 == other.d1
 
     __hash__ = None
 
@@ -305,23 +303,26 @@ def span_algebra(alg: LieAlgebra, vectors) -> LieAlgebra | None:
     One sparse elimination of the matrix whose columns are the v_i, with
     every bracket [v_i, v_j], i < j, read off the cells, appended as a
     right-hand side; pivots past column m are brackets outside the span.
-    Raises ValueError when the vectors are dependent.
+    Raises ValueError when the vectors are dependent. Over ints: v_i = w_i / vd
+    and the cells over den, so [v_i, v_j] = sum_p x_p v_p / (den vd) for W x =
+    den [w_i, w_j], read off the fraction-free reduced rows over xd.
     """
     (cells, den), m = alg.brackets, len(vectors)
-    sparse = [{r: x for r, x in enumerate(v.coeffs) if x} for v in vectors]
+    nums, vd = common_den(vectors)
+    sparse = [{r: x for r, x in enumerate(v) if x} for v in nums]
     pairs = list(combinations(range(1, m + 1), 2))
     rows: list[dict] = [{} for _ in range(alg.dim)]
     for col, v in enumerate(sparse + [bracket_terms(cells, sparse[i - 1], sparse[j - 1]) for i, j in pairs]):
         for r, x in v.items():
             rows[r][col] = x
-    reduced, pivots = linalg._rref_sparse(rows)
+    reduced, pivots, xd = linalg.rref_ints(rows)
     if pivots[:m] != list(range(m)):
         raise ValueError("matrix is singular")
     if len(pivots) > m:
         return None
     # [f_i, f_j] = sum_p c^p_ij f_p, so d f^p = -sum_{i<j} c^p_ij f^ij
-    d1 = [{ij: Fraction(-c, den) for col, ij in enumerate(pairs, m) if (c := row.get(col))} for row in reduced]
-    return LieAlgebra([KForm(m, 2, terms) for terms in d1])
+    d1 = [{ij: -c for col, ij in enumerate(pairs, m) if (c := row.get(col))} for row in reduced]
+    return LieAlgebra(d1, den * vd * xd)
 
 
 def change_of_basis(alg: LieAlgebra, p_columns) -> LieAlgebra:

@@ -31,7 +31,7 @@ from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
 from .cealg import LieAlgebra, basis_tuples, d_rows
 from .errors import CheckError, InputError
-from .exterior import KForm, _signed_sum, covector, merge_indices, read_json
+from .exterior import KForm, _signed_sum, covectors, merge_indices, read_json
 from .structures import NotContactError, _contact_differential, _not_contact, check_ccy, check_contact
 
 
@@ -206,8 +206,8 @@ def ccy_obstruction_filter(
         raise InputError(f"the obstruction filter is defined in dimension 5 only, got {dim}")
     dalpha = _contact_differential(alg, alpha)
     two_forms = basis_tuples(dim, 2)
-    da, _ = linalg.scaled([dalpha.coefficient(idx) for idx in two_forms])
-    cov, ad = linalg.scaled(covector(alpha))
+    da = [dalpha.nums.get(idx, 0) for idx in two_forms]
+    (cov,), ad = covectors([alpha])
     table = _wedge_table()
     # alpha ^ d alpha ^ d alpha, in units of a positive multiple of e^12345
     if not sum(sign * cov[t] * da[x] * da[y] for x, y, t, _, sign in table if cov[t]):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import traceback
@@ -32,6 +31,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_CLOSED = 141
+
+_quote = json.encoder.encode_basestring_ascii  # the C encoder where CPython has it
 
 
 @dataclass
@@ -60,7 +61,29 @@ class Report:
             "checks": self.checks,
             "status": self.status,
         }
-        return json.dumps(payload, indent=2)
+        return _dumps(payload)
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the JSON of a report:
+    dicts with str keys, lists and tuples, str, int, float, bool and None.
+    json.dumps takes its pure-Python path whenever it indents."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_dumps(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _file_value(value: str) -> str:
@@ -136,6 +159,7 @@ def cmd_check_sasakian(args) -> int:
 
 def cmd_check_ccy(args) -> int:
     from .algdsl import parse_algebra
+    from .exterior import ratio
 
     alg = parse_algebra(_file_value(args.algebra))
     report = Report(
@@ -156,7 +180,7 @@ def cmd_check_ccy(args) -> int:
         "ccy",
         True,
         reeb=str(structure.contact.reeb),
-        metric=[[str(x) for x in row] for row in structure.metric.matrix],
+        metric=[[ratio(x, structure.metric.den) for x in row] for row in structure.metric.num],
     )
     return _emit(report)
 
@@ -220,12 +244,6 @@ def cmd_betti(args) -> int:
     return _emit(report)
 
 
-def _ratio(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
-    g = math.gcd(p, q)
-    return str(p // g) if g == q else f"{p // g}/{q // g}"
-
-
 def _parse_metric(text: str):
     """A --metric value: a JSON list of rows of exact rationals."""
     from .exterior import Metric, read_json
@@ -239,6 +257,7 @@ def _parse_metric(text: str):
 def cmd_curvature(args) -> int:
     from .algdsl import parse_algebra, parse_endo, parse_form
     from .curvature import NotAlphaEinsteinError, check_alpha_einstein, levi_civita, ricci_scalar, transverse_ricci
+    from .exterior import ratio
     from .structures import NotSasakianError, ccy_epsilon, check_ccy, check_contact, check_sasakian, induced_metric
 
     alg = parse_algebra(_file_value(args.algebra))
@@ -277,7 +296,7 @@ def cmd_curvature(args) -> int:
     num, den = curvature.ints
     report.info(
         "curvature",
-        ricci=[[_ratio(x, den) for x in row] for row in num],
+        ricci=[[ratio(x, den) for x in row] for row in num],
         scalar=str(curvature.scalar),
     )
     if alpha is not None:
@@ -559,7 +578,7 @@ _parser = functools.cache(build_parser)  # built on first use, not at import
 
 
 def _error(exc: Exception, status: str = "error", **fields) -> None:
-    print(json.dumps({"tool": "nilgeo", "error": str(exc), **fields, "status": status}, indent=2))
+    print(_dumps({"tool": "nilgeo", "error": str(exc), **fields, "status": status}))
 
 
 def _raised_in(exc: BaseException) -> str:

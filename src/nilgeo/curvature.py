@@ -40,8 +40,8 @@ from itertools import combinations
 from . import linalg
 from .cealg import LieAlgebra, bracket_terms
 from .errors import CheckError, InputError
-from .exterior import KForm, Metric, Vector, add_terms, covector
-from .linalg import dot, lincomb, scaled
+from .exterior import KForm, Metric, Vector, add_terms, covectors
+from .linalg import dot, lincomb
 from .structures import _columns, _sparse, induced_metric
 
 
@@ -238,7 +238,7 @@ def check_alpha_einstein(report: CurvatureReport, g: Metric, alpha: KForm):
     """
     n = g.dim
     (ric, rd), gm, gd = report.ints, g.num, g.den
-    cov, ad = scaled(covector(alpha))
+    (cov,), ad = covectors([alpha])
     entries = [(ric[i][j], gm[i][j], cov[i] * cov[j]) for i in range(n) for j in range(i, n)]
     det, l, m = 1, 0, 0  # free unknowns are 0, as in linalg.solve
     first = next((e for e in entries if e[1] or e[2]), None)
@@ -370,8 +370,8 @@ def transverse_ricci(
     conn = conn or levi_civita(alg, g)
     full = full or ricci_scalar(alg, g, conn)
     n, (cells, cd), J = alg.dim, alg.brackets, structure.J
-    cov, a = scaled(covector(contact.alpha))
-    reeb, r = scaled(contact.reeb.coeffs)
+    (cov,), a = covectors([contact.alpha])
+    reeb, r = contact.reeb.nums, contact.reeb.den
     s = a * r
     frame, fd = linalg.kernel([cov], n)  # the frame f_a = frame[a] / fd of xi_basis
     cov, reeb, fs = _sparse(cov), _sparse(reeb), [_sparse(f) for f in frame]
@@ -441,8 +441,6 @@ def transverse_ricci(
         for p, mfs in moved.items()
         for jf, mf in zip(jframe, mfs)
     )
-    # kappa = d alpha / 2 (check_contact): D preserves one iff it preserves the other
-    (kappa,), _ = linalg.scaled_maps([contact.kappa.terms])
 
     def torsion_free(x: int, y: int) -> bool:
         # T(f_x, f_y) - T(f_y, f_x) over fd^2 td against the projected bracket over s cd fd^2
@@ -452,12 +450,13 @@ def transverse_ricci(
         return not any(diff.values())
 
     return TransverseReport(
-        frame=tuple(Vector(_fractions(f, fd)) for f in frame),
+        frame=tuple(Vector._of(f, fd) for f in frame),
         ric_t=tuple(_fractions(row, ric_den) for row in ric_num),
         rho_t=tuple(_fractions(row, rho_den) for row in rho_num),
         parallel_j=parallel_j,
         parallel_g_j=_preserves([_sparse(row) for row in structure.g_j.num], fs, moved.values()),
-        parallel_d_alpha=_preserves(_columns(kappa, n), fs, moved.values()),
+        # kappa = d alpha / 2 (check_contact): D preserves one iff it preserves the other
+        parallel_d_alpha=_preserves(_columns(contact.kappa.nums, n), fs, moved.values()),
         # both sides are antisymmetric in x, y, so x < y suffices
         torsion_matches_bracket=all(torsion_free(x, y) for x, y in combinations(range(len(fs)), 2)),
     )

@@ -1,9 +1,12 @@
 """Exact sparse exterior algebra on an n-dimensional real vector space.
 
-Coefficients are `fractions.Fraction` and every operation is exact. Forms are
-stored sparsely as maps from strictly increasing 1-based index tuples to
-nonzero coefficients. The determinant convention is used throughout (no 1/k!
-factors): (e1^e2)(X, Y) = e1(X) e2(Y) - e1(Y) e2(X).
+Every value is stored as ints over one denominator in lowest terms: a form
+as a map from strictly increasing 1-based index tuples to nonzero ints
+(`nums`), a vector as its int coordinates, an endomorphism or a metric as an
+int matrix, each with its `den`. The Fraction views (`terms`, `coeffs`,
+`matrix`) are built on first read, and `str` renders from the ints (`ratio`).
+Every operation is exact. The determinant convention is used throughout (no
+1/k! factors): (e1^e2)(X, Y) = e1(X) e2(Y) - e1(Y) e2(X).
 
 All values are immutable after construction and all operations are pure, so
 instances may be shared freely between threads.
@@ -15,18 +18,19 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .errors import InputError
 
-Scalar = Fraction
-_ZERO = Fraction(0)
-
 # The most digits of p and of q in one input literal p/q, checked before they
-# are converted. Exact results still grow: a 9 x 9 metric of 100-digit
-# denominators takes 16 s and prints 1.5 MB of Ricci tensor (2-CPU x86-64).
+# are converted.
 MAX_LITERAL_DIGITS = 100
+# The most digits of the common denominator of a metric's entries, checked
+# before any elimination: without it a 9 x 9 metric of distinct 100-digit
+# denominators took 16 s and printed 1.5 MB of Ricci tensor (2-CPU x86-64).
+# The benchmark's seeded metrics need at most 1 digit.
+MAX_METRIC_DEN_DIGITS = 1000
 _LITERAL = re.compile(rf"(-?[0-9]{{1,{MAX_LITERAL_DIGITS}}})(?:/([0-9]{{1,{MAX_LITERAL_DIGITS}}}))?")  # ASCII, not \d
 
 
@@ -56,6 +60,28 @@ def read_json(text: str, what: str):
 def rat(x) -> Fraction:
     """Coerce Fractions, ints and input literals (`literal`) to an exact rational."""
     return x if isinstance(x, Fraction) else Fraction(*literal(x))
+
+
+def ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _make(cls, **values):
+    """An instance of an immutable value class with the given slots set."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def common_den(values) -> tuple[list, int]:
+    """(nums, den): the int numerators of KForms (term maps) or Vectors
+    (tuples) over one denominator, the lcm of theirs."""
+    den = lcm(*(x.den for x in values))
+    return [x.nums if x.den == den else {k: c * (den // x.den) for k, c in x.nums.items()} if type(x.nums) is dict
+            else tuple(c * (den // x.den) for c in x.nums) for x in values], den
 
 
 def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
@@ -112,22 +138,23 @@ def _signed_sum(parts) -> str:
 class KForm:
     """Sparse exterior form of fixed degree with exact rational coefficients.
 
-    `terms` maps strictly increasing index tuples (1-based, length = degree)
-    to nonzero Fractions. A zero form has an empty term map; its degree is
-    still tracked. Degrees above `dim` are allowed only for the zero form
-    (they arise as typed zero results of pullbacks and differentials).
+    `nums` maps strictly increasing index tuples (1-based, length = degree)
+    to nonzero ints over `den`, in lowest terms; `terms` is the Fraction view.
+    A zero form has an empty term map (and den 1); its degree is still
+    tracked. Degrees above `dim` are allowed only for the zero form (they
+    arise as typed zero results of pullbacks and differentials).
     """
 
-    __slots__ = ("dim", "degree", "terms")
+    __slots__ = ("dim", "degree", "nums", "den", "_terms")
 
     def __init__(self, dim: int, degree: int, terms=None):
         if dim < 0 or degree < 0:
             raise InputError("dimension and degree must be nonnegative")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        ratios: dict[tuple[int, ...], tuple[int, int]] = {}
         for idx, coeff in (terms or {}).items():
             idx = tuple(idx)
-            c = rat(coeff)
-            if not c:
+            p, q = literal(coeff)
+            if not p:
                 continue
             if len(idx) != degree:
                 raise InputError(f"index tuple {idx} does not match degree {degree}")
@@ -135,10 +162,19 @@ class KForm:
                 raise InputError(f"index out of range 1..{dim} in {idx}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise InputError(f"index tuple {idx} is not strictly increasing")
-            clean[idx] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+            ratios[idx] = p, q
+        nums, den = linalg.over_lcm(list(ratios.values()))  # in lowest terms, as each p/q is
+        for name, value in (("dim", dim), ("degree", degree), ("nums", dict(zip(ratios, nums))), ("den", den)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, dim: int, degree: int, nums: dict, den: int = 1) -> KForm:
+        """The form of an int term map over den != 0, zeros dropped, in lowest
+        terms; the indices are not checked again."""
+        nums = {idx: c for idx, c in nums.items() if c}
+        if (g := gcd(den, *nums.values()) if den > 0 else -gcd(den, *nums.values())) != 1:
+            nums, den = {idx: c // g for idx, c in nums.items()}, den // g
+        return _make(cls, dim=dim, degree=degree, nums=nums, den=den)
 
     def __setattr__(self, *_):
         raise AttributeError("KForm is immutable")
@@ -150,18 +186,25 @@ class KForm:
     @classmethod
     def monomial(cls, dim: int, indices, coeff=1) -> KForm:
         indices = tuple(indices)
-        return cls(dim, len(indices), {indices: rat(coeff)})
+        return cls(dim, len(indices), {indices: coeff})
 
     @classmethod
     def scalar(cls, dim: int, value) -> KForm:
-        return cls(dim, 0, {(): rat(value)})
+        return cls(dim, 0, {(): value})
+
+    @property
+    def terms(self) -> dict:
+        """The Fraction view {index tuple: coefficient}, built on first read."""
+        if getattr(self, "_terms", None) is None:
+            object.__setattr__(self, "_terms", {idx: Fraction(c, self.den) for idx, c in self.nums.items()})
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, indices) -> Fraction:
-        return self.terms.get(tuple(indices), _ZERO)
+        return Fraction(self.nums.get(tuple(indices), 0), self.den)
 
     def _require_like(self, other: KForm, op: str) -> None:
         if self.dim != other.dim:
@@ -174,17 +217,18 @@ class KForm:
             return NotImplemented
         self._require_like(other, "add")
         degree = other.degree if self.is_zero else self.degree
-        return KForm(self.dim, degree, add_terms(dict(self.terms), 1, other.terms))
+        (a, b), den = common_den((self, other))
+        return KForm._of(self.dim, degree, add_terms(dict(a), 1, b), den)
 
     def __sub__(self, other: KForm) -> KForm:
         return self + (-other)
 
     def __neg__(self) -> KForm:
-        return KForm(self.dim, self.degree, {i: -c for i, c in self.terms.items()})
+        return KForm._of(self.dim, self.degree, {i: -c for i, c in self.nums.items()}, self.den)
 
     def __mul__(self, scalar) -> KForm:
-        c = rat(scalar)
-        return KForm(self.dim, self.degree, {i: c * v for i, v in self.terms.items()})
+        p, q = literal(scalar)
+        return KForm._of(self.dim, self.degree, {i: p * c for i, c in self.nums.items()}, q * self.den)
 
     __rmul__ = __mul__
 
@@ -193,7 +237,8 @@ class KForm:
             return ComplexKForm.from_real(self).wedge(other)
         if self.dim != other.dim:
             raise InputError(f"wedge: dimension mismatch {self.dim} != {other.dim}")
-        return KForm(self.dim, self.degree + other.degree, wedge_terms(self.terms, other.terms))
+        terms = wedge_terms(self.nums, other.nums)
+        return KForm._of(self.dim, self.degree + other.degree, terms, self.den * other.den)
 
     def power(self, k: int) -> KForm:
         """k-fold wedge power; power(0) is the scalar 1."""
@@ -207,28 +252,19 @@ class KForm:
             isinstance(other, KForm)
             and self.dim == other.dim
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     __hash__ = None
 
     def __str__(self) -> str:
         parts = []
-        for idx in sorted(self.terms):
-            c = self.terms[idx]
+        for idx in sorted(self.nums):
+            term = ratio(self.nums[idx], self.den)
             if idx:
-                if self.dim <= 9:
-                    gen = "e" + "".join(str(k) for k in idx)
-                else:
-                    gen = "^".join(f"e{k}" for k in idx)
-                if c == 1:
-                    term = gen
-                elif c == -1:
-                    term = f"-{gen}"
-                else:
-                    term = f"{c}*{gen}"
-            else:
-                term = str(c)
+                gen = "e" + "".join(map(str, idx)) if self.dim <= 9 else "^".join(f"e{k}" for k in idx)
+                term = gen if term == "1" else f"-{gen}" if term == "-1" else f"{term}*{gen}"
             parts.append(term)
         return _signed_sum(parts)
 
@@ -278,8 +314,7 @@ class ComplexKForm:
 
     def scale(self, re_c, im_c=0) -> ComplexKForm:
         """Multiply by the exact complex scalar re_c + i*im_c."""
-        a, b = rat(re_c), rat(im_c)
-        return ComplexKForm(a * self.re - b * self.im, b * self.re + a * self.im)
+        return ComplexKForm(self.re * re_c - self.im * im_c, self.re * im_c + self.im * re_c)
 
     def __add__(self, other) -> ComplexKForm:
         other = other if isinstance(other, ComplexKForm) else ComplexKForm.from_real(other)
@@ -307,12 +342,21 @@ class ComplexKForm:
 
 
 class Vector:
-    """Element of the underlying vector space, coordinates in the basis X_1..X_n."""
+    """Element of the underlying vector space: int coordinates `nums` in the
+    basis X_1..X_n over `den`, in lowest terms; `coeffs` is the Fraction view."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in coeffs))
+        nums, den = linalg.over_lcm([literal(c) for c in coeffs])  # in lowest terms, as each p/q is
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, nums, den: int = 1) -> Vector:
+        """The vector nums / den, den != 0, in lowest terms."""
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        return _make(cls, nums=tuple(x // g for x in nums), den=den // g)
 
     def __setattr__(self, *_):
         raise AttributeError("Vector is immutable")
@@ -322,50 +366,53 @@ class Vector:
         """The basis vector X_index (1-based)."""
         if not 1 <= index <= dim:
             raise InputError(f"basis index {index} out of range 1..{dim}")
-        return cls([Fraction(int(i == index - 1)) for i in range(dim)])
+        return cls._of([int(i == index - 1) for i in range(dim)])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The Fraction view of the coordinates, built on first read."""
+        if getattr(self, "_coeffs", None) is None:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(x, self.den) for x in self.nums))
+        return self._coeffs
 
     @property
     def dim(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i]
 
     def __add__(self, other: Vector) -> Vector:
-        return Vector([a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
+        (a, b), den = common_den((self, other))
+        return Vector._of([x + y for x, y in zip(a, b, strict=True)], den)
 
     def __sub__(self, other: Vector) -> Vector:
-        return Vector([a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
+        return self + (-other)
 
     def __neg__(self) -> Vector:
-        return Vector([-a for a in self.coeffs])
+        return Vector._of([-x for x in self.nums], self.den)
 
     def __mul__(self, scalar) -> Vector:
-        c = rat(scalar)
-        return Vector([c * a for a in self.coeffs])
+        p, q = literal(scalar)
+        return Vector._of([p * x for x in self.nums], q * self.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.coeffs == other.coeffs
+        return isinstance(other, Vector) and self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
     def __str__(self) -> str:
         parts = []
-        for i, c in enumerate(self.coeffs, start=1):
-            if not c:
-                continue
-            if c == 1:
-                parts.append(f"X{i}")
-            elif c == -1:
-                parts.append(f"-X{i}")
-            else:
-                parts.append(f"{c}*X{i}")
+        for i, x in enumerate(self.nums, start=1):
+            if x:
+                c = ratio(x, self.den)
+                parts.append(f"X{i}" if c == "1" else f"-X{i}" if c == "-1" else f"{c}*X{i}")
         return _signed_sum(parts)
 
     def __repr__(self) -> str:
@@ -373,28 +420,31 @@ class Vector:
 
 
 class Endo:
-    """Endomorphism of the vector space; column j is the image of X_j."""
+    """Endomorphism of the vector space, an int matrix `num` over `den` in
+    lowest terms; column j is the image of X_j. `matrix` is the Fraction view."""
 
-    __slots__ = ("matrix", "_columns")
+    __slots__ = ("num", "den", "_matrix", "_columns")
 
     def __init__(self, matrix):
-        rows = tuple(tuple(rat(x) for x in row) for row in matrix)
+        rows = [list(row) for row in matrix]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise InputError("endomorphism matrix must be square")
-        object.__setattr__(self, "matrix", rows)
+        flat, den = linalg.over_lcm([literal(x) for row in rows for x in row])
+        object.__setattr__(self, "num", tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("Endo is immutable")
 
     @classmethod
     def identity(cls, dim: int) -> Endo:
-        return cls([[int(i == j) for j in range(dim)] for i in range(dim)])
+        return _make(cls, num=tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), den=1)
 
     @classmethod
     def from_pairs(cls, dim: int, pairs) -> Endo:
         """Build J from index pairs: (a, b) means J X_a = X_b, J X_b = -X_a; J = 0 elsewhere."""
-        m = [[Fraction(0)] * dim for _ in range(dim)]
+        m = [[0] * dim for _ in range(dim)]
         seen: set[int] = set()
         for a, b in pairs:
             if not (1 <= a <= dim and 1 <= b <= dim) or a == b:
@@ -402,25 +452,32 @@ class Endo:
             if a in seen or b in seen:
                 raise InputError(f"index reused in pairs near ({a},{b})")
             seen.update((a, b))
-            m[b - 1][a - 1] = Fraction(1)
-            m[a - 1][b - 1] = Fraction(-1)
-        return cls(m)
+            m[b - 1][a - 1] = 1
+            m[a - 1][b - 1] = -1
+        return _make(cls, num=tuple(map(tuple, m)), den=1)
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.num)
+
+    @property
+    def matrix(self) -> tuple:
+        """The Fraction view of the matrix, built on first read."""
+        if getattr(self, "_matrix", None) is None:
+            object.__setattr__(self, "_matrix", tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num))
+        return self._matrix
 
     def columns(self) -> tuple[list[dict[int, int]], int]:
         """(cols, den): cols[j][i] = den * J[i][j] for the nonzero entries, kept."""
         if getattr(self, "_columns", None) is None:
-            nums, den = linalg.scaled([list(col) for col in zip(*self.matrix)])
-            object.__setattr__(self, "_columns", ([{i: x for i, x in enumerate(c) if x} for c in nums], den))
+            cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*self.num)]
+            object.__setattr__(self, "_columns", (cols, self.den))
         return self._columns
 
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
             raise InputError("endomorphism/vector dimension mismatch")
-        return Vector(linalg.matvec(self.matrix, v.coeffs))
+        return Vector._of(linalg.matvec(self.num, v.nums), self.den * v.den)
 
     def __repr__(self) -> str:
         return f"Endo({[[str(x) for x in row] for row in self.matrix]})"
@@ -444,6 +501,8 @@ class Metric:
         if any(len(row) != n for row in matrix):
             raise InputError("metric matrix must be square")
         flat, den = linalg.over_lcm([literal(x) for row in matrix for x in row])
+        if den >= 10**MAX_METRIC_DEN_DIGITS:
+            raise InputError(f"metric entries need a common denominator of at most {MAX_METRIC_DEN_DIGITS} digits")
         num = [flat[k : k + n] for k in range(0, n * n, n)]
         pair = next(((i, j) for i in range(n) for j in range(i) if num[i][j] != num[j][i]), None)
         if pair:
@@ -454,10 +513,8 @@ class Metric:
     @classmethod
     def _of(cls, num, den: int) -> Metric:
         """The metric num / den of a symmetric int matrix, in lowest terms, not checked again."""
-        g, (num, den) = object.__new__(cls), linalg.lowest(num, den)
-        object.__setattr__(g, "num", num)
-        object.__setattr__(g, "den", den)
-        return g
+        num, den = linalg.lowest(num, den)
+        return _make(cls, num=num, den=den)
 
     def __setattr__(self, *_):
         raise AttributeError("Metric is immutable")
@@ -482,11 +539,7 @@ class Metric:
         return self._matrix
 
     def bilinear(self, u: Vector, v: Vector) -> Fraction:
-        total = _ZERO
-        for x, row in zip(u.coeffs, self.num):
-            if x:
-                total += x * sum(a * y for a, y in zip(row, v.coeffs) if a and y)
-        return total / self.den
+        return Fraction(linalg.dot(u.nums, linalg.matvec(self.num, v.nums)), self.den * u.den * v.den)
 
     def det(self) -> Fraction:
         return linalg.det(self.num) / self.den**self.dim
@@ -537,9 +590,18 @@ def wedge(a, b):
 
 def covector(a: KForm) -> list[Fraction]:
     """The values a(X_1), ..., a(X_n) of a real 1-form."""
-    if not isinstance(a, KForm) or a.degree != 1:
-        raise InputError(f"expected a real 1-form, got {a}")
-    return [a.coefficient((j,)) for j in range(1, a.dim + 1)]
+    (row,), den = covectors([a])
+    return [Fraction(x, den) for x in row]
+
+
+def covectors(forms) -> tuple[list[list[int]], int]:
+    """(rows, den): the values alpha(X_1), ..., alpha(X_n) of real 1-forms as
+    int rows over one denominator."""
+    for a in forms:
+        if not isinstance(a, KForm) or a.degree != 1:
+            raise InputError(f"expected a real 1-form, got {a}")
+    nums, den = common_den(forms)
+    return [[t.get((j,), 0) for j in range(1, a.dim + 1)] for t, a in zip(nums, forms)], den
 
 
 def contract(v: Vector, a):
@@ -550,16 +612,13 @@ def contract(v: Vector, a):
         raise InputError("contract: dimension mismatch")
     if a.degree == 0:
         raise InputError("contract: cannot contract a degree-0 form")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for idx, c in a.terms.items():
+    terms: dict[tuple[int, ...], int] = {}
+    for idx, c in a.nums.items():
         for pos, k in enumerate(idx):
-            comp = v[k - 1]
-            if not comp:
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            sign = -1 if pos % 2 else 1
-            terms[rest] = terms.get(rest, Fraction(0)) + sign * comp * c
-    return KForm(a.dim, a.degree - 1, terms)
+            if comp := v.nums[k - 1]:
+                rest = idx[:pos] + idx[pos + 1 :]
+                terms[rest] = terms.get(rest, 0) + (-comp if pos % 2 else comp) * c
+    return KForm._of(a.dim, a.degree - 1, terms, a.den * v.den)
 
 
 def evaluate(a: KForm, vectors) -> Fraction:

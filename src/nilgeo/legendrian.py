@@ -16,7 +16,7 @@ from . import linalg
 from .algdsl import parse_endo, parse_form
 from .cealg import LieAlgebra, is_exact, span_algebra
 from .errors import InputError
-from .exterior import KForm, evaluate, pullback, rat, read_json
+from .exterior import ComplexKForm, KForm, add_terms, common_den, evaluate, rat, ratio, read_json, wedge_terms
 from .structures import CCYStructure, _check_epsilon_clauses, ccy_epsilon, check_ccy, check_contact
 
 
@@ -26,7 +26,8 @@ class Subalgebra:
     Independence is verified at construction, and closure under the bracket
     computed (not required) in the same elimination (`cealg.span_algebra`);
     when the subspace is closed, the induced Lie algebra on it is kept for
-    cohomology computations.
+    cohomology computations. The basis is kept as int coordinates over one
+    denominator, `nums` / `den`.
     """
 
     def __init__(self, parent: LieAlgebra, basis):
@@ -41,7 +42,11 @@ class Subalgebra:
             raise InputError("subalgebra basis is linearly dependent") from None
         self.parent = parent
         self.basis = basis
+        self.nums, self.den = common_den(basis)
         self.closed_under_bracket = self._induced is not None
+        # row i of the coordinate matrix V[i][j] = v_j(e^(i+1)), as the 1-form
+        # it pulls e^(i+1) back to in the dual basis f^1..f^m, over den
+        self._rows = [{(j,): v[i] for j, v in enumerate(self.nums, start=1) if v[i]} for i in range(parent.dim)]
 
     @property
     def dim(self) -> int:
@@ -54,7 +59,22 @@ class Subalgebra:
         return self._induced
 
     def pull(self, form):
-        return pullback(form, self.basis)
+        """The restriction of a form to the span, in the dual basis of the
+        spanning vectors. e^I pulls back to the wedge of the rows V[i], i in
+        I, so each coefficient is a sum of k x k minors of V (Cauchy-Binet);
+        each term of the form is expanded once, over ints. Independence was
+        decided at construction."""
+        if isinstance(form, ComplexKForm):
+            return ComplexKForm(self.pull(form.re), self.pull(form.im))
+        if form.dim != self.parent.dim:
+            raise InputError("pullback: vector dimension mismatch")
+        out: dict = {}
+        for idx, c in form.nums.items():
+            terms = {(): c}
+            for i in idx:
+                terms = wedge_terms(terms, self._rows[i - 1])
+            add_terms(out, 1, terms)
+        return KForm._of(self.dim, form.degree, out, form.den * self.den**form.degree)
 
 
 class LegendrianVerdict(enum.Enum):
@@ -108,18 +128,22 @@ def check_special_legendrian(sub: Subalgebra, ccy: CCYStructure) -> LegendrianRe
     elif not p_eps.im.is_zero:
         verdict = LegendrianVerdict.LEGENDRIAN_ONLY
     else:
-        top = tuple(range(1, n + 1))
-        c = p_eps.re.coefficient(top)
-        gram = ccy.metric.restrict(sub.basis)
-        det_gram = linalg.det(gram)
-        detail["volume_coefficient"] = str(c)
-        detail["gram_determinant"] = str(det_gram)
-        if c == 0 or c * c != det_gram or len(p_eps.re.terms) != 1:
+        # Over ints: c = num / re.den, and the Gram matrix of the basis is
+        # positive definite (g is), so its determinant is the last leading minor
+        num, g = p_eps.re.nums.get(tuple(range(1, n + 1)), 0), ccy.metric
+        gv = [linalg.matvec(g.num, v) for v in sub.nums]
+        minors, adjugate = linalg.sylvester([[linalg.dot(u, w) for w in gv] for u in sub.nums])
+        if adjugate is None:
+            raise ArithmeticError("the Gram matrix of independent vectors is not positive definite")
+        det_num, det_den = minors[-1], (g.den * sub.den**2) ** n
+        detail["volume_coefficient"] = ratio(num, p_eps.re.den)
+        detail["gram_determinant"] = ratio(det_num, det_den)
+        if num == 0 or num * num * det_den != det_num * p_eps.re.den**2 or len(p_eps.re.nums) != 1:
             verdict = LegendrianVerdict.LEGENDRIAN_ONLY
             detail["calibration"] = "pullback of Re epsilon is not the induced volume form"
         else:
             verdict = LegendrianVerdict.SPECIAL_LEGENDRIAN
-            detail["orientation"] = "+1" if c > 0 else "-1"
+            detail["orientation"] = "+1" if num > 0 else "-1"
     return LegendrianReport(
         verdict=verdict,
         integrable=sub.closed_under_bracket,
@@ -166,9 +190,12 @@ def comass_sample(ccy: CCYStructure, samples: int, seed: int = 0) -> float:
 
     if samples <= 0:
         return 0.0
-    n, dim = ccy.n, ccy.dim
-    g = np.array([[float(x) for x in row] for row in ccy.metric.matrix])
-    terms = [(idx, float(c)) for idx, c in ccy.epsilon.re.terms.items()]
+    n, dim, re = ccy.n, ccy.dim, ccy.epsilon.re
+    try:
+        g = np.array([[x / ccy.metric.den for x in row] for row in ccy.metric.num])
+        terms = [(idx, c / re.den) for idx, c in re.nums.items()]
+    except OverflowError as exc:  # an int ratio past the float range
+        raise InputError(f"comass --samples needs the metric and epsilon in floating-point range: {exc}") from None
     nchunks = (samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(nchunks)
     best = 0.0

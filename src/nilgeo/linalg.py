@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 One elimination: a sparse forward elimination over Q that buckets the rows
-by leading column and takes the shortest row of a bucket as pivot. When an
-int pivot divides an int entry, the multiplier is their int quotient, so int
-rows (the Chevalley-Eilenberg differential) stay int while their pivots
-divide; any other multiplier is a Fraction, and Fraction rows are eliminated
-as Fractions. rank and rank_sparse count its pivots; det multiplies them;
-rref, solve, nullspace and inverse read the reduced row echelon form after
-one sparse back-reduction.
+by leading column and takes the shortest row of a bucket as pivot. Int rows
+stay int: when an int pivot does not divide an entry, the row is first
+multiplied so that it does, and the multiplier is their int quotient.
+Fraction rows are eliminated as Fractions. rank and rank_sparse count its
+pivots; det multiplies them. `rref_ints` reads the reduced row echelon form
+of int rows, times one denominator, after a fraction-free back-reduction;
+rref, solve, nullspace and inverse scale each rational row to ints for it.
 Then `scaled` (a table as ints over one denominator) and the zero-skipping
 contractions that the structure checks and the curvature layer are written
 in, over Fractions or ints alike; nothing is ever rounded.
@@ -36,6 +36,12 @@ def _sparse(matrix) -> list[dict[int, Fraction]]:
     return [{c: v for c, x in enumerate(row) if (v := Fraction(x))} for row in matrix]
 
 
+def _int_rows(rows) -> list[dict[int, int]]:
+    """Sparse rational rows, each times the lcm of its denominators: int rows
+    with the same reduced row echelon form."""
+    return [dict(zip(row, over_lcm([x.as_integer_ratio() for x in row.values()])[0])) for row in rows]
+
+
 def _divisor(x):
     """x, or Fraction(x) for an int x, so that dividing by it stays exact."""
     return Fraction(x) if type(x) is int else x
@@ -45,7 +51,8 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
     """Sparse forward elimination of rows (dict column -> int or Fraction).
 
     Returns the pivots in column order as (column, input row, echelon row):
-    each echelon row is its input row minus multiples of earlier pivot rows.
+    each echelon row is its input row (an int row: a multiple of it) minus
+    multiples of earlier pivot rows.
     The shortest row of a leading-column bucket is the pivot, so sparse
     matrices (the Chevalley-Eilenberg differential, banded circulants) keep
     little fill-in.
@@ -70,8 +77,11 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
         int_pivot = type(p) is int
         for row, s in bucket[1:]:
             x = row[col]
-            if int_pivot and type(x) is int and not x % p:
-                f, zero = x // p, 0  # an integral multiplier keeps int rows int
+            if int_pivot and type(x) is int:
+                if x % p:  # scale the row so that the multiplier is an int
+                    m = p // math.gcd(x, p)
+                    row, x = {c: m * v for c, v in row.items()}, m * x
+                f, zero = x // p, 0
             else:
                 f, zero = x / _divisor(p), _ZERO
             for c, v in pivot.items():
@@ -81,22 +91,30 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
     return pivots
 
 
-def _rref_sparse(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """The nonzero rows of the reduced row echelon form and their pivot columns."""
+def rref_ints(rows) -> tuple[list[dict[int, int]], list[int], int]:
+    """(reduced, pivots, den) of sparse int rows: the nonzero rows of the
+    reduced row echelon form times den, the lcm of its pivots' denominators
+    (so reduced[k][pivots[k]] == den), and their pivot columns. The
+    back-reduction clears each later pivot column with cross multiples and
+    divides every row by the gcd of its entries, so no Fraction is built."""
     pivots = _eliminate(rows)
-    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its reduced row
+    reduced: dict[int, dict[int, int]] = {}  # pivot column -> its reduced row, pivot entry > 0
     for col, _, row in reversed(pivots):
-        pv = _divisor(row[col])
-        row = {c: v / pv for c, v in row.items()}
         # the rows below are final and zero in every other pivot column, so
         # clearing one pivot column of this row fills in no other
         for later_col in [c for c in row if c in reduced]:
-            f = row[later_col]
-            for c, v in reduced[later_col].items():
-                row[c] = row.get(c, _ZERO) - f * v
-        reduced[col] = {c: v for c, v in row.items() if v}
+            done = reduced[later_col]
+            p, f = done[later_col], row[later_col]
+            g = math.gcd(p, f)
+            row = {c: v * (p // g) for c, v in row.items()}
+            for c, v in done.items():
+                row[c] = row.get(c, 0) - f // g * v
+        row = {c: v for c, v in row.items() if v}
+        g = math.gcd(*row.values()) if row[col] > 0 else -math.gcd(*row.values())
+        reduced[col] = {c: v // g for c, v in row.items()}
     cols = [col for col, _, _ in pivots]
-    return [reduced[col] for col in cols], cols
+    den = math.lcm(*(reduced[col][col] for col in cols))
+    return [{c: v * (den // reduced[col][col]) for c, v in reduced[col].items()} for col in cols], cols, den
 
 
 def _require_square(matrix, what: str) -> int:
@@ -133,11 +151,10 @@ def det(matrix) -> Fraction:
 def inverse(matrix) -> Matrix:
     """Exact inverse, read off the RREF of [A | I]; raises ValueError on a singular matrix."""
     n = _require_square(matrix, "inverse")
-    rows = [{**row, n + i: Fraction(1)} for i, row in enumerate(_sparse(matrix))]
-    reduced, pivots = _rref_sparse(rows)
+    reduced, pivots, den = rref_ints(_int_rows({**row, n + i: 1} for i, row in enumerate(_sparse(matrix))))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[row.get(n + j, _ZERO) for j in range(n)] for row in reduced]
+    return [[Fraction(row.get(n + j, 0), den) for j in range(n)] for row in reduced]
 
 
 def rref(matrix) -> tuple[Matrix, list[int]]:
@@ -145,8 +162,8 @@ def rref(matrix) -> tuple[Matrix, list[int]]:
     if not matrix:
         return [], []
     ncols = len(matrix[0])
-    reduced, pivots = _rref_sparse(_sparse(matrix))
-    dense = [[row.get(c, _ZERO) for c in range(ncols)] for row in reduced]
+    reduced, pivots, den = rref_ints(_int_rows(_sparse(matrix)))
+    dense = [[Fraction(row.get(c, 0), den) for c in range(ncols)] for row in reduced]
     return dense + [[_ZERO] * ncols for _ in range(len(matrix) - len(reduced))], pivots
 
 
@@ -158,12 +175,12 @@ def solve(matrix, rhs) -> list[Fraction] | None:
         return []
     ncols = len(matrix[0])
     rows = [{**row, ncols: Fraction(b)} for row, b in zip(_sparse(matrix), rhs)]
-    reduced, pivots = _rref_sparse(rows)
+    reduced, pivots, den = rref_ints(_int_rows(rows))
     if pivots and pivots[-1] == ncols:
         return None
     x = [_ZERO] * ncols
     for col, row in zip(pivots, reduced):
-        x[col] = row.get(ncols, _ZERO)
+        x[col] = Fraction(row.get(ncols, 0), den)
     return x
 
 
@@ -174,13 +191,13 @@ def nullspace(matrix, ncols: int | None = None) -> list[list[Fraction]]:
         ncols = len(matrix[0])
     elif ncols is None:
         return []
-    reduced, pivots = _rref_sparse(_sparse(matrix))
+    reduced, pivots, den = rref_ints(_int_rows(_sparse(matrix)))
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [_ZERO] * ncols
         v[fc] = Fraction(1)
         for pc, row in zip(pivots, reduced):
-            v[pc] = -row.get(fc, _ZERO)
+            v[pc] = Fraction(-row.get(fc, 0), den)
         basis.append(v)
     return basis
 
@@ -209,17 +226,6 @@ def lowest(rows, den: int) -> tuple[list[list[int]], int]:
     every entry: the numerators and denominator `scaled` gives its values."""
     g = math.gcd(den, *(x for row in rows for x in row))
     return [[x // g for x in row] for row in rows], den // g
-
-
-def scaled_maps(maps) -> tuple[list[dict], int]:
-    """(int maps, den): term maps (key -> rational) as ints over den, the lcm of
-    the denominators of all of them."""
-    keys = [(m, key) for m, terms in enumerate(maps) for key in terms]
-    values, den = scaled([maps[m][key] for m, key in keys])
-    out: list[dict] = [{} for _ in maps]
-    for (m, key), v in zip(keys, values):
-        out[m][key] = v
-    return out, den
 
 
 def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
@@ -283,8 +289,9 @@ def sylvester(a) -> tuple[list[int], list[list[int]] | None]:
     return pivots, [row[n:] for row in rows]
 
 
-def pfaffian(matrix) -> Fraction:
-    """Exact Pfaffian of a skew-symmetric A = S / D (0 in odd size, 1 in size 0).
+def pfaffian(matrix):
+    """Exact Pfaffian of a skew-symmetric A = S / D (0 in odd size, 1 in size
+    0): an int when A is an int matrix, a Fraction otherwise.
 
     Step k pivots on (2k, 2k+1), after exchanging index 2k+1 with the first
     later index where row 2k is nonzero (the sign flips; a zero row gives 0).
@@ -293,13 +300,13 @@ def pfaffian(matrix) -> Fraction:
     """
     n = _require_square(matrix, "pfaffian")
     if n % 2:
-        return Fraction(0)
+        return 0
     a, den = scaled(matrix)
     sign, prev = 1, 1
     for k in range(0, n, 2):
         p = next((j for j in range(k + 1, n) if a[k][j]), None)
         if p is None:
-            return Fraction(0)
+            return 0
         if p != k + 1:
             a[p], a[k + 1] = a[k + 1], a[p]
             for row in a:
@@ -312,7 +319,7 @@ def pfaffian(matrix) -> Fraction:
             for j in range(k + 2, n):
                 row[j] = (pivot * row[j] - u[i] * v[j] + u[j] * v[i]) // prev
         prev = pivot
-    return Fraction(sign * prev, den ** (n // 2))
+    return sign * prev if den == 1 else Fraction(sign * prev, den ** (n // 2))
 
 
 def dot(u, v):

@@ -8,10 +8,12 @@ with an exact witness. Multi-clause checks (check_hypo, check_r_contact_ccy)
 return a Verdict: the ordered clauses, each with its witness, and the
 structure when every clause passes.
 
-The clauses are checked over ints, one common denominator per table
-(`linalg.scaled`); Fractions are built only for witnesses. Positivity is one
-Gram-matrix elimination (`linalg.sylvester`). No wedge power is expanded:
-kappa^n = n! sum_I Pf(K_II) e^I, so a coefficient is one `linalg.pfaffian`.
+The clauses are checked over the ints the forms, vectors and J are stored
+in, one common denominator per table (`exterior.common_den`); Fractions are
+built only for witnesses. The Reeb fields come from one fraction-free
+elimination (`linalg.rref_ints`), positivity from one Gram-matrix elimination
+(`linalg.sylvester`). No wedge power is expanded: kappa^n = n! sum_I Pf(K_II)
+e^I, so a coefficient is one int `linalg.pfaffian`.
 The epsilon clauses read one int table of the contractions iota_{X_k}
 epsilon and one d(epsilon), which serves both ccy.basic and ccy.closed.
 """
@@ -26,16 +28,7 @@ from math import factorial
 from . import linalg
 from .cealg import LieAlgebra, bracket_terms, d_terms
 from .errors import CheckError, InputError
-from .exterior import (
-    ComplexKForm,
-    Endo,
-    KForm,
-    Metric,
-    Vector,
-    add_terms,
-    covector,
-    merge_indices,
-)
+from .exterior import ComplexKForm, Endo, KForm, Metric, Vector, add_terms, common_den, covectors, merge_indices
 
 
 class NotContactError(CheckError):
@@ -102,23 +95,26 @@ class ContactStructure:
         return self.alg.dim
 
 
-def _pfaffian_minor(kcols, indices) -> Fraction:
-    """Pf(K_II), the e^I coefficient of kappa^n / n! for K the matrix of kappa,
-    read off its sparse columns (`_columns`)."""
+def _pfaffian_minor(kcols, indices) -> int:
+    """Pf(K_II), the e^I coefficient of kappa^n / n! for K the int matrix of
+    kappa, read off its sparse columns (`_columns`)."""
     return linalg.pfaffian([[kcols[q - 1].get(p - 1, 0) for q in indices] for p in indices])
 
 
-def _volume_coefficient(alphas, dalpha: KForm, n: int) -> Fraction:
-    """The coefficient of alpha_1 ^ ... ^ alpha_r ^ (d alpha)^n, the r-contact
-    volume: n! (-1)^(r(r-1)/2) Pf([[D, A], [-A^T, 0]]) for D the matrix of
-    d alpha and A[i][k] = alpha_k(X_i), as that Pfaffian is the top coefficient
-    of exp(d alpha + sum_k alpha_k ^ f_k) in r extra generators f_k."""
+def _volume_form(alphas, dalpha: KForm, n: int) -> KForm:
+    """alpha_1 ^ ... ^ alpha_r ^ (d alpha)^n, the r-contact volume: its
+    coefficient is n! (-1)^(r(r-1)/2) Pf([[D, A], [-A^T, 0]]) for D the matrix
+    of d alpha and A[i][k] = alpha_k(X_i), as that Pfaffian is the top
+    coefficient of exp(d alpha + sum_k alpha_k ^ f_k) in r extra generators
+    f_k. Both blocks are taken over one denominator s."""
     r, dim = len(alphas), dalpha.dim
-    covs, cols = [covector(a) for a in alphas], _columns(dalpha.terms, dim)
+    (*covs, dnums), s = common_den([*alphas, dalpha])
+    covs, cols = [[t.get((i,), 0) for i in range(1, dim + 1)] for t in covs], _columns(dnums, dim)
     bordered = [[col.get(i, 0) for col in cols] + [cov[i] for cov in covs] for i in range(dim)]
     bordered += [[-x for x in cov] + [0] * r for cov in covs]
     sign = -1 if r * (r - 1) // 2 % 2 else 1
-    return sign * factorial(n) * linalg.pfaffian(bordered)
+    top = sign * factorial(n) * linalg.pfaffian(bordered)
+    return KForm._of(dim, dim, {tuple(range(1, dim + 1)): top}, s ** ((dim + r) // 2))
 
 
 def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
@@ -129,12 +125,12 @@ def _solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
     -iota_{X_p} d alpha). Returns None when the solution is not unique or
     does not exist.
     """
-    dim, one = dalpha.dim, Fraction(1)
-    rows = [{**{k - 1: c for (k,), c in a.terms.items()}, dim + i: one} for i, a in enumerate(alphas)]
-    reduced, pivots = linalg._rref_sparse(rows + _columns(dalpha.terms, dim))
+    dim = dalpha.dim
+    rows = [{**{k - 1: c for (k,), c in a.nums.items()}, dim + i: a.den} for i, a in enumerate(alphas)]
+    reduced, pivots, den = linalg.rref_ints(rows + _columns(dalpha.nums, dim))
     if pivots != list(range(dim)):
         return None
-    return [Vector([row.get(dim + j, 0) for row in reduced]) for j in range(len(alphas))]
+    return [Vector._of([row.get(dim + j, 0) for row in reduced], den) for j in range(len(alphas))]
 
 
 def _contact_n(dim: int) -> int:
@@ -174,13 +170,13 @@ def check_contact(alg: LieAlgebra, alpha: KForm) -> ContactStructure:
     if reebs is None:
         raise _not_contact(alpha, dalpha)
     (reeb,) = reebs
-    return ContactStructure(alg=alg, alpha=alpha, reeb=reeb, kappa=dalpha * Fraction(1, 2))
+    return ContactStructure(alg=alg, alpha=alpha, reeb=reeb, kappa=KForm._of(alg.dim, 2, dalpha.nums, 2 * dalpha.den))
 
 
 def xi_basis(alg: LieAlgebra, alphas) -> list[Vector]:
     """Exact basis of the intersection of the kernels of the given 1-forms."""
-    basis, den = linalg.kernel(linalg.scaled([covector(a) for a in alphas])[0], alg.dim)
-    return [Vector([Fraction(x, den) for x in v]) for v in basis]
+    basis, den = linalg.kernel(covectors(alphas)[0], alg.dim)
+    return [Vector._of(v, den) for v in basis]
 
 
 def _sparse(v) -> dict[int, int]:
@@ -209,7 +205,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
     algebra. Over ints: J = cols / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad."""
     dim = alg.dim
     cols, jd = J.columns()
-    rs, rd = linalg.scaled([reeb.coeffs for reeb in reebs])
+    rs, rd = common_den(reebs)
     for idx, (reeb, r) in enumerate(zip(reebs, rs), start=1):
         if _combine(cols, _sparse(r)):
             raise NotCalibratedError(
@@ -218,7 +214,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
                 {"reeb": str(reeb), "J_reeb": str(J.apply(reeb))},
             )
     # J^2 = -I + sum_k R_k (x) alpha_k, column by column over jd^2 and s
-    covs, ad = linalg.scaled([covector(a) for a in alphas])
+    covs, ad = covectors(alphas)
     s, jd2, reeb_cols = ad * rd, jd * jd, [_sparse(r) for r in rs]
     square = [_combine(cols, col) for col in cols]
     expected = [add_terms(_combine(reeb_cols, dict(enumerate(cov[j] for cov in covs))), -s, {j: 1}) for j in range(dim)]
@@ -230,8 +226,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
         witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(value), "expected": str(required)}
         raise NotCalibratedError("calibrated.J_square", "J^2 != -I + sum alpha_i (x) R_i", witness)
     # g_J(X_i, X_j) = kappa(X_i, J X_j): column j of K J is sum_p J_pj K[:, p], over gd
-    (knum,), kd = linalg.scaled_maps([kappa.terms])
-    kcols = _columns(knum, dim)
+    kcols, kd = _columns(kappa.nums, dim), kappa.den
     g = [_combine(kcols, col) for col in cols]  # g[j][i] = g_J(X_i, X_j)
     gd = kd * jd
     asymmetric = [(max(i, j), min(i, j)) for j, col in enumerate(g) for i, x in col.items() if g[i].get(j, 0) != x]
@@ -251,7 +246,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
             "calibrated.positive",
             "g_J is not positive definite on the contact distribution",
             {
-                "witness_vector": str(Vector([Fraction(x, fd) for x in basis[k - 1]])),
+                "witness_vector": str(Vector._of(basis[k - 1], fd)),
                 "leading_minor": str(Fraction(minors[-1], den**k)),
                 "g(v,v)": str(Fraction(gram[k - 1][k - 1], den)),
             },
@@ -293,7 +288,7 @@ def nijenhuis_tensor(J: Endo, alg: LieAlgebra) -> dict[tuple[int, int], Vector]:
     if J.dim != alg.dim:
         raise InputError("endomorphism/algebra dimension mismatch")
     table, den = _nijenhuis_table(J, alg)
-    return {key: Vector([Fraction(table.get(key, {}).get(k, 0), den) for k in range(alg.dim)])
+    return {key: Vector._of([table.get(key, {}).get(k, 0) for k in range(alg.dim)], den)
             for key in combinations(range(1, alg.dim + 1), 2)}
 
 
@@ -301,13 +296,12 @@ def _nijenhuis_failures(alg: LieAlgebra, J: Endo, dalpha: KForm, reeb: Vector) -
     """The basis pairs where N_J != -d(alpha) (x) R, with both sides; for
     N = num / den, R = rs / rd and d alpha(X_i, X_j) = p / q, num q rd = -p rs den."""
     table, den = _nijenhuis_table(J, alg)
-    rs, rd = linalg.scaled(reeb.coeffs)
+    rs, rd, q = reeb.nums, reeb.den, dalpha.den
     failures = []
-    for i, j in sorted(set(table) | set(dalpha.terms)):
-        num = table.get((i, j), {})
-        p, q = dalpha.coefficient((i, j)).as_integer_ratio()
+    for i, j in sorted(set(table) | set(dalpha.nums)):
+        num, p = table.get((i, j), {}), dalpha.nums.get((i, j), 0)
         if {k: x * q * rd for k, x in num.items() if x} != {k: -p * y * den for k, y in enumerate(rs) if p * y}:
-            lhs, rhs = Vector([Fraction(num.get(k, 0), den) for k in range(alg.dim)]), -Fraction(p, q) * reeb
+            lhs, rhs = Vector._of([num.get(k, 0) for k in range(alg.dim)], den), reeb * Fraction(-p, q)
             failures.append({"pair": f"(X{i},X{j})", "nijenhuis": str(lhs), "required": str(rhs)})
     return failures
 
@@ -333,11 +327,11 @@ def check_sasakian(contact: ContactStructure, J: Endo) -> SasakianStructure:
     return SasakianStructure(contact=contact, J=J, g_j=g_j)
 
 
-def volume_constant(n: int) -> tuple[Fraction, Fraction]:
+def volume_constant(n: int) -> tuple[int, int]:
     """The complex normalization constant (-1)^{n(n+1)/2} (2i)^n as (re, im)."""
     re, im = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}[n % 4]
     s = (-1) ** ((n * (n + 1) // 2) % 2) * 2**n
-    return Fraction(s * re), Fraction(s * im)
+    return s * re, s * im
 
 
 @dataclass(frozen=True)
@@ -366,7 +360,7 @@ class CCYStructure:
 def induced_metric(g_j: Metric, alpha: KForm) -> Metric:
     """The Riemannian metric g_J + alpha (x) alpha of a calibrated structure,
     over ints: g_J = G / gd and alpha = a / ad give (ad^2 G + gd a a^T) / (gd ad^2)."""
-    cov, ad = linalg.scaled(covector(alpha))
+    (cov,), ad = covectors([alpha])
     s = ad * ad
     rows = [[s * x + g_j.den * ci * cj for x, cj in zip(row, cov)] for row, ci in zip(g_j.num, cov)]
     return Metric._of(rows, g_j.den * s)
@@ -381,10 +375,10 @@ def _proportionality(lhs, rhs) -> Fraction | None:
     return None
 
 
-def _wedge_conjugate_at(parts, den: int, index) -> tuple[Fraction, Fraction]:
-    """The e^index coefficient of epsilon ^ conj(epsilon) as (re, im), for
-    epsilon = (re + i im) / den in int term maps, one lookup per term:
-    (a + ib)_J (a - ib)_K summed over J + K = index."""
+def _wedge_conjugate_at(parts, index) -> tuple[int, int]:
+    """The e^index coefficient of epsilon ^ conj(epsilon) as (re, im) over
+    den^2, for epsilon = (re + i im) / den in int term maps, one lookup per
+    term: (a + ib)_J (a - ib)_K summed over J + K = index."""
     re_terms, im_terms = parts
     members = set(index)
     re = im = 0
@@ -396,7 +390,7 @@ def _wedge_conjugate_at(parts, den: int, index) -> tuple[Fraction, Fraction]:
             c, d = re_terms.get(rest, 0), im_terms.get(rest, 0)
             re += sign * (a * c + b * d)
             im += sign * (b * c - a * d)
-    return Fraction(re, den * den), Fraction(im, den * den)
+    return re, im
 
 
 def _contractions(terms: dict, dim: int) -> list[dict]:
@@ -410,8 +404,7 @@ def _contractions(terms: dict, dim: int) -> list[dict]:
 
 def _complex_form(parts, dim: int, degree: int, den: int) -> ComplexKForm:
     """The ComplexKForm of int term maps (re, im) over den."""
-    re, im = (KForm(dim, degree, {key: Fraction(c, den) for key, c in terms.items()}) for terms in parts)
-    return ComplexKForm(re, im)
+    return ComplexKForm(*(KForm._of(dim, degree, terms, den) for terms in parts))
 
 
 def _complex_epsilon(epsilon, dim: int, n: int) -> ComplexKForm:
@@ -446,13 +439,13 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon: ComplexKForm, n, stric
     iota_R d(epsilon).
     """
     dim = alg.dim
-    parts, den = linalg.scaled_maps([epsilon.re.terms, epsilon.im.terms])
+    parts, den = common_den((epsilon.re, epsilon.im))
     cells = [_contractions(terms, dim) for terms in parts]  # cells[part][k] = C_k, over den
     d1, dd = alg.d1_ints
     deps = [{idx: c for idx, c in d_terms(d1, terms).items() if c} for terms in parts]  # over den dd
     # (a) basic with respect to every Reeb field
     for idx, reeb in enumerate(reebs, start=1):
-        rs, rd = linalg.scaled(reeb.coeffs)
+        rs, rd = reeb.nums, reeb.den
         cont = [_combine(part, _sparse(rs)) for part in cells]
         if any(cont):
             raise CCYError(
@@ -488,16 +481,18 @@ def _check_epsilon_clauses(alg, kappa, reebs, J, epsilon: ComplexKForm, n, stric
     # (d) normalization. epsilon ^ conj(epsilon) and kappa^n are horizontal
     # 2n-forms (every iota_R kills both), a line, so one coefficient decides:
     # e^I, I the complement of the pivot coordinates of the Reeb fields.
+    # Over ints: the lhs over den^2, and Pf(K_II) of the int K over kd^n.
     c_re, c_im = volume_constant(n)
     scale = factorial(n) if strict_def31 else 1  # kappa^n = n! sum_I Pf(K_II) e^I
-    kcols = _columns(kappa.terms, dim)
-    _, pivots = linalg.rref([reeb.coeffs for reeb in reebs])
+    kcols, kdn = _columns(kappa.nums, dim), kappa.den**n
+    pivots = {col for col, _, _ in linalg._eliminate([_sparse(reeb.nums) for reeb in reebs])}
     index = tuple(k for k in range(1, dim + 1) if k - 1 not in pivots)
     top = scale * _pfaffian_minor(kcols, index)
-    lhs, rhs = _wedge_conjugate_at(parts, den, index), (c_re * top, c_im * top)
-    if lhs != rhs:
+    lhs, rhs = _wedge_conjugate_at(parts, index), (c_re * top, c_im * top)
+    if any(x * kdn != y * den * den for x, y in zip(lhs, rhs)):
+        lhs, rhs = [Fraction(x, den * den) for x in lhs], [Fraction(y, kdn) for y in rhs]
         indices = combinations(range(1, dim + 1), 2 * n)
-        top = KForm(dim, 2 * n, {I: scale * _pfaffian_minor(kcols, I) for I in indices})
+        top = KForm._of(dim, 2 * n, {I: scale * _pfaffian_minor(kcols, I) for I in indices}, kdn)
         rhs_form = ComplexKForm(c_re * top, c_im * top)
         lhs_form = epsilon.wedge(epsilon.conjugate())
         witness = {
@@ -631,11 +626,10 @@ def check_r_contact_ccy(
                 witness = {"d(alpha1)": str(dalpha), f"d(alpha{idx})": str(da)}
                 raise CheckError("rccy.equal_differentials", "d(alpha_i) differ", witness)
         clauses.append(Clause("rccy.equal_differentials", True))
-        top = _volume_coefficient(alphas, dalpha, n)
-        if not top:
+        volume = _volume_form(alphas, dalpha, n)
+        if volume.is_zero:
             witness = {"alpha1^...^alphar^(dalpha)^n": "0"}
             raise CheckError("rccy.volume", "the volume form is zero", witness)
-        volume = KForm.monomial(alg.dim, range(1, alg.dim + 1), top)
         clauses.append(Clause("rccy.volume", True, {"volume_form": str(volume)}))
         reebs = _solve_reeb(alphas, dalpha)
         if reebs is None:
@@ -643,7 +637,7 @@ def check_r_contact_ccy(
             raise CheckError("rccy.reeb_family", "no unique Reeb family", note)
         reeb_detail = {f"R{i + 1}": str(v) for i, v in enumerate(reebs)}
         clauses.append(Clause("rccy.reeb_family", True, reeb_detail))
-        kappa = dalpha * Fraction(1, 2)
+        kappa = KForm._of(alg.dim, 2, dalpha.nums, 2 * dalpha.den)
         _check_calibration(alg, kappa, alphas, reebs, J)
         clauses.append(Clause("rccy.calibrated", True))
         if r == 1:

@@ -9,7 +9,9 @@ algebras before it added up term maps. The tests compare `parse_form` and
 `parse_algebra` against them, on valid input.
 
 `serialize_algebra_json` writes any algebra in the JSON notation, the small
-ones too, for the parsers' round-trip tests.
+ones too, for the parsers' round-trip tests. `render` and `render_vector`
+write forms and vectors from their Fraction views, as `str` did before it
+rendered from the stored ints.
 """
 
 import json
@@ -19,6 +21,30 @@ from fractions import Fraction
 from nilgeo.algdsl import MAX_WEDGE_PAIRS, Gen, Imag, Rat, Sum, Wedge, parse_form_expr
 from nilgeo.errors import InputError
 from nilgeo.exterior import ComplexKForm, KForm, rat
+
+
+def _signed_sum(parts) -> str:
+    return (parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])) if parts else "0"
+
+
+def render(form) -> str:
+    parts = []
+    for idx in sorted(form.terms):
+        c = form.terms[idx]
+        if idx:
+            gen = "e" + "".join(str(k) for k in idx) if form.dim <= 9 else "^".join(f"e{k}" for k in idx)
+            parts.append(gen if c == 1 else f"-{gen}" if c == -1 else f"{c}*{gen}")
+        else:
+            parts.append(str(c))
+    return _signed_sum(parts)
+
+
+def render_vector(v) -> str:
+    parts = []
+    for i, c in enumerate(v.coeffs, start=1):
+        if c:
+            parts.append(f"X{i}" if c == 1 else f"-X{i}" if c == -1 else f"{c}*X{i}")
+    return _signed_sum(parts)
 
 
 def serialize_algebra_json(alg) -> str:

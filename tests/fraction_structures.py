@@ -14,6 +14,10 @@ fields from one Fraction `linalg.rref` of the dense system, the Nijenhuis
 table contracted from the dense bracket table and J's dense int matrix, and
 g_J = K J as a product of dense int matrices.
 
+Then the special Legendrian check as it was computed before the subalgebra
+pulled forms back on ints: `exterior.pullback` (one determinant per term) and
+the Gram determinant of the basis in Fractions.
+
 Last come two definitions only the tests use: the Lie derivative of an
 invariant form by Cartan's formula, which the ccy.basic reference reads, and
 the invariant model of the 2-contact Calabi-Yau structure on the product of
@@ -27,7 +31,7 @@ from math import factorial
 from nilgeo import linalg
 from nilgeo.cealg import LieAlgebra, basis_tuples, d_matrix
 from nilgeo.classify import MultiPoly, ObstructionVerdict
-from nilgeo.exterior import ComplexKForm, Endo, KForm, Vector, contract, covector
+from nilgeo.exterior import ComplexKForm, Endo, KForm, Vector, contract, covector, pullback
 from nilgeo.structures import check_contact, volume_constant, xi_basis
 
 from .fraction_curvature import contract_first, two_form_matrix
@@ -262,6 +266,24 @@ def obstruction_filter(alg, alpha) -> ObstructionVerdict:
                     witness = witness + coord * gamma
             return ObstructionVerdict(False, m, str(q), witness, value)
     raise ArithmeticError("nonzero quadratic vanished on the full grid")
+
+
+def special_legendrian(basis, ccy) -> tuple[str, dict]:
+    """(verdict, detail strings) of check_special_legendrian on the span of
+    the basis, from Fraction pullbacks and a Fraction Gram determinant."""
+    n = len(basis)
+    p_alpha, p_re, p_im = (pullback(f, basis) for f in (ccy.contact.alpha, ccy.epsilon.re, ccy.epsilon.im))
+    detail = {"pullback_alpha": str(p_alpha), "pullback_im": str(p_im), "pullback_re": str(p_re)}
+    if not p_alpha.is_zero:
+        return "NotLegendrian", detail
+    if not p_im.is_zero:
+        return "LegendrianOnly", detail
+    c = p_re.coefficient(tuple(range(1, n + 1)))
+    det_gram = linalg.det(ccy.metric.restrict(basis))
+    detail.update(volume_coefficient=str(c), gram_determinant=str(det_gram))
+    if c == 0 or c * c != det_gram or len(p_re.terms) != 1:
+        return "LegendrianOnly", dict(detail, calibration="pullback of Re epsilon is not the induced volume form")
+    return "SpecialLegendrian", dict(detail, orientation="+1" if c > 0 else "-1")
 
 
 def lie_derivative(v: Vector, form, alg: LieAlgebra):

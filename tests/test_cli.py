@@ -716,8 +716,7 @@ import sys
 import time
 from fractions import Fraction
 
-from nilgeo.cli import _ratio
-from nilgeo.exterior import MAX_LITERAL_DIGITS
+from nilgeo.exterior import MAX_LITERAL_DIGITS, ratio
 
 # Each argv is valid with "1" in the slot {}; every flag that reads a literal
 # has one, in each of its notations (compact, form, JSON string, JSON number,
@@ -825,4 +824,53 @@ def test_reports_print_exact_values_beyond_the_int_string_bound(capsys):
 @example(-6, 3)
 @example(-4, 6)
 def test_ratio_renders_as_fraction_does(p, q):
-    assert _ratio(p, q) == str(Fraction(p, q))
+    assert ratio(p, q) == str(Fraction(p, q))
+
+
+def test_comass_outside_the_float_range_is_an_input_error():
+    # a verified structure whose metric and epsilon the sampler cannot hold in
+    # floats: exit 2, not the internal-guard exit 3
+    n = "9" * MAX_LITERAL_DIGITS
+    report = run_input_error(["comass", "--algebra=(0,0,12)", f"--alpha=2*{n}*{n}*{n}*{n}*e3", "--J=pairs:(1,2)",
+                              f"--epsilon={n}*{n}*e1 + {n}*{n}*i*e2", "--samples=10"])
+    assert "floating-point range" in report["error"]
+
+
+def test_metric_denominator_bound_is_an_input_error_before_any_elimination():
+    from nilgeo.exterior import MAX_METRIC_DEN_DIGITS
+
+    assert MAX_METRIC_DEN_DIGITS >= MAX_LITERAL_DIGITS  # one in-bound literal always passes
+    dim, base = 9, 10 ** (MAX_LITERAL_DIGITS - 1)
+    metric = [["10" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    for k, (i, j) in enumerate((i, j) for i in range(dim) for j in range(i)):  # 36 distinct 100-digit denominators
+        metric[i][j] = metric[j][i] = f"1/{base + 2 * k + 1}"
+    argv = ["curvature", "--algebra=(0,0,12,13,14,15,16,17,18)", f"--metric={json.dumps(metric)}"]
+    start = time.perf_counter()
+    report = run_input_error(argv)
+    assert time.perf_counter() - start < 1
+    assert str(MAX_METRIC_DEN_DIGITS) in report["error"]
+    metric[1][0] = metric[0][1] = f"1/{10 ** MAX_LITERAL_DIGITS - 1}"  # one literal at the literal bound passes
+    for i, j in ((i, j) for i in range(dim) for j in range(i) if (i, j) != (1, 0)):
+        metric[i][j] = metric[j][i] = "0"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["curvature", "--algebra=(0,0,12,13,14,15,16,17,18)", f"--metric={json.dumps(metric)}"]) == 0
+
+
+# -- the report writer: json.dumps(indent=2), byte for byte -------------------
+
+from nilgeo.cli import _dumps
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+@example({"empty list": [], "empty dict": {}, "nested": [[], {}, [{}]], "ints": [0, -7, 10**30], "none": None})
+@example({"né  ": "é中\U0001f600", "esc": "\"\\\n\r\t\b\f\x00\x1f\x7f", "bools": [True, False]})
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json_dumps(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2)

@@ -407,7 +407,7 @@ def test_rref_and_solve_agree_with_sympy_on_sparse_matrices_up_to_40():
 
 
 def test_int_rows_give_the_rank_and_rref_of_their_fraction_copies():
-    # each pivot becomes a Fraction, so int rows are never divided into floats
+    # int rows stay int through the elimination, so they are never divided into floats
     assert linalg.rank_sparse([{0: -3, 1: 8, 2: 6}, {0: 5, 1: 7, 2: -1}, {0: 24, 1: -3, 2: -21}]) == 2
     rng = random.Random(2024)
     for _ in range(200):
@@ -423,9 +423,11 @@ def test_int_rows_give_the_rank_and_rref_of_their_fraction_copies():
             rows.append(row)
         copies = [{c: Q(v) for c, v in row.items()} for row in rows]
         assert linalg.rank_sparse(rows) == linalg.rank_sparse(copies)
-        reduced, pivots = linalg._rref_sparse(rows)
-        assert (reduced, pivots) == linalg._rref_sparse(copies)
-        assert all(type(v) is Q for row in reduced for v in row.values())
+        reduced, pivots, den = linalg.rref_ints(rows)
+        dense, expected = linalg.rref([[row.get(c, Q(0)) for c in range(ncols)] for row in copies])
+        assert pivots == expected
+        assert [[Q(row.get(c, 0), den) for c in range(ncols)] for row in reduced] == dense[: len(pivots)]
+        assert all(type(v) is int for row in reduced for v in row.values())
 
 
 def test_sparse_d_rows_match_the_differential_of_each_monomial():
@@ -500,11 +502,13 @@ def test_d_rows_transpose_the_image_rows_and_betti_ignores_the_frame():
 
 
 def test_int_and_fraction_matrices_eliminate_alike():
-    # integral multipliers keep int rows int; every result equals the Fraction one
+    # int rows stay int: a row whose entry the pivot does not divide is scaled
+    # first, so each echelon row is a multiple of the Fraction one, with the
+    # same pivots; every result equals the Fraction one
     _, (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 4, 1: 7}])
     assert second == {1: 1} and type(second[1]) is int
     _, (_, _, second) = linalg._eliminate([{0: 2, 1: 3}, {0: 3, 1: 5}])
-    assert second == {1: Q(1, 2)}
+    assert second == {1: 1} and type(second[1]) is int  # 2 (3, 5) - 3 (2, 3), where Fractions give 1/2
     rng = random.Random(117)
     for _ in range(300):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
@@ -513,7 +517,11 @@ def test_int_and_fraction_matrices_eliminate_alike():
         expected = len(to_sympy(fracs).rref()[1])
         int_rows = [{c: x for c, x in enumerate(row) if x} for row in ints]
         pivots = linalg._eliminate(int_rows)
-        assert pivots == linalg._eliminate([{c: Q(x) for c, x in row.items()} for row in int_rows])
+        fraction_pivots = linalg._eliminate([{c: Q(x) for c, x in row.items()} for row in int_rows])
+        assert [(c, s) for c, s, _ in pivots] == [(c, s) for c, s, _ in fraction_pivots]
+        for (col, _, row), (_, _, frow) in zip(pivots, fraction_pivots):
+            assert all(type(x) is int for x in row.values())
+            assert {c: Q(x, row[col]) for c, x in row.items()} == {c: x / frow[col] for c, x in frow.items()}
         assert len(pivots) == linalg.rank_sparse(int_rows) == linalg.rank(ints) == linalg.rank(fracs) == expected
         assert linalg.rref(ints) == linalg.rref(fracs)
         k = min(nrows, ncols)
