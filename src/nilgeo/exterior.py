@@ -84,6 +84,16 @@ def common_den(values) -> tuple[list, int]:
             else tuple(c * (den // x.den) for c in x.nums) for x in values], den
 
 
+def _int_matrix(matrix, what: str) -> tuple[list[list[int]], int]:
+    """(rows, den): a square matrix of literals as int rows over the lcm of
+    their denominators, in lowest terms, as each literal is."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InputError(f"{what} matrix must be square")
+    flat, den = linalg.over_lcm([literal(x) for row in matrix for x in row])
+    return [flat[k : k + n] for k in range(0, n * n, n)], den
+
+
 def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     """Merge two strictly increasing index tuples.
 
@@ -426,12 +436,8 @@ class Endo:
     __slots__ = ("num", "den", "_matrix", "_columns")
 
     def __init__(self, matrix):
-        rows = [list(row) for row in matrix]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise InputError("endomorphism matrix must be square")
-        flat, den = linalg.over_lcm([literal(x) for row in rows for x in row])
-        object.__setattr__(self, "num", tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
+        num, den = _int_matrix([list(row) for row in matrix], "endomorphism")
+        object.__setattr__(self, "num", tuple(map(tuple, num)))
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
@@ -497,14 +503,10 @@ class Metric:
     __slots__ = ("num", "den", "_matrix", "_elimination")
 
     def __init__(self, matrix):
-        n = len(matrix)
-        if any(len(row) != n for row in matrix):
-            raise InputError("metric matrix must be square")
-        flat, den = linalg.over_lcm([literal(x) for row in matrix for x in row])
+        num, den = _int_matrix(matrix, "metric")
         if den >= 10**MAX_METRIC_DEN_DIGITS:
             raise InputError(f"metric entries need a common denominator of at most {MAX_METRIC_DEN_DIGITS} digits")
-        num = [flat[k : k + n] for k in range(0, n * n, n)]
-        pair = next(((i, j) for i in range(n) for j in range(i) if num[i][j] != num[j][i]), None)
+        pair = next(((i, j) for i in range(len(num)) for j in range(i) if num[i][j] != num[j][i]), None)
         if pair:
             raise InputError(f"metric not symmetric at ({pair[0] + 1},{pair[1] + 1})")
         object.__setattr__(self, "num", num)

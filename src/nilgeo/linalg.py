@@ -7,20 +7,19 @@ multiplied so that it does, and the multiplier is their int quotient.
 Fraction rows are eliminated as Fractions. rank and rank_sparse count its
 pivots; det multiplies them. `rref_ints` reads the reduced row echelon form
 of int rows, times one denominator, after a fraction-free back-reduction;
-rref, solve, nullspace and inverse scale each rational row to ints for it.
-Then `scaled` (a table as ints over one denominator) and the zero-skipping
-contractions that the structure checks and the curvature layer are written
-in, over Fractions or ints alike; nothing is ever rounded.
+`kernel` reads the nullspace of an int matrix off it, and rref, solve,
+nullspace and inverse scale each rational row to ints for it. Then `scaled`
+(a table as ints over one denominator) and the zero-skipping contractions
+that the structure checks and the curvature layer are written in, over
+Fractions or ints alike; nothing is ever rounded.
 
-Beside the sparse one, three dense fraction-free eliminations run on int
+Beside the sparse one, two dense fraction-free eliminations run on int
 matrices. `sylvester` is the Gram-matrix elimination (Bareiss 1968), ints
 in and ints out: the leading minors and the adjugate, which is the inverse
 times the last minor (`Metric` keeps both). It takes no row exchanges, so
 pivot k is a leading minor: a positive definite matrix never needs one, and
-any other stops at the first minor <= 0, Sylvester's witness. `kernel` is
-Gauss-Jordan with row exchanges and the same exact division, for the
-nullspace of a small int matrix. `pfaffian` is the skew elimination of
-Wimmer 2012.
+any other stops at the first minor <= 0, Sylvester's witness. `pfaffian` is
+the skew elimination of Wimmer 2012.
 """
 
 from __future__ import annotations
@@ -229,37 +228,18 @@ def lowest(rows, den: int) -> tuple[list[list[int]], int]:
 
 
 def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
-    """(basis, den): the `nullspace` basis of an int matrix, as ints over den.
-
-    One fraction-free Gauss-Jordan elimination with row exchanges: each step
-    divides every other row exactly by the previous pivot, so the rows end as
-    D times the reduced row echelon form, D the last pivot (Bareiss 1968).
-    The vector of free column f is D at f and -row[f] at each pivot column.
-    """
-    rows = [list(row) for row in rows if any(row)]
-    pivots, prev = [], 1
-    for col in range(ncols):
-        k = len(pivots)
-        p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
-        if p is None:
-            continue
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot_row = rows[k]
-        pv = pivot_row[col]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[col]
-                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pv
-        pivots.append(col)
+    """(basis, den): the `nullspace` basis of an int matrix, as ints over den,
+    read off `rref_ints`: the vector of free column f is den at f and -row[f]
+    at each pivot column."""
+    reduced, pivots, den = rref_ints([{c: x for c, x in enumerate(row) if x} for row in rows])
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
-        v[fc] = prev
-        for pc, row in zip(pivots, rows):
-            v[pc] = -row[fc]
+        v[fc] = den
+        for pc, row in zip(pivots, reduced):
+            v[pc] = -row.get(fc, 0)
         basis.append(v)
-    return basis, prev
+    return basis, den
 
 
 def sylvester(a) -> tuple[list[int], list[list[int]] | None]:
