@@ -31,6 +31,7 @@ MAX_LITERAL_DIGITS = 100
 # denominators took 16 s and printed 1.5 MB of Ricci tensor (2-CPU x86-64).
 # The benchmark's seeded metrics need at most 1 digit.
 MAX_METRIC_DEN_DIGITS = 1000
+_METRIC_DEN_BOUND = 10**MAX_METRIC_DEN_DIGITS  # computed once, not per metric
 _LITERAL = re.compile(rf"(-?[0-9]{{1,{MAX_LITERAL_DIGITS}}})(?:/([0-9]{{1,{MAX_LITERAL_DIGITS}}}))?")  # ASCII, not \d
 
 
@@ -504,7 +505,7 @@ class Metric:
 
     def __init__(self, matrix):
         num, den = _int_matrix(matrix, "metric")
-        if den >= 10**MAX_METRIC_DEN_DIGITS:
+        if den >= _METRIC_DEN_BOUND:
             raise InputError(f"metric entries need a common denominator of at most {MAX_METRIC_DEN_DIGITS} digits")
         pair = next(((i, j) for i in range(len(num)) for j in range(i) if num[i][j] != num[j][i]), None)
         if pair:

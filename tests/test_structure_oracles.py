@@ -2,7 +2,7 @@
 
 `linalg.sylvester` and `linalg.pfaffian` against per-minor determinants,
 `linalg.inverse`, sympy and the expansion of the Pfaffian; `linalg.kernel`
-against `linalg.nullspace`; the calibration, Nijenhuis, epsilon and
+against `linalg.nullspace` and sympy; the calibration, Nijenhuis, epsilon and
 normalization clauses, the r-contact volume and the dimension-5 obstruction
 filter against the reference computations in `fraction_structures`.
 """
@@ -287,6 +287,9 @@ def test_kernel_is_the_nullspace_over_one_denominator():
             m = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(cols)] for _ in range(rows)]
         basis, den = linalg.kernel(m, cols)
         assert [[Q(x, den) for x in v] for v in basis] == linalg.nullspace(m, cols)
+        # both read rref_ints; sympy is the independent reference
+        expected = sympy.Matrix(m).nullspace() if rows else sympy.eye(cols).columnspace()
+        assert [[Q(x, den) for x in v] for v in basis] == [[Q(int(x.p), int(x.q)) for x in v] for v in expected]
 
 
 def epsilon_cases():
