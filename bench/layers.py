@@ -26,6 +26,10 @@ levi_civita, ricci_scalar and transverse_ricci:
   and parse_form of the epsilon expression (e1+i*e2)^...^(e(2n-1)+i*e(2n));
 - parse_algebra of the Heisenberg algebra in the JSON format, dim 11, 21,
   41, 101, 201, 401 and 801, and check_contact on it with alpha = 2 e_dim;
+- check_contact on the Heisenberg structure data of dims 11, 19 and 21
+  carried into one seeded dense rational frame per dim (DENSE_SEED), where
+  d(alpha) is dense and the Reeb solve eliminates dim + 1 dense rows, and
+  rank_sparse of a seeded dense dim x dim int matrix of entries |x| <= 9;
 - the parsing of a curvature request: `cli._parse_metric` on PARSE_METRICS
   seeded metric strings per dim 3..7, drawn as curvature-sweep draws its
   metrics (`perfbench.workloads.positive_metric`, PARSE_SEED), in ms per
@@ -115,6 +119,8 @@ BETTI_DIMS = (7, 9, 11)
 BETTI_SHEARED = ("H9", "H3+H3+H3")
 BETTI_FRAME_SEED = 0
 FRAME_SEED = 16
+DENSE_N = (5, 9, 10)
+DENSE_SEED = 21
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 PARSE_SEED = 19
@@ -368,6 +374,15 @@ def measure(tree: Path) -> dict:
         parse_ms = timed_ms(clock, lambda: parse_algebra(text))
         check_ms = timed_ms(clock, lambda: check_contact(alg, alpha))
         rows.append({"family": "json_heisenberg", "dim": dim, "parse_algebra_ms": parse_ms, "check_contact_ms": check_ms})
+    dense = random.Random(DENSE_SEED)
+    for n in DENSE_N:
+        alg, alpha, _, _ = heisenberg_ccy_data(n)
+        cols = rational_frame(linalg, dense, alg.dim)
+        alg, alpha = cealg.change_of_basis(alg, cols), pullback(alpha, [Vector(col) for col in cols])
+        ints = [{c: dense.randint(-9, 9) for c in range(alg.dim)} for _ in range(alg.dim)]
+        rows.append({"family": "dense_frame", "dim": alg.dim,
+                     "check_contact_ms": timed_ms(clock, lambda: check_contact(alg, alpha)),
+                     "rank_sparse_ms": timed_ms(clock, lambda: linalg.rank_sparse(ints))})
     parse_rng = random.Random(PARSE_SEED)
     metrics = {dim: [positive_metric(dim, parse_rng) for _ in range(PARSE_METRICS)] for dim in PARSE_DIMS}
     for dim, texts in metrics.items():
@@ -601,6 +616,8 @@ def main() -> None:
             "betti_sheared": list(BETTI_SHEARED),
             "betti_frame_seed": BETTI_FRAME_SEED,
             "frame_seed": FRAME_SEED,
+            "dense_n": list(DENSE_N),
+            "dense_seed": DENSE_SEED,
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
             "parse_seed": PARSE_SEED,

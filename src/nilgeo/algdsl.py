@@ -34,7 +34,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cealg import LieAlgebra
 from .errors import InputError
@@ -164,10 +163,6 @@ class Gen:
 class Rat:
     p: int
     q: int  # > 0, in lowest terms
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)

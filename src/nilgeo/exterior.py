@@ -591,12 +591,6 @@ def wedge(a, b):
     return a.wedge(b)
 
 
-def covector(a: KForm) -> list[Fraction]:
-    """The values a(X_1), ..., a(X_n) of a real 1-form."""
-    (row,), den = covectors([a])
-    return [Fraction(x, den) for x in row]
-
-
 def covectors(forms) -> tuple[list[list[int]], int]:
     """(rows, den): the values alpha(X_1), ..., alpha(X_n) of real 1-forms as
     int rows over one denominator."""

@@ -3,15 +3,16 @@
 One elimination: a sparse forward elimination over Q that buckets the rows
 by leading column and takes the shortest row of a bucket as pivot. Int rows
 stay int: when an int pivot does not divide an entry, the row is first
-multiplied so that it does, and the multiplier is their int quotient.
-Fraction rows are eliminated as Fractions. rank and rank_sparse count its
-pivots; det multiplies them. `rref_ints` reads the reduced row echelon form
-of int rows, times one denominator, after a fraction-free back-reduction;
-`kernel` reads the nullspace of an int matrix off it, and rref, solve,
-nullspace and inverse scale each rational row to ints for it. Then `scaled`
-(a table as ints over one denominator) and the zero-skipping contractions
-that the structure checks and the curvature layer are written in, over
-Fractions or ints alike; nothing is ever rounded.
+multiplied so that it does, and the multiplier is their int quotient; the
+result is then divided by the gcd of its entries, so that its entries stay
+within the size of the minors, as reduced Fractions would. Fraction rows are
+eliminated as Fractions. rank and rank_sparse count its pivots; det
+multiplies them. `rref_ints` reads the reduced row echelon form of int rows,
+times one denominator, after a fraction-free back-reduction; `kernel` reads
+the nullspace of an int matrix off it, and rref, solve, nullspace and
+inverse scale each rational row to ints for it. Then the zero-skipping
+contractions that the structure checks and the curvature layer are written
+in, over Fractions or ints alike; nothing is ever rounded.
 
 Beside the sparse one, two dense fraction-free eliminations run on int
 matrices. `sylvester` is the Gram-matrix elimination (Bareiss 1968), ints
@@ -50,7 +51,7 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
     """Sparse forward elimination of rows (dict column -> int or Fraction).
 
     Returns the pivots in column order as (column, input row, echelon row):
-    each echelon row is its input row (an int row: a multiple of it) minus
+    each echelon row is its input row (an int row: a rational multiple of it) minus
     multiples of earlier pivot rows.
     The shortest row of a leading-column bucket is the pivot, so sparse
     matrices (the Chevalley-Eilenberg differential, banded circulants) keep
@@ -76,16 +77,19 @@ def _eliminate(rows) -> list[tuple[int, int, dict[int, Fraction]]]:
         int_pivot = type(p) is int
         for row, s in bucket[1:]:
             x = row[col]
+            scale = 1
             if int_pivot and type(x) is int:
                 if x % p:  # scale the row so that the multiplier is an int
-                    m = p // math.gcd(x, p)
-                    row, x = {c: m * v for c, v in row.items()}, m * x
+                    scale = p // math.gcd(x, p)
+                    row, x = {c: scale * v for c, v in row.items()}, scale * x
                 f, zero = x // p, 0
             else:
                 f, zero = x / _divisor(p), _ZERO
             for c, v in pivot.items():
                 row[c] = row.get(c, zero) - f * v
             del row[col]
+            if scale != 1 and (g := math.gcd(*row.values())) > 1:
+                row = {c: v // g for c, v in row.items()}  # back to a primitive row
             push(row, s)
     return pivots
 
@@ -201,19 +205,6 @@ def nullspace(matrix, ncols: int | None = None) -> list[list[Fraction]]:
     return basis
 
 
-def scaled(table) -> tuple[list, int]:
-    """(numerators, den): a rectangular nested table of rationals as Python
-    ints of the same nesting over den, the lcm of its denominators."""
-    flat, shape = table, []
-    while flat and isinstance(flat[0], (list, tuple)):
-        shape.append(len(flat[0]))
-        flat = [x for row in flat for x in row]
-    out, den = over_lcm([x.as_integer_ratio() for x in flat])
-    for size in reversed(shape):
-        out = [out[k : k + size] for k in range(0, len(out), size)]
-    return out, den
-
-
 def over_lcm(ratios) -> tuple[list[int], int]:
     """(numerators, den): (p, q) pairs, q > 0, as ints over den, the lcm of the q."""
     den = math.lcm(*(q for _, q in ratios))
@@ -222,7 +213,7 @@ def over_lcm(ratios) -> tuple[list[int], int]:
 
 def lowest(rows, den: int) -> tuple[list[list[int]], int]:
     """(rows, den) of an int table over den, divided by the gcd of den and
-    every entry: the numerators and denominator `scaled` gives its values."""
+    every entry: the same values in lowest terms."""
     g = math.gcd(den, *(x for row in rows for x in row))
     return [[x // g for x in row] for row in rows], den // g
 
@@ -269,9 +260,9 @@ def sylvester(a) -> tuple[list[int], list[list[int]] | None]:
     return pivots, [row[n:] for row in rows]
 
 
-def pfaffian(matrix):
-    """Exact Pfaffian of a skew-symmetric A = S / D (0 in odd size, 1 in size
-    0): an int when A is an int matrix, a Fraction otherwise.
+def pfaffian(matrix) -> int:
+    """Exact Pfaffian of a skew-symmetric int matrix S (0 in odd size, 1 in
+    size 0).
 
     Step k pivots on (2k, 2k+1), after exchanging index 2k+1 with the first
     later index where row 2k is nonzero (the sign flips; a zero row gives 0).
@@ -281,7 +272,7 @@ def pfaffian(matrix):
     n = _require_square(matrix, "pfaffian")
     if n % 2:
         return 0
-    a, den = scaled(matrix)
+    a = [list(row) for row in matrix]
     sign, prev = 1, 1
     for k in range(0, n, 2):
         p = next((j for j in range(k + 1, n) if a[k][j]), None)
@@ -299,7 +290,7 @@ def pfaffian(matrix):
             for j in range(k + 2, n):
                 row[j] = (pivot * row[j] - u[i] * v[j] + u[j] * v[i]) // prev
         prev = pivot
-    return sign * prev if den == 1 else Fraction(sign * prev, den ** (n // 2))
+    return sign * prev
 
 
 def dot(u, v):

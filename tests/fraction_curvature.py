@@ -17,9 +17,11 @@ from fractions import Fraction
 
 from nilgeo import linalg
 from nilgeo.curvature import CurvatureReport, TransverseReport
-from nilgeo.exterior import Vector, covector
+from nilgeo.exterior import Vector
 from nilgeo.linalg import axpy, dot, lincomb, matvec
 from nilgeo.structures import induced_metric, xi_basis
+
+from .fraction_forms import covector, scaled
 
 _ZERO = Fraction(0)
 
@@ -89,7 +91,7 @@ def ricci_report(alg, g) -> CurvatureReport:
             quadratic = sum((a * b for a, b in pairs if a and b), _ZERO)
             ric[i][j] = ric[j][i] = dot(gamma[i][j], trace) - quadratic
     scalar = sum((dot(ginv[i], ric[i]) for i in range(n)), _ZERO)
-    return CurvatureReport(linalg.scaled(ric), scalar)
+    return CurvatureReport(scaled(ric), scalar)
 
 
 def _project(v, cov, reeb):

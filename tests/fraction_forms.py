@@ -9,7 +9,9 @@ algebras before it added up term maps. The tests compare `parse_form` and
 `parse_algebra` against them, on valid input.
 
 `serialize_algebra_json` writes any algebra in the JSON notation, the small
-ones too, for the parsers' round-trip tests. `render` and `render_vector`
+ones too, for the parsers' round-trip tests. `scaled` and `covector` give a
+Fraction table as ints over one denominator and a 1-form's values as
+Fractions, for the Fraction references. `render` and `render_vector`
 write forms and vectors from their Fraction views, as `str` did before it
 rendered from the stored ints.
 """
@@ -18,9 +20,29 @@ import json
 import re
 from fractions import Fraction
 
+from nilgeo import linalg
 from nilgeo.algdsl import MAX_WEDGE_PAIRS, Gen, Imag, Rat, Sum, Wedge, parse_form_expr
 from nilgeo.errors import InputError
-from nilgeo.exterior import ComplexKForm, KForm, rat
+from nilgeo.exterior import ComplexKForm, KForm, covectors, rat
+
+
+def scaled(table) -> tuple[list, int]:
+    """(numerators, den): a rectangular nested table of rationals as Python
+    ints of the same nesting over den, the lcm of its denominators."""
+    flat, shape = table, []
+    while flat and isinstance(flat[0], (list, tuple)):
+        shape.append(len(flat[0]))
+        flat = [x for row in flat for x in row]
+    out, den = linalg.over_lcm([Fraction(x).as_integer_ratio() for x in flat])
+    for size in reversed(shape):
+        out = [out[k : k + size] for k in range(0, len(out), size)]
+    return out, den
+
+
+def covector(a: KForm) -> list[Fraction]:
+    """The values a(X_1), ..., a(X_n) of a real 1-form."""
+    (row,), den = covectors([a])
+    return [Fraction(x, den) for x in row]
 
 
 def _signed_sum(parts) -> str:
@@ -72,7 +94,7 @@ def elaborate(node, dim: int) -> ComplexKForm:
             return ComplexKForm.from_real(KForm.monomial(dim, digits))
         raise InputError(f"generator e{node.index} out of range for dimension {dim}")
     if isinstance(node, Rat):
-        return ComplexKForm.from_real(KForm.scalar(dim, node.value))
+        return ComplexKForm.from_real(KForm.scalar(dim, Fraction(node.p, node.q)))
     if isinstance(node, Imag):
         return ComplexKForm(KForm.zero(dim, 0), KForm.scalar(dim, 1))
     if isinstance(node, Wedge):

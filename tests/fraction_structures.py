@@ -31,10 +31,11 @@ from math import factorial
 from nilgeo import linalg
 from nilgeo.cealg import LieAlgebra, basis_tuples, d_matrix
 from nilgeo.classify import MultiPoly, ObstructionVerdict
-from nilgeo.exterior import ComplexKForm, Endo, KForm, Vector, contract, covector, pullback
+from nilgeo.exterior import ComplexKForm, Endo, KForm, Vector, contract, pullback
 from nilgeo.structures import check_contact, volume_constant, xi_basis
 
 from .fraction_curvature import contract_first, two_form_matrix
+from .fraction_forms import covector, scaled
 
 
 def solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
@@ -53,8 +54,8 @@ def solve_reeb(alphas, dalpha: KForm) -> list[Vector] | None:
 def nijenhuis_table(J, alg) -> dict:
     """N(X_i, X_j) for every 1-based i < j as a Fraction Vector, contracted
     from the dense int tables: ad_J = c against J's columns."""
-    c, cd = linalg.scaled(alg.structure_constants)
-    jm, jd = linalg.scaled(J.matrix)
+    c, cd = scaled(alg.structure_constants)
+    jm, jd = scaled(J.matrix)
     jcols = list(zip(*jm))
     ad_j = [contract_first(c, col) for col in jcols]  # ad_j[i][j] = [J X_i, X_j], over jd cd
     table, den = {}, jd * jd * cd
@@ -70,8 +71,8 @@ def nijenhuis_table(J, alg) -> dict:
 
 def g_j_matrix(kappa: KForm, J) -> list[list[Fraction]]:
     """g_J(X_i, X_j) = kappa(X_i, J X_j), the dense int product K J."""
-    jm, jd = linalg.scaled(J.matrix)
-    km, kd = linalg.scaled(two_form_matrix(kappa))
+    jm, jd = scaled(J.matrix)
+    km, kd = scaled(two_form_matrix(kappa))
     g_rows = zip(*(linalg.matvec(km, col) for col in zip(*jm)))
     return [[Fraction(x, kd * jd) for x in row] for row in g_rows]
 

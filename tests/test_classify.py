@@ -20,6 +20,8 @@ from nilgeo.errors import InputError
 from nilgeo.exterior import KForm
 from nilgeo.structures import NotContactError
 
+from .fraction_forms import scaled
+
 
 def test_multipoly_arithmetic():
     # polynomials are built from term maps; zero coefficients are dropped
@@ -137,7 +139,7 @@ def test_closed_two_forms_read_the_same_ints_as_the_dense_d_matrix():
     assert len(algebras) > 15
     for alg in algebras:
         ncols = len(basis_tuples(alg.dim, 2))
-        rows, den = linalg.scaled(d_matrix(alg, 2))
+        rows, den = scaled(d_matrix(alg, 2))
         dense = [[row.get(c, 0) for c in range(ncols)] for row in d_rows(alg, 2)]
         assert linalg.lowest(dense, alg.d1_ints[1]) == (rows, den)
         assert closed_two_forms(alg) == linalg.kernel(rows, ncols)

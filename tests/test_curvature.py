@@ -16,11 +16,11 @@ from nilgeo.curvature import (
 )
 from nilgeo.errors import InputError
 from nilgeo.exterior import KForm, Metric, Vector
-from nilgeo.linalg import scaled
 from nilgeo.models import heisenberg_ccy
 from nilgeo.structures import xi_basis
 
 from . import fraction_curvature as reference
+from .fraction_forms import scaled
 
 H3 = parse_algebra("(0,0,12)")
 G_CCY = Metric.diagonal([1, 1, 4])

@@ -200,8 +200,9 @@ def test_wedge_mixed_real_complex():
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilgeo import linalg
 from nilgeo.exterior import MAX_LITERAL_DIGITS, literal, read_json
+
+from .fraction_forms import scaled
 
 
 @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
@@ -243,7 +244,7 @@ def test_literals_at_the_digit_bound_and_json_integers_beyond_it():
 @settings(max_examples=100, deadline=None)
 def test_metric_from_literals_matches_the_fraction_metric(entries, rng):
     # symmetric n x n matrices of p/q, spelled as JSON ints, "p/q" strings
-    # (not in lowest terms) and Fractions, against linalg.scaled of the Fractions
+    # (not in lowest terms) and Fractions, against `scaled` of the Fractions
     n = max(k for k in range(1, 7) if k * (k + 1) // 2 <= len(entries))
     upper = iter(entries)
     values = [[None] * n for _ in range(n)]
@@ -253,4 +254,4 @@ def test_metric_from_literals_matches_the_fraction_metric(entries, rng):
     spelled = [[rng.choice((f"{p}/{q}", Q(p, q), p if q == 1 else f"{2 * p}/{2 * q}")) for p, q in row]
                for row in values]
     g = Metric(spelled)
-    assert (g.num, g.den) == linalg.scaled([[Q(p, q) for p, q in row] for row in values])
+    assert (g.num, g.den) == scaled([[Q(p, q) for p, q in row] for row in values])

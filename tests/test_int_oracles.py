@@ -9,7 +9,9 @@ one passing request builds.
 
 import contextlib
 import io
+import math
 import random
+import time
 from fractions import Fraction as Q
 from math import gcd
 
@@ -17,6 +19,7 @@ import pytest
 
 from nilgeo import linalg
 from nilgeo.algdsl import parse_algebra
+from nilgeo.cealg import change_of_basis
 from nilgeo.cli import main
 from nilgeo.errors import InputError
 from nilgeo.exterior import ComplexKForm, KForm, Vector, add_terms, pullback, wedge_terms
@@ -153,6 +156,38 @@ def test_rref_ints_is_den_times_the_rref():
         assert [[Q(row.get(c, 0), den) for c in range(ncols)] for row in reduced] == [
             from_sympy(dense.row(i)) for i in range(len(pivots))]
         assert all(type(x) is int for row in reduced for x in row.values())
+
+
+def test_dense_int_eliminations_stay_within_the_size_of_the_minors():
+    # a row scaled so that the pivot divides it is divided by the gcd of its
+    # entries afterwards: each echelon row stays a small multiple of a vector
+    # of (k+1)-minors, within Hadamard's bound (9 sqrt(n))^n for entries |x| <= 9.
+    # Without that division a dense 40 x 40 matrix reaches 3000-bit entries.
+    rng = random.Random(1968)
+    for n in (20, 30, 40):
+        rows = [{c: rng.randint(-9, 9) for c in range(n)} for _ in range(n)]
+        bound = n * math.log2(9 * math.sqrt(n))
+        pivots = linalg._eliminate(rows)
+        assert len(pivots) == n
+        assert max(abs(x).bit_length() for _, _, row in pivots for x in row.values()) <= bound
+        reduced, _, den = linalg.rref_ints(rows)
+        assert den.bit_length() <= bound and all(abs(x).bit_length() <= bound for x in reduced[0].values())
+
+
+def test_check_contact_in_a_dense_frame_of_dimension_19():
+    # H19 carried into a seeded dense rational frame: d(alpha) is dense, and the
+    # Reeb solve eliminates 20 dense int rows; its field is P^-1 applied to the
+    # old one
+    alg, alpha, _, _ = heisenberg_ccy_data(9)
+    cols = rand_rational_frame(random.Random(19), alg.dim)
+    frame = [Vector(col) for col in cols]
+    start = time.perf_counter()
+    moved = change_of_basis(alg, cols)
+    contact = check_contact(moved, pullback(alpha, frame))
+    assert time.perf_counter() - start < 20
+    p = [list(row) for row in zip(*cols)]
+    assert contact.reeb == Vector(linalg.matvec(linalg.inverse(p), check_contact(alg, alpha).reeb.coeffs))
+    assert len(contact.kappa.nums) > 4 * alg.dim  # d(alpha) is dense in the frame
 
 
 def fractions_built(argv) -> int:

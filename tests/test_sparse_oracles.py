@@ -25,7 +25,7 @@ from nilgeo.cealg import LieAlgebra, change_of_basis
 from nilgeo.classify import Catalog
 from nilgeo.curvature import levi_civita
 from nilgeo.errors import InputError
-from nilgeo.exterior import Endo, KForm, Vector, covector
+from nilgeo.exterior import Endo, KForm, Vector
 from nilgeo.models import heisenberg_algebra, heisenberg_ccy_data
 from nilgeo.structures import (
     NotCalibratedError,
@@ -39,7 +39,7 @@ from nilgeo.structures import (
 
 from . import fraction_curvature, fraction_forms
 from . import fraction_structures as reference
-from .fraction_forms import serialize_algebra_json
+from .fraction_forms import covector, serialize_algebra_json
 from .fraction_structures import kodaira_thurston_data
 from .test_curvature import random_rational_metric, transported_data
 from .test_properties import NILPOTENT_SPECS, rand_form, rand_fraction, rand_rational_frame, rand_unimodular

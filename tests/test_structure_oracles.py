@@ -38,6 +38,7 @@ from nilgeo.structures import (
 )
 
 from . import fraction_structures as reference
+from .fraction_forms import scaled
 from .fraction_structures import kodaira_thurston_data
 from .test_curvature import transported_data
 from .test_properties import rand_form, rand_unimodular
@@ -69,7 +70,7 @@ def test_sylvester_matches_per_minor_determinants_inverse_and_sympy():
     verdicts = []
     for matrix in cases:
         # ints in, ints out: matrix = a / den, minor k = pivot k / den^k, inverse = den adj / det
-        a, den = linalg.scaled(matrix)
+        a, den = scaled(matrix)
         pivots, adjugate = linalg.sylvester(a)
         minors = [Q(p, den ** (k + 1)) for k, p in enumerate(pivots)]
         inverse = None if adjugate is None else [[Q(den * x, pivots[-1]) for x in row] for row in adjugate]
@@ -111,7 +112,8 @@ def test_pfaffian_squares_to_the_determinant_and_matches_the_expansion():
     for _ in range(200):
         n = rng.randint(0, 8)
         a = rand_skew(rng, n)
-        pf = linalg.pfaffian(a)
+        s, den = scaled(a)  # ints in, ints out: Pf(S / den) = Pf(S) / den^(n/2)
+        pf = Q(linalg.pfaffian(s), den ** (n // 2))
         assert pf * pf == (linalg.det(a) if n else 1)
         if n <= 6:
             assert pf == reference.pfaffian(a)
@@ -130,8 +132,8 @@ def test_pfaffian_times_n_factorial_is_the_kappa_power_coefficient():
             k = [[kappa.coefficient((p, q)) if p < q else -kappa.coefficient((q, p)) for q in range(1, dim + 1)]
                  for p in range(1, dim + 1)]
             for index in combinations(range(1, dim + 1), 2 * n):
-                minor = [[k[p - 1][q - 1] for q in index] for p in index]
-                assert factorial(n) * linalg.pfaffian(minor) == power.coefficient(index)
+                minor, den = scaled([[k[p - 1][q - 1] for q in index] for p in index])
+                assert factorial(n) * Q(linalg.pfaffian(minor), den**n) == power.coefficient(index)
 
 
 def rand_endo(rng, dim, pairs):
