@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_20.json
+        --seconds 30 --out BENCH_21.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -50,8 +50,11 @@ levi_civita, ricci_scalar and transverse_ricci:
   4096 (the operator assembled once), and betti_numbers of the Heisenberg
   algebras of dims 7, 9 and 11 and, in one fixed frame each (BETTI_FRAME_SEED,
   one shear, as rank-sweep draws its frames), of H9 and H3+H3+H3; each Betti
-  point also times building d on every degree as betti_numbers ranks it and
-  the ranks alone;
+  point records the degrees betti_numbers ranks (the domains it builds image
+  rows on) and, as the full-complex reference, times building d on every
+  degree as the image rows and the ranks of all of them alone;
+- change_of_basis of the Heisenberg algebras of dims 11, 15 and 19 into one
+  seeded dense rational frame each (BASIS_SEED);
 - and the dimension-5 obstruction filter, in ms per call over the contact
   forms among the default catalog's samples (CLASSIFY_SEED with
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
@@ -121,6 +124,8 @@ BETTI_FRAME_SEED = 0
 FRAME_SEED = 16
 DENSE_N = (5, 9, 10)
 DENSE_SEED = 21
+BASIS_DIMS = (11, 15, 19)
+BASIS_SEED = 21
 FILIFORM = (4, 5, 6, 7, 8, 9)
 METRIC_SEED = 7
 PARSE_SEED = 19
@@ -214,9 +219,25 @@ def matmul(a, b) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def ranked_degrees(cealg, alg) -> list[int]:
+    """The degrees whose image rows betti_numbers builds, read off its calls of `_image_rows`."""
+    degrees, image_rows = [], cealg._image_rows
+
+    def spy(d1, domain, pos):
+        degrees.append(domain[0].bit_count())
+        return image_rows(d1, domain, pos)
+
+    cealg._image_rows = spy
+    try:
+        cealg.betti_numbers(alg)
+    finally:
+        cealg._image_rows = image_rows
+    return degrees
+
+
 def betti_parts(cealg, linalg, alg) -> dict:
-    """What a Betti point times: betti_numbers, building d on every degree as
-    it ranks it (the image rows), and the ranks alone."""
+    """What a Betti point times: betti_numbers and, on the full complex,
+    building d on every degree as the image rows, and the ranks alone."""
     def build():
         masks, pos = cealg._basis_masks(alg.dim, range(alg.dim))
         return [cealg._image_rows(alg.d1_ints[0], masks[k], pos) for k in range(alg.dim)]
@@ -413,7 +434,14 @@ def measure(tree: Path) -> dict:
     for family, name, alg in betti:
         parts = betti_parts(cealg, linalg, alg)
         rows.append({"family": family, "algebra": name, "dim": alg.dim,
+                     "ranked_degrees": ranked_degrees(cealg, alg),
                      **{key: timed_ms(clock, fn) for key, fn in parts.items()}})
+    frames = random.Random(BASIS_SEED)
+    for dim in BASIS_DIMS:
+        alg = heisenberg_algebra((dim - 1) // 2)
+        cols = rational_frame(linalg, frames, dim)
+        rows.append({"family": "basis", "dim": dim,
+                     "change_of_basis_ms": timed_ms(clock, lambda: cealg.change_of_basis(alg, cols))})
     calls = []
     for entry in Catalog.default():
         alg = entry.algebra()
@@ -504,12 +532,12 @@ def fastest(rounds) -> dict:
             for point in zip(*rounds)]
     slopes = {}
     for family in ("heisenberg", "heisenberg_frame", "filiform", "structure", "json_heisenberg", "moduli", "betti",
-                   "parse_metric", "ccy_request", "legendrian"):
+                   "parse_metric", "ccy_request", "legendrian", "basis"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
                        "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d", "parse_metric",
                        "argparse", "parse_alpha", "parse_J", "report", "request", "subalgebra",
-                       "special_legendrian"):
+                       "special_legendrian", "change_of_basis"):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -618,6 +646,8 @@ def main() -> None:
             "frame_seed": FRAME_SEED,
             "dense_n": list(DENSE_N),
             "dense_seed": DENSE_SEED,
+            "basis_dims": list(BASIS_DIMS),
+            "basis_seed": BASIS_SEED,
             "filiform_dims": list(FILIFORM),
             "metric_seed": METRIC_SEED,
             "parse_seed": PARSE_SEED,

@@ -10,7 +10,8 @@ monomial (`_d_monomial`): term c e^ab of d(e^i), i in I, adds (-1)^(p + pa +
 pb) c e^{I - i + ab}, p, pa, pb the bits of I below i and of I - i below a
 and b, unless a or b is in I - i. `d_terms` reads it for term maps, and
 `_image_rows` for den d(e^I) as int rows over the generators' denominator,
-on which the Betti ranks are taken (`d_rows` is their transpose).
+on which the Betti ranks are taken, on a unimodular algebra in the degrees up
+to (dim - 1) / 2 alone. `is_exact` eliminates their transpose, `d_rows`.
 
 Betti numbers of the associated compact nilmanifold are identified with the
 cohomology of this complex (the Nomizu identification); the engine only ever
@@ -29,7 +30,8 @@ from .errors import InputError
 from .exterior import ComplexKForm, KForm, Vector, add_terms, common_den
 
 # Largest algebra dimension betti_numbers accepts: Lambda^5 and Lambda^6 of
-# dimension 11 have 462 monomials each, and the whole complex 2^11.
+# dimension 11 have 462 monomials each. A unimodular algebra (every nilpotent
+# one) builds degrees 0..6 only, 1486 monomials; any other all 2^11.
 MAX_BETTI_DIM = 11
 
 
@@ -47,39 +49,50 @@ class LieAlgebra:
     cells[i][j] maps k to den times the X_{k+1} component of [X_{i+1},
     X_{j+1}] (0-based), by [X_i, X_j] = -sum_k d1[k](X_i, X_j) X_k, for the
     nonzero brackets and components only. Construction verifies on the masks
-    that d on each generator squares to zero. No Fraction table is stored:
+    that d on each generator squares to zero; `span_algebra`'s results, whose
+    Jacobi identity the parent guarantees, skip it. No Fraction table is stored:
     `d1` and `structure_constants` are views, built on first read.
     """
 
     __slots__ = ("dim", "d1_ints", "brackets", "_d1", "_table")
 
     def __init__(self, d1, den: int = 0):
-        d1 = list(d1)
-        dim = len(d1)
+        dim = len(d1 := list(d1))
         if not den:
             for k, form in enumerate(d1, start=1):
                 if not isinstance(form, KForm) or form.dim != dim or form.degree != 2:
                     raise InputError(f"d(e{k}) must be a degree-2 form on dimension {dim}")
             d1, den = common_den(d1)
+        d1 = self._store(d1, den)
+        for k, terms in enumerate(masks := self.d1_ints[0]):  # d(d e^k) = sum of c d(e^ab) over the terms c e^ab
+            square: dict = {}
+            for ab, _, c in terms:
+                add_terms(square, c, _d_monomial(masks, ab))
+            if any(square.values()):
+                dd = KForm._of(dim, 3, d_terms(masks, d1[k]), self.d1_ints[1] ** 2)
+                raise JacobiError(f"d(d(e{k + 1})) = {dd} != 0; Jacobi identity fails")
+
+    @classmethod
+    def _derived(cls, d1, den: int) -> LieAlgebra:
+        """The constructor without the Jacobi check, for the int term maps over
+        den of a frame or a closed subspace of an algebra, which satisfy it."""
+        (alg := cls.__new__(cls))._store(d1, den)
+        return alg
+
+    def _store(self, d1, den: int) -> list:
+        """Set dim, d1_ints and brackets from int term maps over den; returns the maps in lowest terms."""
         d1 = [{ij: c for ij, c in terms.items() if c} for terms in d1]
         if (g := gcd(den, *(c for terms in d1 for c in terms.values()))) != 1:
             d1, den = [{ij: c // g for ij, c in terms.items()} for terms in d1], den // g
-        object.__setattr__(self, "dim", dim)
-        masks = _mask_terms(d1)
-        object.__setattr__(self, "d1_ints", (tuple(masks), den))
-        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
+        object.__setattr__(self, "dim", len(d1))
+        object.__setattr__(self, "d1_ints", (tuple(_mask_terms(d1)), den))
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in d1]
         for k, terms in enumerate(d1):
             for (i, j), c in terms.items():
                 rows[i - 1].setdefault(j - 1, {})[k] = -c
                 rows[j - 1].setdefault(i - 1, {})[k] = c
         object.__setattr__(self, "brackets", (tuple(rows), den))
-        for k, terms in enumerate(masks):  # d(d e^k) = sum of c d(e^ab) over the terms c e^ab of d e^k
-            square: dict = {}
-            for ab, _, c in terms:
-                add_terms(square, c, _d_monomial(masks, ab))
-            if any(square.values()):
-                dd = KForm._of(dim, 3, d_terms(masks, d1[k]), den * den)
-                raise JacobiError(f"d(d(e{k + 1})) = {dd} != 0; Jacobi identity fails")
+        return d1
 
     def __setattr__(self, *_):
         raise AttributeError("LieAlgebra is immutable")
@@ -258,26 +271,26 @@ def betti_numbers(alg: LieAlgebra) -> BettiTable:
     """b_k = dim ker(d on Lambda^k) - rank(d on Lambda^{k-1}), all ranks exact,
     each on the int image rows of d (den times d_rows transposed: same ranks).
 
-    Algebras above MAX_BETTI_DIM are an input error, raised before any basis
-    of the exterior algebra is built.
+    On a unimodular algebra (tr ad X_i = sum_k c^k_ik = 0 for all i, as on any
+    nilpotent one) d on Lambda^{n-1-k} is d on Lambda^k transposed, up to a
+    signed permutation (Hazewinkel 1970): only degrees k <= (n - 1) / 2 are
+    ranked. Algebras above MAX_BETTI_DIM are an input error, raised before
+    any basis of the exterior algebra is built.
     """
     n = alg.dim
     if n > MAX_BETTI_DIM:
         raise InputError(f"betti supports algebras of dimension <= {MAX_BETTI_DIM}, got {n}")
-    (masks, pos), d1 = _basis_masks(n, range(n + 1)), alg.d1_ints[0]
-    numbers = []
-    rank_prev = 0
-    for k in range(n + 1):
-        rank_k = linalg.rank_sparse(_image_rows(d1, masks[k], pos)) if k < n else 0
-        numbers.append(comb(n, k) - rank_k - rank_prev)
-        rank_prev = rank_k
-    return BettiTable(tuple(numbers))
+    top = n - 1 if any(sum(row[k].get(k, 0) for k in row) for row in alg.brackets[0]) else (n - 1) // 2
+    (masks, pos), d1 = _basis_masks(n, range(top + 2)), alg.d1_ints[0]
+    ranks = [linalg.rank_sparse(_image_rows(d1, masks[k], pos)) for k in range(top + 1)]
+    ranks += [ranks[n - 1 - k] for k in range(top + 1, n)] + [0]
+    return BettiTable(tuple(comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(n + 1)))
 
 
 def is_exact(form: KForm, alg: LieAlgebra) -> KForm | None:
     """If form = d(b) is solvable, return one primitive b; otherwise None.
 
-    The input must be closed.
+    The input must be closed; b is solved for on the int d_rows by rref_ints.
     """
     if not alg.d(form).is_zero:
         raise InputError("is_exact: input form is not closed")
@@ -286,14 +299,15 @@ def is_exact(form: KForm, alg: LieAlgebra) -> KForm | None:
         return KForm.zero(alg.dim, max(k - 1, 0))
     if k == 0:
         return None
-    dom = basis_tuples(alg.dim, k - 1)
-    cod = basis_tuples(alg.dim, k)
-    matrix = d_matrix(alg, k - 1)
-    rhs = [form.coefficient(idx) for idx in cod]
-    sol = linalg.solve(matrix, rhs)
-    if sol is None:
+    dom, rows, den = basis_tuples(alg.dim, k - 1), d_rows(alg, k - 1), alg.d1_ints[1]
+    for r, idx in enumerate(basis_tuples(alg.dim, k)):
+        if c := form.nums.get(idx):
+            rows[r][len(dom)] = den * c  # d(b) = form <=> d_rows (form.den b) = den form.nums
+    reduced, pivots, xd = linalg.rref_ints(rows)
+    if pivots[-1] == len(dom):
         return None
-    return KForm(alg.dim, k - 1, {idx: c for idx, c in zip(dom, sol)})
+    primitive = {dom[col]: row.get(len(dom), 0) for col, row in zip(pivots, reduced)}  # free variables 0
+    return KForm._of(alg.dim, k - 1, primitive, xd * form.den)
 
 
 def span_algebra(alg: LieAlgebra, vectors) -> LieAlgebra | None:
@@ -322,7 +336,7 @@ def span_algebra(alg: LieAlgebra, vectors) -> LieAlgebra | None:
         return None
     # [f_i, f_j] = sum_p c^p_ij f_p, so d f^p = -sum_{i<j} c^p_ij f^ij
     d1 = [{ij: -c for col, ij in enumerate(pairs, m) if (c := row.get(col))} for row in reduced]
-    return LieAlgebra(d1, den * vd * xd)
+    return LieAlgebra._derived(d1, den * vd * xd)
 
 
 def change_of_basis(alg: LieAlgebra, p_columns) -> LieAlgebra:
