@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_21.json
+        --seconds 30 --out BENCH_22.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -46,6 +46,10 @@ levi_civita, ricci_scalar and transverse_ricci:
 - the special Legendrian check of a `legendrian` request on the same
   structures, dims 3, 5 and 7, span X1;X3;...: `Subalgebra` on the parsed
   span and `check_special_legendrian`, and the whole request;
+- the stages of the check-hypo request ccy-mix sends (`perfbench.workloads
+  .HYPO`, four form expressions): argparse, the parse of the algebra, the
+  parses of alpha and the three omegas together, check_hypo, and the whole
+  in-process request;
 - kernel_dimension of the moduli operator at N = 256, 512, 1024, 2048 and
   4096 (the operator assembled once), and betti_numbers of the Heisenberg
   algebras of dims 7, 9 and 11 and, in one fixed frame each (BETTI_FRAME_SEED,
@@ -112,7 +116,7 @@ from time import perf_counter, perf_counter_ns
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.hostspeed import HostClock  # noqa: E402
 from perfbench.workloads import BASES, change_basis, compact, filiform, heisenberg, positive_metric  # noqa: E402
-from perfbench.workloads import ccy_flags, legendrian_span, unimodular  # noqa: E402
+from perfbench.workloads import HYPO, ccy_flags, legendrian_span, unimodular  # noqa: E402
 
 HEISENBERG = (1, 2, 3, 4, 5)
 STRUCTURE_N = tuple(range(1, 11))
@@ -475,11 +479,11 @@ def measure(tree: Path) -> dict:
 
 
 def ccy_requests(clock: HostClock) -> list[dict]:
-    """The stage rows of check-ccy and legendrian requests (see the docstring)."""
+    """The stage rows of check-ccy, legendrian and check-hypo requests (see the docstring)."""
     from nilgeo import cli
     from nilgeo.algdsl import parse_algebra, parse_endo, parse_form, parse_vectors
     from nilgeo.legendrian import Subalgebra, check_special_legendrian
-    from nilgeo.structures import ccy_epsilon, check_ccy, check_contact
+    from nilgeo.structures import ccy_epsilon, check_ccy, check_contact, check_hypo
 
     def whole(argv):
         def request():
@@ -523,6 +527,18 @@ def ccy_requests(clock: HostClock) -> list[dict]:
             "special_legendrian_ms": timed_ms(clock, lambda: check_special_legendrian(sub, structure)),
             "request_ms": timed_ms(clock, whole(["legendrian", *ccy_flags(n), "--span", span])),
         })
+    argv = ["check-hypo", *(x for flag in HYPO.items() for x in flag)]
+    alg = parse_algebra(HYPO["--algebra"])
+    texts = [HYPO[f"--{name}"] for name in ("alpha", "omega1", "omega2", "omega3")]
+    forms = [parse_form(text, alg.dim) for text in texts]
+    rows.append({
+        "family": "hypo_request", "dim": alg.dim,
+        "argparse_ms": timed_ms(clock, lambda: cli._parser().parse_args(argv)),
+        "parse_algebra_ms": timed_ms(clock, lambda: parse_algebra(HYPO["--algebra"])),
+        "parse_forms_ms": timed_ms(clock, lambda: [parse_form(text, alg.dim) for text in texts]),
+        "check_hypo_ms": timed_ms(clock, lambda: check_hypo(*forms, alg)),
+        "request_ms": timed_ms(clock, whole(argv)),
+    })
     return rows
 
 

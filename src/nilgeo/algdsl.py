@@ -8,7 +8,7 @@ and for vectors ("X1 + 2*X3" or an explicit coordinate list).
 
 Grammar (EBNF) for form expressions:
 
-    expr   = ["-"] term { ("+" | "-") term } ;
+    expr   = ["+" | "-"] term { ("+" | "-") term } ;
     term   = atom { ("^" | "*") atom } ;
     atom   = generator | "i" | rational | "(" expr ")" ;
     generator = "e" digits ;
@@ -19,8 +19,11 @@ degree-0 factors, so scalar multiplication needs no special case. A
 generator e<digits> is a single index when the value is within the declared
 dimension; for dimension at most 9 a larger multi-digit generator with
 strictly increasing digits is the compact monomial (e12 = e1^e2), so
-rendered forms parse back to themselves. A product whose two sides have more
-than MAX_WEDGE_PAIRS pairs of terms is refused before it is expanded.
+rendered forms parse back to themselves. An expression is read in one pass:
+each production returns its term maps, and no syntax tree is built. Every
+syntax error is reported before any elaboration error (a generator out of
+range, mixed degrees in a sum, a product whose two sides have more than
+MAX_WEDGE_PAIRS pairs of terms, which is refused before it is expanded).
 
 Algebras of dimension at most 9 use the compact pair notation; larger ones
 use the JSON format {"dim": n, "d": {"k": [[coef, i, j], ...]}} with
@@ -33,11 +36,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 
 from .cealg import LieAlgebra
 from .errors import InputError
-from .exterior import ComplexKForm, Endo, KForm, Vector, add_terms, literal, read_json, wedge_terms
+from .exterior import ComplexKForm, Endo, KForm, Vector, literal, merge_indices, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -154,113 +156,13 @@ def serialize_algebra(alg: LieAlgebra) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gen:
-    index: int
+_FORM_TEXT = re.compile(r"(?:\s*(?:e[0-9]+|[0-9]+|[i+\-*^/()]))*")
+_FORM_TOKEN = re.compile(r"\s*(e[0-9]+|[0-9]+|[i+\-*^/()])")
+_ZERO, _I = (0, {}, {}, 1), (0, {}, {(): 1}, 1)
 
-
-@dataclass(frozen=True)
-class Rat:
-    p: int
-    q: int  # > 0, in lowest terms
-
-
-@dataclass(frozen=True)
-class Imag:
-    pass
-
-
-@dataclass(frozen=True)
-class Wedge:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Sum:
-    # (sign, node) pairs
-    terms: tuple
-
-
-_TOKEN = re.compile(r"\s*(e[0-9]+|[0-9]+|[i+\-*^/()])")
-
-
-def _tokenize_form(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise InputError(f"syntax error at {text[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _FormParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.saw_imag = False
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise InputError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        terms = [(sign, self.parse_term())]
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-            terms.append((sign, self.parse_term()))
-        return Sum(tuple(terms))
-
-    def parse_term(self):
-        factors = [self.parse_atom()]
-        while self.peek() in ("^", "*"):
-            self.take()
-            factors.append(self.parse_atom())
-        return Wedge(tuple(factors)) if len(factors) > 1 else factors[0]
-
-    def parse_atom(self):
-        tok = self.take()
-        if tok == "(":
-            inner = self.parse_expr()
-            if self.peek() != ")":
-                raise InputError("missing closing parenthesis")
-            self.take()
-            return inner
-        if tok == "i":
-            self.saw_imag = True
-            return Imag()
-        if tok.startswith("e"):
-            return Gen(literal(tok[1:])[0])
-        if tok.isdigit():
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit():
-                    raise InputError(f"bad rational denominator {den!r}")
-                tok = f"{tok}/{den}"
-            return Rat(*literal(tok))
-        raise InputError(f"unexpected token {tok!r}")
-
-
-def parse_form_expr(text: str):
-    """Parse a form expression to its syntax tree (no dimension yet)."""
-    parser = _FormParser(_tokenize_form(text))
-    tree = parser.parse_expr()
-    if parser.peek() is not None:
-        raise InputError(f"trailing input at {parser.peek()!r}")
-    return tree, parser.saw_imag
-
+# The deepest nesting of parentheses in a form expression. Goldens and
+# benchmark inputs reach 3; about 330 levels exhausted Python's stack.
+MAX_FORM_DEPTH = 100
 
 # The largest |a| * |b| (term counts) of one wedge. Goldens and benchmark
 # inputs reach 16, the Heisenberg form (e1+i*e2)^...^(e19+i*e20) 1024; generic
@@ -269,65 +171,143 @@ def parse_form_expr(text: str):
 MAX_WEDGE_PAIRS = 2**14
 
 
-def _elaborate(node, dim: int) -> tuple[int, dict, dict, int]:
-    """(degree, re, im, den): term maps of nonzero ints over den; degrees as in ComplexKForm."""
-    if isinstance(node, Gen):
-        if 1 <= node.index <= dim:
-            return 1, {(node.index,): 1}, {}, 1
+def _products(pairs) -> dict:
+    """The term map of the sum of s * (a ^ b) over (a, b, s) in pairs, zeros
+    dropped, keys in the order their first products appear."""
+    out: dict = {}
+    for a, b, s in pairs:
+        for ia, ca in a.items():
+            for ib, cb in b.items():
+                sign, key = merge_indices(ia, ib) if ia and ib else (1, ia or ib)
+                if sign:
+                    out[key] = out.get(key, 0) + sign * s * ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+class _FormReader:
+    """Recursive descent over the tokens of one form expression. Each
+    production returns (degree, re, im, den), term maps of nonzero ints over
+    den with keys in the order the tree elaboration of tests/fraction_forms.py
+    makes them, or None once an elaboration error is held. Syntax errors raise
+    at once; the first elaboration error waits until the whole expression has
+    parsed, and nothing is computed after it."""
+
+    __slots__ = ("tokens", "pos", "dim", "depth", "error", "imaginary")
+
+    def __init__(self, text: str, dim: int):
+        end = _FORM_TEXT.match(text).end()
+        if end < len(text):
+            raise InputError(f"syntax error at {text[end:]!r}")
+        self.tokens = [*_FORM_TOKEN.findall(text), ""]  # "" ends the expression
+        self.pos, self.dim, self.depth, self.error, self.imaginary = 0, dim, 0, None, False
+
+    def take(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok:
+            raise InputError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        value, sign = _ZERO, -1 if self.tokens[self.pos] in ("+", "-") and self.take() == "-" else 1
+        while True:
+            term = self.term()
+            if self.error is None:
+                value = self.add(value, sign, term)
+            if self.tokens[self.pos] not in ("+", "-"):
+                return value
+            sign = -1 if self.take() == "-" else 1
+
+    def term(self):
+        value = self.atom()
+        while self.tokens[self.pos] in ("^", "*"):
+            self.pos += 1
+            factor = self.atom()
+            if self.error is None:
+                value = self.wedge(value, factor)
+        return value
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            if self.depth == MAX_FORM_DEPTH:
+                raise InputError(f"expression too deep: parentheses nested more than {MAX_FORM_DEPTH} levels")
+            self.depth += 1
+            value = self.expr()
+            if self.tokens[self.pos] != ")":
+                raise InputError("missing closing parenthesis")
+            self.pos, self.depth = self.pos + 1, self.depth - 1
+            return value
+        if tok == "i":
+            self.imaginary = True
+            return _I
+        if tok[0] == "e":
+            index = literal(tok[1:])[0]
+            return None if self.error else self.generator(index)
+        if not tok.isdigit():
+            raise InputError(f"unexpected token {tok!r}")
+        if self.tokens[self.pos] == "/":
+            self.pos += 1
+            den = self.take()
+            if not den.isdigit():
+                raise InputError(f"bad rational denominator {den!r}")
+            tok = f"{tok}/{den}"
+        p, q = literal(tok)
+        return 0, {(): p} if p else {}, {}, q
+
+    def generator(self, index: int):
+        dim = self.dim
+        if 1 <= index <= dim:
+            return 1, {(index,): 1}, {}, 1
         # compact monomials like e12 = e1^e2 (only unambiguous for dim <= 9)
-        digits = tuple(int(ch) for ch in str(node.index))
-        if (
-            dim <= 9
-            and len(digits) >= 2
-            and all(1 <= k <= dim for k in digits)
-            and all(a < b for a, b in zip(digits, digits[1:]))
+        digits = tuple(int(ch) for ch in str(index))
+        if dim <= 9 and len(digits) >= 2 and 1 <= digits[0] and digits[-1] <= dim and all(
+            a < b for a, b in zip(digits, digits[1:])
         ):
             return len(digits), {digits: 1}, {}, 1
-        raise InputError(f"generator e{node.index} out of range for dimension {dim}")
-    if isinstance(node, Rat):
-        return 0, {(): node.p} if node.p else {}, {}, node.q
-    if isinstance(node, Imag):
-        return 0, {}, {(): 1}, 1
-    if isinstance(node, Wedge):
-        degree, re, im, den = _elaborate(node.factors[0], dim)
-        for factor in node.factors[1:]:
-            fdeg, fre, fim, fden = _elaborate(factor, dim)
-            left, right = len(re) + len(im), len(fre) + len(fim)
-            if left * right > MAX_WEDGE_PAIRS:
-                too_large = f"a wedge of {left} by {right} terms exceeds {MAX_WEDGE_PAIRS} term pairs"
-                raise InputError(f"expression too large: {too_large}")
-            # (a + ib) ^ (c + id) = (ac - bd) + i(ad + bc)
-            re, im = ({key: c for key, c in add_terms(wedge_terms(u, v), sign, wedge_terms(x, y)).items() if c}
-                      for u, v, sign, x, y in ((re, fre, -1, im, fim), (re, fim, 1, im, fre)))
-            degree, den = degree + fdeg, den * fden
-        return degree, re, im, den
-    if isinstance(node, Sum):
-        degree, re, im, den = 0, {}, {}, 1
-        for sign, term in node.terms:
-            tdeg, tre, tim, tden = _elaborate(term, dim)
-            if not (re or im):
-                degree = tdeg
-            elif (tre or tim) and tdeg != degree:
-                raise InputError(f"mixed degrees in a sum: {degree} and {tdeg}")
-            scale = math.lcm(den, tden)
-            a, b = scale // den, sign * scale // tden
-            re, im = ({key: c for key, c in add_terms(add_terms({}, a, x), b, y).items() if c}
-                      for x, y in ((re, tre), (im, tim)))
-            den = scale
-        return degree, re, im, den
-    raise InputError(f"unknown node {node!r}")
+        self.error = f"generator e{index} out of range for dimension {dim}"
+        return None
+
+    def wedge(self, value, factor):
+        (degree, re, im, den), (fdeg, fre, fim, fden) = value, factor
+        left, right = len(re) + len(im), len(fre) + len(fim)
+        if left * right > MAX_WEDGE_PAIRS:
+            too_large = f"a wedge of {left} by {right} terms exceeds {MAX_WEDGE_PAIRS} term pairs"
+            self.error = f"expression too large: {too_large}"
+            return None
+        if im or fim:  # (a + ib) ^ (c + id) = (ac - bd) + i(ad + bc)
+            re, im = _products(((re, fre, 1), (im, fim, -1))), _products(((re, fim, 1), (im, fre, 1)))
+        else:
+            re = _products(((re, fre, 1),))
+        return degree + fdeg, re, im, den * fden
+
+    def add(self, value, sign: int, term):
+        (degree, re, im, den), (tdeg, tre, tim, tden) = value, term
+        if not (re or im):
+            if sign > 0:
+                return term
+            degree = tdeg
+        elif (tre or tim) and tdeg != degree:
+            self.error = f"mixed degrees in a sum: {degree} and {tdeg}"
+            return None
+        scale = math.lcm(den, tden)
+        a, b = {(): scale // den}, {(): scale // tden}  # a sum is a wedge with scalars
+        return degree, _products(((re, a, 1), (tre, b, sign))), _products(((im, a, 1), (tim, b, sign))), scale
 
 
 def parse_form(text: str, dim: int):
-    """Elaborate a form expression; the presence of "i" yields a ComplexKForm."""
-    tree, saw_imag = parse_form_expr(text)
-    degree, re, im, den = _elaborate(tree, dim)
-    re, im = KForm._of(dim, degree, re, den), KForm._of(dim, degree, im, den)
-    if saw_imag:
-        return ComplexKForm(re, im)
-    if not im.is_zero:
-        raise InputError("internal: imaginary part without i token")
-    return re
+    """The form of an expression, read in one pass; the presence of "i"
+    yields a ComplexKForm."""
+    reader = _FormReader(text, dim)
+    value = reader.expr()
+    if reader.tokens[reader.pos]:
+        raise InputError(f"trailing input at {reader.tokens[reader.pos]!r}")
+    if reader.error:
+        raise InputError(reader.error)
+    degree, re, im, den = value
+    if reader.imaginary:
+        return ComplexKForm(KForm._of(dim, degree, re, den), KForm._of(dim, degree, im, den))
+    return KForm._of(dim, degree, re, den)
 
 
 # ---------------------------------------------------------------------------

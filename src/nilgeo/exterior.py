@@ -39,22 +39,24 @@ def literal(x) -> tuple[int, int]:
     """(p, q), q > 0, in lowest terms, of a Fraction, an int (not a bool) or a
     string "[-]p[/q]" of ASCII digits, q != 0, p and q of at most
     MAX_LITERAL_DIGITS digits; "1e5", "0.5", "+1", " 1", a float: InputError."""
-    if type(x) is int or isinstance(x, Fraction):
+    if type(x) is str:
+        if m := _LITERAL.fullmatch(x):
+            p, q = int(m[1]), int(m[2] or 1)
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    elif type(x) is int or isinstance(x, Fraction):
         return x.as_integer_ratio()
-    if type(x) is str and (m := _LITERAL.fullmatch(x)):
-        p, q = int(m[1]), int(m[2] or 1)
-        if q:
-            g = gcd(p, q)
-            return p // g, q // g
     raise InputError(f"not an exact rational of at most {MAX_LITERAL_DIGITS} digits: {x!r:.60}")
 
 
 def read_json(text: str, what: str):
     """The JSON value of an input text, its integers read by `literal`; a
-    malformed text is an InputError naming what it should have been."""
+    malformed or too deeply nested text is an InputError naming what it
+    should have been."""
     try:
         return json.loads(text, parse_int=lambda digits: literal(digits)[0])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad {what} JSON: {exc}") from exc
 
 

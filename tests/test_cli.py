@@ -675,6 +675,31 @@ def test_sample_counts_above_their_limits_are_input_errors():
     assert str(MAX_CLASSIFY_SAMPLES) in report["error"]
 
 
+@pytest.mark.parametrize("depth", [330, 5000])
+def test_deeply_nested_form_expressions_are_input_errors(depth):
+    from nilgeo.algdsl import MAX_FORM_DEPTH
+
+    deep = "(" * depth + "e3" + ")" * depth
+    too_deep = f"expression too deep: parentheses nested more than {MAX_FORM_DEPTH} levels"
+    report = run_input_error(["check-contact", "--algebra=(0,0,12)", f"--alpha={deep}"])
+    assert report["error"] == too_deep
+    report = run_input_error(["check-ccy", "--algebra=(0,0,12)", "--alpha=2*e3", "--J=pairs:(1,2)",
+                              f"--epsilon=e1 + i*{deep.replace('e3', 'e2')}"])
+    assert report["error"] == too_deep
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["check-sasakian", "--algebra=(0,0,12)", "--alpha=2*e3", "--J=matrix:" + "[" * 100000], "matrix"),
+    (["check-contact", '--algebra={"dim":3,"d":' + "[" * 100000, "--alpha=2*e3"], "algebra"),
+    (["curvature", "--algebra=(0,0,12)", "--metric=" + "[" * 5000], "metric"),
+    (["legendrian", *H3_CCY, "--span=" + "[" * 100000], "vector"),
+    (["classify", "--catalog=" + "[" * 100000], "catalog"),
+])
+def test_deeply_nested_json_inputs_are_input_errors(argv, what):
+    report = run_input_error(argv)
+    assert report["error"].startswith(f"bad {what} JSON: maximum recursion depth exceeded")
+
+
 def test_internal_guard_exits_3_with_one_document(capsys, monkeypatch):
     from nilgeo.exterior import Metric
 
