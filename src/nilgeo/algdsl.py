@@ -161,7 +161,8 @@ _FORM_TOKEN = re.compile(r"\s*(e[0-9]+|[0-9]+|[i+\-*^/()])")
 _ZERO, _I = (0, {}, {}, 1), (0, {}, {(): 1}, 1)
 
 # The deepest nesting of parentheses in a form expression. Goldens and
-# benchmark inputs reach 3; about 330 levels exhausted Python's stack.
+# benchmark inputs reach 2; each level takes three frames of Python's
+# recursion limit (1000 by default).
 MAX_FORM_DEPTH = 100
 
 # The largest |a| * |b| (term counts) of one wedge. Goldens and benchmark
