@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_22.json
+        --seconds 30 --out BENCH_23.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -64,7 +64,10 @@ levi_civita, ricci_scalar and transverse_ricci:
   RANDOM_SAMPLES random samples per entry, the samples `classify` draws),
   once computing the closed 2-forms on every call and once handed them, as
   `classify` computes them once per entry, with the whole default
-  `classify` run;
+  `classify` run; per default-catalog entry, contact_existence_polynomial
+  and _sample_alphas (CLASSIFY_SEED, RANDOM_SAMPLES); and one whole
+  in-process `classify --seed CLASSIFY_SEED` request and one `obstruction`
+  request as ccy-mix sends it (H3, span X1, the default rotations);
 - and start-up: for each subcommand on one small input (STARTUP), the wall
   time of a fresh `python -m nilgeo.cli` process on a copy of the tree's
   sources, once compiling them on every start (no .pyc files, as with
@@ -141,6 +144,8 @@ CCY_N = (1, 2, 3)
 CCY_ROTATION = (3, 4, 5)
 CLASSIFY_SEED = 0
 RANDOM_SAMPLES = 3
+CLASSIFY_REQUEST = ["classify", "--seed", str(CLASSIFY_SEED)]
+OBSTRUCTION_REQUEST = ["obstruction", *ccy_flags(1), "--span", "X1", "--rotations", "default"]  # as ccy-mix sends it
 REPEATS = 7
 ROUNDS = 3
 MIN_LOOP_S = 0.02
@@ -299,7 +304,14 @@ def measure(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "src"))
     from nilgeo.algdsl import parse_algebra, parse_form
     from nilgeo import cealg, cli, linalg
-    from nilgeo.classify import Catalog, _sample_alphas, ccy_obstruction_filter, classify_catalog, closed_two_forms
+    from nilgeo.classify import (
+        Catalog,
+        _sample_alphas,
+        ccy_obstruction_filter,
+        classify_catalog,
+        closed_two_forms,
+        contact_existence_polynomial,
+    )
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension
     from nilgeo.exterior import Endo, Metric, Vector, pullback
@@ -475,7 +487,24 @@ def measure(tree: Path) -> dict:
             "classify_default_ms": timed_ms(clock, lambda: classify_catalog(Catalog.default(), CLASSIFY_SEED)),
         }
     )
+    for entry in Catalog.default():
+        alg = entry.algebra()
+        rows.append({"family": "classify_entry", "entry": entry.name, "dim": alg.dim,
+                     "contact_polynomial_ms": timed_ms(clock, lambda: contact_existence_polynomial(alg)),
+                     "sample_alphas_ms": timed_ms(clock, lambda: _sample_alphas(alg, CLASSIFY_SEED, RANDOM_SAMPLES))})
+    for argv in (CLASSIFY_REQUEST, OBSTRUCTION_REQUEST):
+        rows.append({"family": "request", "command": " ".join(argv), "request_ms": timed_ms(clock, whole_request(argv))})
     return rows + startup(tree, clock)
+
+
+def whole_request(argv):
+    """One in-process request (`cli.main`), its report discarded."""
+    from nilgeo import cli
+
+    def request():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    return request
 
 
 def ccy_requests(clock: HostClock) -> list[dict]:
@@ -484,12 +513,6 @@ def ccy_requests(clock: HostClock) -> list[dict]:
     from nilgeo.algdsl import parse_algebra, parse_endo, parse_form, parse_vectors
     from nilgeo.legendrian import Subalgebra, check_special_legendrian
     from nilgeo.structures import ccy_epsilon, check_ccy, check_contact, check_hypo
-
-    def whole(argv):
-        def request():
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(argv)
-        return request
 
     rows = []
     for n in CCY_N:
@@ -517,7 +540,7 @@ def ccy_requests(clock: HostClock) -> list[dict]:
             "check_contact_ms": timed_ms(clock, lambda: check_contact(alg, alpha)),
             "check_ccy_ms": timed_ms(clock, lambda: check_ccy(contact, J, epsilon)),
             "report_ms": timed_ms(clock, report),
-            "request_ms": timed_ms(clock, whole(argv)),
+            "request_ms": timed_ms(clock, whole_request(argv)),
         })
         span = legendrian_span(n)
         sub = Subalgebra(alg, parse_vectors(span, alg.dim))
@@ -525,7 +548,7 @@ def ccy_requests(clock: HostClock) -> list[dict]:
             "family": "legendrian", "n": n, "dim": alg.dim, "span": span,
             "subalgebra_ms": timed_ms(clock, lambda: Subalgebra(alg, parse_vectors(span, alg.dim))),
             "special_legendrian_ms": timed_ms(clock, lambda: check_special_legendrian(sub, structure)),
-            "request_ms": timed_ms(clock, whole(["legendrian", *ccy_flags(n), "--span", span])),
+            "request_ms": timed_ms(clock, whole_request(["legendrian", *ccy_flags(n), "--span", span])),
         })
     argv = ["check-hypo", *(x for flag in HYPO.items() for x in flag)]
     alg = parse_algebra(HYPO["--algebra"])
@@ -537,7 +560,7 @@ def ccy_requests(clock: HostClock) -> list[dict]:
         "parse_algebra_ms": timed_ms(clock, lambda: parse_algebra(HYPO["--algebra"])),
         "parse_forms_ms": timed_ms(clock, lambda: [parse_form(text, alg.dim) for text in texts]),
         "check_hypo_ms": timed_ms(clock, lambda: check_hypo(*forms, alg)),
-        "request_ms": timed_ms(clock, whole(argv)),
+        "request_ms": timed_ms(clock, whole_request(argv)),
     })
     return rows
 
@@ -674,6 +697,7 @@ def main() -> None:
             "ccy_rotation": list(CCY_ROTATION),
             "classify_seed": CLASSIFY_SEED,
             "random_samples": RANDOM_SAMPLES,
+            "requests": [CLASSIFY_REQUEST, OBSTRUCTION_REQUEST],
             "startup": {command: list(argv) for command, argv in STARTUP.items()},
             "repeats": REPEATS,
             "rounds": ROUNDS,

@@ -39,7 +39,7 @@ import re
 
 from .cealg import LieAlgebra
 from .errors import InputError
-from .exterior import ComplexKForm, Endo, KForm, Vector, literal, merge_indices, read_json
+from .exterior import ComplexKForm, Endo, KForm, Vector, literal, merge_indices, ratio, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +140,13 @@ def _parse_algebra_json(text: str) -> tuple[int, list]:
 def serialize_algebra(alg: LieAlgebra) -> str:
     """Compact notation for dim <= 9; JSON otherwise. Round-trips through parse_algebra."""
     if alg.dim > 9:
-        d = {str(k): [[str(c), i, j] for (i, j), c in sorted(form.terms.items())]
+        d = {str(k): [[ratio(p, form.den), i, j] for (i, j), p in sorted(form.nums.items())]
              for k, form in enumerate(alg.d1, start=1) if not form.is_zero}
         return json.dumps({"dim": alg.dim, "d": d})
     entries = []
     for form in alg.d1:
-        terms = sorted(form.terms.items())
-        parts = [f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else f'{abs(c)}*'}{i}{j}" for (i, j), c in terms]
+        terms, q = sorted(form.nums.items()), form.den
+        parts = [f"{'-' if p < 0 else '+'}{'' if abs(p) == q else f'{ratio(abs(p), q)}*'}{i}{j}" for (i, j), p in terms]
         entries.append("".join(parts).removeprefix("+") or "0")
     return "(" + ",".join(entries) + ")"
 

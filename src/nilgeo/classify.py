@@ -12,10 +12,11 @@ witness and decides nothing. Full nonexistence across all contact forms is
 not claimed by this module. The filter is defined in dimension 5 only;
 catalog entries of other dimensions get no filter samples.
 
-The filter runs over Python ints: the closed 2-forms are computed once per
-catalog entry, the contact test, the wedges with d alpha and the quadratic
-form come from one sign table, and only the reported polynomial and witness
-become Fractions.
+Everything runs over Python ints. The contact polynomial is expanded over
+the int monomial masks of `cealg`. The candidate contact forms are drawn as
+int covectors, and the filter reads each off tables built once per catalog
+entry (`_FilterTables`). Only the top coefficients of the polynomial and
+the filter's witness values become Fractions.
 """
 
 from __future__ import annotations
@@ -26,18 +27,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .algdsl import parse_algebra, parse_endo, parse_form, serialize_algebra
-from .cealg import LieAlgebra, basis_tuples, d_rows
+from .cealg import LieAlgebra, _basis_masks, basis_tuples, d_rows
 from .errors import CheckError, InputError
-from .exterior import KForm, _signed_sum, covectors, merge_indices, read_json
-from .structures import NotContactError, _contact_differential, _not_contact, check_ccy, check_contact
+from .exterior import KForm, _signed_sum, merge_indices, ratio, read_json
+from .structures import NotContactError, _check_alpha, _not_contact, check_ccy, check_contact
 
 
 # Largest algebra dimension contact_existence_polynomial expands. The expansion
-# grows about 7x per two dimensions: on the filiform algebra d e^k = e^1 ^ e^(k-1)
-# it takes 0.12 s at dimension 11 and 0.84 s at 13 (2-CPU x86-64 host).
+# grows about 8x per two dimensions: on the filiform algebra d e^k = e^1 ^ e^(k-1)
+# it takes 0.026 s at dimension 11 and 0.22 s at 13, and where every d(e^i) is
+# dense (H_11 in a dense rational frame) 25 s at dimension 11 (2-CPU x86-64
+# host, scaled to one on which perfbench/hostspeed.py's reference takes 1 ms).
 MAX_CLASSIFY_DIM = 11
 
 
@@ -62,6 +67,14 @@ class MultiPoly:
         self.nvars = nvars
         self.terms = clean
 
+    @classmethod
+    def _of(cls, nvars: int, nums: dict, den: int) -> MultiPoly:
+        """The polynomial of int coefficients over den > 0, zeros dropped; the
+        exponent tuples are not checked again."""
+        poly = cls.__new__(cls)
+        poly.nvars, poly.terms = nvars, {exps: Fraction(c, den) for exps, c in nums.items() if c}
+        return poly
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,25 +92,25 @@ class MultiPoly:
         return total
 
     def __str__(self) -> str:
-        # sort by total degree then lexicographically, for stable output
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[exps]
-            monos = [
-                f"a{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            ]
-            body = "*".join(monos)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return _signed_sum(parts)
+        return _render({exps: str(c) for exps, c in self.terms.items()})
+
+
+def _render(coeffs: dict) -> str:
+    """A polynomial from its exponent tuples and the strs of their nonzero
+    coefficients, by total degree then lexicographically, for stable output."""
+    parts = []
+    for exps in sorted(coeffs, key=lambda e: (sum(e), e)):
+        c = coeffs[exps]
+        body = "*".join(f"a{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
+        if not body:
+            parts.append(c)
+        elif c == "1":
+            parts.append(body)
+        elif c == "-1":
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    return _signed_sum(parts)
 
 
 def contact_existence_polynomial(alg: LieAlgebra) -> MultiPoly:
@@ -107,28 +120,36 @@ def contact_existence_polynomial(alg: LieAlgebra) -> MultiPoly:
     in a_1..a_n that is nonzero exactly when an invariant contact form exists
     (a generic point avoids the zero set). Exact full expansion, never
     probabilistic: alpha ^ (d alpha)^k is kept as a map from the exponent
-    tuple of each a-monomial to its form coefficient, and d alpha = sum a_i
-    d(e^i) multiplies in one nonzero d(e^i) at a time. Algebras above
-    MAX_CLASSIFY_DIM are an input error, raised before the expansion.
+    tuple of each a-monomial to its form, an int map from monomial masks to
+    coefficients over den^k, and d alpha = sum a_i d(e^i) multiplies in one
+    nonzero d(e^i) at a time, over the mask terms of `LieAlgebra.d1_ints`
+    (den): e^I ^ e^ab is (-1)^p e^(I + ab), p the number of indices of I
+    strictly between a and b, or 0 when I meets ab. Only the
+    top coefficients become Fractions. Algebras above MAX_CLASSIFY_DIM are an
+    input error, raised before the expansion.
     """
     dim = alg.dim
     if dim > MAX_CLASSIFY_DIM:
         raise InputError(f"classify supports algebras of dimension <= {MAX_CLASSIFY_DIM}, got {dim}")
     if dim % 2 == 0:
         raise InputError("contact existence needs odd dimension")
-    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    expansion = {unit[i]: KForm.monomial(dim, (i + 1,)) for i in range(dim)}
-    d_terms = [(i, form) for i, form in enumerate(alg.d1) if not form.is_zero]
-    for _ in range((dim - 1) // 2):
-        grown: dict[tuple[int, ...], KForm] = {}
+    masks, den = alg.d1_ints
+    d_terms = [(i, terms) for i, terms in enumerate(masks) if terms]
+    steps = (dim - 1) // 2
+    expansion = {tuple(int(i == j) for j in range(dim)): {1 << i: 1} for i in range(dim)}
+    for _ in range(steps):
+        grown: dict[tuple[int, ...], dict[int, int]] = {}
         for exps, form in expansion.items():
-            for i, d_ei in d_terms:
-                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                piece = form.wedge(d_ei)
-                grown[key] = grown[key] + piece if key in grown else piece
+            for i, terms in d_terms:
+                out = grown.setdefault(exps[:i] + (exps[i] + 1,) + exps[i + 1 :], {})
+                for mask, c in form.items():
+                    for ab, between, x in terms:
+                        if not mask & ab:
+                            merged, v = mask | ab, -c * x if (mask & between).bit_count() & 1 else c * x
+                            out[merged] = out[merged] + v if merged in out else v
         expansion = grown
-    top = tuple(range(1, dim + 1))
-    return MultiPoly(dim, {exps: form.coefficient(top) for exps, form in expansion.items()})
+    top = (1 << dim) - 1
+    return MultiPoly._of(dim, {exps: form.get(top, 0) for exps, form in expansion.items()}, den**steps)
 
 
 @dataclass(frozen=True)
@@ -177,8 +198,96 @@ def closed_two_forms(alg: LieAlgebra) -> tuple[list[list[int]], int]:
     return linalg.kernel(rows, ncols)
 
 
+class _FilterTables:
+    """The int tables of the dimension-5 filter that depend on the algebra
+    alone, built once per algebra. With z_j / zd the closed 2-forms
+    (`closed_two_forms`) and D_i = d(e^(i+1)) over dd (`d1_ints`), alpha =
+    cov / ad has d alpha = sum_i cov_i D_i over dd ad, so each quantity the
+    filter needs of alpha is a form in cov with coefficients read off the
+    sign table (`_wedge_table`) once:
+
+    - `contact`: (t, i, j, c) for the cubic vol(alpha ^ d alpha ^ d alpha) =
+      sum c cov_t cov_i cov_j, over dd^2 ad^3;
+    - `wedges`: (t, j, w), w[i] the e^T coefficient of z_j ^ D_i, T the
+      4-form missing the index t + 1, so the entry (t, j) of the matrix of
+      gamma -> gamma ^ d alpha on the closed 2-forms is cov . w, over zd dd ad;
+    - `volumes`: (j, k, v), j <= k, v[t] the e^12345 coefficient of z_j ^
+      z_k ^ e^(t+1), so vol(z_j ^ z_k ^ alpha) = cov . v, over zd^2 ad.
+
+    Each lists its nonzero entries alone: d(e^i) vanishes on most generators
+    of a nilpotent algebra, and z_j ^ D_i on most pairs.
+    """
+
+    __slots__ = ("closed", "contact", "wedges", "volumes")
+
+    def __init__(self, alg: LieAlgebra, closed: tuple[list[list[int]], int] | None = None):
+        z, _ = self.closed = closed if closed is not None else closed_two_forms(alg)
+        masks, position = _basis_masks(5, (2,))
+        ds: list[list] = [[] for _ in masks[2]]  # ds[x]: (i, c) for the nonzero e^x coefficients c of D_i
+        for i, terms in enumerate(alg.d1_ints[0]):
+            for ab, _, c in terms:
+                ds[position[ab]].append((i, c))
+        zs = [[(j, v[x]) for j, v in enumerate(z) if v[x]] for x in range(len(ds))]
+        contact: dict[tuple[int, int, int], int] = {}
+        wedges: dict[tuple[int, int], list[int]] = {}
+        volumes: dict[tuple[int, int], list[int]] = {}
+        for x, y, t, wedge_sign, top_sign in _wedge_table():
+            for i, a in ds[x]:
+                for k, b in ds[y]:
+                    contact[(t, i, k)] = contact.get((t, i, k), 0) + top_sign * a * b
+            for j, u in zs[x]:
+                for i, b in ds[y]:
+                    wedges.setdefault((t, j), [0] * 5)[i] += wedge_sign * u * b
+                for k, v in zs[y]:
+                    if j <= k:
+                        volumes.setdefault((j, k), [0] * 5)[t] += top_sign * u * v
+        self.contact = [(t, i, j, c) for (t, i, j), c in contact.items() if c]
+        self.wedges = [(t, j, w) for (t, j), w in wedges.items() if any(w)]
+        self.volumes = [(j, k, v) for (j, k), v in volumes.items() if any(v)]
+
+    def verdict(self, cov: list[int], ad: int) -> ObstructionVerdict | None:
+        """The filter at alpha = cov / ad, or None when alpha is not contact."""
+        if not sum(c * cov[t] * cov[i] * cov[j] for t, i, j, c in self.contact):
+            return None
+        z, zd = self.closed
+        rows = [[0] * len(z) for _ in range(5)]
+        for t, j, w in self.wedges:
+            rows[t][j] = sum(map(mul, cov, w))
+        coords, cd = linalg.kernel(rows, len(z))  # W in the coordinates of the closed 2-forms, over cd
+        m = len(coords)
+        if m == 0:
+            return ObstructionVerdict(obstructed=True, space_dimension=0, polynomial="0", witness=None)
+        form = [[0] * len(z) for _ in z]  # vol(z_j ^ z_k ^ alpha), over zd^2 ad
+        for j, k, v in self.volumes:
+            form[j][k] = form[k][j] = sum(map(mul, cov, v))
+        applied = [[sum(map(mul, row, c)) for row in form] for c in coords]
+        # 2-forms commute: q(c) = sum_{i<=j} (2 - delta_ij) c_i c_j vol(gamma_i ^ gamma_j ^ alpha)
+        q_num = {}
+        for i, j in combinations_with_replacement(range(m), 2):
+            if vol := sum(map(mul, coords[i], applied[j])):
+                q_num[(i, j)] = vol if i == j else 2 * vol
+        if not q_num:
+            return ObstructionVerdict(obstructed=True, space_dimension=m, polynomial="0", witness=None)
+        den = zd * zd * cd * cd * ad
+        # witness search: q has degree <= 2 in each coordinate, so it cannot vanish
+        # on all of {0,1,2}^m unless identically zero
+        for point in product((0, 1, 2), repeat=m):
+            value = sum(c * point[i] * point[j] for (i, j), c in q_num.items())
+            if value:
+                witness = linalg.lincomb(z, linalg.lincomb(coords, point))
+                return ObstructionVerdict(
+                    obstructed=False,
+                    space_dimension=m,
+                    polynomial=_render({tuple((k == i) + (k == j) for k in range(m)): ratio(c, den)
+                                        for (i, j), c in q_num.items()}),
+                    witness=KForm._of(5, 2, dict(zip(basis_tuples(5, 2), witness)), zd * cd),
+                    witness_value=Fraction(value, den),
+                )
+        raise ArithmeticError("nonzero quadratic vanished on the full grid")
+
+
 def ccy_obstruction_filter(
-    alg: LieAlgebra, alpha: KForm, closed: tuple[list[list[int]], int] | None = None
+    alg: LieAlgebra, alpha: KForm, closed: tuple[list[list[int]], int] | _FilterTables | None = None
 ) -> ObstructionVerdict:
     """Necessary-condition filter for an invariant structure at a fixed alpha.
 
@@ -192,69 +301,24 @@ def ccy_obstruction_filter(
     Only dimension 5 is accepted: gamma ^ gamma ^ alpha is a 5-form, so in
     any other dimension q is identically zero and Obstructed would be wrong.
 
-    Over ints, from one sign table: alpha is contact iff the volume
-    coefficient of alpha ^ d alpha ^ d alpha is nonzero (otherwise the
-    NotContactError of check_contact). The closed 2-forms Z (`closed`,
-    computed when not given) have the identity on their free coordinates, so
-    the kernel of gamma -> gamma ^ d alpha on Z, in that form, is the reduced
-    nullspace basis of W. q is the integer bilinear form
-    vol(gamma_i ^ gamma_j ^ alpha); its coefficients and the witness become
-    Fractions once.
+    Over ints, on the tables of `_FilterTables` (`closed`: those, or the
+    closed 2-forms to build them from, computed when not given): alpha is
+    contact iff the volume coefficient of alpha ^ d alpha ^ d alpha is
+    nonzero (otherwise the NotContactError of check_contact). The closed
+    2-forms Z have the identity on their free coordinates, so the kernel of
+    gamma -> gamma ^ d alpha on Z, in that form, is the reduced nullspace
+    basis of W. q is the integer bilinear form vol(gamma_i ^ gamma_j ^
+    alpha); the witness value alone becomes a Fraction.
     """
     dim = alg.dim
     if dim != 5:
         raise InputError(f"the obstruction filter is defined in dimension 5 only, got {dim}")
-    dalpha = _contact_differential(alg, alpha)
-    two_forms = basis_tuples(dim, 2)
-    da = [dalpha.nums.get(idx, 0) for idx in two_forms]
-    (cov,), ad = covectors([alpha])
-    table = _wedge_table()
-    # alpha ^ d alpha ^ d alpha, in units of a positive multiple of e^12345
-    if not sum(sign * cov[t] * da[x] * da[y] for x, y, t, _, sign in table if cov[t]):
-        raise _not_contact(alpha, dalpha)
-    z, zd = closed if closed is not None else closed_two_forms(alg)
-    rows = [[0] * len(z) for _ in range(dim)]  # rows[t][j]: the e^T coefficient of z_j ^ d alpha
-    for j, v in enumerate(z):
-        for x, y, t, sign, _ in table:
-            if v[x] and da[y]:
-                rows[t][j] += sign * v[x] * da[y]
-    coords, cd = linalg.kernel(rows, len(z))
-    gammas = [linalg.lincomb(z, c) for c in coords]  # over zd cd
-    m = len(gammas)
-    if m == 0:
-        return ObstructionVerdict(obstructed=True, space_dimension=0, polynomial="0", witness=None)
-    # 2-forms commute: q(c) = sum_{i<=j} (2 - delta_ij) c_i c_j vol(gamma_i ^ gamma_j ^ alpha)
-    formed = [[0] * len(two_forms) for _ in gammas]  # the bilinear form applied to each gamma
-    for x, y, t, _, sign in table:
-        if cov[t]:
-            for out, gamma in zip(formed, gammas):
-                if gamma[y]:
-                    out[x] += sign * cov[t] * gamma[y]
-    den = zd * zd * cd * cd * ad
-    q_num = {}
-    for i, j in combinations_with_replacement(range(m), 2):
-        vol = linalg.dot(gammas[i], formed[j])
-        if vol:
-            q_num[(i, j)] = vol if i == j else 2 * vol
-    if not q_num:
-        return ObstructionVerdict(obstructed=True, space_dimension=m, polynomial="0", witness=None)
-    q = MultiPoly(
-        m, {tuple((k == i) + (k == j) for k in range(m)): Fraction(c, den) for (i, j), c in q_num.items()}
-    )
-    # witness search: q has degree <= 2 in each coordinate, so it cannot vanish
-    # on all of {0,1,2}^m unless identically zero
-    for point in product((0, 1, 2), repeat=m):
-        value = sum(c * point[i] * point[j] for (i, j), c in q_num.items())
-        if value:
-            witness = linalg.lincomb(gammas, point)
-            return ObstructionVerdict(
-                obstructed=False,
-                space_dimension=m,
-                polynomial=str(q),
-                witness=KForm(dim, 2, {idx: Fraction(x, zd * cd) for idx, x in zip(two_forms, witness)}),
-                witness_value=Fraction(value, den),
-            )
-    raise ArithmeticError("nonzero quadratic vanished on the full grid")
+    _check_alpha(alg, alpha)
+    tables = closed if isinstance(closed, _FilterTables) else _FilterTables(alg, closed)
+    verdict = tables.verdict([alpha.nums.get((k,), 0) for k in range(1, 6)], alpha.den)
+    if verdict is None:
+        raise _not_contact(alpha, alg.d(alpha))
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -297,9 +361,12 @@ class Catalog:
             )
         except (TypeError, KeyError) as exc:
             raise InputError(f"malformed catalog entry: {exc}") from exc
+        if not entries:
+            raise InputError("the catalog has no entries")
         for entry in entries:
-            if not isinstance(entry.spec, str):
-                raise InputError(f"malformed catalog entry: spec must be a string, got {json.dumps(entry.spec)}")
+            for field in ("name", "spec", "notes"):
+                if not isinstance(value := getattr(entry, field), str):
+                    raise InputError(f"malformed catalog entry: {field} must be a string, got {json.dumps(value)}")
             entry.algebra()  # validates Jacobi
         return cls(entries)
 
@@ -321,24 +388,22 @@ MAX_CLASSIFY_SAMPLES = 10**3
 
 def _sample_alphas(alg: LieAlgebra, seed: int, random_samples: int) -> list[KForm]:
     """Deterministic small-height candidate 1-forms plus seeded random ones;
-    the filter rejects the ones that are not contact."""
+    the filter rejects the ones that are not contact. Each random coefficient
+    is drawn as num / den, num in -3..3 and den in 1..3, and the covector is
+    kept as ints over the lcm of the dens of its nonzero coefficients."""
     dim = alg.dim
     fixed = [
-        KForm.monomial(dim, (dim,), 2),
-        KForm.monomial(dim, (dim,), 1),
-        KForm(dim, 1, {(dim,): Fraction(1), (1,): Fraction(1)}),
-        KForm(dim, 1, {(dim,): Fraction(1, 2), (dim - 1,): Fraction(-1)}),
+        KForm._of(dim, 1, {(dim,): 2}),
+        KForm._of(dim, 1, {(dim,): 1}),
+        KForm._of(dim, 1, {(dim,): 1, (1,): 1}),
+        KForm._of(dim, 1, {(dim,): 1, (dim - 1,): -2}, 2),
     ]
     rng = random.Random(seed)
     randoms = []
     for _ in range(random_samples):
-        coeffs = {}
-        for i in range(1, dim + 1):
-            num = rng.randint(-3, 3)
-            den = rng.randint(1, 3)
-            if num:
-                coeffs[(i,)] = Fraction(num, den)
-        randoms.append(KForm(dim, 1, coeffs))
+        drawn = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+        den = lcm(*(q for p, q in drawn if p))
+        randoms.append(KForm._of(dim, 1, {(i,): p * (den // q) for i, (p, q) in enumerate(drawn, 1) if p}, den))
     return fixed + randoms
 
 
@@ -394,10 +459,10 @@ def classify_entry(entry: CatalogEntry, seed: int = 0, random_samples: int = 3) 
         )
     samples = []
     if alg.dim == 5:  # the filter is defined in dimension 5 only
-        closed = closed_two_forms(alg)
+        tables = _FilterTables(alg)
         for alpha in _sample_alphas(alg, seed, random_samples):
             try:
-                samples.append((alpha, ccy_obstruction_filter(alg, alpha, closed)))
+                samples.append((alpha, ccy_obstruction_filter(alg, alpha, tables)))
             except NotContactError:
                 continue
     ccy_verified = False

@@ -379,13 +379,15 @@ def cmd_obstruction(args) -> int:
             "rotations": args.rotations,
         },
     )
+    if args.family is not None and args.rotations is not None:
+        raise InputError("obstruction takes --family or --rotations, not both")
     try:
         ccy = _build_ccy(args, alg)
-        if args.family:
+        if args.family is not None:
             family = FamilySpec.from_json(alg, _file_value(args.family))
         else:
             rotations = []
-            spec = args.rotations or "default"
+            spec = "default" if args.rotations is None else args.rotations
             if spec == "default":
                 rotations = [
                     (k, c, s) for k, (c, s) in enumerate(PYTHAGOREAN_ROTATIONS)

@@ -16,8 +16,8 @@ from . import linalg
 from .algdsl import parse_endo, parse_form
 from .cealg import LieAlgebra, is_exact, span_algebra
 from .errors import InputError
-from .exterior import ComplexKForm, KForm, add_terms, common_den, evaluate, rat, ratio, read_json, wedge_terms
-from .structures import CCYStructure, _check_epsilon_clauses, ccy_epsilon, check_ccy, check_contact
+from .exterior import ComplexKForm, KForm, add_terms, common_den, evaluate, literal, rat, ratio, read_json, wedge_terms
+from .structures import CCYStructure, _complex_form, ccy_epsilon, check_ccy, check_contact
 
 
 class Subalgebra:
@@ -238,20 +238,31 @@ class FamilySpec:
 
     @classmethod
     def rotation(cls, ccy: CCYStructure, rotations) -> FamilySpec:
-        """Rotate the volume form by exact unit complex numbers.
+        """Rotate the volume form of a verified structure by exact unit complex numbers.
 
-        `rotations` is a list of (t, cos, sin) with cos^2 + sin^2 = 1. The
-        contact form and J are the verified ones of ccy, so each rotated
-        epsilon is re-verified by the epsilon clauses of check_ccy alone.
+        `rotations` is a list of (t, cos, sin) with cos^2 + sin^2 = 1, which is
+        checked exactly. Sample t is ccy with epsilon replaced by (cos + i sin)
+        epsilon, scaled on epsilon's int term maps, and its clauses are not run
+        again. They hold: ccy passed check_ccy, and the rotation keeps alpha
+        and J, so every clause keeps its coefficients. The basic clause
+        (iota_R epsilon = 0 and L_R epsilon = 0), type (n,0) (iota_{J X}
+        epsilon = i iota_X epsilon) and closedness (d epsilon = 0) are
+        C-linear equations in epsilon, so u epsilon solves them for every
+        complex u. The normalization compares epsilon ^ conj(epsilon) with a
+        fixed multiple of kappa^n, and (u epsilon) ^ conj(u epsilon) = |u|^2
+        epsilon ^ conj(epsilon), with |u|^2 = cos^2 + sin^2 = 1.
         """
-        samples, contact = [], ccy.contact
+        samples, dim, degree = [], ccy.epsilon.dim, ccy.epsilon.degree
+        (re, im), den = common_den((ccy.epsilon.re, ccy.epsilon.im))
         for t, c, s in rotations:
-            c, s = Fraction(c), Fraction(s)
-            if c * c + s * s != 1:
-                raise InputError(f"({c}, {s}) is not a unit rotation")
-            rotated = ccy.epsilon.scale(c, s)
-            _check_epsilon_clauses(ccy.alg, contact.kappa, [contact.reeb], ccy.J, rotated, ccy.n, False)
-            samples.append(FamilySample(Fraction(t), replace(ccy, epsilon=rotated)))
+            (cp, cq), (sp, sq) = literal(c), literal(s)
+            a, b, q = cp * sq, sp * cq, cq * sq  # cos = a / q, sin = b / q
+            if a * a + b * b != q * q:
+                raise InputError(f"({ratio(cp, cq)}, {ratio(sp, sq)}) is not a unit rotation")
+            rotated = (add_terms({k: a * x for k, x in re.items()}, -b, im),
+                       add_terms({k: b * x for k, x in re.items()}, a, im))
+            epsilon = _complex_form(rotated, dim, degree, den * q)
+            samples.append(FamilySample(Fraction(t), replace(ccy, epsilon=epsilon)))
         return cls(tuple(samples))
 
     @classmethod

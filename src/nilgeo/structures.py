@@ -140,12 +140,16 @@ def _contact_n(dim: int) -> int:
     return (dim - 1) // 2
 
 
-def _contact_differential(alg: LieAlgebra, alpha: KForm) -> KForm:
-    """d alpha, after the input checks that every contact test shares."""
-    dim = alg.dim
-    _contact_n(dim)
-    if not isinstance(alpha, KForm) or alpha.dim != dim or alpha.degree != 1:
+def _check_alpha(alg: LieAlgebra, alpha: KForm) -> None:
+    """The input checks that every contact test shares."""
+    _contact_n(alg.dim)
+    if not isinstance(alpha, KForm) or alpha.dim != alg.dim or alpha.degree != 1:
         raise InputError("alpha must be a degree-1 form on the algebra")
+
+
+def _contact_differential(alg: LieAlgebra, alpha: KForm) -> KForm:
+    """d alpha, after `_check_alpha`."""
+    _check_alpha(alg, alpha)
     return alg.d(alpha)
 
 

@@ -5,12 +5,14 @@ from fractions import Fraction as Q
 import pytest
 
 from nilgeo import linalg
-from nilgeo.algdsl import parse_algebra, parse_form
+from nilgeo.algdsl import parse_algebra, parse_form, serialize_algebra
 from nilgeo.cealg import LieAlgebra, basis_tuples, change_of_basis, d_matrix, d_rows
 from nilgeo.classify import (
     ANSATZ_TABLE,
     Catalog,
     MultiPoly,
+    _FilterTables,
+    _sample_alphas,
     ccy_obstruction_filter,
     classify_catalog,
     closed_two_forms,
@@ -20,7 +22,10 @@ from nilgeo.errors import InputError
 from nilgeo.exterior import KForm
 from nilgeo.structures import NotContactError
 
+from . import fraction_classify as reference
 from .fraction_forms import scaled
+from .test_checks_golden import CATALOG_3_5_7
+from .test_structure_oracles import NILPOTENT_5, SOLVABLE_5
 
 
 def test_multipoly_arithmetic():
@@ -212,3 +217,99 @@ def test_ansatz_table_is_verified():
             epsilon,
         )
         assert structure is not None
+
+
+# -- the int paths against the KForm and Fraction references -------------------
+
+
+def rational_frame(rng, dim, dense):
+    """A seeded invertible frame of rational columns: dense, or the identity
+    with one rational entry added to each column."""
+    while True:
+        if dense:
+            cols = [[Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim)]
+        else:
+            cols = [[Q(int(i == j)) for i in range(dim)] for j in range(dim)]
+            for col in cols:
+                col[rng.randrange(dim)] += Q(rng.randint(-3, 3), rng.randint(1, 4))
+        if linalg.det(cols):
+            return cols
+
+
+# Dims 3-9: Heisenberg, su(2), filiform and split algebras (an even dimension
+# is an input error on both paths); the reference
+# expansion takes seconds on a dense rational frame at dim 9, so dim 9 gets
+# one rational entry per column.
+FRAMED = ("(0,0,12)", "(23,-13,12)", "(0,0,0)", "(0,0,12,0)", "(0,0,0,0,0,0,12+34+56)", "(0,0,12,13,14,15,16)",
+          "(0,0,12,13,14+23,15+24,16+25)", "(0,0,0,0,12,0)", "(0,0,0,0,0,0,0,0,12+34+56+78)",
+          "(0,0,0,0,0,0,12+34,56)", "(0,0,12,13,14,15,16,17,18)", "(0,0,0,0,0,0,12,13,23)")
+
+
+def framed_algebras(seed):
+    rng = random.Random(seed)
+    for spec in FRAMED + NILPOTENT_5 + SOLVABLE_5:
+        base = parse_algebra(spec)
+        for _ in range(2):
+            yield change_of_basis(base, rational_frame(rng, base.dim, dense=base.dim <= 7))
+
+
+def polynomial_outcome(poly, alg):
+    try:
+        result = poly(alg)
+    except InputError as exc:
+        return str(exc)
+    return result.terms, str(result)
+
+
+def test_contact_polynomial_matches_the_kform_expansion():
+    algebras = [parse_algebra(spec) for spec in NILPOTENT_5]
+    algebras += [parse_algebra(entry["spec"]) for entry in json.loads(CATALOG_3_5_7)]
+    algebras += list(framed_algebras(2023))
+    assert {alg.dim for alg in algebras} == set(range(3, 10))
+    nonzero = 0
+    for alg in algebras:
+        expected = polynomial_outcome(reference.contact_existence_polynomial, alg)
+        assert polynomial_outcome(contact_existence_polynomial, alg) == expected, serialize_algebra(alg)
+        nonzero += isinstance(expected, tuple) and bool(expected[0])
+    assert nonzero > 20  # rational coefficients on most of them: the frames have denominators
+
+
+def filter_outcome(alg, alpha, closed=None):
+    check = reference.obstruction_filter if closed is None else ccy_obstruction_filter
+    try:
+        return check(alg, alpha, closed).to_dict()
+    except NotContactError as exc:
+        return exc.check, exc.witness, str(exc)
+
+
+def test_sampled_alphas_and_the_filter_match_the_fraction_references():
+    # the default catalog over 40 seeds, then dim-5 algebras in seeded rational frames
+    cases = [(entry.algebra(), range(40)) for entry in Catalog.default()]
+    cases += [(alg, range(3)) for alg in framed_algebras(5) if alg.dim == 5]
+    seen = set()
+    for alg, seeds in cases:
+        tables = _FilterTables(alg)
+        for seed in seeds:
+            alphas = _sample_alphas(alg, seed, 3)
+            expected = reference.sample_alphas(alg, seed, 3)
+            assert alphas == expected and [str(a) for a in alphas] == [str(a) for a in expected]
+            for alpha in alphas:
+                outcome = filter_outcome(alg, alpha)
+                assert filter_outcome(alg, alpha, tables) == outcome, (serialize_algebra(alg), str(alpha))
+                seen.add(outcome[0] if isinstance(outcome, tuple) else outcome["verdict"])
+    assert seen == {"contact.volume", "Inconclusive", "Obstructed"}
+
+
+def test_filter_tables_from_given_closed_forms_match():
+    alg = parse_algebra("(0,0,12,13,14+23)")
+    closed = closed_two_forms(alg)
+    for alpha in _sample_alphas(alg, 11, 6):
+        assert filter_outcome(alg, alpha, closed) == filter_outcome(alg, alpha, _FilterTables(alg, closed))
+
+
+def test_ansatz_key_matches_the_fraction_rendering():
+    # classify looks the ansatz up by serialize_algebra, now rendered from ints
+    algebras = [entry.algebra() for entry in Catalog.default()] + list(framed_algebras(7))
+    algebras.append(parse_algebra('{"dim": 11, "d": {"11": [["-3/2", 1, 2], ["1", 3, 4]], "10": [["2/9", 5, 6]]}}'))
+    for alg in algebras:
+        assert serialize_algebra(alg) == reference.serialize_algebra(alg)

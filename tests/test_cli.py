@@ -135,7 +135,7 @@ def test_betti_dimension_bound_is_input_error(capsys, monkeypatch):
 def test_classify_dimension_bound_is_input_error(capsys, monkeypatch, tmp_path):
     from nilgeo import classify
 
-    monkeypatch.setattr(classify, "KForm", None)  # the expansion is never entered
+    monkeypatch.setattr(classify, "MultiPoly", None)  # no expansion completes
     for dim in (classify.MAX_CLASSIFY_DIM + 2, 41):
         filiform = {str(k): [["1", 1, k - 1]] for k in range(3, dim + 1)}  # d e^k = e^1 ^ e^(k-1)
         path = tmp_path / f"filiform{dim}.json"
@@ -657,6 +657,36 @@ def test_malformed_json_matrices_are_input_errors(J):
 def test_non_string_catalog_specs_are_input_errors(spec):
     report = run_input_error(["classify", f'--catalog=[{{"name": "x", "spec": {spec}}}]'])
     assert report["error"] == f"malformed catalog entry: spec must be a string, got {json.dumps(json.loads(spec))}"
+
+
+@pytest.mark.parametrize("catalog", ["[]", "{}", '""'])
+def test_empty_catalogs_are_input_errors(catalog):
+    # a catalog of no entries would read "pass" having checked nothing
+    report = run_input_error(["classify", f"--catalog={catalog}"])
+    assert report["error"] == "the catalog has no entries"
+
+
+@pytest.mark.parametrize("entry, field, value", [
+    ('{"name": ["x"], "spec": "(0,0,12)"}', "name", ["x"]),
+    ('{"name": 7, "spec": "(0,0,12)"}', "name", 7),
+    ('{"name": "x", "spec": "(0,0,12)", "notes": {"a": 1}}', "notes", {"a": 1}),
+    ('{"name": "x", "spec": "(0,0,12)", "notes": null}', "notes", None),
+])
+def test_non_string_catalog_names_and_notes_are_input_errors(entry, field, value):
+    report = run_input_error(["classify", f"--catalog=[{entry}]"])
+    assert report["error"] == f"malformed catalog entry: {field} must be a string, got {json.dumps(value)}"
+
+
+def test_obstruction_empty_rotations_and_family_with_rotations_are_input_errors(tmp_path):
+    report = run_input_error(["obstruction", *H3_CCY, "--span=X1", "--rotations="])
+    assert report["error"] == "--rotations entry '' is not t,cos,sin"
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([{"t": "0", "alpha": "2*e3", "J": "pairs:(1,2)", "epsilon": "e1 + i*e2"}]))
+    for rotations in ("default", "0,1,0;1,3/5,4/5", ""):
+        report = run_input_error(["obstruction", *H3_CCY, "--span=X1", f"--family=@{family}", f"--rotations={rotations}"])
+        assert report["error"] == "obstruction takes --family or --rotations, not both"
+    report = run_input_error(["obstruction", *H3_CCY, "--span=X1", "--family="])
+    assert report["error"].startswith("bad family JSON")
 
 
 def test_zero_denominator_family_parameter_is_an_input_error(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -14,7 +15,10 @@ from nilgeo.legendrian import (
     comass_sample,
     extension_obstruction,
 )
-from nilgeo.models import PYTHAGOREAN_ROTATIONS, heisenberg_ccy
+from nilgeo.models import PYTHAGOREAN_ROTATIONS, heisenberg_ccy, heisenberg_ccy_data
+from nilgeo.structures import _check_epsilon_clauses, check_ccy, check_contact
+
+from .test_curvature import transported_data
 
 CCY1 = heisenberg_ccy(1)
 CCY2 = heisenberg_ccy(2)
@@ -167,3 +171,39 @@ def test_obstruction_phase_equivariance():
         lhs = sub.pull(rotated.im)
         rhs = u_s * sub.pull(eps_t.re) + u_c * sub.pull(eps_t.im)
         assert lhs == rhs
+
+
+def rotated_structures():
+    """H3, H5 and H7 as shipped and carried into a seeded rational frame,
+    with epsilon already rotated off the real axis in the frame."""
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        yield heisenberg_ccy(n)
+        alg, alpha, J, epsilon = transported_data(rng, *heisenberg_ccy_data(n))
+        yield check_ccy(check_contact(alg, alpha), J, epsilon.scale(Q(3, 5), Q(-4, 5)))
+
+
+# the Pythagorean rotations and their images in the other quadrants
+ROTATIONS = [(t, c, s) for t, (c, s) in enumerate(PYTHAGOREAN_ROTATIONS)]
+ROTATIONS += [(t + 4, -s, c) for t, c, s in ROTATIONS] + [(Q(1, 2), Q(-20, 29), Q(-21, 29)), (9, 0, -1)]
+
+
+def test_rotation_samples_pass_every_epsilon_clause():
+    # FamilySpec.rotation does not re-run the clauses on its samples; each
+    # sample must pass them in full and equal the rotation of ComplexKForm.scale
+    for ccy in rotated_structures():
+        family = FamilySpec.rotation(ccy, ROTATIONS)
+        assert [s.t for s in family] == [Q(t) for t, _, _ in ROTATIONS]
+        for sample, (_, c, s) in zip(family, ROTATIONS):
+            epsilon = sample.ccy.epsilon
+            assert epsilon == ccy.epsilon.scale(c, s) and sample.ccy.contact is ccy.contact
+            contact = sample.ccy.contact
+            _check_epsilon_clauses(ccy.alg, contact.kappa, [contact.reeb], ccy.J, epsilon, ccy.n, False)
+            assert check_ccy(contact, ccy.J, epsilon).epsilon == epsilon
+
+
+@pytest.mark.parametrize("c, s", [(1, 1), (0, 0), (Q(3, 5), Q(3, 5)), (Q(4, 5), Q(3, 4)), ("3/5", "-4/5 "), (0.6, 0.8)])
+def test_non_unit_rotations_are_input_errors(c, s):
+    # the exact unit check stays; a string or float that is no exact rational is refused too
+    with pytest.raises(InputError):
+        FamilySpec.rotation(CCY2, [(0, 1, 0), (1, c, s)])
