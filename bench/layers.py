@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_23.json
+        --seconds 30 --out BENCH_24.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -46,6 +46,10 @@ levi_civita, ricci_scalar and transverse_ricci:
 - the special Legendrian check of a `legendrian` request on the same
   structures, dims 3, 5 and 7, span X1;X3;...: `Subalgebra` on the parsed
   span and `check_special_legendrian`, and the whole request;
+- comass_sample on the shipped Heisenberg structures, n = 1..5, at
+  COMASS_SAMPLES frames (COMASS_SEED), and one whole in-process `comass`
+  request as ccy-mix sends it (`perfbench.workloads.ccy_flags`, --samples
+  2000, --seed COMASS_SEED), n = 1..3;
 - the stages of the check-hypo request ccy-mix sends (`perfbench.workloads
   .HYPO`, four form expressions): argparse, the parse of the algebra, the
   parses of alpha and the three omegas together, check_hypo, and the whole
@@ -142,6 +146,8 @@ PARSE_COMPACT = {f"F{m}": filiform(m) for m in (4, 5, 6, 7)}
 PARSE_COMPACT.update({f"H{2 * n + 1}": heisenberg(n) for n in (1, 2, 3, 4)})
 CCY_N = (1, 2, 3)
 CCY_ROTATION = (3, 4, 5)
+COMASS_SAMPLES = (2000, 10**5)
+COMASS_SEED = 0
 CLASSIFY_SEED = 0
 RANDOM_SAMPLES = 3
 CLASSIFY_REQUEST = ["classify", "--seed", str(CLASSIFY_SEED)]
@@ -315,6 +321,7 @@ def measure(tree: Path) -> dict:
     from nilgeo.curvature import levi_civita, ricci_scalar, transverse_ricci
     from nilgeo.deform import CircleGrid, assemble_operator, kernel_dimension
     from nilgeo.exterior import Endo, Metric, Vector, pullback
+    from nilgeo.legendrian import comass_sample
     from nilgeo.models import heisenberg_algebra, heisenberg_ccy, heisenberg_ccy_data
     from nilgeo.structures import (
         NotContactError,
@@ -439,6 +446,14 @@ def measure(tree: Path) -> dict:
     rows.append({"family": "request", "command": "curvature --metric", "algebra": "F6",
                  "curvature_request_ms": timed_ms(clock, requests) / len(argvs)})
     rows += ccy_requests(clock)
+    for n in HEISENBERG:
+        structure, row = heisenberg_ccy(n), {"family": "comass", "n": n, "dim": 2 * n + 1}
+        for samples in COMASS_SAMPLES:
+            row[f"sample_{samples}_ms"] = timed_ms(clock, lambda: comass_sample(structure, samples, seed=COMASS_SEED))
+        if n in CCY_N:
+            argv = ["comass", *ccy_flags(n), "--samples", "2000", "--seed", str(COMASS_SEED)]
+            row["request_ms"] = timed_ms(clock, whole_request(argv))
+        rows.append(row)
     for n in MODULI_N:
         op = assemble_operator(CircleGrid(n))
         rows.append({"family": "moduli", "dim": n, "kernel_dimension_ms": timed_ms(clock, lambda: kernel_dimension(op))})
@@ -571,12 +586,12 @@ def fastest(rounds) -> dict:
             for point in zip(*rounds)]
     slopes = {}
     for family in ("heisenberg", "heisenberg_frame", "filiform", "structure", "json_heisenberg", "moduli", "betti",
-                   "parse_metric", "ccy_request", "legendrian", "basis"):
+                   "parse_metric", "ccy_request", "legendrian", "basis", "comass"):
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
                        "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d", "parse_metric",
                        "argparse", "parse_alpha", "parse_J", "report", "request", "subalgebra",
-                       "special_legendrian", "change_of_basis"):
+                       "special_legendrian", "change_of_basis", *(f"sample_{s}" for s in COMASS_SAMPLES)):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
                 slopes[f"{family}.{kernel}"] = slope(points)
@@ -695,6 +710,8 @@ def main() -> None:
             "parse_compact": list(PARSE_COMPACT),
             "ccy_n": list(CCY_N),
             "ccy_rotation": list(CCY_ROTATION),
+            "comass_samples": list(COMASS_SAMPLES),
+            "comass_seed": COMASS_SEED,
             "classify_seed": CLASSIFY_SEED,
             "random_samples": RANDOM_SAMPLES,
             "requests": [CLASSIFY_REQUEST, OBSTRUCTION_REQUEST],

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
@@ -326,9 +326,12 @@ class CatalogEntry:
     name: str
     spec: str
     notes: str = ""
+    parsed: LieAlgebra | None = field(default=None, compare=False, repr=False)
 
     def algebra(self) -> LieAlgebra:
-        return parse_algebra(self.spec)
+        """The algebra `Catalog.from_json` parsed when it validated the entry,
+        else the spec parsed now."""
+        return parse_algebra(self.spec) if self.parsed is None else self.parsed
 
 
 @dataclass(frozen=True)
@@ -363,12 +366,13 @@ class Catalog:
             raise InputError(f"malformed catalog entry: {exc}") from exc
         if not entries:
             raise InputError("the catalog has no entries")
+        parsed = []
         for entry in entries:
-            for field in ("name", "spec", "notes"):
-                if not isinstance(value := getattr(entry, field), str):
-                    raise InputError(f"malformed catalog entry: {field} must be a string, got {json.dumps(value)}")
-            entry.algebra()  # validates Jacobi
-        return cls(entries)
+            for name in ("name", "spec", "notes"):
+                if not isinstance(value := getattr(entry, name), str):
+                    raise InputError(f"malformed catalog entry: {name} must be a string, got {json.dumps(value)}")
+            parsed.append(replace(entry, parsed=entry.algebra()))  # validates Jacobi
+        return cls(tuple(parsed))
 
 
 # Constructive data for algebras known to carry an invariant structure.

@@ -430,6 +430,8 @@ def cmd_comass(args) -> int:
         raise InputError("comass needs --samples > 0 or a --probe frame")
     if args.samples > MAX_COMASS_SAMPLES:
         raise InputError(f"comass supports --samples <= {MAX_COMASS_SAMPLES}, got {args.samples}")
+    if args.samples and args.seed < 0:
+        raise InputError(f"comass --samples needs --seed >= 0, got {args.seed}")
     alg = parse_algebra(_file_value(args.algebra))
     report = Report(
         "comass",

@@ -173,8 +173,9 @@ def comass_probe(ccy: CCYStructure, frame) -> Fraction:
 
 
 _CHUNK = 4096
-# Largest comass --samples: 10^6 frames at n = 3 take about 3 s on a 2-CPU
-# x86-64 host; goldens and benchmark inputs reach 10^5.
+# Largest comass --samples: 10^6 frames take about 1.6-1.9 s at n = 3 and
+# 10-12 s at n = 5 on a 2-CPU x86-64 host; goldens and benchmark inputs reach
+# 10^5.
 MAX_COMASS_SAMPLES = 10**6
 
 
@@ -185,6 +186,14 @@ def comass_sample(ccy: CCYStructure, samples: int, seed: int = 0) -> float:
     floating point, and returns the maximum absolute value of Re(epsilon) on
     the frames. Deterministic given the seed (work is split into fixed-size
     chunks with spawned generators).
+
+    The frames are held as (vector, coordinate, sample), so that each
+    coordinate row is contiguous across the batch. A g-inner product of two
+    vectors is the sum of (a[d] * g[d][e]) * b[e] over the nonzero cells of g
+    in row-major order, added one term at a time to +0.0: per sample, that is
+    the float `np.einsum("sd,de,se->s", a, g, b)` computes, and a skipped zero
+    cell would only add a signed zero. The value of each frame is the sum of
+    coeff * det over epsilon's terms, one `np.linalg.det` call per term.
     """
     import numpy as np  # only this sampler needs it
 
@@ -192,32 +201,41 @@ def comass_sample(ccy: CCYStructure, samples: int, seed: int = 0) -> float:
         return 0.0
     n, dim, re = ccy.n, ccy.dim, ccy.epsilon.re
     try:
-        g = np.array([[x / ccy.metric.den for x in row] for row in ccy.metric.num])
-        terms = [(idx, c / re.den) for idx, c in re.nums.items()]
+        cells = [(d, e, x / ccy.metric.den) for d, row in enumerate(ccy.metric.num) for e, x in enumerate(row) if x]
+        terms = [([k - 1 for k in idx], c / re.den) for idx, c in re.nums.items()]
     except OverflowError as exc:  # an int ratio past the float range
         raise InputError(f"comass --samples needs the metric and epsilon in floating-point range: {exc}") from None
+
+    def dot(a, b, out, term):
+        out.fill(0.0)
+        for d, e, x in cells:
+            np.multiply(a[d], x, out=term)
+            term *= b[e]
+            out += term
+        return out
+
     nchunks = (samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(nchunks)
     best = 0.0
     for ci in range(nchunks):
         count = min(_CHUNK, samples - ci * _CHUNK)
         rng = np.random.default_rng(seeds[ci])
-        frames = rng.standard_normal((count, n, dim))
+        frames = np.ascontiguousarray(rng.standard_normal((count, n, dim)).transpose(1, 2, 0))
+        inner, term = np.empty(count), np.empty(count)
         # Gram-Schmidt against g across the batch
         for i in range(n):
+            v = frames[i]
             for j in range(i):
-                proj = np.einsum("sd,de,se->s", frames[:, i], g, frames[:, j])
-                frames[:, i] -= proj[:, None] * frames[:, j]
-            norms = np.sqrt(np.einsum("sd,de,se->s", frames[:, i], g, frames[:, i]))
+                v -= dot(v, frames[j], inner, term) * frames[j]
+            norms = np.sqrt(dot(v, v, inner, term))
             good = norms > 1e-12
-            frames[good, i] /= norms[good, None]
-            frames[~good, i] = 0.0  # degenerate draw contributes value 0
+            np.divide(v, norms, out=v, where=good)
+            if not good.all():
+                v[:, ~good] = 0.0  # degenerate draw contributes value 0
         values = np.zeros(count)
-        for idx, coeff in terms:
-            sub = frames[:, :, [k - 1 for k in idx]]
-            values += coeff * np.linalg.det(sub)
-        chunk_max = float(np.max(np.abs(values))) if count else 0.0
-        best = max(best, chunk_max)
+        for cols, coeff in terms:
+            values += coeff * np.linalg.det(frames[:, cols].transpose(2, 0, 1))
+        best = max(best, float(np.max(np.abs(values))))
     return best
 
 

@@ -677,6 +677,36 @@ def test_non_string_catalog_names_and_notes_are_input_errors(entry, field, value
     assert report["error"] == f"malformed catalog entry: {field} must be a string, got {json.dumps(value)}"
 
 
+def test_catalog_entries_are_parsed_once(monkeypatch, capsys):
+    from nilgeo import classify
+    from nilgeo.algdsl import parse_algebra
+
+    specs = []
+
+    def counted(spec):
+        specs.append(spec)
+        return parse_algebra(spec)
+
+    monkeypatch.setattr(classify, "parse_algebra", counted)
+    catalog = [{"name": "h5", "spec": "(0,0,0,0,12+34)"}, {"name": "h3", "spec": "(0,0,12)"}]
+    code, report = run(capsys, "classify", f"--catalog={json.dumps(catalog)}")
+    assert code == 0 and [e["name"] for e in report["checks"][0]["entries"]] == ["h5", "h3"]
+    assert specs == ["(0,0,0,0,12+34)", "(0,0,12)"]
+    # every entry is still validated before any is classified
+    bad = [*catalog, {"name": "bad", "spec": "(0,0,12,34,0)"}]
+    specs.clear()
+    report = run_input_error(["classify", f"--catalog={json.dumps(bad)}"])
+    assert report["error"] == "d(d(e4)) = e124 != 0; Jacobi identity fails" and len(specs) == 3
+
+
+def test_negative_comass_seed_is_an_input_error(capsys):
+    # numpy's SeedSequence refuses negative seeds; the probe alone draws nothing
+    report = run_input_error(["comass", *H3_CCY, "--seed=-1", "--samples=10"])
+    assert report["error"] == "comass --samples needs --seed >= 0, got -1"
+    code, report = run(capsys, "comass", *H3_CCY, "--seed=-1", "--samples=0", "--probe=X1")
+    assert code == 0 and [c["name"] for c in report["checks"]] == ["comass_probe"]
+
+
 def test_obstruction_empty_rotations_and_family_with_rotations_are_input_errors(tmp_path):
     report = run_input_error(["obstruction", *H3_CCY, "--span=X1", "--rotations="])
     assert report["error"] == "--rotations entry '' is not t,cos,sin"
