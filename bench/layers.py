@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_24.json
+        --seconds 30 --out BENCH_25.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -38,8 +38,9 @@ levi_civita, ricci_scalar and transverse_ricci:
   --metric` request on F6 (`cli.main`, its report discarded), in ms per
   request over the same seeded metrics;
 - the stages of a check-ccy request as ccy-mix sends it (`perfbench.workloads
-  .ccy_flags`, epsilon rotated by CCY_ROTATION), n = 1..3: argparse, the
-  parse of the algebra, of alpha, of J and of epsilon, check_contact,
+  .ccy_flags`, epsilon rotated by CCY_ROTATION), n = 1..3: the argv reader
+  (`cli.read_argv`, which a valid request runs) and, for comparison,
+  argparse's `parse_args` on the same argv, the parse of the algebra, of alpha, of J and of epsilon, check_contact,
   check_ccy, the report (built from its strings and written by
   `Report.to_json`), and the whole in-process request (`cli.main`, its
   report discarded);
@@ -51,7 +52,8 @@ levi_civita, ricci_scalar and transverse_ricci:
   request as ccy-mix sends it (`perfbench.workloads.ccy_flags`, --samples
   2000, --seed COMASS_SEED), n = 1..3;
 - the stages of the check-hypo request ccy-mix sends (`perfbench.workloads
-  .HYPO`, four form expressions): argparse, the parse of the algebra, the
+  .HYPO`, four form expressions): the argv reader and argparse, as above,
+  the parse of the algebra, the
   parses of alpha and the three omegas together, check_hypo, and the whole
   in-process request;
 - kernel_dimension of the moduli operator at N = 256, 512, 1024, 2048 and
@@ -72,12 +74,13 @@ levi_civita, ricci_scalar and transverse_ricci:
   and _sample_alphas (CLASSIFY_SEED, RANDOM_SAMPLES); and one whole
   in-process `classify --seed CLASSIFY_SEED` request and one `obstruction`
   request as ccy-mix sends it (H3, span X1, the default rotations);
-- and start-up: for each subcommand on one small input (STARTUP), the wall
-  time of a fresh `python -m nilgeo.cli` process on a copy of the tree's
-  sources, once compiling them on every start (no .pyc files, as with
-  PYTHONDONTWRITEBYTECODE=1) and once reading the .pyc files a first run
-  wrote; and the `nilgeo` modules the subcommand loads, their source lines,
-  and whether it loads numpy.
+- and start-up: for each subcommand on one small input (STARTUP), and for
+  one usage error (STARTUP_ERROR, exit 2), the wall time of a fresh `python
+  -m nilgeo.cli` process on a copy of the tree's sources, once compiling
+  them on every start (no .pyc files, as with PYTHONDONTWRITEBYTECODE=1) and
+  once reading the .pyc files a first run wrote; and the `nilgeo` modules
+  the request loads, their source lines, and whether it loads numpy and
+  argparse.
 
 A point is the median of REPEATS timed loops, each long enough to take at
 least MIN_LOOP_S and host-speed adjusted as the end-to-end timings are
@@ -158,6 +161,7 @@ MIN_LOOP_S = 0.02
 WORKLOADS = ("curvature-sweep", "ccy-mix", "rank-sweep")
 H3 = ("--algebra", "(0,0,12)", "--alpha", "2*e3")
 H3_CCY = (*H3, "--J", "pairs:(1,2)", "--epsilon", "e1 + i*e2")
+# label -> argv; every one a valid request but the usage error
 STARTUP = {
     "check-contact": H3,
     "check-sasakian": (*H3, "--J", "pairs:(1,2)"),
@@ -174,13 +178,15 @@ STARTUP = {
     "comass": (*H3_CCY, "--samples", "1000"),
     "classify": ("--seed", "0"),
 }
+STARTUP_ERROR = ("check-ccy", *H3)  # no --J, no --epsilon: argparse words the error, exit 2
 # prints the nilgeo modules that cli.main(argv) loads, with their files
 LOADED = """import contextlib, io, json, sys
 import nilgeo.cli
 with contextlib.redirect_stdout(io.StringIO()):
     nilgeo.cli.main(sys.argv[1:])
 names = [name for name in sys.modules if name.split(".")[0] == "nilgeo"]
-print(json.dumps({"files": [sys.modules[name].__file__ for name in names], "numpy": "numpy" in sys.modules}))
+print(json.dumps({"files": [sys.modules[name].__file__ for name in names], "numpy": "numpy" in sys.modules,
+                  "argparse": "argparse" in sys.modules}))
 """
 
 
@@ -262,13 +268,14 @@ def betti_parts(cealg, linalg, alg) -> dict:
             "betti_numbers_ms": lambda: cealg.betti_numbers(alg)}
 
 
-def process_ms(clock: HostClock, cmd: list, env: dict) -> float:
-    """Median host-adjusted milliseconds of REPEATS runs of a fresh process."""
+def process_ms(clock: HostClock, cmd: list, env: dict, code: int) -> float:
+    """Median host-adjusted milliseconds of REPEATS runs of a fresh process
+    that exits with code."""
     runs = []
     for _ in range(REPEATS):
         clock.probe()
         start = perf_counter_ns()
-        subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+        assert subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode == code, cmd
         end = perf_counter_ns()
         clock.probe()
         runs.append((end - start) / 1e6 * clock.factor(start, end))
@@ -283,17 +290,20 @@ def startup(tree: Path, clock: HostClock) -> list[dict]:
         env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
         env["PYTHONPATH"] = tmp
         cold = {**env, "PYTHONDONTWRITEBYTECODE": "1"}
-        for command, argv in STARTUP.items():
-            cmd = [sys.executable, "-m", "nilgeo.cli", command, *argv]
-            loaded = json.loads(subprocess.run([sys.executable, "-c", LOADED, command, *argv], env=cold,
+        requests = [(command, (command, *argv), 0) for command, argv in STARTUP.items()]
+        requests.append(("usage error", STARTUP_ERROR, 2))
+        for label, argv, code in requests:
+            cmd = [sys.executable, "-m", "nilgeo.cli", *argv]
+            loaded = json.loads(subprocess.run([sys.executable, "-c", LOADED, *argv], env=cold,
                                                capture_output=True, text=True, check=True).stdout)
             lines = sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in loaded["files"])
-            rows.append({"family": "startup", "command": command, "modules": len(loaded["files"]),
-                         "source_lines": lines, "numpy": loaded["numpy"], "cold_ms": process_ms(clock, cmd, cold)})
-        for row in rows:  # every cold run is done: now write the .pyc files, then read them
-            cmd = [sys.executable, "-m", "nilgeo.cli", row["command"], *STARTUP[row["command"]]]
-            subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
-            row["pyc_ms"] = process_ms(clock, cmd, env)
+            rows.append({"family": "startup", "command": label, "modules": len(loaded["files"]),
+                         "source_lines": lines, "numpy": loaded["numpy"], "argparse": loaded["argparse"],
+                         "cold_ms": process_ms(clock, cmd, cold, code)})
+        for row, (_, argv, code) in zip(rows, requests):  # every cold run is done: write the .pyc files, read them
+            cmd = [sys.executable, "-m", "nilgeo.cli", *argv]
+            subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL)
+            row["pyc_ms"] = process_ms(clock, cmd, env, code)
     return rows
 
 
@@ -522,6 +532,13 @@ def whole_request(argv):
     return request
 
 
+def read_argv_columns(clock: HostClock, cli, argv) -> dict:
+    """The argv reader a valid request runs (absent from trees without one)
+    and argparse's parse_args on the same argv."""
+    columns = {"read_argv_ms": timed_ms(clock, lambda: cli.read_argv(argv))} if hasattr(cli, "read_argv") else {}
+    return {**columns, "argparse_ms": timed_ms(clock, lambda: cli._parser().parse_args(argv))}
+
+
 def ccy_requests(clock: HostClock) -> list[dict]:
     """The stage rows of check-ccy, legendrian and check-hypo requests (see the docstring)."""
     from nilgeo import cli
@@ -547,7 +564,7 @@ def ccy_requests(clock: HostClock) -> list[dict]:
 
         rows.append({
             "family": "ccy_request", "n": n, "dim": alg.dim,
-            "argparse_ms": timed_ms(clock, lambda: cli._parser().parse_args(argv)),
+            **read_argv_columns(clock, cli, argv),
             "parse_algebra_ms": timed_ms(clock, lambda: parse_algebra(flags["--algebra"])),
             "parse_alpha_ms": timed_ms(clock, lambda: parse_form(flags["--alpha"], alg.dim)),
             "parse_J_ms": timed_ms(clock, lambda: parse_endo(flags["--J"], alg.dim)),
@@ -571,7 +588,7 @@ def ccy_requests(clock: HostClock) -> list[dict]:
     forms = [parse_form(text, alg.dim) for text in texts]
     rows.append({
         "family": "hypo_request", "dim": alg.dim,
-        "argparse_ms": timed_ms(clock, lambda: cli._parser().parse_args(argv)),
+        **read_argv_columns(clock, cli, argv),
         "parse_algebra_ms": timed_ms(clock, lambda: parse_algebra(HYPO["--algebra"])),
         "parse_forms_ms": timed_ms(clock, lambda: [parse_form(text, alg.dim) for text in texts]),
         "check_hypo_ms": timed_ms(clock, lambda: check_hypo(*forms, alg)),
@@ -590,7 +607,7 @@ def fastest(rounds) -> dict:
         for kernel in ("levi_civita", "ricci_scalar", "transverse_ricci", "metric_elimination", "check_ccy",
                        "epsilon_clauses", "calibration", "nijenhuis", "parse_epsilon", "check_contact",
                        "parse_algebra", "kernel_dimension", "betti_numbers", "build_d", "rank_d", "parse_metric",
-                       "argparse", "parse_alpha", "parse_J", "report", "request", "subalgebra",
+                       "read_argv", "argparse", "parse_alpha", "parse_J", "report", "request", "subalgebra",
                        "special_legendrian", "change_of_basis", *(f"sample_{s}" for s in COMASS_SAMPLES)):
             points = [(r["dim"], r[f"{kernel}_ms"]) for r in rows if r["family"] == family and f"{kernel}_ms" in r]
             if len(points) > 1:
@@ -715,7 +732,8 @@ def main() -> None:
             "classify_seed": CLASSIFY_SEED,
             "random_samples": RANDOM_SAMPLES,
             "requests": [CLASSIFY_REQUEST, OBSTRUCTION_REQUEST],
-            "startup": {command: list(argv) for command, argv in STARTUP.items()},
+            "startup": {**{command: [command, *argv] for command, argv in STARTUP.items()},
+                        "usage error": list(STARTUP_ERROR)},
             "repeats": REPEATS,
             "rounds": ROUNDS,
             "statistic": "median host-adjusted ms per call, fastest of the rounds",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from . import linalg
@@ -44,6 +44,13 @@ from .structures import NotContactError, _check_alpha, _not_contact, check_ccy, 
 # dense (H_11 in a dense rational frame) 25 s at dimension 11 (2-CPU x86-64
 # host, scaled to one on which perfbench/hostspeed.py's reference takes 1 ms).
 MAX_CLASSIFY_DIM = 11
+# Largest count of (a-monomial state, term of d1_ints) products the expansion
+# may visit (`_expansion_work`): dimension alone does not bound its time. Every
+# algebra of dimension <= 9 fits; H_9 in a dense rational frame, the most at
+# dimension 9, counts 231336 (1.3 s on the host above), H_11 in one about
+# 2.6 million (25 s); H_11 in a sparse rational frame counting 221655 took
+# 0.53 s (unadjusted), the filiform algebra of dimension 11 counts 30879.
+MAX_CLASSIFY_WORK = 250_000
 
 
 class MultiPoly:
@@ -125,7 +132,8 @@ def contact_existence_polynomial(alg: LieAlgebra) -> MultiPoly:
     nonzero d(e^i) at a time, over the mask terms of `LieAlgebra.d1_ints`
     (den): e^I ^ e^ab is (-1)^p e^(I + ab), p the number of indices of I
     strictly between a and b, or 0 when I meets ab. Only the
-    top coefficients become Fractions. Algebras above MAX_CLASSIFY_DIM are an
+    top coefficients become Fractions. Algebras above MAX_CLASSIFY_DIM, or
+    whose expansion would visit more than MAX_CLASSIFY_WORK products, are an
     input error, raised before the expansion.
     """
     dim = alg.dim
@@ -134,6 +142,11 @@ def contact_existence_polynomial(alg: LieAlgebra) -> MultiPoly:
     if dim % 2 == 0:
         raise InputError("contact existence needs odd dimension")
     masks, den = alg.d1_ints
+    work = _expansion_work(dim, masks)
+    if work > MAX_CLASSIFY_WORK:
+        raise InputError(
+            f"classify supports contact expansions of at most {MAX_CLASSIFY_WORK} state-term products, got {work}"
+        )
     d_terms = [(i, terms) for i, terms in enumerate(masks) if terms]
     steps = (dim - 1) // 2
     expansion = {tuple(int(i == j) for j in range(dim)): {1 << i: 1} for i in range(dim)}
@@ -150,6 +163,19 @@ def contact_existence_polynomial(alg: LieAlgebra) -> MultiPoly:
         expansion = grown
     top = (1 << dim) - 1
     return MultiPoly._of(dim, {exps: form.get(top, 0) for exps, form in expansion.items()}, den**steps)
+
+
+def _expansion_work(dim: int, masks) -> int:
+    """The (a-monomial state, d term) products contact_existence_polynomial
+    visits, counted without expanding. With m nonzero d(e^i), the states of
+    step s are the exponent tuples e_i + (s indices of nonzero d(e^i)): those
+    of degree s + 1 on the m indices, and those of degree s on them plus one
+    other index. Each state meets every term of d1_ints."""
+    m = sum(1 for terms in masks if terms)
+    if not m:
+        return 0
+    states = sum(comb(m + s, s + 1) + (dim - m) * comb(m + s - 1, s) for s in range((dim - 1) // 2))
+    return states * sum(len(terms) for terms in masks)
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,21 @@ check failed (the report says which clause), 2 input, parse or usage error,
 reports a writer stopped by SIGPIPE).
 
 Any structured flag value may be given as "@path" to read the value from a
-file.
+file. One table (COMMANDS) declares every subcommand and flag: read_argv reads
+a plain request's argv from it, and argparse, built from it only for any
+other argv, words every usage error, help and version text.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 import traceback
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import CheckError, InputError, NilgeoError
@@ -482,100 +485,180 @@ def cmd_classify(args) -> int:
     return _emit(report)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise InputError: one JSON error document, exit 2."""
+class Flag(NamedTuple):
+    """One option of a subcommand. kind is str, int (the value goes through
+    int(), as argparse's type=int) or bool (a store-true flag)."""
 
-    def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
+    option: str
+    required: bool = False
+    kind: type = str
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.option[2:].replace("-", "_")
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    func: Callable[..., int]
+    help: str
+    flags: dict  # option string -> Flag, in help order
+
+
+def _command(func, help: str, *flags: Flag) -> Command:
+    return Command(func, help, {flag.option: flag for flag in flags})
+
+
+_STRUCTURE = (
+    Flag("--algebra", True, help="algebra spec, e.g. (0,0,12), or @file"),
+    Flag("--alpha", True, help="contact form expression"),
+    Flag("--J", True, help="pairs:(1,2),... or matrix:[[...]]"),
+    Flag("--epsilon", True, help="complex volume form expression"),
+)
+
+# The grammar of every subcommand, in help order: build_parser and read_argv read it.
+COMMANDS = {
+    "check-contact": _command(
+        cmd_check_contact, "verify the contact volume condition", Flag("--algebra", True), Flag("--alpha", True)
+    ),
+    "check-sasakian": _command(cmd_check_sasakian, "verify the Nijenhuis condition", *_STRUCTURE[:3]),
+    "check-ccy": _command(
+        cmd_check_ccy,
+        "verify a contact Calabi-Yau structure",
+        *_STRUCTURE,
+        Flag("--strict-def31", kind=bool, default=False, help="drop the 1/n! factor"),
+    ),
+    "check-hypo": _command(
+        cmd_check_hypo,
+        "verify a 5-dimensional Hypo structure",
+        *(Flag(option, True) for option in ("--algebra", "--alpha", "--omega1", "--omega2", "--omega3")),
+    ),
+    "check-rccy": _command(
+        cmd_check_rccy,
+        "verify an r-contact Calabi-Yau structure",
+        Flag("--algebra", True),
+        Flag("--alphas", True, help="semicolon-separated 1-forms"),
+        Flag("--J", True),
+        Flag("--epsilon", True),
+        Flag("--strict-def31", kind=bool, default=False),
+    ),
+    "betti": _command(cmd_betti, "Betti numbers of the invariant complex", Flag("--algebra", True)),
+    "curvature": _command(
+        cmd_curvature,
+        "Ricci, scalar and alpha-Einstein data",
+        Flag("--algebra", True),
+        Flag("--metric", help="explicit matrix JSON"),
+        Flag("--alpha"),
+        Flag("--J"),
+        Flag("--epsilon"),
+    ),
+    "legendrian": _command(
+        cmd_legendrian,
+        "classify a candidate special Legendrian subalgebra",
+        *_STRUCTURE,
+        Flag("--span", True, help="semicolon-separated basis vectors"),
+    ),
+    "obstruction": _command(
+        cmd_obstruction,
+        "extension obstruction classes on a family",
+        *_STRUCTURE,
+        Flag("--span", True),
+        Flag("--family", help="family JSON (list of {t, alpha, J, epsilon}) or @file"),
+        Flag("--rotations", help='"t,cos,sin;..." exact unit rotations, or "default"'),
+    ),
+    "moduli-kernel": _command(
+        cmd_moduli_kernel, "kernel dimension of the discretized operator", Flag("--N", kind=int, default=64)
+    ),
+    "comass": _command(
+        cmd_comass,
+        "Monte Carlo calibration bound check",
+        *_STRUCTURE,
+        Flag("--samples", kind=int, default=100000),
+        Flag("--seed", kind=int, default=0),
+        Flag("--probe", help="exact g-orthonormal frame, e.g. X1;X3"),
+    ),
+    "classify": _command(
+        cmd_classify,
+        "run the 5-dimensional classification catalog",
+        Flag("--catalog", help="catalog JSON or @file; default is the shipped catalog"),
+        Flag("--samples", kind=int, default=3, help="random contact forms per algebra"),
+        Flag("--seed", kind=int, default=0),
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS. It defines the grammar and words every
+    usage error, help and version text; requests of the shapes read_argv
+    accepts never build it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors raise InputError: one JSON error document, exit 2."""
+
+        def error(self, message):
+            raise InputError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="nilgeo",
         description="Exact verification of invariant contact Calabi-Yau geometry on Lie algebras",
     )
     parser.add_argument("--version", action="version", version=f"nilgeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_structure_flags(p, epsilon=True):
-        p.add_argument("--algebra", required=True, help="algebra spec, e.g. (0,0,12), or @file")
-        p.add_argument("--alpha", required=True, help="contact form expression")
-        p.add_argument("--J", required=True, help="pairs:(1,2),... or matrix:[[...]]")
-        if epsilon:
-            p.add_argument("--epsilon", required=True, help="complex volume form expression")
-
-    p = sub.add_parser("check-contact", help="verify the contact volume condition")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--alpha", required=True)
-    p.set_defaults(func=cmd_check_contact)
-
-    p = sub.add_parser("check-sasakian", help="verify the Nijenhuis condition")
-    add_structure_flags(p, epsilon=False)
-    p.set_defaults(func=cmd_check_sasakian)
-
-    p = sub.add_parser("check-ccy", help="verify a contact Calabi-Yau structure")
-    add_structure_flags(p)
-    p.add_argument("--strict-def31", action="store_true", help="drop the 1/n! factor")
-    p.set_defaults(func=cmd_check_ccy)
-
-    p = sub.add_parser("check-hypo", help="verify a 5-dimensional Hypo structure")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--omega1", required=True)
-    p.add_argument("--omega2", required=True)
-    p.add_argument("--omega3", required=True)
-    p.set_defaults(func=cmd_check_hypo)
-
-    p = sub.add_parser("check-rccy", help="verify an r-contact Calabi-Yau structure")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--alphas", required=True, help="semicolon-separated 1-forms")
-    p.add_argument("--J", required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--strict-def31", action="store_true")
-    p.set_defaults(func=cmd_check_rccy)
-
-    p = sub.add_parser("betti", help="Betti numbers of the invariant complex")
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("curvature", help="Ricci, scalar and alpha-Einstein data")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--metric", help="explicit matrix JSON")
-    p.add_argument("--alpha")
-    p.add_argument("--J")
-    p.add_argument("--epsilon")
-    p.set_defaults(func=cmd_curvature)
-
-    p = sub.add_parser("legendrian", help="classify a candidate special Legendrian subalgebra")
-    add_structure_flags(p)
-    p.add_argument("--span", required=True, help="semicolon-separated basis vectors")
-    p.set_defaults(func=cmd_legendrian)
-
-    p = sub.add_parser("obstruction", help="extension obstruction classes on a family")
-    add_structure_flags(p)
-    p.add_argument("--span", required=True)
-    p.add_argument("--family", help="family JSON (list of {t, alpha, J, epsilon}) or @file")
-    p.add_argument("--rotations", help='"t,cos,sin;..." exact unit rotations, or "default"')
-    p.set_defaults(func=cmd_obstruction)
-
-    p = sub.add_parser("moduli-kernel", help="kernel dimension of the discretized operator")
-    p.add_argument("--N", type=int, default=64)
-    p.set_defaults(func=cmd_moduli_kernel)
-
-    p = sub.add_parser("comass", help="Monte Carlo calibration bound check")
-    add_structure_flags(p)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe", help="exact g-orthonormal frame, e.g. X1;X3")
-    p.set_defaults(func=cmd_comass)
-
-    p = sub.add_parser("classify", help="run the 5-dimensional classification catalog")
-    p.add_argument("--catalog", help="catalog JSON or @file; default is the shipped catalog")
-    p.add_argument("--samples", type=int, default=3, help="random contact forms per algebra")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_classify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags.values():
+            kind = {"action": "store_true"} if flag.kind is bool else {"required": flag.required, "type": flag.kind}
+            p.add_argument(flag.option, default=flag.default, help=flag.help, **kind)
+        p.set_defaults(func=command.func)
     return parser
+
+
+def read_argv(argv):
+    """The namespace argparse makes of argv, for the argv of a request in one
+    of these shapes; None for any other argv, which argparse then reads.
+
+    argv[0] is a subcommand's name, then each of its option strings comes at
+    most once and exactly, as `--flag value` (value not starting with "-"),
+    `--flag=value` or, for a store-true flag, bare; every required flag is
+    there, and every int value reads with int(). Abbreviations, -h, --, a
+    separate value starting with "-", repeats and unknown tokens are declined.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags, given, i, end = command.flags, {}, 1, len(argv)
+    while i < end:
+        option, eq, value = argv[i].partition("=")
+        flag = flags.get(option)
+        if flag is None or option in given:
+            return None
+        if flag.kind is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                i += 1
+                if i == end or argv[i][:1] == "-":
+                    return None
+                value = argv[i]
+            try:
+                value = flag.kind(value)
+            except ValueError:
+                return None
+        given[option] = value
+        i += 1
+    args = {"command": argv[0]}
+    for option, flag in flags.items():
+        if option in given:
+            args[flag.dest] = given[option]
+        elif flag.required:
+            return None
+        else:
+            args[flag.dest] = flag.default
+    return SimpleNamespace(**args, func=command.func)
 
 
 _parser = functools.cache(build_parser)  # built on first use, not at import
@@ -597,7 +680,9 @@ def _raised_in(exc: BaseException) -> str:
 def _run(argv) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no bound, before Python 3.10.7
     try:
-        args = _parser().parse_args(argv)
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:  # argparse words the usage error, help or version text
+            args = _parser().parse_args(argv)
         if limit:  # exterior.literal bounds each int of the input, so reports may print any size
             sys.set_int_max_str_digits(0)
         return args.func(args)

@@ -145,6 +145,40 @@ def test_classify_dimension_bound_is_input_error(capsys, monkeypatch, tmp_path):
         assert report["status"] == "error" and str(classify.MAX_CLASSIFY_DIM) in report["error"]
 
 
+def test_classify_expansion_bound_refuses_dense_h11_at_once(capsys, tmp_path):
+    import random
+    import time
+    from fractions import Fraction
+
+    from nilgeo import classify, linalg
+    from nilgeo.algdsl import serialize_algebra
+    from nilgeo.cealg import change_of_basis
+    from nilgeo.errors import InputError
+    from nilgeo.models import heisenberg_algebra
+
+    rng = random.Random(21)
+
+    def dense_frame(dim):
+        while True:
+            cols = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim)]
+            if linalg.det(cols):
+                return cols
+
+    h9, h11 = (change_of_basis(heisenberg_algebra(n), dense_frame(2 * n + 1)) for n in (4, 5))
+    # H_9 in a dense frame meets all 9 * 36 terms: the most any dimension-9 algebra can
+    assert sum(map(len, h9.d1_ints[0])) == 9 * 36
+    assert classify._expansion_work(9, h9.d1_ints[0]) <= classify.MAX_CLASSIFY_WORK
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=str(classify.MAX_CLASSIFY_WORK)):
+        classify.contact_existence_polynomial(h11)
+    assert time.perf_counter() - start < 0.1
+    path = tmp_path / "h11.json"
+    path.write_text(json.dumps([{"name": "h11", "spec": serialize_algebra(h11)}]))
+    code, report = run(capsys, "classify", "--catalog", f"@{path}")
+    assert code == 2
+    assert report["status"] == "error" and str(classify.MAX_CLASSIFY_WORK) in report["error"]
+
+
 def test_json_algebra_dimension_bound_is_input_error(capsys, monkeypatch):
     from nilgeo import algdsl
 
@@ -595,6 +629,105 @@ def test_help_and_version_keep_exit_zero_and_their_text(capsys, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: nilgeo") or out.startswith("nilgeo ")
+
+
+HELP_GOLDEN = Path(__file__).with_name("help_golden.json")
+
+
+def test_help_texts_match_the_golden_byte_for_byte(capsys, monkeypatch):
+    """`nilgeo --help` and `nilgeo <cmd> --help` for every subcommand at 80
+    columns, recorded from the parser that spelled out each add_argument call."""
+    from nilgeo.cli import COMMANDS
+
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == ["--help"] + [f"{name} --help" for name in COMMANDS]
+    for argv, text in golden.items():
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == text, argv
+
+
+# -- the argv reader against argparse (hypothesis) -----------------------------
+
+from nilgeo.cli import COMMANDS, _parser, read_argv
+from nilgeo.errors import InputError
+
+# values any flag takes in either notation, and values only the --flag=value
+# notation takes (a separate value starting with "-" is declined) or int() rejects
+STR_VALUES = ("(0,0,12)", "2*e3", "e1 + i*e2", "pairs:(1,2)", "", "a=b", "@x", "X1;X3")
+DASH_VALUES = ("-3*e5", "--alpha", "-")
+INT_VALUES = ("0", "7", "+4", " 12 ", "1_000", "\u0663")
+BAD_INTS = ("x", "1.5", "", "9" * 5000)
+EDGE_TOKENS = ("=", "-x", "--", "-h", "--help", "--version", "x", "", "-1", "--alg", "--sam", "--strict",
+               "--strict-def31=", "--strict-def31=1", "--N=", "--seed=-1", "--seed", "-5")
+
+
+@st.composite
+def request_argvs(draw):
+    """(argv, clean): mostly valid argvs with edge tokens mixed in; clean
+    argvs are in the shapes read_argv accepts."""
+    name = draw(st.sampled_from([*COMMANDS, *COMMANDS, *COMMANDS, "frobnicate", "check", "--version", "-h"]))
+    flags = COMMANDS[name].flags if name in COMMANDS else {}
+    argv, clean = [name], name in COMMANDS
+    for option in draw(st.permutations(list(flags))):
+        flag = flags[option]
+        if draw(st.integers(0, 19)) == 0:  # left out
+            clean = clean and not flag.required
+            continue
+        if flag.kind is bool:
+            argv.append(option)
+            continue
+        risky = draw(st.integers(0, 15)) == 0
+        if flag.kind is int:
+            value = draw(st.sampled_from(("-3", *BAD_INTS) if risky else INT_VALUES))
+            reads = value not in BAD_INTS
+        else:
+            value, reads = draw(st.sampled_from(DASH_VALUES if risky else STR_VALUES)), True
+        if draw(st.booleans()):
+            argv.append(f"{option}={value}")
+            clean = clean and reads
+        else:
+            argv += [option, value]
+            clean = clean and not risky
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 0, 1, 1, 2)))):
+        options = list(flags) or ["--algebra"]
+        token = draw(st.sampled_from(EDGE_TOKENS) | st.sampled_from(options).map(lambda o: f"{o}=7"))
+        argv.insert(draw(st.integers(1, len(argv))), token)
+        clean = False
+    return argv, clean
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None for a usage error,
+    help or version text."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_parser().parse_args(argv))
+    except (InputError, SystemExit):
+        return None
+
+
+CCY_ARGV = ["check-ccy", "--algebra", "(0,0,12)", "--alpha=2*e3", "--J", "pairs:(1,2)", "--epsilon=-e1"]
+
+
+@given(request_argvs())
+@example((CCY_ARGV + ["--strict-def31"], True))
+@example((CCY_ARGV + ["--strict-def31=1"], False))
+@example((CCY_ARGV + ["--strict-def31", "--strict-def31"], False))
+@example((CCY_ARGV + ["--alpha", "e3"], False))
+@example((CCY_ARGV[:1] + ["--alg", "(0,0,12)"] + CCY_ARGV[3:], False))
+@example((CCY_ARGV + ["--"], False))
+@example((CCY_ARGV + ["-h"], False))
+@example((["moduli-kernel", "--N", "9" * 5000], False))
+@example((["comass", "--seed", "-1"], False))
+@settings(max_examples=400, deadline=None)
+def test_read_argv_agrees_with_argparse_or_declines(case):
+    argv, clean = case
+    got = read_argv(argv)
+    if clean:
+        assert got is not None, argv
+    if got is not None:
+        assert vars(got) == argparse_vars(argv), argv
 
 
 def test_zero_denominator_coefficient_is_an_input_error(capsys):
