@@ -40,10 +40,10 @@ levi_civita, ricci_scalar and transverse_ricci:
 - the stages of a check-ccy request as ccy-mix sends it (`perfbench.workloads
   .ccy_flags`, epsilon rotated by CCY_ROTATION), n = 1..3: the argv reader
   (`cli.read_argv`, which a valid request runs) and, for comparison,
-  argparse's `parse_args` on the same argv, the parse of the algebra, of alpha, of J and of epsilon, check_contact,
-  check_ccy, the report (built from its strings and written by
-  `Report.to_json`), and the whole in-process request (`cli.main`, its
-  report discarded);
+  argparse's `parse_args` on the same argv, the parse of the algebra, of
+  alpha, of J and of epsilon, check_contact, check_ccy, the report (built
+  from its strings and written by `Report.to_json`), and the whole
+  in-process request (`cli.main`, its report discarded);
 - the special Legendrian check of a `legendrian` request on the same
   structures, dims 3, 5 and 7, span X1;X3;...: `Subalgebra` on the parsed
   span and `check_special_legendrian`, and the whole request;
@@ -53,9 +53,8 @@ levi_civita, ricci_scalar and transverse_ricci:
   2000, --seed COMASS_SEED), n = 1..3;
 - the stages of the check-hypo request ccy-mix sends (`perfbench.workloads
   .HYPO`, four form expressions): the argv reader and argparse, as above,
-  the parse of the algebra, the
-  parses of alpha and the three omegas together, check_hypo, and the whole
-  in-process request;
+  the parse of the algebra, the parses of alpha and the three omegas
+  together, check_hypo, and the whole in-process request;
 - kernel_dimension of the moduli operator at N = 256, 512, 1024, 2048 and
   4096 (the operator assembled once), and betti_numbers of the Heisenberg
   algebras of dims 7, 9 and 11 and, in one fixed frame each (BETTI_FRAME_SEED,
@@ -275,7 +274,8 @@ def process_ms(clock: HostClock, cmd: list, env: dict, code: int) -> float:
     for _ in range(REPEATS):
         clock.probe()
         start = perf_counter_ns()
-        assert subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode == code, cmd
+        if subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode != code:
+            raise RuntimeError(f"{cmd} did not exit {code}")
         end = perf_counter_ns()
         clock.probe()
         runs.append((end - start) / 1e6 * clock.factor(start, end))
