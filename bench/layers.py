@@ -3,7 +3,7 @@ classification filter, paired with end-to-end benchmark runs.
 
     python3 bench/layers.py --tree parent=../parent-checkout --tree change=. \
         --workload ccy-mix=10 --workload curvature-sweep=10 --workload rank-sweep=10 \
-        --seconds 30 --out BENCH_25.json
+        --seconds 30 --out BENCH_28.json
 
 Each --tree LABEL=PATH names a checkout with src/nilgeo and perfbench/. For
 every tree a fresh interpreter imports that tree's nilgeo and times
@@ -47,6 +47,18 @@ levi_civita, ricci_scalar and transverse_ricci:
 - the special Legendrian check of a `legendrian` request on the same
   structures, dims 3, 5 and 7, span X1;X3;...: `Subalgebra` on the parsed
   span and `check_special_legendrian`, and the whole request;
+- the phase budget of the four request kinds in ccy-mix's p50 band, as
+  ccy-mix sends them (PHASE_REQUESTS): check-ccy and legendrian at n = 1,
+  check-sasakian at n = 2 and 3. Each reader (the argv reader, the algebra,
+  alpha, J, epsilon and the span), check_contact, the calibration clauses
+  (on a copy of J without its cached columns, as a request meets it), the
+  Nijenhuis clause, the epsilon clauses, the special Legendrian check, the
+  report, the whole in-process request, and the rest: the request less its
+  phases (fastest rounds each, so it may read slightly negative);
+- the Gram elimination `linalg.sylvester` at sizes 2, 4 and 6, on the
+  calibration Gram matrix of the Heisenberg structure at n = 1, 2, 3 and on
+  a seeded dense Gram matrix B^T B (GRAM_SEED), in full (minors and
+  adjugate) and, in trees that have it, its minors-only forward elimination;
 - comass_sample on the shipped Heisenberg structures, n = 1..5, at
   COMASS_SAMPLES frames (COMASS_SEED), and one whole in-process `comass`
   request as ccy-mix sends it (`perfbench.workloads.ccy_flags`, --samples
@@ -148,6 +160,15 @@ PARSE_COMPACT = {f"F{m}": filiform(m) for m in (4, 5, 6, 7)}
 PARSE_COMPACT.update({f"H{2 * n + 1}": heisenberg(n) for n in (1, 2, 3, 4)})
 CCY_N = (1, 2, 3)
 CCY_ROTATION = (3, 4, 5)
+# the request kinds of ccy-mix's p50 band, as it sends them
+PHASE_REQUESTS = {
+    "check-ccy n=1": ["check-ccy", *ccy_flags(1, rotation=CCY_ROTATION)],
+    "legendrian n=1": ["legendrian", *ccy_flags(1), "--span", legendrian_span(1)],
+    "check-sasakian n=2": ["check-sasakian", *ccy_flags(2)[:6]],
+    "check-sasakian n=3": ["check-sasakian", *ccy_flags(3)[:6]],
+}
+GRAM_SIZES = (2, 4, 6)
+GRAM_SEED = 28
 COMASS_SAMPLES = (2000, 10**5)
 COMASS_SEED = 0
 CLASSIFY_SEED = 0
@@ -456,6 +477,8 @@ def measure(tree: Path) -> dict:
     rows.append({"family": "request", "command": "curvature --metric", "algebra": "F6",
                  "curvature_request_ms": timed_ms(clock, requests) / len(argvs)})
     rows += ccy_requests(clock)
+    rows += phase_rows(clock)
+    rows += gram_rows(clock)
     for n in HEISENBERG:
         structure, row = heisenberg_ccy(n), {"family": "comass", "n": n, "dim": 2 * n + 1}
         for samples in COMASS_SAMPLES:
@@ -597,10 +620,107 @@ def ccy_requests(clock: HostClock) -> list[dict]:
     return rows
 
 
+def phase_rows(clock: HostClock) -> list[dict]:
+    """The phase budget of the PHASE_REQUESTS (see the docstring)."""
+    from nilgeo import cli
+    from nilgeo.algdsl import parse_algebra, parse_endo, parse_form, parse_vectors
+    from nilgeo.exterior import Endo, _make
+    from nilgeo.legendrian import Subalgebra, check_special_legendrian
+    from nilgeo.structures import (
+        _check_calibration,
+        _check_epsilon_clauses,
+        _nijenhuis_failures,
+        ccy_epsilon,
+        check_ccy,
+        check_contact,
+    )
+
+    rows = []
+    for label, argv in PHASE_REQUESTS.items():
+        command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+        alg = parse_algebra(flags["--algebra"])
+        alpha, J = parse_form(flags["--alpha"], alg.dim), parse_endo(flags["--J"], alg.dim)
+        contact = check_contact(alg, alpha)
+        kappa, reeb = contact.kappa, contact.reeb
+        phases = {
+            "read_argv": lambda: cli.read_argv(argv),
+            "parse_algebra": lambda: parse_algebra(flags["--algebra"]),
+            "parse_alpha": lambda: parse_form(flags["--alpha"], alg.dim),
+            "parse_J": lambda: parse_endo(flags["--J"], alg.dim),
+            "check_contact": lambda: check_contact(alg, alpha),
+            "calibration": lambda: _check_calibration(alg, kappa, [alpha], [reeb], _make(Endo, num=J.num, den=J.den)),
+            "nijenhuis": lambda: _nijenhuis_failures(alg, J, kappa * 2, reeb),
+        }
+        inputs = {key[2:]: value for key, value in flags.items()}
+        if command == "check-sasakian":
+            def report():
+                out = cli.Report(command, inputs)
+                out.add("sasakian", True, failures=[])
+                return out.to_json()
+        else:
+            epsilon = ccy_epsilon(alg, parse_form(flags["--epsilon"], alg.dim))
+            structure = check_ccy(contact, J, epsilon)
+            phases["parse_epsilon"] = lambda: ccy_epsilon(alg, parse_form(flags["--epsilon"], alg.dim))
+            phases["epsilon_clauses"] = lambda: _check_epsilon_clauses(alg, kappa, [reeb], J, epsilon, structure.n, False)
+            if command == "check-ccy":
+                reeb_text, metric = str(reeb), [[str(x) for x in row] for row in structure.metric.matrix]
+
+                def report():
+                    out = cli.Report(command, {**inputs, "strict_def31": False})
+                    out.add("ccy", True, reeb=reeb_text, metric=metric)
+                    return out.to_json()
+            else:
+                span = flags["--span"]
+                result = check_special_legendrian(Subalgebra(alg, parse_vectors(span, alg.dim)), structure)
+                phases["subalgebra"] = lambda: Subalgebra(alg, parse_vectors(span, alg.dim))
+                phases["special_legendrian"] = lambda: check_special_legendrian(
+                    Subalgebra(alg, parse_vectors(span, alg.dim)), structure)
+
+                def report():
+                    out = cli.Report(command, inputs)
+                    out.add("special_legendrian", result.is_special, classification=str(result.verdict),
+                            integrable=result.integrable, detail={k: str(v) for k, v in result.detail.items()})
+                    return out.to_json()
+        phases["report"] = report
+        row = {"family": "phases", "request": label, "dim": alg.dim}
+        row.update({f"{name}_ms": timed_ms(clock, fn) for name, fn in phases.items()})
+        row["request_ms"] = timed_ms(clock, whole_request(argv))
+        rows.append(row)
+    return rows
+
+
+def gram_rows(clock: HostClock) -> list[dict]:
+    """`linalg.sylvester` in full and minors-only (see the docstring)."""
+    import inspect
+
+    from nilgeo import linalg
+    from nilgeo.models import heisenberg_ccy_data
+    from nilgeo.structures import check_contact, check_sasakian
+
+    minors_only = "adjugate" in inspect.signature(linalg.sylvester).parameters
+    rng, rows = random.Random(GRAM_SEED), []
+    for size in GRAM_SIZES:
+        alg, alpha, J, _ = heisenberg_ccy_data(size // 2)
+        g = check_sasakian(check_contact(alg, alpha), J).g_j.num  # g_J on the frame X_1..X_2n of ker alpha
+        b = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size + 1)]
+        grams = {"calibration": [row[:size] for row in g[:size]],
+                 "dense": [[sum(r[i] * r[j] for r in b) for j in range(size)] for i in range(size)]}
+        for kind, gram in grams.items():
+            row = {"family": "gram", "gram": kind, "dim": size,
+                   "sylvester_ms": timed_ms(clock, lambda: linalg.sylvester(gram))}
+            if minors_only:
+                row["minors_only_ms"] = timed_ms(clock, lambda: linalg.sylvester(gram, adjugate=False))
+            rows.append(row)
+    return rows
+
+
 def fastest(rounds) -> dict:
     """Each point's fastest timing over the rounds, and the slopes of those."""
     rows = [{key: min(r[key] for r in point) if "_ms" in key else value for key, value in point[0].items()}
             for point in zip(*rounds)]
+    for row in rows:
+        if row["family"] == "phases":
+            row["rest_ms"] = row["request_ms"] - sum(v for k, v in row.items() if k.endswith("_ms") and k != "request_ms")
     slopes = {}
     for family in ("heisenberg", "heisenberg_frame", "filiform", "structure", "json_heisenberg", "moduli", "betti",
                    "parse_metric", "ccy_request", "legendrian", "basis", "comass"):
@@ -727,6 +847,9 @@ def main() -> None:
             "parse_compact": list(PARSE_COMPACT),
             "ccy_n": list(CCY_N),
             "ccy_rotation": list(CCY_ROTATION),
+            "phase_requests": PHASE_REQUESTS,
+            "gram_sizes": list(GRAM_SIZES),
+            "gram_seed": GRAM_SEED,
             "comass_samples": list(COMASS_SAMPLES),
             "comass_seed": COMASS_SEED,
             "classify_seed": CLASSIFY_SEED,

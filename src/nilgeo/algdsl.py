@@ -39,7 +39,7 @@ import re
 
 from .cealg import LieAlgebra
 from .errors import InputError
-from .exterior import ComplexKForm, Endo, KForm, Vector, literal, merge_indices, ratio, read_json
+from .exterior import MAX_LITERAL_DIGITS, ComplexKForm, Endo, KForm, Vector, literal, merge_indices, ratio, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +114,29 @@ MAX_ALGEBRA_DIM = 1024
 
 def _parse_algebra_json(text: str) -> tuple[int, list]:
     """(dim, terms as `_parse_entry` yields them) of the JSON format; dim, the
-    d keys and the pair indices must be JSON integers (not bools)."""
+    d keys and the pair indices must be JSON integers (not bools). An absent
+    d is the abelian algebra; a present one must be an object whose values
+    are lists of [coefficient, i, j] triples."""
     data, terms = read_json(text, "algebra"), []
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError('algebra JSON needs {"dim": n, "d": {...}}')
-    dim, d = data["dim"], data.get("d") or {}
+    dim, d = data["dim"], data.get("d", {})
     if type(dim) is not int or not 1 <= dim <= MAX_ALGEBRA_DIM:
         raise InputError(f"algebra JSON: dim must be an integer in 1..{MAX_ALGEBRA_DIM}, got {json.dumps(dim)}")
-    try:
-        for key, entries in d.items():
-            if not (key.isascii() and key.isdigit()):
-                raise InputError(f"algebra JSON: generator key {key!r} is not an integer")
-            k = literal(key)[0]
-            if not 1 <= k <= dim:
-                raise InputError(f"generator index {k} out of range")
-            for coef, i, j in entries:
-                if not (type(i) is type(j) is int and 1 <= i < j <= dim):
-                    raise InputError(f"invalid pair ({json.dumps(i)},{json.dumps(j)}) in d({k})")
-                terms.append((k, (i, j), *literal(coef)))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed algebra JSON: {exc}") from exc
+    if type(d) is not dict:
+        raise InputError(f'algebra JSON: "d" must be an object of generator keys, got {json.dumps(d):.60}')
+    for key, entries in d.items():
+        if not (key.isascii() and key.isdigit()):
+            raise InputError(f"algebra JSON: generator key {key!r} is not an integer")
+        k = literal(key)[0]
+        if not 1 <= k <= dim:
+            raise InputError(f"generator index {k} out of range")
+        if type(entries) is not list or any(type(t) is not list or len(t) != 3 for t in entries):
+            raise InputError(f'algebra JSON: d["{key}"] must be a list of [coefficient, i, j] triples')
+        for coef, i, j in entries:
+            if not (type(i) is type(j) is int and 1 <= i < j <= dim):
+                raise InputError(f"invalid pair ({json.dumps(i)},{json.dumps(j)}) in d({k})")
+            terms.append((k, (i, j), *literal(coef)))
     return dim, terms
 
 
@@ -172,17 +175,20 @@ MAX_FORM_DEPTH = 100
 MAX_WEDGE_PAIRS = 2**14
 
 
-def _products(pairs) -> dict:
-    """The term map of the sum of s * (a ^ b) over (a, b, s) in pairs, zeros
-    dropped, keys in the order their first products appear."""
-    out: dict = {}
-    for a, b, s in pairs:
-        for ia, ca in a.items():
-            for ib, cb in b.items():
-                sign, key = merge_indices(ia, ib) if ia and ib else (1, ia or ib)
-                if sign:
-                    out[key] = out.get(key, 0) + sign * s * ca * cb
-    return {key: c for key, c in out.items() if c}
+def _nonzero(terms: dict) -> dict:
+    """terms with its cancelled (zero) terms dropped."""
+    return {key: c for key, c in terms.items() if c} if 0 in terms.values() else terms
+
+
+def _sum(a: dict, ca: int, b: dict, cb: int) -> dict:
+    """The term map of ca * a + cb * b, zeros dropped, the keys of a first
+    (none of them when ca is 0)."""
+    out = {} if not ca else dict(a) if ca == 1 else {key: ca * c for key, c in a.items()}
+    if not (cb and b):
+        return out  # multiples of nonzero terms
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + cb * c
+    return _nonzero(out)
 
 
 class _FormReader:
@@ -242,8 +248,8 @@ class _FormReader:
         if tok == "i":
             self.imaginary = True
             return _I
-        if tok[0] == "e":
-            index = literal(tok[1:])[0]
+        if tok[0] == "e":  # digits only: int() reads what literal() does, up to its digit bound
+            index = int(tok[1:]) if len(tok) <= MAX_LITERAL_DIGITS else literal(tok[1:])[0]
             return None if self.error else self.generator(index)
         if not tok.isdigit():
             raise InputError(f"unexpected token {tok!r}")
@@ -276,11 +282,24 @@ class _FormReader:
             too_large = f"a wedge of {left} by {right} terms exceeds {MAX_WEDGE_PAIRS} term pairs"
             self.error = f"expression too large: {too_large}"
             return None
-        if im or fim:  # (a + ib) ^ (c + id) = (ac - bd) + i(ad + bc)
-            re, im = _products(((re, fre, 1), (im, fim, -1))), _products(((re, fim, 1), (im, fre, 1)))
-        else:
-            re = _products(((re, fre, 1),))
-        return degree + fdeg, re, im, den * fden
+        if not fdeg:  # (x + iy)(c + id) = (cx - dy) + i(dx + cy)
+            c, d = fre.get((), 0), fim.get((), 0)
+            return degree, _sum(re, c, im, -d), _sum(re, d, im, c), den * fden
+        if not degree:  # (c + id)(x + iy) = (cx - dy) + i(cy + dx)
+            c, d = re.get((), 0), im.get((), 0)
+            return fdeg, _sum(fre, c, fim, -d), _sum(fim, c, fre, d), den * fden
+        # (a + ib) ^ (c + id) = (ac - bd) + i(ad + bc), both parts in one pass;
+        # each part's keys in the order of its products, ac before bd, ad before bc
+        out_re, out_im = {}, {}
+        for a, b, out, sign in ((re, fre, out_re, 1), (re, fim, out_im, 1), (im, fre, out_im, 1), (im, fim, out_re, -1)):
+            for ia, ca in a.items():
+                ca *= sign
+                for ib, cb in b.items():
+                    # already in order, as in (e1+i*e2)^(e3+i*e4), or merged
+                    s, key = (1, ia + ib) if ia[-1] < ib[0] else merge_indices(ia, ib)
+                    if s:
+                        out[key] = out.get(key, 0) + s * ca * cb
+        return degree + fdeg, _nonzero(out_re), _nonzero(out_im), den * fden
 
     def add(self, value, sign: int, term):
         (degree, re, im, den), (tdeg, tre, tim, tden) = value, term
@@ -292,8 +311,8 @@ class _FormReader:
             self.error = f"mixed degrees in a sum: {degree} and {tdeg}"
             return None
         scale = math.lcm(den, tden)
-        a, b = {(): scale // den}, {(): scale // tden}  # a sum is a wedge with scalars
-        return degree, _products(((re, a, 1), (tre, b, sign))), _products(((im, a, 1), (tim, b, sign))), scale
+        a, b = scale // den, sign * (scale // tden)
+        return degree, _sum(re, a, tre, b), _sum(im, a, tim, b), scale
 
 
 def parse_form(text: str, dim: int):

@@ -132,8 +132,8 @@ def check_special_legendrian(sub: Subalgebra, ccy: CCYStructure) -> LegendrianRe
         # positive definite (g is), so its determinant is the last leading minor
         num, g = p_eps.re.nums.get(tuple(range(1, n + 1)), 0), ccy.metric
         gv = [linalg.matvec(g.num, v) for v in sub.nums]
-        minors, adjugate = linalg.sylvester([[linalg.dot(u, w) for w in gv] for u in sub.nums])
-        if adjugate is None:
+        minors, _ = linalg.sylvester([[linalg.dot(u, w) for w in gv] for u in sub.nums], adjugate=False)
+        if minors[-1] <= 0:
             raise ArithmeticError("the Gram matrix of independent vectors is not positive definite")
         det_num, det_den = minors[-1], (g.den * sub.den**2) ** n
         detail["volume_coefficient"] = ratio(num, p_eps.re.den)

@@ -19,8 +19,10 @@ matrices. `sylvester` is the Gram-matrix elimination (Bareiss 1968), ints
 in and ints out: the leading minors and the adjugate, which is the inverse
 times the last minor (`Metric` keeps both). It takes no row exchanges, so
 pivot k is a leading minor: a positive definite matrix never needs one, and
-any other stops at the first minor <= 0, Sylvester's witness. `pfaffian` is
-the skew elimination of Wimmer 2012.
+any other stops at the first minor <= 0, Sylvester's witness. Callers that
+read only the minors (is a Gram matrix positive, what is its determinant)
+run its forward elimination alone. `pfaffian` is the skew elimination of
+Wimmer 2012.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
     return basis, den
 
 
-def sylvester(a) -> tuple[list[int], list[list[int]] | None]:
+def sylvester(a, adjugate: bool = True) -> tuple[list[int], list[list[int]] | None]:
     """(pivots, adjugate or None) of a square int matrix A.
 
     One fraction-free Gauss-Jordan elimination of [A | I]: each step divides
@@ -242,9 +244,14 @@ def sylvester(a) -> tuple[list[int], list[list[int]] | None]:
     A^-1 = adj / det with det the last pivot (1 in size 0). The pivots stop
     at the first minor <= 0; the adjugate is returned when every minor is
     positive.
+
+    With adjugate=False only the forward elimination runs, for callers that
+    read the minors alone, and A must be symmetric (a Gram matrix): each step
+    updates the rows below the pivot on their upper triangle only, as the
+    trailing block stays symmetric. The pivots are the same; no adjugate.
     """
     n = _require_square(a, "sylvester")
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rows = [list(row) + [int(i == j) for j in range(n)] if adjugate else list(row) for i, row in enumerate(a)]
     pivots, prev = [], 1
     for k in range(n):
         pivot_row = rows[k]
@@ -252,12 +259,19 @@ def sylvester(a) -> tuple[list[int], list[list[int]] | None]:
         pivots.append(p)
         if p <= 0:
             return pivots, None
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        if adjugate:
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        else:
+            for i in range(k + 1, n):
+                row, f = rows[i], pivot_row[i]
+                if f or p != prev:  # else the step leaves the row as it is
+                    for j in range(i, n):
+                        row[j] = (p * row[j] - f * pivot_row[j]) // prev
         prev = p
-    return pivots, [row[n:] for row in rows]
+    return pivots, [row[n:] for row in rows] if adjugate else None
 
 
 def pfaffian(matrix) -> int:

@@ -203,10 +203,24 @@ def _combine(cells, v: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+def _product_columns(lcols, rcols, dim: int) -> list[list[int]]:
+    """The dense columns of L R for L and R given by their sparse columns:
+    column j is sum_p R[p][j] L[:, p], summed in int loops."""
+    out = []
+    for rcol in rcols:
+        col = [0] * dim
+        for p, x in rcol.items():
+            for i, y in lcols[p].items():
+                col[i] += x * y
+        out.append(col)
+    return out
+
+
 def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
-    """The calibration axioms as identities of sparse int columns, shared by
-    the contact (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the
-    algebra. Over ints: J = cols / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad."""
+    """The calibration axioms as identities of int columns, shared by the
+    contact (r = 1) and r-contact cases; returns g_J = kappa(., J.) on the
+    algebra. Over ints: J = cols / jd, R_k = rs[k] / rd, alpha_k = covs[k] / ad.
+    Every product is summed in int loops over sparse columns into dense ones."""
     dim = alg.dim
     cols, jd = J.columns()
     rs, rd = common_den(reebs)
@@ -219,32 +233,45 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
             )
     # J^2 = -I + sum_k R_k (x) alpha_k, column by column over jd^2 and s
     covs, ad = covectors(alphas)
-    s, jd2, reeb_cols = ad * rd, jd * jd, [_sparse(r) for r in rs]
-    square = [_combine(cols, col) for col in cols]
-    expected = [add_terms(_combine(reeb_cols, dict(enumerate(cov[j] for cov in covs))), -s, {j: 1}) for j in range(dim)]
-    failing = [(i, j) for j, (sq, ex) in enumerate(zip(square, expected))
-               for i in set(sq) | set(ex) if sq.get(i, 0) * s != ex.get(i, 0) * jd2]
+    s, jd2 = ad * rd, jd * jd
+    square, failing = _product_columns(cols, cols, dim), []
+    for j, col in enumerate(square):
+        expected = [0] * dim
+        expected[j] = -s
+        for cov, r in zip(covs, rs):
+            if cov[j]:
+                for i, y in enumerate(r):
+                    expected[i] += cov[j] * y
+        if [x * s for x in col] != [y * jd2 for y in expected]:
+            failing += [(i, j, x, y) for i, (x, y) in enumerate(zip(col, expected)) if x * s != y * jd2]
     if failing:
-        i, j = min(failing)
-        value, required = Fraction(square[j].get(i, 0), jd2), Fraction(expected[j].get(i, 0), s)
-        witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(value), "expected": str(required)}
+        i, j, x, y = min(failing)
+        witness = {"entry": f"({i + 1},{j + 1})", "J^2": str(Fraction(x, jd2)), "expected": str(Fraction(y, s))}
         raise NotCalibratedError("calibrated.J_square", "J^2 != -I + sum alpha_i (x) R_i", witness)
-    # g_J(X_i, X_j) = kappa(X_i, J X_j): column j of K J is sum_p J_pj K[:, p], over gd
-    kcols, kd = _columns(kappa.nums, dim), kappa.den
-    g = [_combine(kcols, col) for col in cols]  # g[j][i] = g_J(X_i, X_j)
-    gd = kd * jd
-    asymmetric = [(max(i, j), min(i, j)) for j, col in enumerate(g) for i, x in col.items() if g[i].get(j, 0) != x]
+    # g_J(X_i, X_j) = kappa(X_i, J X_j): column j of K J, over gd
+    g, gd = _product_columns(_columns(kappa.nums, dim), cols, dim), kappa.den * jd  # g[j][i] = g_J(X_i, X_j)
+    asymmetric = next(((i, j) for i in range(dim) for j in range(i) if g[j][i] != g[i][j]), None)
     if asymmetric:
-        i, j = min(asymmetric)
-        gij, gji = Fraction(g[j].get(i, 0), gd), Fraction(g[i].get(j, 0), gd)
-        witness = {"pair": f"(X{j + 1},X{i + 1})", "g(Xi,Xj)": str(gij), "g(Xj,Xi)": str(gji)}
+        i, j = asymmetric
+        witness = {"pair": f"(X{j + 1},X{i + 1})", "g(Xi,Xj)": str(Fraction(g[j][i], gd)),
+                   "g(Xj,Xi)": str(Fraction(g[i][j], gd))}
         raise NotCalibratedError("calibrated.symmetric", "kappa(., J.) is not symmetric", witness)
+    # the Gram matrix u_a^T g u_b of the frame of xi, over gd fd^2: symmetric, as g is
     basis, fd = linalg.kernel(covs, dim)
-    frame = [_sparse(v) for v in basis]
-    gframe = [_combine(g, v) for v in frame]
-    gram = [[sum(x * gv.get(i, 0) for i, x in u.items()) for gv in gframe] for u in frame]  # over gd fd^2
-    minors, adjugate = linalg.sylvester(gram)
-    if adjugate is None:
+    frame, size = [_sparse(v) for v in basis], len(basis)
+    gram = [[0] * size for _ in range(size)]
+    for b, v in enumerate(frame):
+        gv = [0] * dim  # g u_b
+        for j, y in v.items():
+            for i, x in enumerate(g[j]):
+                gv[i] += x * y
+        for a in range(b + 1):
+            t = 0
+            for i, x in frame[a].items():
+                t += x * gv[i]
+            gram[a][b] = gram[b][a] = t
+    minors, _ = linalg.sylvester(gram, adjugate=False)
+    if minors and minors[-1] <= 0:
         k, den = len(minors), gd * fd * fd
         raise NotCalibratedError(
             "calibrated.positive",
@@ -256,7 +283,7 @@ def _check_calibration(alg, kappa, alphas, reebs, J) -> Metric:
             },
         )
     # J-invariance on xi follows: g_J(Ju, Jv) = kappa(Ju, J^2 v) = -kappa(Ju, v) = g_J(v, u)
-    return Metric._of([[g[j].get(i, 0) for j in range(dim)] for i in range(dim)], gd)
+    return Metric._of(g, gd)  # g is symmetric: its columns are its rows
 
 
 def check_calibrated_complex(contact: ContactStructure, J: Endo) -> Metric:

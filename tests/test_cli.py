@@ -215,6 +215,30 @@ def test_json_algebra_integers_are_strict(algebra):
     run_input_error(["betti", f"--algebra={algebra}"])
 
 
+@pytest.mark.parametrize(
+    "d, key",
+    [
+        ("0", '"d"'),
+        ('""', '"d"'),
+        ("false", '"d"'),
+        ("[]", '"d"'),
+        ("null", '"d"'),
+        ('[["1", 1, 2]]', '"d"'),
+        ('{"3": [["1"]]}', 'd["3"]'),
+        ('{"3": [["1", 1, 2, 3]]}', 'd["3"]'),
+        ('{"3": ["1", 1, 2]}', 'd["3"]'),
+        ('{"3": "12"}', 'd["3"]'),
+        ('{"3": null}', 'd["3"]'),
+        ('{"3": {"1": 2}}', 'd["3"]'),
+    ],
+)
+def test_json_algebra_d_is_an_object_of_triples(d, key):
+    # a falsy d was read as the abelian algebra, and a malformed one reached
+    # the user as a Python error text
+    report = run_input_error(["betti", "--algebra", f'{{"dim": 3, "d": {d}}}'])
+    assert key in report["error"]
+
+
 def test_betti(capsys):
     code, report = run(capsys, "betti", "--algebra", "(0,0,0,0,12+34)")
     assert code == 0

@@ -1,7 +1,8 @@
 """The fraction-free structure checks against per-entry Fraction oracles.
 
 `linalg.sylvester` and `linalg.pfaffian` against per-minor determinants,
-`linalg.inverse`, sympy and the expansion of the Pfaffian; `linalg.kernel`
+`linalg.inverse`, sympy and the expansion of the Pfaffian; the minors-only
+elimination against the full one and sympy; `linalg.kernel`
 against `linalg.nullspace` and sympy; the calibration, Nijenhuis, epsilon and
 normalization clauses, the r-contact volume and the dimension-5 obstruction
 filter against the reference computations in `fraction_structures`.
@@ -14,6 +15,8 @@ from math import factorial
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilgeo import linalg
 from nilgeo import classify
@@ -86,6 +89,37 @@ def test_sylvester_matches_per_minor_determinants_inverse_and_sympy():
         if matrix:
             assert inverse == [[Q(str(x)) for x in row] for row in sym.inv().tolist()]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+@st.composite
+def symmetric_ints(draw):
+    """A symmetric int matrix of size 0-8: a Gram matrix B^T B (positive
+    definite, or singular when B has too few rows), such a matrix with one
+    diagonal entry lowered (positive minors up to that index, then often not),
+    or symmetric entries drawn at random (mostly not positive definite)."""
+    n, kind = draw(st.integers(0, 8)), draw(st.sampled_from(("gram", "lowered", "random")))
+    if kind == "random":
+        upper = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+        return [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    b = draw(st.lists(entries, min_size=max(n - 1, 0), max_size=n + 1))
+    a = [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+    if kind == "lowered" and n:
+        k = draw(st.integers(0, n - 1))
+        a[k][k] -= draw(st.integers(1, 40))
+    return a
+
+
+@given(symmetric_ints())
+@settings(max_examples=300, deadline=None)
+def test_minors_only_elimination_matches_sylvester_and_sympy(a):
+    minors, none = linalg.sylvester(a, adjugate=False)
+    pivots, adjugate = linalg.sylvester(a)
+    assert none is None and minors == pivots  # the same minors, length and stop point
+    expected = [int(sympy.Matrix(a)[:k, :k].det()) for k in range(1, len(a) + 1)]
+    stop = next((k for k, m in enumerate(expected) if m <= 0), len(a) - 1)
+    assert minors == expected[: stop + 1]
+    assert (adjugate is not None) == all(m > 0 for m in expected)
 
 
 def test_metric_reads_one_elimination():
