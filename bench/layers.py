@@ -671,10 +671,10 @@ def phase_rows(clock: HostClock) -> list[dict]:
                     return out.to_json()
             else:
                 span = flags["--span"]
-                result = check_special_legendrian(Subalgebra(alg, parse_vectors(span, alg.dim)), structure)
+                sub = Subalgebra(alg, parse_vectors(span, alg.dim))
+                result = check_special_legendrian(sub, structure)
                 phases["subalgebra"] = lambda: Subalgebra(alg, parse_vectors(span, alg.dim))
-                phases["special_legendrian"] = lambda: check_special_legendrian(
-                    Subalgebra(alg, parse_vectors(span, alg.dim)), structure)
+                phases["special_legendrian"] = lambda: check_special_legendrian(sub, structure)
 
                 def report():
                     out = cli.Report(command, inputs)
