@@ -54,7 +54,7 @@ levi_civita, ricci_scalar and transverse_ricci:
   (on a copy of J without its cached columns, as a request meets it), the
   Nijenhuis clause, the epsilon clauses, the special Legendrian check, the
   report, the whole in-process request, and the rest: the request less its
-  phases (fastest rounds each, so it may read slightly negative);
+  phases (each term the fastest of its rounds, so the rest is rough);
 - the Gram elimination `linalg.sylvester` at sizes 2, 4 and 6, on the
   calibration Gram matrix of the Heisenberg structure at n = 1, 2, 3 and on
   a seeded dense Gram matrix B^T B (GRAM_SEED), in full (minors and
